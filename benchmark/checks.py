@@ -115,6 +115,15 @@ def shooting_brackets(k: int, eps: float, x0: float, roots) -> list:
     return list(lo * hi < 0)
 
 
+def shooting_root_count(k: int, eps: float, x0: float, s_min: float,
+                        s_max: float, step: float = 0.01) -> int:
+    """Sign changes of the shooting determinant on a grid over
+    [s_min, s_max], one fifth of the CLI's default scan step: the number of
+    real roots a complete table of that window must hold."""
+    vals = shoot_det(k, eps, x0, np.arange(s_min, s_max + step / 2, step))
+    return int(np.count_nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0))
+
+
 def match(a: list, b: list, tol: float) -> str | None:
     """None when the two sorted root lists have equal length and agree
     pairwise within tol; otherwise a description of the mismatch."""

@@ -86,7 +86,12 @@ class Tracer:
 
         def wrap_shoot(fn):
             def result(shoot, args, kwargs):
-                steps = _bound(fn, args, kwargs).get("n_steps")
+                a = _bound(fn, args, kwargs)
+                # RK4 trajectories per call: two for the k != 0 system,
+                # one for k = 0 and for chi
+                k = getattr(a.get("params"), "k", None)
+                paths = 1 if a.get("which") == "chi" or k == 0 else 2
+                steps = a["n_steps"] * paths if "n_steps" in a else None
 
                 def attrs(a, kw):
                     return {"points": _batch_size(a[0]) if a else 0,
