@@ -5,14 +5,12 @@ closed-form reference spectra, and parameter-continuation root tracing."""
 __version__ = "0.1.0"
 
 from .core import (GridTooCoarseWarning, NoConvergenceError, NonFiniteError,
-                   Root, SeedRejectedError, SpectralParams, SpectralPoint,
-                   canonicalize_s, in_stability_domain, mu_of_s)
+                   Root, SeedRejectedError, SpectralParams, canonicalize_s,
+                   in_stability_domain, mu_of_s)
 from .series import (SeriesCoefficients, SeriesTail, coeffs_full_k,
-                     coeffs_k0, coeffs_stream_k, coeffs_vorticity_k,
-                     eval_series, tail_estimate)
-from .boundary import (BoundaryMatrix, assemble, assemble_A_0, assemble_A_k,
-                       det_F, det_functional, eigenfunction_coeffs,
-                       null_seeds)
+                     coeffs_k0, eval_series, tail_estimate)
+from .boundary import (BoundaryMatrix, assemble, det_functional,
+                       eigenfunction_coeffs, null_seeds)
 from .rootfinder import (Branch, CoalescenceEvent, ScanConfig,
                          detect_coalescence, refine_complex, scan_real_roots,
                          trace_parameter)
@@ -23,5 +21,4 @@ from .analytic import (AnalyticSpectrum, Polynomial, PowerWeightedPoly,
                        spectrum_chi_limit, spectrum_full_sphere_k,
                        spectrum_full_sphere_k0, sturm_liouville_residual,
                        vorticity_ode_residual)
-from .oracle import (ShootResidual, oracle_roots, shoot_chi, shoot_functional,
-                     shoot_k, shoot_k0)
+from .oracle import ShootResidual, oracle_roots, shoot, shoot_functional

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .series import eval_series
+
 P = np.polynomial.polynomial
 
 
@@ -298,17 +300,6 @@ def gauss_composite(fn, a: float, b: float, n_sub: int = 8,
     return float(total)
 
 
-def _series_fields(coeffs, xs):
-    """Psi, Psi', Phi of a SeriesCoefficients on an array of points."""
-    u = xs * xs
-    m = np.arange(len(coeffs.a))
-    psi = P.polyval(u, coeffs.c) + xs * P.polyval(u, coeffs.d)
-    dpsi = (xs * P.polyval(u, (2 * m * coeffs.c)[1:])
-            + P.polyval(u, (2 * m + 1) * coeffs.d))
-    phi = P.polyval(u, coeffs.a) + xs * P.polyval(u, coeffs.b)
-    return psi, dpsi, phi
-
-
 def green_identity_residual(coeffs, mu: float, params) -> float:
     """Check mu = -(phi, phi) / ||Psi||^2 on a series eigenpair at eps = 0.
 
@@ -327,11 +318,10 @@ def green_identity_residual(coeffs, mu: float, params) -> float:
     x0 = params.x0
 
     def phi_sq(xs):
-        _, _, phi = _series_fields(coeffs, xs)
-        return np.abs(phi) ** 2
+        return np.abs(eval_series(coeffs, "phi", xs)[0]) ** 2
 
     def energy(xs):
-        psi, dpsi, _ = _series_fields(coeffs, xs)
+        psi, dpsi, _ = eval_series(coeffs, "psi", xs)
         return ((1 - xs * xs) * np.abs(dpsi) ** 2
                 + k2 * np.abs(psi) ** 2 / (1 - xs * xs))
 

@@ -10,8 +10,7 @@ Eigenvalues are the roots of F(s) = det(A(s)).
 The derivative functionals follow the series sums verbatim, i.e. without
 the common x0**-1 factor of the literal derivative; root locations are
 unaffected.  Columns are normalized by their max magnitude before the
-determinant (log10 of the product is reported as the scale), which
-postpones overflow near x0 -> 1 without moving roots.
+determinant, which postpones overflow near x0 -> 1 without moving roots.
 """
 
 from __future__ import annotations
@@ -21,20 +20,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NonFiniteError, SpectralParams
-from .series import SeriesCoefficients, coeffs_k0_batch, coeffs_k_batch
+from .series import (SeriesCoefficients, coeffs_full_k, coeffs_k0,
+                     coeffs_k0_batch, coeffs_k_batch)
 
 
 @dataclass(frozen=True)
 class BoundaryMatrix:
     """Boundary matrix at one s: 4x4 for k != 0, 2x2 for k = 0.
 
-    Each column is the boundary-residual vector of a unit seed.  scale is
-    the log10 magnitude already factored out of the entries (0 unless
-    assembly had to rescale).
+    Each column is the boundary-residual vector of a unit seed.
     """
 
     entries: np.ndarray
-    scale: float
     params: SpectralParams
     s: complex
 
@@ -49,85 +46,45 @@ def _check_series_domain(params: SpectralParams):
                          "sphere x0 = 1 is served by the analytic module")
 
 
-def _rows_k(k2, eps, x0, s, M):
-    """Stack of boundary matrices for k != 0 over a batch of s values.
+def _matrices(params: SpectralParams, s):
+    """Stack of boundary matrices over a batch of s values, shape
+    (len(s), dim, dim).
 
-    Returns array of shape (len(s), 4, 4).  The four seeds are run as one
-    batch of 4*len(s) coefficient columns.
+    The dim unit seeds are run as one batch of dim*len(s) coefficient
+    columns.  k != 0 uses all four functionals; k = 0 only the two
+    derivative ones (the free seeds are (a0, d0)).
     """
     s = np.asarray(s, dtype=complex)
     n = s.size
-    eye = np.eye(4)
-    sb = np.tile(s, 4)
-    seeds = tuple(np.repeat(eye[:, comp], n) for comp in range(4))
-    _, _, c, d = coeffs_k_batch(k2, eps, sb, seeds, M)
-    m = np.arange(M + 1)
-    w = x0 ** (2 * m)
-    rows = np.empty((4, 4, n), dtype=complex)
-    rows[0] = (w @ c).reshape(4, n)
-    rows[1] = (w @ d).reshape(4, n)
-    rows[2] = ((2 * m * w) @ c).reshape(4, n)
-    rows[3] = (((2 * m + 1) * w) @ d).reshape(4, n)
-    return rows.transpose(2, 0, 1)
-
-
-def _rows_k0(eps, x0, s, M):
-    """Stack of 2x2 boundary matrices for k = 0 over a batch of s values."""
-    s = np.asarray(s, dtype=complex)
-    n = s.size
-    eye = np.eye(2)
-    sb = np.tile(s, 2)
-    seeds = tuple(np.repeat(eye[:, comp], n) for comp in range(2))
-    _, _, c, d = coeffs_k0_batch(eps, sb, seeds, M)
-    m = np.arange(M + 1)
-    w = x0 ** (2 * m)
-    rows = np.empty((2, 2, n), dtype=complex)
-    rows[0] = ((2 * m * w) @ c).reshape(2, n)
-    rows[1] = (((2 * m + 1) * w) @ d).reshape(2, n)
-    return rows.transpose(2, 0, 1)
-
-
-def _matrices(params: SpectralParams, s):
-    if params.k != 0:
-        return _rows_k(params.abs_k ** 2, params.eps, params.x0, s, params.M)
-    s_arr = np.asarray(s, dtype=complex)
-    if np.any(s_arr * (s_arr + 1) == 0):
+    m = np.arange(params.M + 1)
+    w = params.x0 ** (2 * m)
+    if params.k == 0 and np.any(s * (s + 1) == 0):
         raise ValueError("mu = 0 is the trivial k = 0 eigenvalue; "
                          "A_0(s) requires s*(s+1) != 0")
-    return _rows_k0(params.eps, params.x0, s, params.M)
-
-
-def assemble_A_k(params: SpectralParams, s: complex) -> BoundaryMatrix:
-    """4x4 boundary matrix for k != 0 at a single s."""
-    if params.k == 0:
-        raise ValueError("assemble_A_k requires k != 0")
-    _check_series_domain(params)
-    A = _matrices(params, np.array([s]))[0]
-    if not np.all(np.isfinite(A)):
-        raise NonFiniteError(
-            f"boundary matrix overflowed at s={s} (M={params.M}, "
-            f"x0={params.x0}); reduce M or move x0 away from 1")
-    return BoundaryMatrix(A, 0.0, params, complex(s))
-
-
-def assemble_A_0(params: SpectralParams, s: complex) -> BoundaryMatrix:
-    """2x2 boundary matrix for k = 0 at a single s (mu != 0 required)."""
+    dim = 4 if params.k != 0 else 2
+    sb = np.tile(s, dim)
+    seeds = tuple(np.repeat(np.eye(dim)[:, comp], n) for comp in range(dim))
     if params.k != 0:
-        raise ValueError("assemble_A_0 requires k = 0")
-    _check_series_domain(params)
-    A = _matrices(params, np.array([s]))[0]
-    if not np.all(np.isfinite(A)):
+        _, _, c, d = coeffs_k_batch(params.abs_k ** 2, params.eps, sb,
+                                    seeds, params.M)
+        weighted = ((w, c), (w, d), (2 * m * w, c), ((2 * m + 1) * w, d))
+    else:
+        _, _, c, d = coeffs_k0_batch(params.eps, sb, seeds, params.M)
+        weighted = ((2 * m * w, c), ((2 * m + 1) * w, d))
+    rows = np.stack([(wt @ seq).reshape(dim, n) for wt, seq in weighted])
+    stack = rows.transpose(2, 0, 1)
+    if not np.all(np.isfinite(stack)):
         raise NonFiniteError(
-            f"boundary matrix overflowed at s={s} (M={params.M}, "
-            f"x0={params.x0}); reduce M or move x0 away from 1")
-    return BoundaryMatrix(A, 0.0, params, complex(s))
+            f"boundary matrix overflowed (M={params.M}, x0={params.x0})")
+    return stack
 
 
 def assemble(params: SpectralParams, s: complex) -> BoundaryMatrix:
-    """Boundary matrix of the right shape for params.k."""
-    if params.k == 0:
-        return assemble_A_0(params, s)
-    return assemble_A_k(params, s)
+    """Boundary matrix at a single s: 4x4 for k != 0, 2x2 for k = 0
+    (mu != 0 required)."""
+    _check_series_domain(params)
+    return BoundaryMatrix(_matrices(params, np.array([s]))[0], params,
+                          complex(s))
 
 
 def _normalized_det(stack: np.ndarray):
@@ -144,18 +101,6 @@ def _normalized_det(stack: np.ndarray):
     return vals, scales
 
 
-def det_F(matrix: BoundaryMatrix):
-    """Normalized determinant of a boundary matrix.
-
-    Returns (value, scale): the raw determinant equals value * 10**scale.
-    Zeros (eigenvalues) are those of value.
-    """
-    if not np.all(np.isfinite(matrix.entries)):
-        raise NonFiniteError("boundary matrix has non-finite entries")
-    vals, scales = _normalized_det(matrix.entries[None])
-    return complex(vals[0]), float(scales[0]) + matrix.scale
-
-
 def det_functional(params: SpectralParams):
     """Vectorized F(s): maps an array of s values to normalized determinant
     values.  This is the functional handed to the root finder."""
@@ -163,11 +108,7 @@ def det_functional(params: SpectralParams):
 
     def F(s):
         s = np.atleast_1d(np.asarray(s, dtype=complex))
-        stack = _matrices(params, s)
-        if not np.all(np.isfinite(stack)):
-            raise NonFiniteError(
-                f"boundary matrix overflowed (M={params.M}, x0={params.x0})")
-        return _normalized_det(stack)[0]
+        return _normalized_det(_matrices(params, s))[0]
 
     return F
 
@@ -188,8 +129,6 @@ def null_seeds(matrix: BoundaryMatrix) -> np.ndarray:
 def eigenfunction_coeffs(params: SpectralParams, s: complex) -> SeriesCoefficients:
     """Series coefficients of the eigenfunction at a determinant root s,
     built from the null vector of the boundary matrix."""
-    from .series import coeffs_full_k, coeffs_k0
-
     seeds = null_seeds(assemble(params, s))
     if params.k == 0:
         return coeffs_k0(params, s, seeds[0], seeds[1])

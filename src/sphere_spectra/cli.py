@@ -22,7 +22,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,7 +39,7 @@ SWEEP_PARAMS = ("x0", "eps", "M")
 @dataclass(frozen=True)
 class RunConfig:
     """Validated invocation: command, problem instance, scan window,
-    optional sweep, output destination."""
+    sweep (required for trace), output destination."""
 
     command: str
     params: SpectralParams
@@ -52,9 +51,8 @@ class RunConfig:
     chi: bool = False
 
     def __post_init__(self):
-        if (self.sweep is not None) != (self.command in ("trace", "figures")):
-            raise ValueError("a sweep is required exactly for the trace and "
-                             "figures commands")
+        if self.command == "trace" and self.sweep is None:
+            raise ValueError("the trace command requires a sweep")
         if self.sweep is not None:
             name, start, stop, step = self.sweep
             if name not in SWEEP_PARAMS:
@@ -141,10 +139,16 @@ def cmd_spectrum(cfg: RunConfig) -> int:
                                        "empty_nontrivial":
                                        spec.empty_nontrivial})
         return 0
-    roots = scan_real_roots(boundary.det_functional(p), _scan_for(cfg))
-    _emit(_filter_rows(roots, p.x0, cfg.scan.tol * 10, "series"),
-          cfg, _meta(cfg))
+    _series_spectrum(cfg, _meta(cfg), p.x0)
     return 0
+
+
+def _series_spectrum(cfg: RunConfig, meta: dict, param):
+    """Write the series-determinant roots of cfg.params, one row each
+    with the given param column."""
+    roots = scan_real_roots(boundary.det_functional(cfg.params),
+                            _scan_for(cfg))
+    _emit(_filter_rows(roots, param, cfg.scan.tol * 10, "series"), cfg, meta)
 
 
 def cmd_oracle(cfg: RunConfig) -> int:
@@ -166,14 +170,29 @@ def _scan_for(cfg: RunConfig) -> ScanConfig:
     return scan
 
 
+def _sweep_values(sweep) -> np.ndarray:
+    _, start, stop, step = sweep
+    return np.arange(start, stop + step / 2, step)
+
+
+def _at(params: SpectralParams, name: str, value) -> SpectralParams:
+    """params with the swept parameter name set to value."""
+    if name == "M":
+        return replace(params, M=int(round(value)))
+    return replace(params, **{name: float(value)})
+
+
+def _run_ends(cfg: RunConfig) -> list:
+    """Parameter sets at the two ends of the run's sweep (cfg.params alone
+    without one); a sweep is monotone, so they bound every value."""
+    if cfg.sweep is None:
+        return [cfg.params]
+    values = _sweep_values(cfg.sweep)
+    return [_at(cfg.params, cfg.sweep[0], v) for v in (values[0], values[-1])]
+
+
 def _family(params: SpectralParams, name: str):
-    def make(p):
-        if name == "x0":
-            return boundary.det_functional(replace(params, x0=float(p)))
-        if name == "eps":
-            return boundary.det_functional(replace(params, eps=float(p)))
-        return boundary.det_functional(replace(params, M=int(round(p))))
-    return make
+    return lambda p: boundary.det_functional(_at(params, name, p))
 
 
 def _trace_rows(branches):
@@ -195,7 +214,8 @@ def _events_doc(branches):
             if key in seen:
                 continue
             seen.add(key)
-            events.append({"param": ev.param, "s_merged": ev.s_merged,
+            events.append({"param": float(_fmt(ev.param)),
+                           "s_merged": float(_fmt(ev.s_merged)),
                            "branches": list(ev.branch_ids),
                            "seed": [ev.seed.real, ev.seed.imag]})
     events.sort(key=lambda e: e["param"])
@@ -203,20 +223,27 @@ def _events_doc(branches):
 
 
 def cmd_trace(cfg: RunConfig) -> int:
-    name, start, stop, step = cfg.sweep
-    values = np.arange(start, stop + step / 2, step)
-    scan = _scan_for(cfg)
-    branches = trace_parameter(_family(cfg.params, name), name, values, scan)
-    _emit(_trace_rows(branches), cfg, _meta(cfg))
-    events = _events_doc(branches)
-    if cfg.output:
-        side = cfg.output + ".events.json"
-        with open(side, "w") as fh:
-            json.dump({"events": events}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    elif events:
-        print(json.dumps({"events": events}, sort_keys=True), file=sys.stderr)
+    _traced(cfg, _meta(cfg))
     return 0
+
+
+def _traced(cfg: RunConfig, meta: dict, complex_only: bool = False):
+    """Trace the sweep of cfg and write its rows, and its coalescence
+    events to the .events.json sidecar (to stderr without an output)."""
+    name = cfg.sweep[0]
+    branches = trace_parameter(_family(cfg.params, name), name,
+                               _sweep_values(cfg.sweep), _scan_for(cfg))
+    rows = _trace_rows(branches)
+    if complex_only:
+        rows = [r for r in rows if r["im_s"] != "0"]
+    _emit(rows, cfg, meta)
+    events = {"events": _events_doc(branches)}
+    if cfg.output:
+        with open(cfg.output + ".events.json", "w") as fh:
+            json.dump(events, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    elif events["events"]:
+        print(json.dumps(events, sort_keys=True), file=sys.stderr)
 
 
 FIGURE_TASKS = {
@@ -228,7 +255,7 @@ FIGURE_TASKS = {
                      "sweep": ("M", 25, 300, 25),
                      "s_max": 10.0}) for k in (1, 5)],
     "3": [(f"k{k}", {"params": dict(k=k, eps=0.0, x0=0.9, M=150),
-                     "spectrum": True, "s_max": 12.0, "param": k})
+                     "s_max": 12.0, "param": k})
           for k in range(1, 7)],
     "4": [(f"k{k}", {"params": dict(k=k, eps=0.0, x0=0.9, M=150),
                      "sweep": ("eps", 0.0, 12.0, 0.1),
@@ -244,52 +271,29 @@ FIGURE_TASKS = {
 }
 
 
-def _figure_task(cfg: RunConfig, fig: str, suffix: str, spec: dict):
-    params = SpectralParams(**spec["params"])
-    scan = replace(cfg.scan, s_max=spec.get("s_max", cfg.scan.s_max))
-    if params.k == 0 and scan.s_min <= 0.0:
-        scan = replace(scan, s_min=scan.step)
+def _figure_task(cfg: RunConfig, fig: str, suffix: str, spec: dict) -> str:
+    """Write one figure dataset: a sweep, or a spectrum when the preset
+    has none."""
     base = cfg.output or f"figure{fig}"
-    out = f"{base}_{suffix}.{cfg.fmt}"
-    meta = _meta(cfg) | {"figure": fig, "series": suffix,
-                         "params": dataclasses.asdict(params)}
-    if spec.get("spectrum"):
-        roots = scan_real_roots(boundary.det_functional(params), scan)
-        rows = _filter_rows(roots, spec.get("param", params.x0),
-                            scan.tol * 10, "series")
-        text = _render(rows, cfg.fmt, meta)
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
-        return out
-    name, start, stop, step = spec["sweep"]
-    values = np.arange(start, stop + step / 2, step)
-    branches = trace_parameter(_family(params, name), name, values, scan)
-    rows = _trace_rows(branches)
-    if spec.get("complex_only"):
-        rows = [r for r in rows if r["im_s"] != "0"]
-    text = _render(rows, cfg.fmt, meta)
-    with open(out, "w", newline="") as fh:
-        fh.write(text)
-    events = _events_doc(branches)
-    with open(out + ".events.json", "w") as fh:
-        json.dump({"events": events}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return out
+    task = replace(cfg, params=SpectralParams(**spec["params"]),
+                   scan=replace(cfg.scan, s_max=spec["s_max"]),
+                   sweep=spec.get("sweep"),
+                   output=f"{base}_{suffix}.{cfg.fmt}")
+    meta = _meta(task) | {"figure": fig, "series": suffix}
+    if task.sweep is None:
+        _series_spectrum(task, meta, spec["param"])
+    else:
+        _traced(task, meta, spec.get("complex_only", False))
+    return task.output
 
 
 def cmd_figures(cfg: RunConfig, figure: str) -> int:
-    keys = list(FIGURE_TASKS) if figure == "all" else [figure]
-    tasks = []
-    for key in keys:
-        if key not in FIGURE_TASKS:
-            raise ValueError(f"unknown figure {key!r}; choose from "
-                             f"{sorted(FIGURE_TASKS)} or 'all'")
-        tasks += [(key, suffix, spec) for suffix, spec in FIGURE_TASKS[key]]
-    with ThreadPoolExecutor(max_workers=verify.thread_cap()) as pool:
-        outs = list(pool.map(
-            lambda t: _figure_task(cfg, t[0], t[1], t[2]), tasks))
-    for out in outs:                      # deterministic task order
-        print(f"wrote {out}")
+    if figure != "all" and figure not in FIGURE_TASKS:
+        raise ValueError(f"unknown figure {figure!r}; choose from "
+                         f"{sorted(FIGURE_TASKS)} or 'all'")
+    for key in FIGURE_TASKS if figure == "all" else [figure]:
+        for suffix, spec in FIGURE_TASKS[key]:
+            print(f"wrote {_figure_task(cfg, key, suffix, spec)}")
     return 0
 
 
@@ -334,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(so)
     so.add_argument("--steps", type=int, default=None,
                     help="RK4 step count (default 2000)")
-    so.add_argument("--chi", action="store_true",
+    so.add_argument("--chi", action="store_true", default=None,
                     help="transformed self-adjoint problem instead of the "
                          "k-indexed system")
     st = sub.add_parser("trace", help="parameter sweep with branch tracking")
@@ -343,8 +347,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="name:start:stop:step with name one of x0, eps, M")
     sf = sub.add_parser("figures", help="emit canned figure datasets")
     common(sf)
-    sf.add_argument("--figure", default="1",
-                    help="figure number (1-7) or 'all'")
+    sf.add_argument("--figure", default=None,
+                    help="figure number (1-7) or 'all' (default 1)")
     sv = sub.add_parser("verify", help="run the self-verification suite")
     sv.add_argument("--only", default=None,
                     help="restrict to one group or check name")
@@ -353,15 +357,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _DEFAULTS = {"k": 1, "eps": 0.0, "x0": 0.9, "smin": 0.0, "smax": 8.0,
-             "step": 0.05, "tol": 1e-10, "fmt": "csv", "steps": 2000}
+             "step": 0.05, "tol": 1e-10, "fmt": "csv", "steps": 2000,
+             "chi": False, "figure": "1"}
 
 
 def _merge_config(args) -> dict:
-    """File values fill unset flags; flags win."""
+    """File values fill unset flags; flags win.  The file's keys must be
+    options of the command (by their argparse names, e.g. fmt)."""
     merged = dict(_DEFAULTS)
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
-            merged.update(json.load(fh))
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("a config file must hold a JSON object")
+        unknown = sorted(set(data) - set(vars(args)) - {"command", "config"})
+        if unknown:
+            raise ValueError(f"unknown config keys for {args.command}: "
+                             f"{', '.join(unknown)}")
+        merged.update(data)
     for key, val in vars(args).items():
         if val is not None and key not in ("command", "config"):
             merged[key] = val
@@ -382,30 +395,31 @@ def main(argv=None) -> int:
     try:
         opts = _merge_config(args)
         default_M = 100 if opts["k"] == 0 else 150
-        M = int(opts.get("M") or default_M)
-        if M > 2000:
-            raise ValueError("M is capped at 2000")
         params = SpectralParams(k=int(opts["k"]), eps=float(opts["eps"]),
-                                x0=float(opts["x0"]), M=M)
-        if (args.command in ("spectrum", "trace")
-                and 0.95 < params.x0 < 1 and M < 1000):
+                                x0=float(opts["x0"]),
+                                M=int(opts.get("M") or default_M))
+        scan = ScanConfig(s_min=float(opts["smin"]), s_max=float(opts["smax"]),
+                          step=float(opts["step"]), tol=float(opts["tol"]))
+        sweep = _parse_sweep(opts["sweep"]) if args.command == "trace" else None
+        cfg = RunConfig(command=args.command, params=params, scan=scan,
+                        sweep=sweep, output=opts.get("output"),
+                        fmt=opts["fmt"], n_steps=int(opts["steps"]),
+                        chi=bool(opts["chi"]))
+        # a swept value is checked like the flag it replaces, before any
+        # computation
+        ends = _run_ends(cfg)
+        for p in ends:
+            if p.M > 2000:
+                raise ValueError("M is capped at 2000")
+            if cfg.command == "trace":
+                boundary.det_functional(p)      # the series needs x0 < 1
+        if (cfg.command in ("spectrum", "trace")
+                and 0.95 < max(p.x0 for p in ends) < 1
+                and min(p.M for p in ends) < 1000):
             print("warning: the series converges slowly in M for x0 > 0.95 "
                   "(at x0 = 0.99, M = 150 moves roots by ~1e-2 and M = 1000 "
                   "matches M = 2000 to 1e-7); use M >= 1000",
                   file=sys.stderr)
-        scan = ScanConfig(s_min=float(opts["smin"]), s_max=float(opts["smax"]),
-                          step=float(opts["step"]), tol=float(opts["tol"]))
-        sweep = None
-        if args.command == "trace":
-            sweep = _parse_sweep(opts["sweep"])
-        elif args.command == "figures":
-            # placeholder satisfying the config invariant; every figure
-            # preset carries its own sweep
-            sweep = ("x0", 0.0, 1.0, 1.0)
-        cfg = RunConfig(command=args.command, params=params, scan=scan,
-                        sweep=sweep, output=opts.get("output"),
-                        fmt=opts["fmt"], n_steps=int(opts.get("steps", 2000)),
-                        chi=bool(getattr(args, "chi", False)))
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -417,7 +431,7 @@ def main(argv=None) -> int:
         if args.command == "trace":
             return cmd_trace(cfg)
         if args.command == "figures":
-            return cmd_figures(cfg, str(args.figure))
+            return cmd_figures(cfg, str(opts["figure"]))
         raise AssertionError(args.command)
     except NonFiniteError as exc:
         print(f"solver error: {exc}", file=sys.stderr)

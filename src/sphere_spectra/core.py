@@ -88,28 +88,15 @@ def in_stability_domain(s: complex) -> bool:
 
 
 @dataclass(frozen=True)
-class SpectralPoint:
-    """A point of the spectrum in s-parameterization; mu is always derived."""
-
-    s: complex
-
-    @property
-    def mu(self) -> complex:
-        return mu_of_s(self.s)
-
-    def canonical(self) -> "SpectralPoint":
-        return SpectralPoint(canonicalize_s(self.s))
-
-
-@dataclass(frozen=True)
 class Root:
-    """An eigenvalue record with a scaled residual and its provenance.
+    """An eigenvalue record in s-parameterization with a scaled residual
+    and its provenance; mu is always derived from s.
 
     kind is "real" or "complex-pair"; complex pairs are stored once with
     positive imaginary part.  source records which solver produced it.
     """
 
-    point: SpectralPoint
+    s: complex
     residual: float
     kind: str = "real"
     source: str = "series"
@@ -121,13 +108,9 @@ class Root:
             raise ValueError(f"unknown root source {self.source!r}")
 
     @property
-    def s(self) -> complex:
-        return self.point.s
-
-    @property
     def mu(self) -> complex:
-        return self.point.mu
+        return mu_of_s(self.s)
 
     @property
     def stable(self) -> bool:
-        return in_stability_domain(self.point.s)
+        return in_stability_domain(self.s)

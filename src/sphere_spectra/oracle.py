@@ -108,114 +108,75 @@ def _rhs_chi(eps, mu):
     return rhs
 
 
-def _shoot_k_values(k2, eps, x0, s, n_steps):
+# problem: (state dimension, start component of each trajectory, rhs
+# factory, residual of the end states); each trajectory starts from the
+# unit vector of its component
+_PROBLEMS = {
+    "k": (4, (2, 3),
+          lambda p, mu: _rhs_k(p.abs_k ** 2, p.eps, mu),
+          lambda r: r[0][0] * r[1][1] - r[0][1] * r[1][0]),
+    "k0": (3, (2,), lambda p, mu: _rhs_k0(p.eps, mu), lambda r: r[0][1]),
+    "chi": (2, (1,), lambda p, mu: _rhs_chi(p.eps, mu), lambda r: r[0][0]),
+}
+
+
+def _problem(params: SpectralParams, which: str) -> str:
+    """Problem name for params: "chi" on request, else k != 0 or k = 0."""
+    if not 0 < params.x0 < 1:
+        raise ValueError(f"shooting requires 0 < x0 < 1, got {params.x0}")
+    if which == "chi":
+        return "chi"
+    if which != "auto":
+        raise ValueError(f"which must be 'auto' or 'chi', got {which!r}")
+    return "k0" if params.k == 0 else "k"
+
+
+def _values(params: SpectralParams, problem: str, s, n_steps):
+    """Residuals at a batch of s and their log10 renormalization factors."""
+    dim, starts, make_rhs, residual = _PROBLEMS[problem]
     s = np.atleast_1d(np.asarray(s, dtype=complex))
-    mu = -s * (s + 1)
-    rhs = _rhs_k(k2, eps, mu)
-    n = s.size
-    y1 = np.zeros((4, n), dtype=complex)
-    y1[2] = 1.0
-    y2 = np.zeros((4, n), dtype=complex)
-    y2[3] = 1.0
-    r1, sc1 = _integrate(rhs, y1, x0, n_steps)
-    r2, sc2 = _integrate(rhs, y2, x0, n_steps)
-    return r1[0] * r2[1] - r1[1] * r2[0], sc1 + sc2
+    rhs = make_rhs(params, -s * (s + 1))
+    ends, scale = [], 0.0
+    for comp in starts:
+        y = np.zeros((dim, s.size), dtype=complex)
+        y[comp] = 1.0
+        r, sc = _integrate(rhs, y, params.x0, n_steps)
+        ends.append(r)
+        scale = scale + sc
+    return residual(ends), scale
 
 
-def _shoot_k0_values(eps, x0, s, n_steps):
-    s = np.atleast_1d(np.asarray(s, dtype=complex))
-    mu = -s * (s + 1)
-    y = np.zeros((3, s.size), dtype=complex)
-    y[2] = 1.0
-    r, sc = _integrate(_rhs_k0(eps, mu), y, x0, n_steps)
-    return r[1], sc
+def shoot(params: SpectralParams, s: complex, n_steps: int = 2000,
+          which: str = "auto") -> ShootResidual:
+    """Boundary residual at spectral coordinate s, with a Richardson error
+    estimate from a run at half the number of steps.
 
-
-def _shoot_chi_values(eps, x0, s, n_steps):
-    s = np.atleast_1d(np.asarray(s, dtype=complex))
-    mu = -s * (s + 1)
-    y = np.zeros((2, s.size), dtype=complex)
-    y[1] = 1.0
-    r, sc = _integrate(_rhs_chi(eps, mu), y, x0, n_steps)
-    return r[0], sc
-
-
-def _check_domain(x0):
-    if not 0 < x0 < 1:
-        raise ValueError(f"shooting requires 0 < x0 < 1, got {x0}")
-
-
-def _with_richardson(values_fn, s, n_steps):
-    v, sc = values_fn(s, n_steps)
-    v_half, sc_half = values_fn(s, max(2, n_steps // 2))
+    which: "auto" picks the k != 0 or k = 0 system from params (k = 0
+    requires mu != 0); "chi" selects the transformed self-adjoint problem
+    with Dirichlet conditions chi(+-x0) = 0 (params.k ignored).
+    """
+    problem = _problem(params, which)
+    if problem == "k0" and s * (s + 1) == 0:
+        raise ValueError("mu = 0 is the trivial eigenvalue")
+    v, sc = _values(params, problem, s, n_steps)
+    v_half, sc_half = _values(params, problem, s, max(2, n_steps // 2))
     # RK4: halving the step cuts the error ~16x, so the difference between
     # the two runs is ~15x the fine-run error
     err = abs(v[0] * 10.0 ** sc[0] - v_half[0] * 10.0 ** sc_half[0]) / 15.0
     return ShootResidual(complex(v[0]), n_steps, float(err), float(sc[0]))
 
 
-def shoot_k(params: SpectralParams, s: complex,
-            n_steps: int = 2000) -> ShootResidual:
-    """Boundary residual of the k != 0 system at spectral coordinate s."""
-    if params.k == 0:
-        raise ValueError("shoot_k requires k != 0")
-    _check_domain(params.x0)
-    k2 = params.abs_k ** 2
-
-    def values(sv, n):
-        return _shoot_k_values(k2, params.eps, params.x0, sv, n)
-
-    return _with_richardson(values, np.array([s]), n_steps)
-
-
-def shoot_k0(params: SpectralParams, s: complex,
-             n_steps: int = 2000) -> ShootResidual:
-    """Boundary residual of the k = 0 system at s (mu != 0 required)."""
-    if params.k != 0:
-        raise ValueError("shoot_k0 requires k = 0")
-    _check_domain(params.x0)
-    if s * (s + 1) == 0:
-        raise ValueError("mu = 0 is the trivial eigenvalue")
-
-    def values(sv, n):
-        return _shoot_k0_values(params.eps, params.x0, sv, n)
-
-    return _with_richardson(values, np.array([s]), n_steps)
-
-
-def shoot_chi(eps: float, x0: float, s: complex,
-              n_steps: int = 2000) -> ShootResidual:
-    """Boundary residual chi(x0) of the transformed self-adjoint problem
-    with Dirichlet conditions chi(+-x0) = 0."""
-    _check_domain(x0)
-
-    def values(sv, n):
-        return _shoot_chi_values(eps, x0, sv, n)
-
-    return _with_richardson(values, np.array([s]), n_steps)
-
-
 def shoot_functional(params: SpectralParams, n_steps: int = 2000,
                      which: str = "auto"):
-    """Vectorized residual functional for the root finder.
-
-    which: "auto" picks the k != 0 or k = 0 system from params; "chi"
-    selects the transformed self-adjoint problem (params.k ignored).
-    """
-    _check_domain(params.x0)
-    if which == "chi":
-        return lambda s: _shoot_chi_values(params.eps, params.x0, s, n_steps)[0]
-    if which != "auto":
-        raise ValueError(f"which must be 'auto' or 'chi', got {which!r}")
-    if params.k == 0:
-        return lambda s: _shoot_k0_values(params.eps, params.x0, s, n_steps)[0]
-    k2 = params.abs_k ** 2
-    return lambda s: _shoot_k_values(k2, params.eps, params.x0, s, n_steps)[0]
+    """Vectorized residual functional for the root finder; which as in
+    shoot."""
+    problem = _problem(params, which)
+    return lambda s: _values(params, problem, s, n_steps)[0]
 
 
-def oracle_roots(shoot, cfg: ScanConfig) -> list:
+def oracle_roots(functional, cfg: ScanConfig) -> list:
     """Real roots of a shooting residual functional on the scan interval.
 
     Same contract as scan_real_roots; roots are tagged source="oracle".
     """
-    return scan_real_roots(shoot, cfg, source="oracle")
+    return scan_real_roots(functional, cfg, source="oracle")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (GridTooCoarseWarning, NoConvergenceError, Root,
-                   SeedRejectedError, SpectralPoint, canonicalize_s)
+                   SeedRejectedError, canonicalize_s)
 
 
 @dataclass(frozen=True)
@@ -150,11 +150,10 @@ def scan_real_roots(F, cfg: ScanConfig, source: str = "series") -> list:
         ref = np.maximum(np.abs(vals[idx]), np.abs(vals[idx + 1]))
         ref = np.where(ref == 0, 1.0, ref)
         for r, fv, rf in zip(refined, fvals, ref):
-            roots.append(Root(SpectralPoint(canonicalize_s(r)),
-                              float(fv / rf), "real", source))
+            roots.append(Root(canonicalize_s(r), float(fv / rf), "real",
+                              source))
     for i in on_grid:
-        roots.append(Root(SpectralPoint(canonicalize_s(grid[i])),
-                          0.0, "real", source))
+        roots.append(Root(canonicalize_s(grid[i]), 0.0, "real", source))
     roots = _dedupe(roots, 10 * cfg.tol)
     positions = sorted(r.s.real for r in roots)
     if any(b - a < cfg.step for a, b in zip(positions, positions[1:])):
@@ -164,7 +163,7 @@ def scan_real_roots(F, cfg: ScanConfig, source: str = "series") -> list:
 
 
 def refine_complex(F, seed: complex, tol: float = 1e-10, max_iter: int = 60,
-                   source: str = "series", probe: float = 0.05) -> Root:
+                   probe: float = 0.05) -> Root:
     """Muller iteration from a complex seed until the update is below tol.
 
     The residual is |F| at the root scaled by its magnitude one probe
@@ -213,12 +212,12 @@ def refine_complex(F, seed: complex, tol: float = 1e-10, max_iter: int = 60,
     kind = "complex-pair" if abs(s.imag) > max(100 * tol, 1e-9) else "real"
     ref = np.abs(F(np.array([xn + probe, xn - probe,
                              xn + 1j * probe]))).max() or 1.0
-    return Root(SpectralPoint(s), abs(fn) / ref, kind, source)
+    return Root(s, abs(fn) / ref, kind)
 
 
 def detect_coalescence(branch_a: Branch, branch_b: Branch, F, param: float,
-                       step: float, tol: float = 1e-10, max_iter: int = 60,
-                       source: str = "series") -> complex:
+                       step: float, tol: float = 1e-10,
+                       max_iter: int = 60) -> complex:
     """Seed and start the complex continuation of a merged real pair.
 
     branch_a and branch_b must hold their last real samples at the merge;
@@ -231,7 +230,7 @@ def detect_coalescence(branch_a: Branch, branch_b: Branch, F, param: float,
     sb = branch_b.last_root.s.real
     s_star = 0.5 * (sa + sb)
     seed = s_star + 1j * step
-    root = refine_complex(F, seed, tol, max_iter, source=source, probe=step)
+    root = refine_complex(F, seed, tol, max_iter, probe=step)
     if root.kind != "complex-pair":
         raise SeedRejectedError(
             f"complex seed {seed} refined back to the real axis at {root.s}")
@@ -256,8 +255,7 @@ class _LiveBranch:
         self.retries = 0              # pending-merge attempts left
 
 
-def _advance_real(F, p, dp, members, cfg, source, neighbor_caps,
-                  other_positions):
+def _advance_real(F, p, dp, members, cfg, neighbor_caps, other_positions):
     """One continuation attempt for real branches; returns the failures.
 
     Each member gets a bracket around its predicted position (previous
@@ -318,9 +316,7 @@ def _advance_real(F, p, dp, members, cfg, source, neighbor_caps,
         lb.ds = r - lb.s
         lb.dp = dp
         lb.s = r
-        lb.branch.samples.append(
-            (p, Root(SpectralPoint(canonicalize_s(r)),
-                     resid, "real", source)))
+        lb.branch.samples.append((p, Root(canonicalize_s(r), resid)))
     return failed
 
 
@@ -358,9 +354,7 @@ def _failure_clusters(failed, cfg):
 
 
 def trace_parameter(family, parameter: str, values, cfg: ScanConfig,
-                    source: str = "series", initial_roots=None,
-                    follow_complex: bool = True, rescan_every: int = 1,
-                    max_halvings: int = 6) -> list:
+                    rescan_every: int = 1, max_halvings: int = 6) -> list:
     """Trace determinant roots along a parameter sweep.
 
     family(p) must return the vectorized determinant functional at
@@ -376,33 +370,19 @@ def trace_parameter(family, parameter: str, values, cfg: ScanConfig,
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size < 2:
         raise ValueError("parameter sweep needs at least two values")
-    F0 = family(values[0])
-    if initial_roots is None:
-        initial_roots = scan_real_roots(F0, cfg, source=source)
     branches, live = [], []
-    for r in initial_roots:
+    for r in scan_real_roots(family(values[0]), cfg):
         br = Branch(parameter, len(branches), [(float(values[0]), r)])
         branches.append(br)
-        lb = _LiveBranch(br, r.s.real if r.kind == "real" else r.s)
-        if r.kind != "real":
-            lb.status = "complex"
-        live.append(lb)
+        live.append(_LiveBranch(br, r.s.real))
 
     def merge_pair(la, lc, F, p):
         """Convert a merged real pair into a complex pair, or park it as
         pending when the conversion is premature (the seed refines back to
         the real axis just before the true merge parameter)."""
-        if not follow_complex:
-            la.status = lc.status = "dead"
-            ev = CoalescenceEvent(p, 0.5 * (la.s + lc.s),
-                                  (la.branch.index, lc.branch.index),
-                                  complex(0))
-            la.branch.events.append(ev)
-            lc.branch.events.append(ev)
-            return
         try:
             detect_coalescence(la.branch, lc.branch, F, p, cfg.step,
-                               cfg.tol, cfg.max_iter, source=source)
+                               cfg.tol, cfg.max_iter)
         except (SeedRejectedError, NoConvergenceError):
             la.status = lc.status = "pending-merge"
             la.partner, lc.partner = lc, la
@@ -427,7 +407,7 @@ def trace_parameter(family, parameter: str, values, cfg: ScanConfig,
                               cfg.tol, cfg.max_iter)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", GridTooCoarseWarning)
-                found = scan_real_roots(F, fine, source=source)
+                found = scan_real_roots(F, fine)
             avail = [r for r in found
                      if all(abs(r.s.real - c) > cfg.step / 4
                             for c in occupied)]
@@ -465,7 +445,7 @@ def trace_parameter(family, parameter: str, values, cfg: ScanConfig,
                 continue
             try:
                 detect_coalescence(lb.branch, lc.branch, F, p, cfg.step,
-                                   cfg.tol, cfg.max_iter, source=source)
+                                   cfg.tol, cfg.max_iter)
             except (SeedRejectedError, NoConvergenceError):
                 lb.retries -= 1
                 lc.retries -= 1
@@ -487,7 +467,7 @@ def trace_parameter(family, parameter: str, values, cfg: ScanConfig,
                 done.add(id(lb.partner))
             try:
                 root = refine_complex(F, lb.s, cfg.tol, cfg.max_iter,
-                                      source=source, probe=cfg.step)
+                                      probe=cfg.step)
             except NoConvergenceError:
                 lb.status = "dead"
                 lb.branch.note = "complex continuation lost"
@@ -521,7 +501,7 @@ def trace_parameter(family, parameter: str, values, cfg: ScanConfig,
             snapshot = {id(lb): (lb.s, lb.ds, lb.dp, len(lb.branch.samples))
                         for lb in members}
             failed = _advance_real(F, p_to, p_to - p_from, members, cfg,
-                                   source, caps, others)
+                                   caps, others)
             if failed and depth < max_halvings and abs(p_to - p_from) > 1e-9:
                 # retry the whole member set on finer substeps so that
                 # co-approaching branches stay in the same resolution pass;
@@ -541,7 +521,7 @@ def trace_parameter(family, parameter: str, values, cfg: ScanConfig,
         retry_pending(F_target, p_target)
         if rescan_every and step_count % rescan_every == 0:
             known = [lb.s for lb in live if lb.status == "real"]
-            for r in scan_real_roots(F_target, cfg, source=source):
+            for r in scan_real_roots(F_target, cfg):
                 if any(abs(r.s.real - s) < match_dist for s in known):
                     continue
                 br = Branch(parameter, len(branches), [(p_target, r)])

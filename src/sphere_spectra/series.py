@@ -133,41 +133,6 @@ def coeffs_k0_batch(eps: float, s: np.ndarray, seeds, M: int):
 # public operations (single s)
 # ---------------------------------------------------------------------------
 
-def coeffs_vorticity_k(params: SpectralParams, s: complex,
-                       a0: complex, b0: complex):
-    """Vorticity coefficient pair (a, b) for k != 0 from seeds (a0, b0)."""
-    if params.k == 0:
-        raise ValueError("coeffs_vorticity_k requires k != 0")
-    a, b, _, _ = coeffs_k_batch(params.abs_k ** 2, params.eps,
-                                np.array([s]), (a0, b0, 0.0, 0.0), params.M)
-    return a[:, 0], b[:, 0]
-
-
-def coeffs_stream_k(params: SpectralParams, a: np.ndarray, b: np.ndarray,
-                    c0: complex = 0.0, d0: complex = 0.0):
-    """Stream-function coefficient pair (c, d) driven by a given (a, b)."""
-    if params.k == 0:
-        raise ValueError("coeffs_stream_k requires k != 0")
-    if len(a) < params.M + 1 or len(b) < params.M + 1:
-        raise ValueError("vorticity sequences shorter than truncation order")
-    k2 = params.abs_k ** 2
-    M = params.M
-    c = np.zeros(M + 1, dtype=complex)
-    d = np.zeros(M + 1, dtype=complex)
-    c[0] = c0
-    d[0] = d0
-    c[1] = (k2 * c[0] + a[0]) / 2
-    d[1] = ((k2 + 2) * d[0] + b[0]) / 6
-    for m in range(M - 1):
-        p, q = 2 * m + 2, 2 * m + 3
-        c[m + 2] = ((k2 + 2 * p * p) * c[m + 1] - 2 * m * (2 * m + 1) * c[m]
-                    + a[m + 1] - a[m]) / ((2 * m + 4) * (2 * m + 3))
-        d[m + 2] = ((k2 + 2 * q * q) * d[m + 1]
-                    - (2 * m + 2) * (2 * m + 1) * d[m]
-                    + b[m + 1] - b[m]) / ((2 * m + 5) * (2 * m + 4))
-    return c, d
-
-
 def coeffs_full_k(params: SpectralParams, s: complex, seeds) -> SeriesCoefficients:
     """All four sequences for k != 0 from the full seed vector
     (a0, b0, c0, d0)."""
@@ -194,8 +159,10 @@ def coeffs_k0(params: SpectralParams, s: complex,
     return SeriesCoefficients(a[:, 0], b[:, 0], c[:, 0], d[:, 0], (a0, d0))
 
 
-def eval_series(coeffs: SeriesCoefficients, which: str, x: float):
-    """Evaluate the truncated series and its derivative at x, |x| < 1.
+def eval_series(coeffs: SeriesCoefficients, which: str, x):
+    """Evaluate the truncated series and its first two derivatives at the
+    points x, all |x| < 1.  Returns (value, first, second), each shaped
+    like x.
 
     which selects "psi" (c, d sequences) or "phi" (a, b).  Evaluation is
     Horner in u = x**2 on the even/odd parts separately.
@@ -206,15 +173,18 @@ def eval_series(coeffs: SeriesCoefficients, which: str, x: float):
         even, odd = coeffs.a, coeffs.b
     else:
         raise ValueError(f"which must be 'psi' or 'phi', got {which!r}")
-    if abs(x) >= 1:
+    x = np.asarray(x, dtype=float)
+    if np.any(np.abs(x) >= 1):
         raise ValueError(f"series evaluation requires |x| < 1, got x={x}")
     u = x * x
     pv = np.polynomial.polynomial.polyval
+    m = np.arange(len(even))
     value = pv(u, even) + x * pv(u, odd)
     # d/dx [E(x^2) + x O(x^2)] = 2x E'(u) + O(u) + 2u O'(u)
-    m = np.arange(len(even))
-    deriv = (x * pv(u, (2 * m * even)[1:]) + pv(u, (2 * m + 1) * odd))
-    return complex(value), complex(deriv)
+    first = x * pv(u, (2 * m * even)[1:]) + pv(u, (2 * m + 1) * odd)
+    second = (pv(u, (2 * m * (2 * m - 1) * even)[1:])
+              + x * pv(u, ((2 * m + 1) * 2 * m * odd)[1:]))
+    return value, first, second
 
 
 def tail_estimate(coeffs: SeriesCoefficients, x0: float) -> SeriesTail:

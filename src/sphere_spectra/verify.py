@@ -2,23 +2,20 @@
 reduced oracle-equivalence matrix, runnable from the CLI (verify command).
 
 Each check is a small function returning (passed, detail).  Checks are
-grouped; groups can be run selectively and are dispatched to a thread pool
-capped by the SPHERE_SPECTRA_THREADS environment variable, with results
-reported in registry order regardless of completion order.
+grouped; groups can be run selectively, and run serially in registry order.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import analytic, boundary, oracle
 from .core import SpectralParams
 from .rootfinder import ScanConfig, scan_real_roots
-from .series import coeffs_k0_batch, coeffs_k_batch
+from .series import (coeffs_full_k, coeffs_k0_batch, coeffs_k_batch,
+                     eval_series)
 
 _RNG_SEED = 20260810
 
@@ -97,27 +94,15 @@ def check_series_ode_residual():
     residual controlled by the truncation tail (M = 150, x0 = 0.9)."""
     params = SpectralParams(k=1, eps=1.0, x0=0.9, M=150)
     s = 2.3
-    S = s * (s + 1)
-    a, b, c, d = coeffs_k_batch(1.0, params.eps, np.array([complex(s)]),
-                                (0.3, -0.2, 1.0, 0.4), params.M)
-    a, b, c, d = a[:, 0], b[:, 0], c[:, 0], d[:, 0]
-    m = np.arange(params.M + 1)
-    pv = np.polynomial.polynomial.polyval
-    worst = 0.0
-    for x in (0.1, 0.3, 0.5):
-        u = x * x
-        psi = pv(u, c) + x * pv(u, d)
-        dpsi = x * pv(u, (2 * m * c)[1:]) + pv(u, (2 * m + 1) * d)
-        ddpsi = (pv(u, (2 * m * (2 * m - 1) * c)[1:])
-                 + x * pv(u, ((2 * m + 1) * 2 * m * d)[1:]))
-        phi = pv(u, a) + x * pv(u, b)
-        dphi = x * pv(u, (2 * m * a)[1:]) + pv(u, (2 * m + 1) * b)
-        ddphi = (pv(u, (2 * m * (2 * m - 1) * a)[1:])
-                 + x * pv(u, ((2 * m + 1) * 2 * m * b)[1:]))
-        om = 1 - x * x
-        r1 = om * ddpsi - 2 * x * dpsi - psi / om - phi
-        r2 = om * ddphi - 2 * x * dphi - phi / om + params.eps * dphi + S * phi
-        worst = max(worst, abs(r1), abs(r2))
+    coeffs = coeffs_full_k(params, s, (0.3, -0.2, 1.0, 0.4))
+    x = np.array([0.1, 0.3, 0.5])
+    psi, dpsi, ddpsi = eval_series(coeffs, "psi", x)
+    phi, dphi, ddphi = eval_series(coeffs, "phi", x)
+    om = 1 - x * x
+    r1 = om * ddpsi - 2 * x * dpsi - psi / om - phi
+    r2 = (om * ddphi - 2 * x * dphi - phi / om + params.eps * dphi
+          + s * (s + 1) * phi)
+    worst = max(np.abs(r1).max(), np.abs(r2).max())
     return worst < 1e-8, f"max interior residual {worst:.2e}"
 
 
@@ -160,7 +145,7 @@ def check_block_factorization():
     params = SpectralParams(k=2, eps=0.0, x0=0.8, M=80)
     worst = 0.0
     for s in (1.3, 2.6 + 0.4j, 4.1):
-        A = boundary.assemble_A_k(params, s).entries
+        A = boundary.assemble(params, s).entries
         full = np.linalg.det(A)
         even = np.linalg.det(A[np.ix_([0, 2], [0, 2])])
         odd = np.linalg.det(A[np.ix_([1, 3], [1, 3])])
@@ -178,7 +163,7 @@ def check_normalization_invariance():
     D = np.diag([2.0, 0.5j, -3.0, 1.0])
     worst = 0.0
     for s in (0.8, 1.9 + 0.6j, 3.4):
-        A = boundary.assemble_A_k(params, s).entries
+        A = boundary.assemble(params, s).entries
         scaled = A @ D
         norms = np.abs(scaled).max(axis=0)
         val = np.linalg.det(scaled / norms)
@@ -335,17 +320,8 @@ CHECKS = [
 ]
 
 
-def thread_cap() -> int:
-    raw = os.environ.get("SPHERE_SPECTRA_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return max(1, n) if n > 0 else min(4, os.cpu_count() or 1)
-
-
 def run_checks(only: str | None = None) -> list:
-    """Run the (optionally filtered) check registry on a thread pool.
+    """Run the (optionally filtered) check registry.
 
     Returns a list of dicts in registry order: group, name, passed,
     detail, seconds.
@@ -355,15 +331,14 @@ def run_checks(only: str | None = None) -> list:
     if not selected:
         raise ValueError(f"no checks match {only!r}")
 
-    def run(entry):
-        group, name, fn = entry
+    results = []
+    for group, name, fn in selected:
         t0 = time.perf_counter()
         try:
             passed, detail = fn()
         except Exception as exc:          # a crashing check is a failure
             passed, detail = False, f"exception: {exc!r}"
-        return {"group": group, "name": name, "passed": bool(passed),
-                "detail": detail, "seconds": time.perf_counter() - t0}
-
-    with ThreadPoolExecutor(max_workers=thread_cap()) as pool:
-        return list(pool.map(run, selected))
+        results.append({"group": group, "name": name, "passed": bool(passed),
+                        "detail": detail,
+                        "seconds": time.perf_counter() - t0})
+    return results

@@ -227,7 +227,7 @@ def test_criterion_8_structural_invariants():
     # parity block factorization at eps = 0
     params = ss.SpectralParams(k=2, eps=0.0, x0=0.8, M=80)
     for s in (1.3, 2.6 + 0.4j):
-        A = ss.assemble_A_k(params, s).entries
+        A = ss.assemble(params, s).entries
         full = np.linalg.det(A)
         blocks = (np.linalg.det(A[np.ix_([0, 2], [0, 2])])
                   * np.linalg.det(A[np.ix_([1, 3], [1, 3])]))

@@ -3,10 +3,10 @@ from fractions import Fraction as Fr
 import numpy as np
 import pytest
 
-from sphere_spectra import (BoundaryMatrix, NonFiniteError, ScanConfig,
-                            SpectralParams, assemble_A_0, assemble_A_k,
-                            det_F, det_functional, null_seeds,
+from sphere_spectra import (NonFiniteError, ScanConfig, SpectralParams,
+                            assemble, det_functional, null_seeds,
                             scan_real_roots)
+from sphere_spectra.boundary import _matrices, _normalized_det
 
 
 def exact_columns_k(k2, eps, x0, s, M):
@@ -80,7 +80,7 @@ def exact_columns_k0(eps, x0, s, M):
 class TestAssembleAk:
     def test_matches_exact_reference(self):
         params = SpectralParams(k=1, eps=0.0, x0=0.9, M=150)
-        A = assemble_A_k(params, 1.5).entries
+        A = assemble(params, 1.5).entries
         cols = exact_columns_k(Fr(1), Fr(0), Fr(9, 10), Fr(3, 2), 150)
         ref = np.array([[float(cols[j][i]) for j in range(4)]
                         for i in range(4)])
@@ -90,7 +90,7 @@ class TestAssembleAk:
 
     def test_matches_exact_reference_with_coupling(self):
         params = SpectralParams(k=2, eps=1.0, x0=0.8, M=60)
-        A = assemble_A_k(params, 2.0).entries
+        A = assemble(params, 2.0).entries
         cols = exact_columns_k(Fr(4), Fr(1), Fr(4, 5), Fr(2), 60)
         ref = np.array([[float(cols[j][i]) for j in range(4)]
                         for i in range(4)])
@@ -100,13 +100,13 @@ class TestAssembleAk:
     def test_parity_blocks_at_eps_zero(self):
         # columns ordered (a0, b0, c0, d0): even seeds feed rows 0, 2 only
         params = SpectralParams(k=1, eps=0.0, x0=0.9, M=80)
-        A = assemble_A_k(params, 1.7).entries
+        A = assemble(params, 1.7).entries
         assert np.all(A[np.ix_([1, 3], [0, 2])] == 0)
         assert np.all(A[np.ix_([0, 2], [1, 3])] == 0)
 
     def test_pure_c0_column(self):
         params = SpectralParams(k=2, eps=3.0, x0=0.7, M=50)
-        A = assemble_A_k(params, 1.1 + 0.3j).entries
+        A = assemble(params, 1.1 + 0.3j).entries
         col = A[:, 2]
         assert col[1] == 0 and col[3] == 0
         # the c-chain decouples: c_{m+2} from c alone when a = 0
@@ -122,17 +122,18 @@ class TestAssembleAk:
         assert col[2] == pytest.approx(np.sum(2 * np.arange(M + 1) * c * w),
                                        rel=1e-13)
 
-    def test_rejects_k0_and_full_sphere(self):
-        with pytest.raises(ValueError):
-            assemble_A_k(SpectralParams(k=0, eps=0, x0=0.9, M=10), 1.0)
-        with pytest.raises(ValueError):
-            assemble_A_k(SpectralParams(k=1, eps=0, x0=1.0, M=10), 1.0)
+    def test_dim_follows_k_and_full_sphere_rejected(self):
+        assert assemble(SpectralParams(k=0, eps=0, x0=0.9, M=10), 1.0).dim == 2
+        assert assemble(SpectralParams(k=1, eps=0, x0=0.9, M=10), 1.0).dim == 4
+        for k in (0, 1):
+            with pytest.raises(ValueError):
+                assemble(SpectralParams(k=k, eps=0, x0=1.0, M=10), 1.0)
 
 
 class TestAssembleA0:
     def test_matches_exact_reference(self):
         params = SpectralParams(k=0, eps=1.0, x0=0.9, M=100)
-        A = assemble_A_0(params, 1.8).entries
+        A = assemble(params, 1.8).entries
         cols = exact_columns_k0(Fr(1), Fr(9, 10), Fr(9, 5), 100)
         ref = np.array([[float(cols[j][i]) for j in range(2)]
                         for i in range(2)])
@@ -142,12 +143,12 @@ class TestAssembleA0:
     def test_viscous_seed_kills_odd_chain(self):
         # seed (1, 0) with eps = 0: b0 = 0, so entry (2,1) vanishes
         params = SpectralParams(k=0, eps=0.0, x0=0.9, M=60)
-        A = assemble_A_0(params, 2.4).entries
+        A = assemble(params, 2.4).entries
         assert A[1, 0] == 0
 
     def test_column_linearity(self):
-        from sphere_spectra.boundary import _rows_k0
-        one = _rows_k0(1.0, 0.9, np.array([1.8 + 0j]), 60)[0]
+        params = SpectralParams(k=0, eps=1.0, x0=0.9, M=60)
+        one = _matrices(params, np.array([1.8 + 0j]))[0]
         # doubling the seeds doubles the columns; unit-seed columns scale
         cols = exact_columns_k0(Fr(1), Fr(9, 10), Fr(9, 5), 60)
         ref = np.array([[float(cols[j][i]) for j in range(2)]
@@ -157,37 +158,35 @@ class TestAssembleA0:
     def test_rejects_trivial_mu(self):
         params = SpectralParams(k=0, eps=1.0, x0=0.9, M=40)
         with pytest.raises(ValueError):
-            assemble_A_0(params, 0.0)
+            assemble(params, 0.0)
 
 
 class TestDetF:
     def test_identity(self):
-        params = SpectralParams(k=1, eps=0.0, x0=0.9, M=10)
-        m = BoundaryMatrix(np.eye(4, dtype=complex), 0.0, params, 1.0)
-        val, scale = det_F(m)
-        assert val == pytest.approx(1.0)
-        assert scale == pytest.approx(0.0)
+        vals, scales = _normalized_det(np.eye(4, dtype=complex)[None])
+        assert vals[0] == pytest.approx(1.0)
+        assert scales[0] == pytest.approx(0.0)
 
     def test_zero_column(self):
-        params = SpectralParams(k=1, eps=0.0, x0=0.9, M=10)
         entries = np.eye(4, dtype=complex)
         entries[:, 2] = 0
-        val, _ = det_F(BoundaryMatrix(entries, 0.0, params, 1.0))
-        assert val == 0
+        vals, _ = _normalized_det(entries[None])
+        assert vals[0] == 0
 
     def test_nonfinite_rejected(self):
-        params = SpectralParams(k=1, eps=0.0, x0=0.9, M=10)
-        entries = np.eye(4, dtype=complex)
-        entries[0, 0] = np.inf
-        with pytest.raises(NonFiniteError):
-            det_F(BoundaryMatrix(entries, 0.0, params, 1.0))
+        # the M = 150 recurrence overflows at s = 1284 for x0 = 0.899
+        params = SpectralParams(k=1, eps=4.25, x0=0.899, M=150)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteError):
+                det_functional(params)(np.array([1284.37]))
+            with pytest.raises(NonFiniteError):
+                assemble(params, 1284.37)
 
     def test_scale_accounts_for_column_norms(self):
-        params = SpectralParams(k=1, eps=0.0, x0=0.9, M=10)
         entries = np.diag([10.0, 100.0, 1.0, 0.1]).astype(complex)
-        val, scale = det_F(BoundaryMatrix(entries, 0.0, params, 1.0))
+        vals, scales = _normalized_det(entries[None])
         # raw det = 100 = val * 10**scale
-        assert val * 10 ** scale == pytest.approx(100.0)
+        assert vals[0] * 10 ** scales[0] == pytest.approx(100.0)
 
     def test_first_root_bracket_matches_oracle(self):
         # the oracle value 2.2359585 comes from the shooting integrator
@@ -219,7 +218,7 @@ class TestDetSymmetries:
     def test_block_factorization_at_eps_zero(self):
         params = SpectralParams(k=2, eps=0.0, x0=0.8, M=80)
         for s in (1.3, 2.6 + 0.4j, 4.1):
-            A = assemble_A_k(params, s).entries
+            A = assemble(params, s).entries
             full = np.linalg.det(A)
             blocks = (np.linalg.det(A[np.ix_([0, 2], [0, 2])])
                       * np.linalg.det(A[np.ix_([1, 3], [1, 3])]))
@@ -234,7 +233,7 @@ class TestDetSymmetries:
             s = np.atleast_1d(np.asarray(s, complex))
             out = np.empty(s.size, complex)
             for i, si in enumerate(s):
-                A = assemble_A_k(params, si).entries @ D
+                A = assemble(params, si).entries @ D
                 norms = np.abs(A).max(axis=0)
                 out[i] = np.linalg.det(A / np.where(norms == 0, 1, norms))
             return out
@@ -262,7 +261,6 @@ def test_roots_stable_under_truncation_refinement():
 def test_null_seeds_span_kernel_at_root():
     params = SpectralParams(k=1, eps=0.0, x0=0.9, M=150)
     root = scan_real_roots(det_functional(params), ScanConfig(2.0, 2.5))[0]
-    from sphere_spectra.boundary import assemble
     mat = assemble(params, root.s)
     seeds = null_seeds(mat)
     residual = np.abs(mat.entries @ seeds).max()

@@ -149,7 +149,6 @@ class TestVerifyCommand:
 class TestFiguresCommand:
     def test_root_versus_wavenumber_dataset(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("SPHERE_SPECTRA_THREADS", "2")
         assert run(["figures", "--figure", "3",
                     "--output", str(tmp_path / "fig")]) == 0
         files = sorted(p.name for p in tmp_path.glob("fig_k*.csv"))
@@ -189,3 +188,128 @@ def test_full_sphere_k0_above_threshold(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["meta"]["empty_nontrivial"] is True
     assert [float(r["re_mu"]) for r in doc["rows"]] == [0.0]
+
+
+def _re_s(path):
+    return [float(line.split(",")[2])
+            for line in path.read_text().splitlines()[1:]]
+
+
+class TestSweepValidation:
+    """A swept value is checked like the flag it replaces, before any
+    computation starts."""
+
+    @pytest.fixture
+    def no_trace(self, monkeypatch):
+        from sphere_spectra import cli as cli_mod
+
+        def fail(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+        monkeypatch.setattr(cli_mod, "trace_parameter", fail)
+
+    @pytest.fixture
+    def empty_trace(self, monkeypatch):
+        from sphere_spectra import cli as cli_mod
+        monkeypatch.setattr(cli_mod, "trace_parameter", lambda *a, **k: [])
+
+    def test_swept_m_above_cap_exits_2(self, no_trace):
+        assert run(["trace", "--k", "1", "--x0", "0.5",
+                    "--sweep", "M:1900:2100:100"]) == 2
+        assert run(["trace", "--k", "1", "--x0", "0.5",
+                    "--sweep", "M:1:5:1"]) == 2
+
+    def test_swept_x0_reaching_full_sphere_exits_2(self, no_trace, tmp_path):
+        out = tmp_path / "never.csv"
+        assert run(["trace", "--k", "1", "--sweep", "x0:0.9:1.0:0.05",
+                    "--output", str(out)]) == 2
+        assert not out.exists()
+        assert run(["trace", "--k", "1", "--sweep", "x0:0.0:0.5:0.1"]) == 2
+        assert run(["trace", "--k", "1", "--sweep", "eps:-1:1:0.5"]) == 2
+
+    @pytest.mark.parametrize("argv, warned", [
+        (["--x0", "0.9", "--sweep", "x0:0.9:0.97:0.035"], True),
+        (["--x0", "0.97", "--sweep", "M:500:1500:500"], True),
+        (["--x0", "0.97", "--M", "500", "--sweep", "M:1000:1500:500"], False),
+        (["--x0", "0.97", "--sweep", "eps:0:1:0.5"], True),
+        (["--x0", "0.97", "--sweep", "x0:0.85:0.93:0.04"], False),
+    ])
+    def test_m_warning_uses_the_run_extremes(self, empty_trace, tmp_path,
+                                             capsys, argv, warned):
+        assert run(["trace", "--k", "1", "--output",
+                    str(tmp_path / "t.csv")] + argv) == 0
+        assert ("use M >= 1000" in capsys.readouterr().err) == warned
+
+
+class TestConfigKeys:
+    def test_chi_from_config_file(self, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"chi": True}))
+        common = ["--k", "0", "--eps", "4", "--steps", "400", "--smax", "3"]
+        via_file, via_flag = tmp_path / "file.csv", tmp_path / "flag.csv"
+        assert run(["oracle", "--config", str(cfgfile), "--output",
+                    str(via_file)] + common) == 0
+        assert run(["oracle", "--chi", "--output", str(via_flag)]
+                   + common) == 0
+        assert via_file.read_bytes() == via_flag.read_bytes()
+
+    def test_figure_from_config_file(self, tmp_path, monkeypatch):
+        from sphere_spectra import cli as cli_mod
+        spec = {"params": dict(k=1, eps=0.0, x0=0.9, M=60), "s_max": 3.0,
+                "param": 1}
+        monkeypatch.setattr(cli_mod, "FIGURE_TASKS",
+                            {"1": [("a", spec)], "3": [("b", spec)]})
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"figure": "3"}))
+        assert run(["figures", "--config", str(cfgfile),
+                    "--output", str(tmp_path / "fig")]) == 0
+        assert [p.name for p in tmp_path.glob("fig_*.csv")] == ["fig_b.csv"]
+
+    @pytest.mark.parametrize("argv, data", [
+        (["spectrum"], {"smx": 9.0}),
+        (["spectrum"], {"chi": True}),
+        (["trace", "--sweep", "eps:0:1:0.5"], {"figure": "2"}),
+        (["oracle"], ["k", 1]),
+    ])
+    def test_unknown_keys_exit_2(self, tmp_path, capsys, argv, data):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(data))
+        assert run(argv + ["--config", str(cfgfile)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+
+class TestOracleCommand:
+    @pytest.mark.parametrize("oracle_args, spectrum_args", [
+        (["--k", "1", "--eps", "0"], ["--k", "1", "--eps", "0"]),
+        (["--k", "0", "--eps", "1"], ["--k", "0", "--eps", "1"]),
+        (["--chi", "--eps", "4"], ["--k", "0", "--eps", "4"]),
+    ])
+    def test_roots_match_spectrum(self, tmp_path, oracle_args,
+                                  spectrum_args):
+        common = ["--x0", "0.9", "--smax", "3"]
+        orc, spec = tmp_path / "oracle.csv", tmp_path / "spectrum.csv"
+        assert run(["oracle", "--steps", "400", "--output", str(orc)]
+                   + oracle_args + common) == 0
+        assert run(["spectrum", "--output", str(spec)]
+                   + spectrum_args + common) == 0
+        lines = orc.read_text().splitlines()
+        assert lines[0] == ",".join(SCHEMA)
+        assert all(line.endswith(",oracle") for line in lines[1:])
+        found, ref = _re_s(orc), _re_s(spec)
+        assert len(found) == len(ref) > 0
+        np.testing.assert_allclose(found, ref, rtol=0, atol=1e-6)
+
+
+def test_event_sidecar_uses_row_digits(tmp_path):
+    # the merge lands on a halved substep, 2.3140624999999995 unrounded
+    out = tmp_path / "merge.csv"
+    assert run(["trace", "--k", "1", "--x0", "0.9", "--smax", "5",
+                "--sweep", "eps:1.7:2.7:0.3", "--output", str(out)]) == 0
+    params = {float(line.split(",")[0])
+              for line in out.read_text().splitlines()[1:]}
+    events = json.loads(
+        (tmp_path / "merge.csv.events.json").read_text())["events"]
+    assert events
+    for ev in events:
+        assert ev["param"] in params
+        for x in (ev["param"], ev["s_merged"]):
+            assert float(f"{x:.15g}") == x

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphere_spectra import (SpectralParams, SpectralPoint, Root,
+from sphere_spectra import (SpectralParams, Root,
                             canonicalize_s, in_stability_domain, mu_of_s)
 
 
@@ -108,12 +108,12 @@ class TestParams:
 
 class TestRoot:
     def test_complex_pair_storage(self):
-        r = Root(SpectralPoint(2 + 1j), 1e-12, "complex-pair", "series")
+        r = Root(2 + 1j, 1e-12, "complex-pair", "series")
         assert r.stable
         assert r.mu == mu_of_s(2 + 1j)
 
     def test_kind_validation(self):
         with pytest.raises(ValueError):
-            Root(SpectralPoint(1.0), 0.0, "imaginary", "series")
+            Root(1.0, 0.0, "imaginary", "series")
         with pytest.raises(ValueError):
-            Root(SpectralPoint(1.0), 0.0, "real", "guess")
+            Root(1.0, 0.0, "real", "guess")

@@ -2,77 +2,94 @@ import numpy as np
 import pytest
 
 from sphere_spectra import (ScanConfig, SpectralParams, det_functional,
-                            oracle_roots, scan_real_roots, shoot_chi,
-                            shoot_functional, shoot_k, shoot_k0)
+                            oracle_roots, scan_real_roots, shoot,
+                            shoot_functional)
 from sphere_spectra import oracle as oracle_mod
 
 
 class TestShootK:
     def test_nonzero_residual_off_spectrum(self):
         params = SpectralParams(k=1, eps=0.0, x0=0.9, M=150)
-        res = shoot_k(params, 0.5)
+        res = shoot(params, 0.5)
         assert abs(res.value) > 1e-6
         assert res.step_count == 2000
 
     def test_richardson_error_small(self):
         params = SpectralParams(k=1, eps=0.0, x0=0.9, M=150)
-        res = shoot_k(params, 0.5)
+        res = shoot(params, 0.5)
         assert res.richardson_error < 1e-8 * abs(res.value)
 
     def test_near_full_sphere_first_root(self):
         # Dirichlet eigenvalue approaching the full-sphere limit s = 3
         params = SpectralParams(k=3, eps=0.0, x0=0.99, M=150)
-        shoot = shoot_functional(params)
-        roots = oracle_roots(shoot, ScanConfig(2.5, 3.5))
+        roots = oracle_roots(shoot_functional(params), ScanConfig(2.5, 3.5))
         assert roots and abs(roots[0].s.real - 3.0) < 0.05
         assert roots[0].source == "oracle"
 
-    def test_requires_k_nonzero_and_interior_x0(self):
+    def test_requires_interior_x0_and_known_problem(self):
+        for which in ("auto", "chi"):
+            with pytest.raises(ValueError):
+                shoot(SpectralParams(k=1, eps=0.0, x0=1.0, M=10), 1.0,
+                      which=which)
         with pytest.raises(ValueError):
-            shoot_k(SpectralParams(k=0, eps=0.0, x0=0.9, M=10), 1.0)
+            shoot(SpectralParams(k=1, eps=0.0, x0=0.9, M=10), 1.0,
+                  which="psi")
         with pytest.raises(ValueError):
-            shoot_k(SpectralParams(k=1, eps=0.0, x0=1.0, M=10), 1.0)
+            shoot_functional(SpectralParams(k=1, eps=0.0, x0=0.9, M=10),
+                             which="psi")
+
+    def test_problem_follows_k(self):
+        # k = 0 selects the three-component system, whose residual is
+        # Psi'(x0); the functional and the single-point call agree
+        for k in (0, 1):
+            params = SpectralParams(k=k, eps=1.0, x0=0.9, M=10)
+            res = shoot(params, 1.7, n_steps=400)
+            ref = shoot_functional(params, n_steps=400)(np.array([1.7]))[0]
+            assert res.value == ref
+        k0 = SpectralParams(k=0, eps=1.0, x0=0.9, M=10)
+        k1 = SpectralParams(k=1, eps=1.0, x0=0.9, M=10)
+        assert shoot(k0, 1.7, 400).value != shoot(k1, 1.7, 400).value
 
 
 class TestShootK0:
     def test_rejects_trivial_mu(self):
         params = SpectralParams(k=0, eps=1.0, x0=0.9, M=10)
         with pytest.raises(ValueError):
-            shoot_k0(params, 0.0)
+            shoot(params, 0.0)
 
     def test_matches_series_roots(self):
         params = SpectralParams(k=0, eps=1.0, x0=0.9, M=100)
         cfg = ScanConfig(0.05, 6.0)
         series = [r.s.real for r in
                   scan_real_roots(det_functional(params), cfg)]
-        shoot = shoot_functional(params, n_steps=1200)
-        found = [r.s.real for r in oracle_roots(shoot, cfg)]
+        functional = shoot_functional(params, n_steps=1200)
+        found = [r.s.real for r in oracle_roots(functional, cfg)]
         assert len(series) == len(found)
         np.testing.assert_allclose(series, found, atol=1e-6)
 
     def test_negativity(self):
         params = SpectralParams(k=0, eps=4.0, x0=0.9, M=100)
-        shoot = shoot_functional(params, n_steps=1200)
-        roots = oracle_roots(shoot, ScanConfig(0.05, 8.0))
+        functional = shoot_functional(params, n_steps=1200)
+        roots = oracle_roots(functional, ScanConfig(0.05, 8.0))
         assert roots
         assert all(r.mu.real < 0 for r in roots)
 
 
 class TestShootChi:
     def test_high_reynolds_limits(self):
-        res = shoot_chi(4.0, 0.99, 2.0, n_steps=1500)
-        shoot = shoot_functional(SpectralParams(k=0, eps=4.0, x0=0.99, M=10),
-                                 n_steps=1500, which="chi")
-        roots = oracle_roots(shoot, ScanConfig(1.5, 2.5))
+        params = SpectralParams(k=0, eps=4.0, x0=0.99, M=10)
+        res = shoot(params, 2.0, n_steps=1500, which="chi")
+        functional = shoot_functional(params, n_steps=1500, which="chi")
+        roots = oracle_roots(functional, ScanConfig(1.5, 2.5))
         assert len(roots) == 1
         assert abs(roots[0].s.real - 2.0) < 0.1
         assert abs(res.value) == pytest.approx(
-            abs(shoot(np.array([2.0 + 0j]))[0]), rel=1e-12)
+            abs(functional(np.array([2.0 + 0j]))[0]), rel=1e-12)
 
     def test_viscous_limits(self):
-        shoot = shoot_functional(SpectralParams(k=0, eps=0.0, x0=0.99, M=10),
+        functional = shoot_functional(SpectralParams(k=0, eps=0.0, x0=0.99, M=10),
                                  n_steps=1500, which="chi")
-        roots = oracle_roots(shoot, ScanConfig(0.5, 1.5))
+        roots = oracle_roots(functional, ScanConfig(0.5, 1.5))
         assert len(roots) == 1
         assert abs(roots[0].s.real - 1.0) < 0.1
 
@@ -114,9 +131,9 @@ def test_renormalization_preserves_roots(monkeypatch):
     cfg = ScanConfig(2.0, 4.0)
     plain = [r.s.real for r in
              oracle_roots(shoot_functional(params, n_steps=800), cfg)]
-    res_plain = shoot_k(params, 2.5, n_steps=800)
+    res_plain = shoot(params, 2.5, n_steps=800)
     monkeypatch.setattr(oracle_mod, "RENORM_THRESHOLD", 0.1)
-    res_scaled = shoot_k(params, 2.5, n_steps=800)
+    res_scaled = shoot(params, 2.5, n_steps=800)
     scaled = [r.s.real for r in
               oracle_roots(shoot_functional(params, n_steps=800), cfg)]
     assert res_scaled.log_scale != 0.0

@@ -3,7 +3,7 @@ import pytest
 
 from sphere_spectra import (Branch, GridTooCoarseWarning, NoConvergenceError,
                             Root, ScanConfig, SeedRejectedError,
-                            SpectralPoint, detect_coalescence, refine_complex,
+                            detect_coalescence, refine_complex,
                             scan_real_roots, trace_parameter)
 from sphere_spectra.rootfinder import _dedupe
 
@@ -57,9 +57,9 @@ class TestScan:
         assert np.all(gaps > 10 * cfg.tol)
 
     def test_dedupe_helper(self):
-        a = Root(SpectralPoint(1.0), 1e-12)
-        b = Root(SpectralPoint(1.0 + 1e-12), 1e-14)
-        c = Root(SpectralPoint(2.0), 1e-12)
+        a = Root(1.0, 1e-12)
+        b = Root(1.0 + 1e-12, 1e-14)
+        c = Root(2.0, 1e-12)
         out = _dedupe([a, b, c], 1e-9)
         assert len(out) == 2
         assert out[0].residual == 1e-14
@@ -163,7 +163,7 @@ class TestTrace:
 
 class TestDetectCoalescence:
     def _branch(self, idx, s):
-        return Branch("t", idx, [(1.0, Root(SpectralPoint(s), 1e-13))])
+        return Branch("t", idx, [(1.0, Root(s, 1e-13))])
 
     def test_seed_and_continuation(self):
         # at the post-merge parameter the pair sits at +-0.5i

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sphere_spectra import (SpectralParams, coeffs_full_k, coeffs_k0,
-                            coeffs_stream_k, coeffs_vorticity_k, eval_series,
-                            tail_estimate)
+                            eval_series, tail_estimate)
 from sphere_spectra.series import coeffs_k0_batch, coeffs_k_batch
 
 
@@ -13,54 +12,58 @@ def params_k(k=1, eps=0.0, M=40, x0=0.9):
     return SpectralParams(k=k, eps=eps, x0=x0, M=M)
 
 
+def vorticity(p, s, a0, b0):
+    """(a, b) from the vorticity seeds alone."""
+    coeffs = coeffs_full_k(p, s, (a0, b0, 0.0, 0.0))
+    return coeffs.a, coeffs.b
+
+
+def stream(p, a0=0.0, b0=0.0, c0=0.0, d0=0.0, s=1.0):
+    """(c, d) of the batch kernel for one seed vector."""
+    _, _, c, d = coeffs_k_batch(p.abs_k ** 2, p.eps, np.array([s]),
+                                (a0, b0, c0, d0), p.M)
+    return c[:, 0], d[:, 0]
+
+
 class TestVorticityInitialTerms:
     def test_a1_viscous_limit(self):
-        a, b = coeffs_vorticity_k(params_k(k=1), s=1.0, a0=1.0, b0=0.0)
+        a, b = vorticity(params_k(k=1), s=1.0, a0=1.0, b0=0.0)
         assert a[1] == pytest.approx(-0.5)
 
     def test_a1_with_coupling(self):
-        a, b = coeffs_vorticity_k(params_k(k=2, eps=1.0), s=0.0, a0=1.0, b0=2.0)
+        a, b = vorticity(params_k(k=2, eps=1.0), s=0.0, a0=1.0, b0=2.0)
         assert a[1] == pytest.approx(1.0)
 
     def test_b1_follows_a1(self):
         # b1 = ((k^2 + 2 - s(s+1)) b0 - 2 eps a1) / 6
         p = params_k(k=1, eps=2.0)
-        a, b = coeffs_vorticity_k(p, s=1.0, a0=1.0, b0=1.0)
+        a, b = vorticity(p, s=1.0, a0=1.0, b0=1.0)
         a1 = ((1 - 2) * 1.0 - 2.0 * 1.0) / 2
         assert a[1] == pytest.approx(a1)
         assert b[1] == pytest.approx(((1 + 2 - 2) * 1.0 - 2 * 2.0 * a1) / 6)
 
     def test_zero_seeds_stay_zero(self):
-        a, b = coeffs_vorticity_k(params_k(k=3, eps=5.0), s=2.2 + 1j,
-                                  a0=0.0, b0=0.0)
+        a, b = vorticity(params_k(k=3, eps=5.0), s=2.2 + 1j, a0=0.0, b0=0.0)
         assert np.all(a == 0) and np.all(b == 0)
 
     def test_requires_nonzero_k(self):
         with pytest.raises(ValueError):
-            coeffs_vorticity_k(SpectralParams(k=0, eps=0, x0=0.9, M=10),
-                               1.0, 1.0, 0.0)
+            coeffs_full_k(SpectralParams(k=0, eps=0, x0=0.9, M=10),
+                          1.0, (1.0, 0.0, 0.0, 0.0))
 
 
 class TestStreamInitialTerms:
     def test_c1_from_c0(self):
-        p = params_k(k=1)
-        a = np.zeros(p.M + 1, complex)
-        b = np.zeros(p.M + 1, complex)
-        c, d = coeffs_stream_k(p, a, b, c0=1.0, d0=0.0)
+        c, d = stream(params_k(k=1), c0=1.0)
         assert c[1] == pytest.approx(0.5)
 
     def test_d1_from_d0_and_b0(self):
-        p = params_k(k=2)
-        a = np.zeros(p.M + 1, complex)
-        b = np.zeros(p.M + 1, complex)
-        b[0] = 3.0
-        c, d = coeffs_stream_k(p, a, b, c0=0.0, d0=1.0)
+        # the b0 seed drives d through b[0] = 3 and the k2 = 4 chain
+        c, d = stream(params_k(k=2), b0=3.0, d0=1.0)
         assert d[1] == pytest.approx(((4 + 2) * 1.0 + 3.0) / 6)
 
     def test_all_zero(self):
-        p = params_k(k=1)
-        z = np.zeros(p.M + 1, complex)
-        c, d = coeffs_stream_k(p, z, z)
+        c, d = stream(params_k(k=1))
         assert np.all(c == 0) and np.all(d == 0)
 
     def test_c2_hand_expansion(self):
@@ -116,8 +119,8 @@ class TestEvalSeries:
         c[0] = 1.0
         coeffs = type(coeffs)(coeffs.a, coeffs.b, c, coeffs.d, coeffs.seeds)
         for x in (-0.7, 0.0, 0.5):
-            val, der = eval_series(coeffs, "psi", x)
-            assert val == 1.0 and der == 0.0
+            val, der, der2 = eval_series(coeffs, "psi", x)
+            assert val == 1.0 and der == 0.0 and der2 == 0.0
 
     def test_monomial_x_squared(self):
         p = params_k(M=5)
@@ -125,9 +128,10 @@ class TestEvalSeries:
         c = base.c.copy()
         c[1] = 1.0
         coeffs = type(base)(base.a, base.b, c, base.d, base.seeds)
-        val, der = eval_series(coeffs, "psi", 0.5)
+        val, der, der2 = eval_series(coeffs, "psi", 0.5)
         assert val == pytest.approx(0.25)
         assert der == pytest.approx(1.0)
+        assert der2 == pytest.approx(2.0)
 
     def test_monomial_x(self):
         p = params_k(M=5)
@@ -135,17 +139,33 @@ class TestEvalSeries:
         d = base.d.copy()
         d[0] = 1.0
         coeffs = type(base)(base.a, base.b, base.c, d, base.seeds)
-        val, der = eval_series(coeffs, "phi", 0.9)
+        val, der, der2 = eval_series(coeffs, "phi", 0.9)
         assert val == 0.0  # phi reads the a, b sequences
-        val, der = eval_series(coeffs, "psi", 0.9)
+        val, der, der2 = eval_series(coeffs, "psi", 0.9)
         assert val == pytest.approx(0.9)
         assert der == pytest.approx(1.0)
+        assert der2 == 0.0
+
+    def test_odd_and_even_terms_on_an_array(self):
+        # psi = 2 + x^3 - x^4: value, first and second derivative
+        p = params_k(M=5)
+        base = coeffs_full_k(p, 1.0, (0.0, 0.0, 0.0, 0.0))
+        c, d = base.c.copy(), base.d.copy()
+        c[0], c[2], d[1] = 2.0, -1.0, 1.0
+        coeffs = type(base)(base.a, base.b, c, d, base.seeds)
+        x = np.array([-0.6, 0.0, 0.3, 0.8])
+        val, der, der2 = eval_series(coeffs, "psi", x)
+        np.testing.assert_allclose(val, 2 + x ** 3 - x ** 4, atol=1e-15)
+        np.testing.assert_allclose(der, 3 * x ** 2 - 4 * x ** 3, atol=1e-15)
+        np.testing.assert_allclose(der2, 6 * x - 12 * x ** 2, atol=1e-15)
 
     def test_domain_check(self):
         p = params_k(M=5)
         coeffs = coeffs_full_k(p, 1.0, (1.0, 0.0, 0.0, 0.0))
         with pytest.raises(ValueError):
             eval_series(coeffs, "psi", 1.0)
+        with pytest.raises(ValueError):
+            eval_series(coeffs, "psi", np.array([0.5, -1.0]))
         with pytest.raises(ValueError):
             eval_series(coeffs, "nope", 0.5)
 
@@ -234,9 +254,9 @@ def test_k_sign_symmetry():
 
 def test_parity_decoupling_at_eps_zero():
     p = params_k(k=2, eps=0.0)
-    a, b = coeffs_vorticity_k(p, 1.7, a0=1.0, b0=0.0)
+    a, b = vorticity(p, 1.7, a0=1.0, b0=0.0)
     assert np.all(b == 0)
-    a, b = coeffs_vorticity_k(p, 1.7, a0=0.0, b0=1.0)
+    a, b = vorticity(p, 1.7, a0=0.0, b0=1.0)
     assert np.all(a == 0)
 
 

@@ -24,11 +24,10 @@ def test_unknown_filter_raises():
         verify.run_checks("no-such-group")
 
 
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.setenv("SPHERE_SPECTRA_THREADS", "3")
-    assert verify.thread_cap() == 3
-    monkeypatch.setenv("SPHERE_SPECTRA_THREADS", "garbage")
-    assert verify.thread_cap() >= 1
+def test_results_in_registry_order():
+    results = verify.run_checks("analytic")
+    assert [r["name"] for r in results] == [
+        n for g, n, _ in verify.CHECKS if g == "analytic"]
 
 
 def test_crashing_check_reports_failure(monkeypatch):
