@@ -19,6 +19,5 @@ from .analytic import (AnalyticSpectrum, Polynomial, PowerWeightedPoly,
                        gauss_composite, green_identity_residual,
                        hypergeom_truncated, k0_truncated, sigma_of,
                        spectrum_chi_limit, spectrum_full_sphere_k,
-                       spectrum_full_sphere_k0, sturm_liouville_residual,
-                       vorticity_ode_residual)
-from .oracle import ShootResidual, oracle_roots, shoot, shoot_functional
+                       spectrum_full_sphere_k0, vorticity_ode_residual)
+from .oracle import ShootResidual, shoot, shoot_functional

@@ -251,29 +251,12 @@ def darboux_residual(chi: PowerWeightedPoly, eps: float, mu: float,
     return float(np.abs(mu_chi_hat - mu_chi).max() / scale)
 
 
-def sturm_liouville_residual(f: PowerWeightedPoly, sigma: float, mu: float,
-                             xs=None) -> float:
-    """Residual of d/dx[(1-x^2) f'] - sigma^2 f/(1-x^2) - mu f, scaled by
-    max |f|, with exact derivatives."""
-    if xs is None:
-        xs = np.linspace(-0.95, 0.95, 39)
-    xs = np.asarray(xs, dtype=float)
-    df = f.derivative()
-    ddf = df.derivative()
-    w = 1 - xs * xs
-    v = f(xs)
-    res = w * ddf(xs) - 2 * xs * df(xs) - sigma * sigma * v / w - mu * v
-    scale = np.abs(v).max()
-    if scale == 0:
-        return 0.0
-    return float(np.abs(res).max() / scale)
-
-
-def vorticity_ode_residual(phi: PowerWeightedPoly, k: int, eps: float,
+def vorticity_ode_residual(phi: PowerWeightedPoly, k: float, eps: float,
                            mu: float, xs=None) -> float:
     """Residual of the closed vorticity equation
     d/dx[(1-x^2) phi'] - k^2 phi/(1-x^2) + eps phi' - mu phi,
-    scaled by max |phi|, with exact derivatives."""
+    scaled by max |phi|, with exact derivatives.  With k = sigma and
+    eps = 0 it is the Sturm-Liouville equation of the sigma-modes."""
     if xs is None:
         xs = np.linspace(-0.95, 0.95, 39)
     xs = np.asarray(xs, dtype=float)

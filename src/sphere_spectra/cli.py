@@ -155,7 +155,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
     p = cfg.params
     shoot = oracle.shoot_functional(p, n_steps=cfg.n_steps,
                                     which="chi" if cfg.chi else "auto")
-    roots = oracle.oracle_roots(shoot, _scan_for(cfg))
+    roots = scan_real_roots(shoot, _scan_for(cfg), source="oracle")
     _emit(_filter_rows(roots, p.x0, cfg.scan.tol * 10, "oracle"),
           cfg, _meta(cfg) | {"n_steps": cfg.n_steps, "chi": cfg.chi})
     return 0
@@ -343,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          "k-indexed system")
     st = sub.add_parser("trace", help="parameter sweep with branch tracking")
     common(st)
-    st.add_argument("--sweep", required=True,
+    st.add_argument("--sweep", default=None,
                     help="name:start:stop:step with name one of x0, eps, M")
     sf = sub.add_parser("figures", help="emit canned figure datasets")
     common(sf)
@@ -400,7 +400,7 @@ def main(argv=None) -> int:
                                 M=int(opts.get("M") or default_M))
         scan = ScanConfig(s_min=float(opts["smin"]), s_max=float(opts["smax"]),
                           step=float(opts["step"]), tol=float(opts["tol"]))
-        sweep = _parse_sweep(opts["sweep"]) if args.command == "trace" else None
+        sweep = _parse_sweep(opts["sweep"]) if opts.get("sweep") else None
         cfg = RunConfig(command=args.command, params=params, scan=scan,
                         sweep=sweep, output=opts.get("output"),
                         fmt=opts["fmt"], n_steps=int(opts["steps"]),

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NonFiniteError, SpectralParams
-from .rootfinder import ScanConfig, scan_real_roots
 
 RENORM_THRESHOLD = 1e100
 RENORM_CHECK_EVERY = 100
@@ -47,12 +46,13 @@ class ShootResidual:
 
 
 def _integrate(rhs, y0, x0, n_steps):
-    """RK4 for a stacked complex state of shape (dim, n) from -x0 to x0.
+    """RK4 for a stacked complex state of shape (dim, ...) from -x0 to x0.
 
-    Returns (final state, per-column log10 renormalization factors).
+    Each state vector y[:, j...] is renormalized on its own.  Returns
+    (final state, log10 renormalization factor of each state vector).
     """
     y = y0.astype(complex)
-    scale = np.zeros(y.shape[1])
+    scale = np.zeros(y.shape[1:])
     h = 2.0 * x0 / n_steps
     x = -x0
     for i in range(n_steps):
@@ -109,14 +109,14 @@ def _rhs_chi(eps, mu):
 
 
 # problem: (state dimension, start component of each trajectory, rhs
-# factory, residual of the end states); each trajectory starts from the
-# unit vector of its component
+# factory, residual of the end state r[component, trajectory]); each
+# trajectory starts from the unit vector of its component
 _PROBLEMS = {
     "k": (4, (2, 3),
           lambda p, mu: _rhs_k(p.abs_k ** 2, p.eps, mu),
-          lambda r: r[0][0] * r[1][1] - r[0][1] * r[1][0]),
-    "k0": (3, (2,), lambda p, mu: _rhs_k0(p.eps, mu), lambda r: r[0][1]),
-    "chi": (2, (1,), lambda p, mu: _rhs_chi(p.eps, mu), lambda r: r[0][0]),
+          lambda r: r[0, 0] * r[1, 1] - r[1, 0] * r[0, 1]),
+    "k0": (3, (2,), lambda p, mu: _rhs_k0(p.eps, mu), lambda r: r[1, 0]),
+    "chi": (2, (1,), lambda p, mu: _rhs_chi(p.eps, mu), lambda r: r[0, 0]),
 }
 
 
@@ -132,18 +132,18 @@ def _problem(params: SpectralParams, which: str) -> str:
 
 
 def _values(params: SpectralParams, problem: str, s, n_steps):
-    """Residuals at a batch of s and their log10 renormalization factors."""
+    """Residuals at a batch of s and their log10 renormalization factors.
+
+    All start trajectories are integrated together in one state of shape
+    (dim, trajectories, points).
+    """
     dim, starts, make_rhs, residual = _PROBLEMS[problem]
     s = np.atleast_1d(np.asarray(s, dtype=complex))
-    rhs = make_rhs(params, -s * (s + 1))
-    ends, scale = [], 0.0
-    for comp in starts:
-        y = np.zeros((dim, s.size), dtype=complex)
-        y[comp] = 1.0
-        r, sc = _integrate(rhs, y, params.x0, n_steps)
-        ends.append(r)
-        scale = scale + sc
-    return residual(ends), scale
+    y = np.zeros((dim, len(starts), s.size), dtype=complex)
+    y[list(starts), range(len(starts))] = 1.0
+    r, scale = _integrate(make_rhs(params, -s * (s + 1)), y, params.x0,
+                          n_steps)
+    return residual(r), scale.sum(axis=0)
 
 
 def shoot(params: SpectralParams, s: complex, n_steps: int = 2000,
@@ -173,10 +173,3 @@ def shoot_functional(params: SpectralParams, n_steps: int = 2000,
     problem = _problem(params, which)
     return lambda s: _values(params, problem, s, n_steps)[0]
 
-
-def oracle_roots(functional, cfg: ScanConfig) -> list:
-    """Real roots of a shooting residual functional on the scan interval.
-
-    Same contract as scan_real_roots; roots are tagged source="oracle".
-    """
-    return scan_real_roots(functional, cfg, source="oracle")

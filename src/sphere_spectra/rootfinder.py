@@ -113,6 +113,14 @@ def _refine_brackets(F, lo, hi, flo, tol, max_iter):
     return x1
 
 
+def _bracket_roots(F, lo, hi, flo, fhi, cfg):
+    """Refined roots of the sign-change brackets [lo, hi] and their
+    residuals: |F| at the root scaled by the larger end magnitude."""
+    roots = _refine_brackets(F, lo, hi, flo, cfg.tol, cfg.max_iter)
+    ref = np.maximum(np.abs(flo), np.abs(fhi))
+    return roots, np.abs(F(roots)) / np.where(ref == 0, 1.0, ref)
+
+
 def _dedupe(roots, spacing):
     """Collapse clusters closer than spacing, keeping the smallest residual."""
     if not roots:
@@ -144,14 +152,10 @@ def scan_real_roots(F, cfg: ScanConfig, source: str = "series") -> list:
     sign = np.sign(vals)
     idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
     if idx.size:
-        refined = _refine_brackets(F, grid[idx], grid[idx + 1], vals[idx],
-                                   cfg.tol, cfg.max_iter)
-        fvals = np.abs(F(refined))
-        ref = np.maximum(np.abs(vals[idx]), np.abs(vals[idx + 1]))
-        ref = np.where(ref == 0, 1.0, ref)
-        for r, fv, rf in zip(refined, fvals, ref):
-            roots.append(Root(canonicalize_s(r), float(fv / rf), "real",
-                              source))
+        refined, resid = _bracket_roots(F, grid[idx], grid[idx + 1],
+                                        vals[idx], vals[idx + 1], cfg)
+        for r, res in zip(refined, resid):
+            roots.append(Root(canonicalize_s(r), float(res), "real", source))
     for i in on_grid:
         roots.append(Root(canonicalize_s(grid[i]), 0.0, "real", source))
     roots = _dedupe(roots, 10 * cfg.tol)
@@ -243,7 +247,7 @@ def detect_coalescence(branch_a: Branch, branch_b: Branch, F, param: float,
 
 
 class _LiveBranch:
-    __slots__ = ("branch", "status", "s", "ds", "dp", "partner", "retries")
+    __slots__ = ("branch", "status", "s", "ds", "dp")
 
     def __init__(self, branch, s):
         self.branch = branch
@@ -251,11 +255,9 @@ class _LiveBranch:
         self.s = s
         self.ds = 0.0                 # movement of the last committed step
         self.dp = 0.0                 # parameter delta of that step
-        self.partner = None           # _LiveBranch sharing the merge/pair
-        self.retries = 0              # pending-merge attempts left
 
 
-def _advance_real(F, p, dp, members, cfg, neighbor_caps, other_positions):
+def _advance_real(F, p, dp, members, cfg, neighbor_caps):
     """One continuation attempt for real branches; returns the failures.
 
     Each member gets a bracket around its predicted position (previous
@@ -264,9 +266,8 @@ def _advance_real(F, p, dp, members, cfg, neighbor_caps, other_positions):
     step, capped below half the gap to the nearest other live real branch
     so a fast branch cannot swallow its neighbor's root; a failed bracket
     is retried once at double width.  Two members refining onto the same
-    root, or onto a root already held by another branch, are demoted to
-    failures: that situation is the signature of an imminent coalescence
-    and is resolved by the caller.
+    root are demoted to failures: that situation is the signature of an
+    imminent coalescence and is resolved by the caller.
     """
     dup_tol = 100 * cfg.tol
 
@@ -291,14 +292,11 @@ def _advance_real(F, p, dp, members, cfg, neighbor_caps, other_positions):
         fhi = np.real(F(hi))
         ok = flo * fhi < 0
         if np.any(ok):
-            roots = _refine_brackets(F, lo[ok], hi[ok], flo[ok],
-                                     cfg.tol, cfg.max_iter)
-            fvals = np.abs(F(roots))
-            ref = np.maximum(np.abs(flo[ok]), np.abs(fhi[ok]))
-            ref = np.where(ref == 0, 1.0, ref)
+            roots, resid = _bracket_roots(F, lo[ok], hi[ok], flo[ok],
+                                          fhi[ok], cfg)
             winners = [m for m, o in zip(failed, ok) if o]
-            for lb, r, fv, rf in zip(winners, roots, fvals, ref):
-                proposals[id(lb)] = (lb, float(r), float(fv / rf))
+            for lb, r, res in zip(winners, roots, resid):
+                proposals[id(lb)] = (lb, float(r), float(res))
         failed = [m for m, o in zip(failed, ok) if not o]
     # demote duplicate captures
     taken = sorted(proposals.values(), key=lambda t: t[1])
@@ -306,9 +304,6 @@ def _advance_real(F, p, dp, members, cfg, neighbor_caps, other_positions):
     for (la, ra, _), (lc, rc, _) in zip(taken, taken[1:]):
         if rc - ra < dup_tol:
             collided.update((id(la), id(lc)))
-    for lb, r, _ in taken:
-        if any(abs(r - o) < dup_tol for o in other_positions):
-            collided.add(id(lb))
     for lb, r, resid in taken:
         if id(lb) in collided:
             failed.append(lb)
@@ -376,21 +371,29 @@ def trace_parameter(family, parameter: str, values, cfg: ScanConfig,
         branches.append(br)
         live.append(_LiveBranch(br, r.s.real))
 
-    def merge_pair(la, lc, F, p):
-        """Convert a merged real pair into a complex pair, or park it as
-        pending when the conversion is premature (the seed refines back to
-        the real axis just before the true merge parameter)."""
+    pairs = []      # (lower-index member, other member, failure params)
+
+    def continue_pair(pair, F, p):
+        """Convert a merged real pair into a complex pair at p.  When the
+        conversion is premature (the seed refines back to the real axis
+        just before the true merge parameter) the pair is parked; it is
+        retried once at each of the next three sweep values, then ends."""
+        la, lc, failures = pair
+        lo, hi = sorted((la, lc), key=lambda lb: lb.s)
         try:
-            detect_coalescence(la.branch, lc.branch, F, p, cfg.step,
+            detect_coalescence(lo.branch, hi.branch, F, p, cfg.step,
                                cfg.tol, cfg.max_iter)
         except (SeedRejectedError, NoConvergenceError):
-            la.status = lc.status = "pending-merge"
-            la.partner, lc.partner = lc, la
-            la.retries = lc.retries = 3
+            failures.append(p)
+            status = "pending-merge" if len(failures) <= 3 else "dead"
+            for lb in (la, lc):
+                lb.status = status
+                if status == "dead":
+                    lb.branch.note = "coalescence seed rejected"
             return
-        la.status = lc.status = "complex"
-        la.s = lc.s = la.branch.last_root.s
-        la.partner, lc.partner = lc, la
+        for lb in (la, lc):
+            lb.status = "complex"
+            lb.s = lb.branch.last_root.s
 
     def handle_failures(failed, F, p):
         """Resolve branches whose local bracket kept failing at the finest
@@ -429,79 +432,58 @@ def trace_parameter(family, parameter: str, values, cfg: ScanConfig,
                 lb.branch.samples.append((p, r))
             lbs.sort(key=lambda lb: lb.s)
             while len(lbs) >= 2:
-                la, lc = lbs.pop(0), lbs.pop(0)
-                merge_pair(la, lc, F, p)
+                la, lc = sorted(lbs[:2], key=lambda lb: lb.branch.index)
+                del lbs[:2]
+                pairs.append((la, lc, []))
+                continue_pair(pairs[-1], F, p)
             for lb in lbs:
                 lb.status = "dead"
                 lb.branch.note = "no convergence"
 
-    def retry_pending(F, p):
-        """Re-attempt the complex continuation of parked merge pairs."""
-        for lb in live:
-            if lb.status != "pending-merge" or lb.partner is None:
+    def advance_pairs(F, p):
+        """Carry every merged pair to p once: refine a complex pair from
+        its last root, retry a pair parked at an earlier value.  A lost
+        complex root ends the lower-index member still complex; the other
+        continues from the same root."""
+        for pair in pairs:
+            la, lc, failures = pair
+            if la.status == "pending-merge":
+                if failures[-1] != p:
+                    continue_pair(pair, F, p)
                 continue
-            lc = lb.partner
-            if lc.status != "pending-merge":
+            members = [lb for lb in (la, lc) if lb.status == "complex"]
+            if not members:
                 continue
             try:
-                detect_coalescence(lb.branch, lc.branch, F, p, cfg.step,
-                                   cfg.tol, cfg.max_iter)
-            except (SeedRejectedError, NoConvergenceError):
-                lb.retries -= 1
-                lc.retries -= 1
-                if lb.retries <= 0:
-                    lb.status = lc.status = "dead"
-                    lb.branch.note = lc.branch.note = \
-                        "coalescence seed rejected"
-                continue
-            lb.status = lc.status = "complex"
-            lb.s = lc.s = lb.branch.last_root.s
-
-    def advance_complex(F, p):
-        done = set()
-        for lb in live:
-            if lb.status != "complex" or id(lb) in done:
-                continue
-            done.add(id(lb))
-            if lb.partner is not None:
-                done.add(id(lb.partner))
-            try:
-                root = refine_complex(F, lb.s, cfg.tol, cfg.max_iter,
-                                      probe=cfg.step)
+                root = refine_complex(F, members[0].s, cfg.tol,
+                                      cfg.max_iter, probe=cfg.step)
             except NoConvergenceError:
-                lb.status = "dead"
-                lb.branch.note = "complex continuation lost"
+                members[0].status = "dead"
+                members[0].branch.note = "complex continuation lost"
                 continue
             if root.kind != "complex-pair":
-                lb.status = "dead"
-                lb.branch.note = "complex pair returned to real axis"
+                members[0].status = "dead"
+                members[0].branch.note = "complex pair returned to real axis"
                 continue
-            lb.s = root.s
-            lb.branch.samples.append((p, root))
-            if lb.partner is not None and lb.partner.status == "complex":
-                lb.partner.s = root.s
-                lb.partner.branch.samples.append((p, root))
+            for lb in members:
+                lb.s = root.s
+                lb.branch.samples.append((p, root))
 
     match_dist = 2 * cfg.step
     p_prev = float(values[0])
     for step_count, p_target in enumerate(values[1:], start=1):
         p_target = float(p_target)
-        # (p_from, p_to, depth, members): members None means all real ones
-        queue = [(p_prev, p_target, 0, None)]
+        # (p_from, p_to, depth, members); the last substep ends at p_target
+        queue = [(p_prev, p_target, 0, live)]
         while queue:
             p_from, p_to, depth, members = queue.pop(0)
             F = family(p_to)
-            if members is None:
-                members = [lb for lb in live if lb.status == "real"]
-            else:
-                members = [lb for lb in members if lb.status == "real"]
+            members = [lb for lb in members if lb.status == "real"]
             caps = _neighbor_caps(live, cfg)
-            others = [lb.s for lb in live
-                      if lb.status == "real" and lb not in members]
             snapshot = {id(lb): (lb.s, lb.ds, lb.dp, len(lb.branch.samples))
                         for lb in members}
             failed = _advance_real(F, p_to, p_to - p_from, members, cfg,
-                                   caps, others)
+                                   caps)
             if failed and depth < max_halvings and abs(p_to - p_from) > 1e-9:
                 # retry the whole member set on finer substeps so that
                 # co-approaching branches stay in the same resolution pass;
@@ -516,12 +498,10 @@ def trace_parameter(family, parameter: str, values, cfg: ScanConfig,
                 continue
             if failed:
                 handle_failures(failed, F, p_to)
-        F_target = family(p_target)
-        advance_complex(F_target, p_target)
-        retry_pending(F_target, p_target)
+        advance_pairs(F, p_target)
         if rescan_every and step_count % rescan_every == 0:
             known = [lb.s for lb in live if lb.status == "real"]
-            for r in scan_real_roots(F_target, cfg):
+            for r in scan_real_roots(F, cfg):
                 if any(abs(r.s.real - s) < match_dist for s in known):
                     continue
                 br = Branch(parameter, len(branches), [(p_target, r)])

@@ -217,8 +217,8 @@ def check_eigenfunction_ode_residuals():
         s = sigma + n
         varphi = analytic.PowerWeightedPoly(
             sigma / 2, sigma / 2, analytic.hypergeom_truncated(n, sigma))
-        worst = max(worst, analytic.sturm_liouville_residual(
-            varphi, sigma, -s * (s + 1), np.linspace(-0.9, 0.9, 20)))
+        worst = max(worst, analytic.vorticity_ode_residual(
+            varphi, sigma, 0.0, -s * (s + 1), np.linspace(-0.9, 0.9, 20)))
         phi = analytic.eigenfunction_phi_k_mode(k, eps, n)
         worst = max(worst, analytic.vorticity_ode_residual(
             phi, k, eps, -s * (s + 1), np.linspace(-0.9, 0.9, 20)))
@@ -259,7 +259,7 @@ def _roots_match(params, cfg, n_steps=1200):
     F = boundary.det_functional(params)
     series_roots = scan_real_roots(F, cfg)
     shoot = oracle.shoot_functional(params, n_steps=n_steps)
-    oracle_root_list = oracle.oracle_roots(shoot, cfg)
+    oracle_root_list = scan_real_roots(shoot, cfg, source="oracle")
     a = np.array([r.s.real for r in series_roots])
     b = np.array([r.s.real for r in oracle_root_list])
     if a.size != b.size:

@@ -127,7 +127,8 @@ def test_criterion_4_oracle_equivalence(k, eps, x0):
     series = [r.s.real for r in
               ss.scan_real_roots(ss.det_functional(params), cfg)]
     shoot = ss.shoot_functional(params, n_steps=2000)
-    found = [r.s.real for r in ss.oracle_roots(shoot, cfg)]
+    found = [r.s.real for r in
+             ss.scan_real_roots(shoot, cfg, source="oracle")]
     same = len(series) == len(found)
     gap = (np.abs(np.array(series) - np.array(found)).max()
            if same and series else 0.0)
@@ -197,7 +198,8 @@ def test_criterion_7_chi_regime_split():
     for eps, target in ((1.0, 1.0), (4.0, 2.0)):
         params = ss.SpectralParams(k=0, eps=eps, x0=0.99, M=10)
         shoot = ss.shoot_functional(params, n_steps=2000, which="chi")
-        roots = ss.oracle_roots(shoot, ss.ScanConfig(0.05, target + 0.6))
+        roots = ss.scan_real_roots(shoot, ss.ScanConfig(0.05, target + 0.6),
+                                   source="oracle")
         results[eps] = roots[0].s.real if roots else float("nan")
     ok = (abs(results[1.0] - 1.0) < 0.1 and abs(results[4.0] - 2.0) < 0.1)
     report(7, ok, f"first roots: eps=1 -> {results[1.0]:.4f} (limit 1), "

@@ -8,7 +8,7 @@ from sphere_spectra import (Polynomial, PowerWeightedPoly, ScanConfig,
                             green_identity_residual, hypergeom_truncated,
                             k0_truncated, scan_real_roots, sigma_of,
                             spectrum_chi_limit, spectrum_full_sphere_k,
-                            spectrum_full_sphere_k0, sturm_liouville_residual)
+                            spectrum_full_sphere_k0, vorticity_ode_residual)
 from sphere_spectra.analytic import AnalyticSpectrum, eigenfunction_phi_k_mode
 
 
@@ -116,8 +116,8 @@ class TestTruncatedPolynomials:
             s = sigma + n
             varphi = PowerWeightedPoly(sigma / 2, sigma / 2,
                                        hypergeom_truncated(n, sigma))
-            assert sturm_liouville_residual(varphi, sigma, -s * (s + 1),
-                                            xs) < 1e-10
+            assert vorticity_ode_residual(varphi, sigma, 0.0, -s * (s + 1),
+                                          xs) < 1e-10
 
 
 class TestPolynomialType:
@@ -143,7 +143,6 @@ class TestEigenfunctionPhi:
             eigenfunction_phi_k(1, 0.0, 0, 1.0)
 
     def test_dressed_mode_satisfies_vorticity_equation(self):
-        from sphere_spectra import vorticity_ode_residual
         k, eps, n = 1, 2.0, 1
         s = sigma_of(k, eps) + n
         phi = eigenfunction_phi_k_mode(k, eps, n)

@@ -92,10 +92,10 @@ class TestConfigHandling:
     def test_bad_sweep_spec_exits_2(self):
         assert run(["trace", "--k", "1", "--sweep", "garbage"]) == 2
 
-    def test_trace_requires_sweep_flag(self):
-        with pytest.raises(SystemExit) as exc:
-            run(["trace", "--k", "1"])
-        assert exc.value.code == 2
+    def test_trace_requires_sweep_flag(self, capsys):
+        # neither --sweep nor a config file gives one
+        assert run(["trace", "--k", "1"]) == 2
+        assert "requires a sweep" in capsys.readouterr().err
 
     def test_m_cap(self):
         assert run(["spectrum", "--k", "1", "--M", "5000"]) == 2
@@ -251,6 +251,21 @@ class TestConfigKeys:
         assert run(["oracle", "--chi", "--output", str(via_flag)]
                    + common) == 0
         assert via_file.read_bytes() == via_flag.read_bytes()
+
+    def test_sweep_from_config_file(self, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"sweep": "eps:0:1:0.5"}))
+        common = ["--k", "1", "--x0", "0.9", "--M", "60", "--smax", "3"]
+        via_file, via_flag = tmp_path / "file.csv", tmp_path / "flag.csv"
+        assert run(["trace", "--config", str(cfgfile), "--output",
+                    str(via_file)] + common) == 0
+        assert run(["trace", "--sweep", "eps:0:1:0.5", "--output",
+                    str(via_flag)] + common) == 0
+        assert via_file.read_bytes() == via_flag.read_bytes()
+        assert len(via_file.read_text().splitlines()) > 3
+        sidecar = tmp_path / "file.csv.events.json"
+        assert sidecar.read_bytes() == (
+            tmp_path / "flag.csv.events.json").read_bytes()
 
     def test_figure_from_config_file(self, tmp_path, monkeypatch):
         from sphere_spectra import cli as cli_mod

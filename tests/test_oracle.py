@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from sphere_spectra import (ScanConfig, SpectralParams, det_functional,
-                            oracle_roots, scan_real_roots, shoot,
-                            shoot_functional)
+                            scan_real_roots, shoot, shoot_functional)
 from sphere_spectra import oracle as oracle_mod
 
 
@@ -22,7 +21,8 @@ class TestShootK:
     def test_near_full_sphere_first_root(self):
         # Dirichlet eigenvalue approaching the full-sphere limit s = 3
         params = SpectralParams(k=3, eps=0.0, x0=0.99, M=150)
-        roots = oracle_roots(shoot_functional(params), ScanConfig(2.5, 3.5))
+        roots = scan_real_roots(shoot_functional(params),
+                                ScanConfig(2.5, 3.5), source="oracle")
         assert roots and abs(roots[0].s.real - 3.0) < 0.05
         assert roots[0].source == "oracle"
 
@@ -63,14 +63,16 @@ class TestShootK0:
         series = [r.s.real for r in
                   scan_real_roots(det_functional(params), cfg)]
         functional = shoot_functional(params, n_steps=1200)
-        found = [r.s.real for r in oracle_roots(functional, cfg)]
+        found = [r.s.real for r in
+                 scan_real_roots(functional, cfg, source="oracle")]
         assert len(series) == len(found)
         np.testing.assert_allclose(series, found, atol=1e-6)
 
     def test_negativity(self):
         params = SpectralParams(k=0, eps=4.0, x0=0.9, M=100)
         functional = shoot_functional(params, n_steps=1200)
-        roots = oracle_roots(functional, ScanConfig(0.05, 8.0))
+        roots = scan_real_roots(functional, ScanConfig(0.05, 8.0),
+                                source="oracle")
         assert roots
         assert all(r.mu.real < 0 for r in roots)
 
@@ -80,7 +82,8 @@ class TestShootChi:
         params = SpectralParams(k=0, eps=4.0, x0=0.99, M=10)
         res = shoot(params, 2.0, n_steps=1500, which="chi")
         functional = shoot_functional(params, n_steps=1500, which="chi")
-        roots = oracle_roots(functional, ScanConfig(1.5, 2.5))
+        roots = scan_real_roots(functional, ScanConfig(1.5, 2.5),
+                                source="oracle")
         assert len(roots) == 1
         assert abs(roots[0].s.real - 2.0) < 0.1
         assert abs(res.value) == pytest.approx(
@@ -89,7 +92,8 @@ class TestShootChi:
     def test_viscous_limits(self):
         functional = shoot_functional(SpectralParams(k=0, eps=0.0, x0=0.99, M=10),
                                  n_steps=1500, which="chi")
-        roots = oracle_roots(functional, ScanConfig(0.5, 1.5))
+        roots = scan_real_roots(functional, ScanConfig(0.5, 1.5),
+                                source="oracle")
         assert len(roots) == 1
         assert abs(roots[0].s.real - 1.0) < 0.1
 
@@ -97,7 +101,8 @@ class TestShootChi:
 class TestOracleRoots:
     def test_synthetic_residual(self):
         F = lambda s: (np.asarray(s, complex) - 1) * (np.asarray(s, complex) - 4)
-        roots = oracle_roots(F, ScanConfig(0.0, 5.0, 0.1))
+        roots = scan_real_roots(F, ScanConfig(0.0, 5.0, 0.1),
+                                source="oracle")
         assert [round(r.s.real, 9) for r in roots] == [1.0, 4.0]
 
     def test_equivalence_with_series_k1(self):
@@ -106,7 +111,8 @@ class TestOracleRoots:
         series = [r.s.real for r in
                   scan_real_roots(det_functional(params), cfg)]
         found = [r.s.real for r in
-                 oracle_roots(shoot_functional(params, n_steps=1200), cfg)]
+                 scan_real_roots(shoot_functional(params, n_steps=1200), cfg,
+                                 source="oracle")]
         assert len(series) == len(found)
         np.testing.assert_allclose(series, found, atol=1e-6)
 
@@ -117,9 +123,11 @@ def test_richardson_root_stability():
     params = SpectralParams(k=1, eps=1.0, x0=0.9, M=150)
     cfg = ScanConfig(2.0, 4.0)
     coarse = [r.s.real for r in
-              oracle_roots(shoot_functional(params, n_steps=1000), cfg)]
+              scan_real_roots(shoot_functional(params, n_steps=1000), cfg,
+                              source="oracle")]
     fine = [r.s.real for r in
-            oracle_roots(shoot_functional(params, n_steps=2000), cfg)]
+            scan_real_roots(shoot_functional(params, n_steps=2000), cfg,
+                            source="oracle")]
     assert len(coarse) == len(fine) > 0
     np.testing.assert_allclose(coarse, fine, atol=1e-8)
 
@@ -130,13 +138,51 @@ def test_renormalization_preserves_roots(monkeypatch):
     params = SpectralParams(k=1, eps=0.0, x0=0.9, M=150)
     cfg = ScanConfig(2.0, 4.0)
     plain = [r.s.real for r in
-             oracle_roots(shoot_functional(params, n_steps=800), cfg)]
+             scan_real_roots(shoot_functional(params, n_steps=800), cfg,
+                             source="oracle")]
     res_plain = shoot(params, 2.5, n_steps=800)
     monkeypatch.setattr(oracle_mod, "RENORM_THRESHOLD", 0.1)
     res_scaled = shoot(params, 2.5, n_steps=800)
     scaled = [r.s.real for r in
-              oracle_roots(shoot_functional(params, n_steps=800), cfg)]
+              scan_real_roots(shoot_functional(params, n_steps=800), cfg,
+                              source="oracle")]
     assert res_scaled.log_scale != 0.0
     assert (res_scaled.value * 10 ** res_scaled.log_scale
             == pytest.approx(res_plain.value, rel=1e-9))
     np.testing.assert_allclose(plain, scaled, atol=1e-9)
+
+
+# residual of the end states e[trajectory][component], one problem each
+_SEPARATE_RESIDUALS = {
+    "k": lambda e: e[0][0] * e[1][1] - e[0][1] * e[1][0],
+    "k0": lambda e: e[0][1],
+    "chi": lambda e: e[0][0],
+}
+
+
+@pytest.mark.parametrize("threshold", [1e100, 0.1])
+@pytest.mark.parametrize("n", [1, 5])
+@pytest.mark.parametrize("k, which, problem", [
+    (1, "auto", "k"), (0, "auto", "k0"), (0, "chi", "chi")])
+def test_batched_trajectories_match_separate_runs(monkeypatch, k, which,
+                                                  problem, n, threshold):
+    """All start trajectories in one integration give, bit for bit, the
+    residual and scale of one integration per trajectory, also when the
+    renormalization fires."""
+    monkeypatch.setattr(oracle_mod, "RENORM_THRESHOLD", threshold)
+    params = SpectralParams(k=k, eps=1.0, x0=0.9, M=10)
+    assert oracle_mod._problem(params, which) == problem
+    dim, starts, make_rhs, _ = oracle_mod._PROBLEMS[problem]
+    s = np.array([0.5, 1.7, 2.3 + 0.4j, 3.1, 5.0])[:n]
+    rhs = make_rhs(params, -s * (s + 1))
+    ends, scale = [], np.zeros(n)
+    for comp in starts:
+        y = np.zeros((dim, n), dtype=complex)
+        y[comp] = 1.0
+        end, sc = oracle_mod._integrate(rhs, y, params.x0, 300)
+        ends.append(end)
+        scale = scale + sc
+    value, got_scale = oracle_mod._values(params, problem, s, 300)
+    assert value.tobytes() == _SEPARATE_RESIDUALS[problem](ends).tobytes()
+    assert got_scale.tobytes() == scale.tobytes()
+    assert np.all(scale != 0) == (threshold < 1)

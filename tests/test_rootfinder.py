@@ -160,6 +160,62 @@ class TestTrace:
         assert branches[0].note == "no convergence"
         assert branches[0].samples[-1][1].s.real == pytest.approx(0.5)
 
+    def test_parked_pair_retried_once_per_value(self, monkeypatch):
+        # the pair 1 +- 0.2 sqrt(1 - t) closes at t = 1, where the family
+        # jumps to real roots 0.8 and 1.2 outside the pair's brackets; every
+        # complex seed then refines back onto the real axis
+        from sphere_spectra import rootfinder
+
+        def fam(t):
+            if t < 1.0:
+                return lambda s: (np.asarray(s, complex) - 1) ** 2 \
+                    - 0.04 * (1 - t)
+            return poly(0.8, 1.2)
+
+        attempts = []
+
+        def recording(branch_a, branch_b, F, param, *args):
+            attempts.append(param)
+            return detect_coalescence(branch_a, branch_b, F, param, *args)
+
+        monkeypatch.setattr(rootfinder, "detect_coalescence", recording)
+        cfg = ScanConfig(0.0, 2.0, 0.05, 1e-12)
+        values = [0.9, 0.95, 1.0, 1.05, 1.1, 1.15, 1.2]
+        branches = trace_parameter(fam, "t", values, cfg)
+        # parked at 1.0, then one retry at each of the next three values
+        assert attempts == [1.0, 1.05, 1.1, 1.15]
+        assert [br.note for br in branches[:2]] == [
+            "coalescence seed rejected"] * 2
+        assert not any(br.events for br in branches)
+        assert all(r.kind == "real" for br in branches for _, r in br.samples)
+        # the roots at 0.8 and 1.2 are picked up by the rescan at t = 1
+        assert sorted(round(br.last_root.s.real, 9)
+                      for br in branches[2:]) == [0.8, 1.2]
+
+    def test_duplicate_capture_demoted(self):
+        # two branches close in on 1.23 and meet there at t = 2, where the
+        # family keeps a single simple root: both predicted brackets hold
+        # it, so neither may take it on the first try
+        def fam(t):
+            if t < 2.0:
+                return poly(1.03 + 0.1 * t, 1.43 - 0.1 * t)
+            return poly(1.23, 5.0)
+
+        cfg = ScanConfig(0.0, 3.0, 0.1, 1e-12)
+        branches = trace_parameter(fam, "t", [0.0, 1.0, 2.0, 3.0], cfg,
+                                   rescan_every=0)
+        assert len(branches) == 2
+        at = {}
+        for br in branches:
+            for p, r in br.samples:
+                at.setdefault(p, []).append(r.s.real)
+        # no parameter value has the root recorded twice
+        assert all(len(v) == len(set(np.round(v, 8))) for v in at.values())
+        assert at[2.0] == pytest.approx([1.23]) and at[3.0] == at[2.0]
+        assert sorted(br.note for br in branches) == ["", "no convergence"]
+        lost = next(br for br in branches if br.note)
+        assert lost.samples[-1][0] < 2.0
+
 
 class TestDetectCoalescence:
     def _branch(self, idx, s):
