@@ -15,13 +15,14 @@ determinant, which postpones overflow near x0 -> 1 without moving roots.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import NonFiniteError, SpectralParams
 from .series import (SeriesCoefficients, coeffs_full_k, coeffs_k0,
-                     coeffs_k0_batch, coeffs_k_batch)
+                     coeffs_k0_batch, coeffs_k_batch, stream_functional)
 
 
 @dataclass(frozen=True)
@@ -46,33 +47,42 @@ def _check_series_domain(params: SpectralParams):
                          "sphere x0 = 1 is served by the analytic module")
 
 
+@functools.lru_cache(maxsize=8)
+def _stream_rows(k2: float, M: int, x0: float):
+    """Row i of A as g[i, 0] @ a + g[i, 1] @ b + h[i] @ (c0, d0)."""
+    m = np.arange(M + 1)
+    w = x0 ** (2 * m)
+    rows = ([(w, 0), (w, 1), (2 * m * w, 0), ((2 * m + 1) * w, 1)] if k2
+            else [(2 * m * w, 0), ((2 * m + 1) * w, 1)])
+    g, h = np.zeros((len(rows), 2, M + 1)), np.zeros((len(rows), 2))
+    for i, (weight, odd) in enumerate(rows):
+        g[i, odd], h[i, odd] = stream_functional(k2, weight, odd)
+    return g, h
+
+
 def _matrices(params: SpectralParams, s):
     """Stack of boundary matrices over a batch of s values, shape
     (len(s), dim, dim).
 
-    The dim unit seeds are run as one batch of dim*len(s) coefficient
-    columns.  k != 0 uses all four functionals; k = 0 only the two
-    derivative ones (the free seeds are (a0, d0)).
+    The vorticity recurrence runs on the two free seeds, (a0, b0) for
+    k != 0 and (a0, d0) for k = 0, as one batch of 2*len(s) columns; the
+    c0 and d0 columns of A_k are constants.
     """
     s = np.asarray(s, dtype=complex)
     n = s.size
-    m = np.arange(params.M + 1)
-    w = params.x0 ** (2 * m)
     if params.k == 0 and np.any(s * (s + 1) == 0):
         raise ValueError("mu = 0 is the trivial k = 0 eigenvalue; "
                          "A_0(s) requires s*(s+1) != 0")
-    dim = 4 if params.k != 0 else 2
-    sb = np.tile(s, dim)
-    seeds = tuple(np.repeat(np.eye(dim)[:, comp], n) for comp in range(dim))
+    k2, sb = params.abs_k ** 2, np.tile(s, 2)
+    g, h = _stream_rows(k2, params.M, params.x0)
+    seeds = (np.repeat([1.0, 0.0], n), np.repeat([0.0, 1.0], n))
     if params.k != 0:
-        _, _, c, d = coeffs_k_batch(params.abs_k ** 2, params.eps, sb,
-                                    seeds, params.M)
-        weighted = ((w, c), (w, d), (2 * m * w, c), ((2 * m + 1) * w, d))
+        a, b = coeffs_k_batch(k2, params.eps, sb, seeds, params.M)
+        rows = np.hstack([g[:, 0] @ a + g[:, 1] @ b, np.repeat(h, n, 1)])
     else:
-        _, _, c, d = coeffs_k0_batch(params.eps, sb, seeds, params.M)
-        weighted = ((2 * m * w, c), ((2 * m + 1) * w, d))
-    rows = np.stack([(wt @ seq).reshape(dim, n) for wt, seq in weighted])
-    stack = rows.transpose(2, 0, 1)
+        a, b = coeffs_k0_batch(params.eps, sb, seeds, params.M)
+        rows = g[:, 0] @ a + g[:, 1] @ b + h[:, 1:] * seeds[1]
+    stack = rows.reshape(len(h), len(h), n).transpose(2, 0, 1)
     if not np.all(np.isfinite(stack)):
         raise NonFiniteError(
             f"boundary matrix overflowed (M={params.M}, x0={params.x0})")

@@ -171,8 +171,10 @@ def _scan_for(cfg: RunConfig) -> ScanConfig:
 
 
 def _sweep_values(sweep) -> np.ndarray:
+    """start + i*step, rounded to the rows' 15 digits, up to stop."""
     _, start, stop, step = sweep
-    return np.arange(start, stop + step / 2, step)
+    i = np.arange(int(np.floor((stop - start) / step + 0.5)) + 1)
+    return np.array([float(_fmt(v)) for v in start + i * step])
 
 
 def _at(params: SpectralParams, name: str, value) -> SpectralParams:
@@ -228,8 +230,9 @@ def cmd_trace(cfg: RunConfig) -> int:
 
 
 def _traced(cfg: RunConfig, meta: dict, complex_only: bool = False):
-    """Trace the sweep of cfg and write its rows, and its coalescence
-    events to the .events.json sidecar (to stderr without an output)."""
+    """Trace the sweep of cfg and write its rows, and its coalescence events
+    and branch terminations (last param and reason) to the .events.json
+    sidecar (to stderr without an output)."""
     name = cfg.sweep[0]
     branches = trace_parameter(_family(cfg.params, name), name,
                                _sweep_values(cfg.sweep), _scan_for(cfg))
@@ -237,12 +240,15 @@ def _traced(cfg: RunConfig, meta: dict, complex_only: bool = False):
     if complex_only:
         rows = [r for r in rows if r["im_s"] != "0"]
     _emit(rows, cfg, meta)
-    events = {"events": _events_doc(branches)}
+    events = {"events": _events_doc(branches),
+              "terminations": [{"branch": br.index, "reason": br.note,
+                                "param": float(_fmt(br.samples[-1][0]))}
+                               for br in branches if br.note]}
     if cfg.output:
         with open(cfg.output + ".events.json", "w") as fh:
             json.dump(events, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    elif events["events"]:
+    elif any(events.values()):
         print(json.dumps(events, sort_keys=True), file=sys.stderr)
 
 

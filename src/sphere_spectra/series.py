@@ -9,14 +9,13 @@ point x = 0 with even and odd parts kept separate:
 The coefficient recurrences are exact; the only approximation is the
 truncation at index M.  All recurrences depend on s through s*(s+1) only,
 and on k through k**2, which is the source of the F(s) = F(-1-s) and
-F_k = F_{-k} symmetries checked in the tests.
-
-Internally everything is vectorized over a batch of s values; the public
-operations wrap the batch kernels for a single s.
+F_k = F_{-k} symmetries checked in the tests.  Only the vorticity pair
+(a, b) depends on s; the batch kernels run it over a batch of s values.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,79 +53,93 @@ class SeriesTail:
 # batch kernels (s is an array; coefficient arrays have shape (M+1, len(s)))
 # ---------------------------------------------------------------------------
 
-def coeffs_k_batch(k2: float, eps: float, s: np.ndarray, seeds, M: int):
-    """Coefficient sequences for the k != 0 system, one column per s value.
+@functools.lru_cache(maxsize=8)
+def _steps(k2: float, eps: float, M: int) -> np.ndarray:
+    """Fused vorticity steps, one 4x4 matrix P[t-1] per index t = 1..M.
 
-    seeds = (a0, b0, c0, d0).  The vorticity pair (a, b) is generated first;
-    inside the coupled recurrence a[m+2] must be computed before b[m+2]
-    because the b update references it.  The stream pair (c, d) follows from
-    (a, b).  Initial entries at index 1 are the m = -1 instances of the
-    recurrences with all index -1 terms set to zero.
+    a[t] is substituted into the b[t] update, so each step is linear in
+    S = s(s+1): [a[t], b[t]] = (P0 + S P1) [a[t-2], b[t-2], a[t-1], b[t-1]]
+    with P0 in rows 0-1 and P1 in rows 2-3, and index -1 terms zero.
+    k2 = 0 selects the first-order k = 0 recurrence (no t-2 columns).
     """
-    s = np.asarray(s, dtype=complex)
-    n = s.size
+    n = 2 * np.arange(1.0, M + 1)[:, None]        # 2t
+    if k2:
+        a0 = [-(n - 4) * (n - 3), eps * (n - 3), k2 + 2 * (n - 2) ** 2,
+              -eps * (n - 1)]
+        b0 = [0 * n, -(n - 2) * (n - 3), eps * (n - 2), k2 + 2 * (n - 1) ** 2]
+        a1, b1 = [1, 0, -1, 0], [0, 1, 0, -1]
+    else:
+        a0 = [0 * n, 0 * n, (n - 2) * (n - 1), -eps * (n - 1)]
+        b0 = [0 * n, 0 * n, 0 * n, (n - 1) * n]
+        a1, b1 = [0, 0, -1, 0], [0, 0, 0, -1]
+    da, db = n * (n - 1), (n + 1) * n
+    a0, a1, b0, b1 = (np.hstack(a0) / da, np.array(a1) / da,
+                      np.hstack(b0) / db, np.array(b1) / db)
+    f = eps / (n + 1)
+    return np.stack([a0, b0 - f * a0, a1, b1 - f * a1], 1)
+
+
+def _vorticity(k2: float, eps: float, s, a0, b0, M: int):
+    """The fused steps from (a0, b0), one column per s; Z[0] is index -1."""
     S = s * (s + 1)
-    a = np.zeros((M + 1, n), dtype=complex)
-    b = np.zeros((M + 1, n), dtype=complex)
-    c = np.zeros((M + 1, n), dtype=complex)
-    d = np.zeros((M + 1, n), dtype=complex)
-    a0, b0, c0, d0 = seeds
-    a[0] = a0
-    b[0] = b0
-    c[0] = c0
-    d[0] = d0
-    a[1] = ((k2 - S) * a[0] - eps * b[0]) / 2
-    b[1] = ((k2 + 2 - S) * b[0] - 2 * eps * a[1]) / 6
-    c[1] = (k2 * c[0] + a[0]) / 2
-    d[1] = ((k2 + 2) * d[0] + b[0]) / 6
-    for m in range(M - 1):
-        p, q = 2 * m + 2, 2 * m + 3
-        den_even = (2 * m + 4) * (2 * m + 3)
-        den_odd = (2 * m + 5) * (2 * m + 4)
-        a[m + 2] = ((k2 - S + 2 * p * p) * a[m + 1]
-                    + (S - 2 * m * (2 * m + 1)) * a[m]
-                    - eps * q * b[m + 1] + eps * (2 * m + 1) * b[m]) / den_even
-        b[m + 2] = ((k2 - S + 2 * q * q) * b[m + 1]
-                    + (S - (2 * m + 2) * (2 * m + 1)) * b[m]
-                    - eps * (2 * m + 4) * a[m + 2] + eps * p * a[m + 1]) / den_odd
-        c[m + 2] = ((k2 + 2 * p * p) * c[m + 1]
-                    - 2 * m * (2 * m + 1) * c[m]
-                    + a[m + 1] - a[m]) / den_even
-        d[m + 2] = ((k2 + 2 * q * q) * d[m + 1]
-                    - (2 * m + 2) * (2 * m + 1) * d[m]
-                    + b[m + 1] - b[m]) / den_odd
-    return a, b, c, d
+    Z = np.zeros((M + 2, 2, s.size), dtype=complex)
+    Z[1, 0], Z[1, 1] = a0, b0
+    Zr = Z.view(float)                 # the real P acts on Z as floats
+    for t, P in enumerate(_steps(k2, eps, M), start=1):
+        r = (P @ Zr[t - 1:t + 1].reshape(4, 2 * s.size)).view(complex)
+        Z[t + 1] = r[:2] + S * r[2:]
+    return Z[1:, 0], Z[1:, 1]
+
+
+def coeffs_k_batch(k2: float, eps: float, s: np.ndarray, seeds, M: int):
+    """Vorticity sequences (a, b) for the k != 0 system, one column per s
+    value, from seeds = (a0, b0)."""
+    return _vorticity(k2, eps, np.asarray(s, dtype=complex), *seeds, M)
 
 
 def coeffs_k0_batch(eps: float, s: np.ndarray, seeds, M: int):
-    """Coefficient sequences for the k = 0 system, one column per s value.
-
-    seeds = (a0, d0); the remaining starting values are fixed by the
-    compatibility conditions b0 = -eps*a0 - s*(s+1)*d0 and c0 = 0 (the
-    stream function is defined up to an additive constant).  The (a, b)
-    pair is uncoupled from (c, d).
-    """
+    """Vorticity sequences (a, b) for the k = 0 system, one column per s
+    value, from the free seeds (a0, d0): the compatibility condition fixes
+    b0 = -eps*a0 - s*(s+1)*d0."""
     s = np.asarray(s, dtype=complex)
-    n = s.size
-    S = s * (s + 1)
-    a = np.zeros((M + 1, n), dtype=complex)
-    b = np.zeros((M + 1, n), dtype=complex)
-    c = np.zeros((M + 1, n), dtype=complex)
-    d = np.zeros((M + 1, n), dtype=complex)
     a0, d0 = seeds
-    a[0] = a0
-    b[0] = -eps * a0 - S * d0
-    d[0] = d0
-    for m in range(M):
-        den_a = (2 * m + 2) * (2 * m + 1)
-        den_b = (2 * m + 3) * (2 * m + 2)
-        a[m + 1] = ((2 * m * (2 * m + 1) - S) * a[m]
-                    - eps * (2 * m + 1) * b[m]) / den_a
-        b[m + 1] = (((2 * m + 1) * (2 * m + 2) - S) * b[m]
-                    - eps * (2 * m + 2) * a[m + 1]) / den_b
-        c[m + 1] = (2 * m * (2 * m + 1) * c[m] + a[m]) / den_a
-        d[m + 1] = ((2 * m + 1) * (2 * m + 2) * d[m] + b[m]) / den_b
-    return a, b, c, d
+    return _vorticity(0, eps, s, a0, -eps * a0 - s * (s + 1) * d0, M)
+
+
+def stream_coeffs(k2: float, a, b, c0, d0):
+    """Stream sequences (c, d), shaped like a, from the vorticity sequences
+    (a, b) and the seeds (c0, d0); k2 = 0 selects the k = 0 system.  Free
+    of s and eps: (c, d) is a fixed linear image of (a, b, c0, d0)."""
+    out = []
+    for o, (v, x0) in enumerate(((a, c0), (b, d0))):
+        v = np.concatenate([np.zeros_like(v[:1]), v])     # index -1 first
+        x = np.zeros(v.shape, np.result_type(a, b, c0, d0))
+        x[1] = x0
+        for t in range(2, len(x)):
+            n = 2 * t + o - 2                  # twice the index, plus parity
+            if k2:
+                x[t] = ((k2 + 2 * (n - 2) ** 2) * x[t - 1]
+                        - (n - 4) * (n - 3) * x[t - 2] + v[t - 1] - v[t - 2]
+                        ) / (n * (n - 1))
+            else:
+                x[t] = ((n - 2) * (n - 1) * x[t - 1] + v[t - 1]) / (
+                    n * (n - 1))
+        out.append(x[1:])
+    return tuple(out)
+
+
+def stream_functional(k2: float, weight, odd: int):
+    """(g, h) with weight @ c = g @ a + h * c0, or with odd = 1 weight @ d =
+    g @ b + h * d0, for (c, d) from stream_coeffs: the recurrence transposed,
+    in differences whose terms are nonnegative, so g is good to a few ulp."""
+    g = np.zeros(len(weight))
+    u = y = 0.0
+    for j in range(len(weight) - 1, 0, -1):
+        u = (weight[j] + k2 * y + (2 * j + odd) * (2 * j + odd + 1) * u) / (
+            (2 * j + odd) * (2 * j + odd - 1))
+        y += u
+        g[j - 1] = u
+    return g, weight[0] + k2 * y + odd * (odd + 1) * u
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +151,10 @@ def coeffs_full_k(params: SpectralParams, s: complex, seeds) -> SeriesCoefficien
     (a0, b0, c0, d0)."""
     if params.k == 0:
         raise ValueError("coeffs_full_k requires k != 0")
-    a, b, c, d = coeffs_k_batch(params.abs_k ** 2, params.eps,
-                                np.array([s]), seeds, params.M)
-    return SeriesCoefficients(a[:, 0], b[:, 0], c[:, 0], d[:, 0], tuple(seeds))
+    k2 = params.abs_k ** 2
+    a, b = coeffs_k_batch(k2, params.eps, np.array([s]), seeds[:2], params.M)
+    c, d = stream_coeffs(k2, a[:, 0], b[:, 0], seeds[2], seeds[3])
+    return SeriesCoefficients(a[:, 0], b[:, 0], c, d, tuple(seeds))
 
 
 def coeffs_k0(params: SpectralParams, s: complex,
@@ -155,8 +169,9 @@ def coeffs_k0(params: SpectralParams, s: complex,
     if s * (s + 1) == 0:
         raise ValueError("mu = 0 is the trivial eigenvalue; series solver "
                          "requires s*(s+1) != 0")
-    a, b, c, d = coeffs_k0_batch(params.eps, np.array([s]), (a0, d0), params.M)
-    return SeriesCoefficients(a[:, 0], b[:, 0], c[:, 0], d[:, 0], (a0, d0))
+    a, b = coeffs_k0_batch(params.eps, np.array([s]), (a0, d0), params.M)
+    c, d = stream_coeffs(0, a[:, 0], b[:, 0], 0, d0)
+    return SeriesCoefficients(a[:, 0], b[:, 0], c, d, (a0, d0))
 
 
 def eval_series(coeffs: SeriesCoefficients, which: str, x):

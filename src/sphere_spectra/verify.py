@@ -8,14 +8,14 @@ grouped; groups can be run selectively, and run serially in registry order.
 from __future__ import annotations
 
 import time
+from dataclasses import astuple
 
 import numpy as np
 
 from . import analytic, boundary, oracle
 from .core import SpectralParams
 from .rootfinder import ScanConfig, scan_real_roots
-from .series import (coeffs_full_k, coeffs_k0_batch, coeffs_k_batch,
-                     eval_series)
+from .series import coeffs_full_k, coeffs_k0, coeffs_k_batch, eval_series
 
 _RNG_SEED = 20260810
 
@@ -33,14 +33,13 @@ def check_series_linearity():
     rng = np.random.default_rng(_RNG_SEED)
     worst = 0.0
     for _ in range(5):
-        k2 = float(rng.integers(1, 5) ** 2)
-        eps = float(rng.uniform(0, 6))
+        params = SpectralParams(int(rng.integers(1, 5)),
+                                float(rng.uniform(0, 6)), 0.5, 40)
         s = complex(rng.uniform(-2, 4), rng.uniform(-2, 2))
         seeds = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         alpha = complex(rng.uniform(0.5, 3), rng.uniform(-1, 1))
-        base = coeffs_k_batch(k2, eps, np.array([s]), tuple(seeds), 40)
-        scaled = coeffs_k_batch(k2, eps, np.array([s]),
-                                tuple(alpha * seeds), 40)
+        base = astuple(coeffs_full_k(params, s, seeds))[:4]
+        scaled = astuple(coeffs_full_k(params, s, alpha * seeds))[:4]
         for u, v in zip(base, scaled):
             denom = np.abs(alpha * u).max() or 1.0
             worst = max(worst, np.abs(v - alpha * u).max() / denom)
@@ -51,12 +50,12 @@ def check_series_s_symmetry():
     rng = np.random.default_rng(_RNG_SEED + 1)
     worst = 0.0
     for _ in range(5):
-        k2 = float(rng.integers(1, 5) ** 2)
-        eps = float(rng.uniform(0, 6))
+        params = SpectralParams(int(rng.integers(1, 5)),
+                                float(rng.uniform(0, 6)), 0.5, 40)
         s = complex(rng.uniform(-2, 4), rng.uniform(-2, 2))
         seeds = tuple(rng.standard_normal(4))
-        one = coeffs_k_batch(k2, eps, np.array([s]), seeds, 40)
-        two = coeffs_k_batch(k2, eps, np.array([-1 - s]), seeds, 40)
+        one = astuple(coeffs_full_k(params, s, seeds))[:4]
+        two = astuple(coeffs_full_k(params, -1 - s, seeds))[:4]
         for u, v in zip(one, two):
             denom = np.abs(u).max() or 1.0
             worst = max(worst, np.abs(v - u).max() / denom)
@@ -67,11 +66,11 @@ def check_series_k0_s_symmetry():
     rng = np.random.default_rng(_RNG_SEED + 2)
     worst = 0.0
     for _ in range(5):
-        eps = float(rng.uniform(0, 6))
+        params = SpectralParams(0, float(rng.uniform(0, 6)), 0.5, 40)
         s = complex(rng.uniform(0.2, 4), rng.uniform(-2, 2))
         seeds = tuple(rng.standard_normal(2))
-        one = coeffs_k0_batch(eps, np.array([s]), seeds, 40)
-        two = coeffs_k0_batch(eps, np.array([-1 - s]), seeds, 40)
+        one = astuple(coeffs_k0(params, s, *seeds))[:4]
+        two = astuple(coeffs_k0(params, -1 - s, *seeds))[:4]
         for u, v in zip(one, two):
             denom = np.abs(u).max() or 1.0
             worst = max(worst, np.abs(v - u).max() / denom)
@@ -81,9 +80,9 @@ def check_series_k0_s_symmetry():
 def check_series_parity_decoupling():
     # at eps = 0 the even and odd vorticity chains are independent
     s = np.array([1.7 + 0.3j])
-    a, b, _, _ = coeffs_k_batch(4.0, 0.0, s, (1.0, 0.0, 0.0, 0.0), 60)
+    a, b = coeffs_k_batch(4.0, 0.0, s, (1.0, 0.0), 60)
     odd_leak = np.abs(b).max()
-    a2, b2, _, _ = coeffs_k_batch(4.0, 0.0, s, (0.0, 1.0, 0.0, 0.0), 60)
+    a2, b2 = coeffs_k_batch(4.0, 0.0, s, (0.0, 1.0), 60)
     even_leak = np.abs(a2).max()
     ok = odd_leak == 0.0 and even_leak == 0.0
     return ok, f"odd leak {odd_leak:.2e}, even leak {even_leak:.2e}"

@@ -266,3 +266,67 @@ def test_null_seeds_span_kernel_at_root():
     residual = np.abs(mat.entries @ seeds).max()
     scale = np.abs(mat.entries).max() * np.abs(seeds).max()
     assert residual < 1e-9 * scale
+
+
+def four_sequence_matrices(k, eps, x0, s, M):
+    """Reference boundary matrices, shape (len(s), dim, dim): the plain
+    coupled recurrences for all four sequences (a, b, c, d), one unit seed
+    per column, in float arithmetic, summed against the boundary weights."""
+    S = s * (s + 1)
+    m = np.arange(M + 1)
+    w = x0 ** (2 * m)
+    k2 = k * k
+    dim = 4 if k else 2
+    out = np.zeros((s.size, dim, dim), complex)
+    for j in range(dim):
+        a, b, c, d = (np.zeros((M + 1, s.size), complex) for _ in range(4))
+        if k:
+            a[0], b[0], c[0], d[0] = (float(i == j) for i in range(4))
+            a[1] = ((k2 - S) * a[0] - eps * b[0]) / 2
+            b[1] = ((k2 + 2 - S) * b[0] - 2 * eps * a[1]) / 6
+            c[1] = (k2 * c[0] + a[0]) / 2
+            d[1] = ((k2 + 2) * d[0] + b[0]) / 6
+            for i in range(M - 1):
+                p, q = 2 * i + 2, 2 * i + 3
+                a[i + 2] = ((k2 - S + 2 * p * p) * a[i + 1]
+                            + (S - 2 * i * (2 * i + 1)) * a[i]
+                            - eps * q * b[i + 1] + eps * (2 * i + 1) * b[i]
+                            ) / ((2 * i + 4) * (2 * i + 3))
+                b[i + 2] = ((k2 - S + 2 * q * q) * b[i + 1]
+                            + (S - (2 * i + 2) * (2 * i + 1)) * b[i]
+                            - eps * (2 * i + 4) * a[i + 2] + eps * p * a[i + 1]
+                            ) / ((2 * i + 5) * (2 * i + 4))
+                c[i + 2] = ((k2 + 2 * p * p) * c[i + 1]
+                            - 2 * i * (2 * i + 1) * c[i] + a[i + 1] - a[i]
+                            ) / ((2 * i + 4) * (2 * i + 3))
+                d[i + 2] = ((k2 + 2 * q * q) * d[i + 1]
+                            - (2 * i + 2) * (2 * i + 1) * d[i] + b[i + 1] - b[i]
+                            ) / ((2 * i + 5) * (2 * i + 4))
+            rows = (w @ c, w @ d, (2 * m * w) @ c, ((2 * m + 1) * w) @ d)
+        else:
+            a0, d0 = float(j == 0), float(j == 1)
+            a[0], b[0], d[0] = a0, -eps * a0 - S * d0, d0
+            for i in range(M):
+                a[i + 1] = ((2 * i * (2 * i + 1) - S) * a[i]
+                            - eps * (2 * i + 1) * b[i]) / ((2 * i + 2) * (2 * i + 1))
+                b[i + 1] = (((2 * i + 1) * (2 * i + 2) - S) * b[i]
+                            - eps * (2 * i + 2) * a[i + 1]) / ((2 * i + 3) * (2 * i + 2))
+                c[i + 1] = (2 * i * (2 * i + 1) * c[i] + a[i]) / ((2 * i + 2) * (2 * i + 1))
+                d[i + 1] = ((2 * i + 1) * (2 * i + 2) * d[i] + b[i]) / ((2 * i + 3) * (2 * i + 2))
+            rows = ((2 * m * w) @ c, ((2 * m + 1) * w) @ d)
+        out[:, :, j] = np.stack(rows, 1)
+    return out
+
+
+@pytest.mark.parametrize("k, eps, x0, M", [
+    (1, 0.0, 0.9, 150), (3, 4.0, 0.9, 150), (1, 12.0, 0.9, 150),
+    (0, 1.0, 0.9, 150), (0, 4.0, 0.97, 300), (1, 2.0, 0.99, 2000)])
+def test_fused_matrices_match_four_sequence_recurrence(k, eps, x0, M):
+    """The (a, b)-only kernel with s-independent stream functionals gives
+    the determinant of the full four-sequence recurrence."""
+    s = np.array([0.35, 1.3, 2.9, 4.45, 6.2, 7.7,
+                  1.1 + 0.6j, 3.6 + 1.0j, 5.3 - 1.7j, 7.4 + 2.2j])
+    params = SpectralParams(k=k, eps=eps, x0=x0, M=M)
+    got = _normalized_det(_matrices(params, s))[0]
+    want = _normalized_det(four_sequence_matrices(k, eps, x0, s, M))[0]
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)

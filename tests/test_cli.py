@@ -114,7 +114,7 @@ class TestTraceCommand:
         assert min(params) == pytest.approx(0.85)
         assert max(params) == pytest.approx(0.9)
         events = json.loads((tmp_path / "sweep.csv.events.json").read_text())
-        assert events == {"events": []}
+        assert events == {"events": [], "terminations": []}
 
     def test_eps_sweep_through_merge_records_event(self, tmp_path):
         out = tmp_path / "merge.csv"
@@ -239,6 +239,20 @@ class TestSweepValidation:
                     str(tmp_path / "t.csv")] + argv) == 0
         assert ("use M >= 1000" in capsys.readouterr().err) == warned
 
+    def test_sweep_values_end_on_the_stop_value(self, monkeypatch, tmp_path,
+                                                capsys):
+        # start + i*step, not an accumulated arange: the sweep stops at
+        # 0.95 itself, not 0.9500000000000001, so no M warning fires
+        from sphere_spectra import cli as cli_mod
+        seen = []
+        monkeypatch.setattr(cli_mod, "trace_parameter",
+                            lambda family, name, values, cfg: seen.append(
+                                list(values)) or [])
+        assert run(["trace", "--k", "1", "--sweep", "x0:0.85:0.95:0.05",
+                    "--output", str(tmp_path / "t.csv")]) == 0
+        assert seen == [[0.85, 0.9, 0.95]]
+        assert "use M >= 1000" not in capsys.readouterr().err
+
 
 class TestConfigKeys:
     def test_chi_from_config_file(self, tmp_path):
@@ -328,3 +342,22 @@ def test_event_sidecar_uses_row_digits(tmp_path):
         assert ev["param"] in params
         for x in (ev["param"], ev["s_merged"]):
             assert float(f"{x:.15g}") == x
+
+
+def test_sidecar_lists_every_branch_termination(tmp_path):
+    # branch 4 of the k = 1 eps sweep stops near eps = 2.63 (no convergence)
+    out = tmp_path / "eps.csv"
+    assert run(["trace", "--k", "1", "--x0", "0.9", "--smax", "8",
+                "--sweep", "eps:0:4:0.25", "--output", str(out)]) == 0
+    last = {}
+    for line in out.read_text().splitlines()[1:]:
+        param, branch = line.split(",")[:2]
+        last[int(branch)] = max(last.get(int(branch), 0.0), float(param))
+    stopped = {b: p for b, p in last.items() if p < 4.0}
+    doc = json.loads((tmp_path / "eps.csv.events.json").read_text())
+    ended = {t["branch"]: t for t in doc["terminations"]}
+    assert stopped and set(stopped) <= set(ended)
+    for b, p in stopped.items():
+        assert ended[b]["param"] == p
+        assert ended[b]["reason"]
+    assert len(doc["events"]) == 2

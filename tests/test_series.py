@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from sphere_spectra import (SpectralParams, coeffs_full_k, coeffs_k0,
                             eval_series, tail_estimate)
-from sphere_spectra.series import coeffs_k0_batch, coeffs_k_batch
+from sphere_spectra.series import (coeffs_k0_batch, coeffs_k_batch,
+                                   stream_coeffs)
 
 
 def params_k(k=1, eps=0.0, M=40, x0=0.9):
@@ -19,10 +20,25 @@ def vorticity(p, s, a0, b0):
 
 
 def stream(p, a0=0.0, b0=0.0, c0=0.0, d0=0.0, s=1.0):
-    """(c, d) of the batch kernel for one seed vector."""
-    _, _, c, d = coeffs_k_batch(p.abs_k ** 2, p.eps, np.array([s]),
-                                (a0, b0, c0, d0), p.M)
+    """(c, d) of stream_coeffs driven by the batch kernel, for one seed
+    vector."""
+    k2 = p.abs_k ** 2
+    a, b = coeffs_k_batch(k2, p.eps, np.array([s]), (a0, b0), p.M)
+    c, d = stream_coeffs(k2, a, b, c0, d0)
     return c[:, 0], d[:, 0]
+
+
+def sequences_k(k2, eps, s, seeds, M):
+    """The four sequences (a, b, c, d) of the batch kernel and
+    stream_coeffs for the seed vector (a0, b0, c0, d0)."""
+    a, b = coeffs_k_batch(k2, eps, s, seeds[:2], M)
+    return (a, b) + stream_coeffs(k2, a, b, *seeds[2:])
+
+
+def sequences_k0(eps, s, seeds, M):
+    """The four sequences for k = 0 from the free seeds (a0, d0)."""
+    a, b = coeffs_k0_batch(eps, s, seeds, M)
+    return (a, b) + stream_coeffs(0, a, b, 0.0, seeds[1])
 
 
 class TestVorticityInitialTerms:
@@ -214,9 +230,9 @@ s_vals = st.complex_numbers(max_magnitude=4, allow_nan=False,
        seeds=st.tuples(seed_vals, seed_vals, seed_vals, seed_vals),
        k=st.integers(1, 4), eps=st.floats(0, 6))
 def test_linearity_in_seeds(s, alpha, seeds, k, eps):
-    base = coeffs_k_batch(k * k, eps, np.array([s]), seeds, 30)
-    scaled = coeffs_k_batch(k * k, eps, np.array([s]),
-                            tuple(alpha * v for v in seeds), 30)
+    base = sequences_k(k * k, eps, np.array([s]), seeds, 30)
+    scaled = sequences_k(k * k, eps, np.array([s]),
+                         tuple(alpha * v for v in seeds), 30)
     for u, v in zip(base, scaled):
         np.testing.assert_allclose(v, alpha * u, rtol=1e-12, atol=1e-12)
 
@@ -225,8 +241,8 @@ def test_linearity_in_seeds(s, alpha, seeds, k, eps):
 @given(s=s_vals, k=st.integers(1, 4), eps=st.floats(0, 6))
 def test_s_reflection_symmetry(s, k, eps):
     seeds = (1.0, -0.5, 0.3, 0.8)
-    one = coeffs_k_batch(k * k, eps, np.array([s]), seeds, 30)
-    two = coeffs_k_batch(k * k, eps, np.array([-1 - s]), seeds, 30)
+    one = sequences_k(k * k, eps, np.array([s]), seeds, 30)
+    two = sequences_k(k * k, eps, np.array([-1 - s]), seeds, 30)
     for u, v in zip(one, two):
         scale = max(np.abs(u).max(), 1.0)
         np.testing.assert_allclose(v, u, rtol=0, atol=1e-14 * scale)
@@ -235,8 +251,8 @@ def test_s_reflection_symmetry(s, k, eps):
 @settings(max_examples=25, deadline=None)
 @given(s=s_vals, eps=st.floats(0, 6))
 def test_k0_s_reflection_symmetry(s, eps):
-    one = coeffs_k0_batch(eps, np.array([s]), (1.0, 0.7), 30)
-    two = coeffs_k0_batch(eps, np.array([-1 - s]), (1.0, 0.7), 30)
+    one = sequences_k0(eps, np.array([s]), (1.0, 0.7), 30)
+    two = sequences_k0(eps, np.array([-1 - s]), (1.0, 0.7), 30)
     for u, v in zip(one, two):
         scale = max(np.abs(u).max(), 1.0)
         np.testing.assert_allclose(v, u, rtol=0, atol=1e-14 * scale)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sphere_spectra import boundary, verify
+from sphere_spectra import series, verify
 from sphere_spectra.series import coeffs_k_batch
 
 
@@ -50,37 +50,20 @@ def test_crashing_check_reports_failure(monkeypatch):
 def test_corrupted_recurrence_caught_by_oracle_equivalence(monkeypatch):
     """A sign flip in the starting vorticity coefficient must break the
     series/oracle agreement (the mutation is visible at eps = 0 too)."""
+    steps = series._steps
 
-    def corrupted(k2, eps, s, seeds, M):
-        s = np.asarray(s, dtype=complex)
-        S = s * (s + 1)
-        a = np.zeros((M + 1, s.size), complex)
-        b = np.zeros((M + 1, s.size), complex)
-        c = np.zeros((M + 1, s.size), complex)
-        d = np.zeros((M + 1, s.size), complex)
-        a[0], b[0], c[0], d[0] = seeds
-        a[1] = ((k2 + S) * a[0] - eps * b[0]) / 2   # wrong sign on s(s+1)
-        b[1] = ((k2 + 2 - S) * b[0] - 2 * eps * a[1]) / 6
-        c[1] = (k2 * c[0] + a[0]) / 2
-        d[1] = ((k2 + 2) * d[0] + b[0]) / 6
-        for m in range(M - 1):
-            p, q = 2 * m + 2, 2 * m + 3
-            a[m + 2] = ((k2 - S + 2 * p * p) * a[m + 1]
-                        + (S - 2 * m * (2 * m + 1)) * a[m]
-                        - eps * q * b[m + 1]
-                        + eps * (2 * m + 1) * b[m]) / ((2 * m + 4) * (2 * m + 3))
-            b[m + 2] = ((k2 - S + 2 * q * q) * b[m + 1]
-                        + (S - (2 * m + 2) * (2 * m + 1)) * b[m]
-                        - eps * (2 * m + 4) * a[m + 2]
-                        + eps * p * a[m + 1]) / ((2 * m + 5) * (2 * m + 4))
-            c[m + 2] = ((k2 + 2 * p * p) * c[m + 1]
-                        - 2 * m * (2 * m + 1) * c[m]
-                        + a[m + 1] - a[m]) / ((2 * m + 4) * (2 * m + 3))
-            d[m + 2] = ((k2 + 2 * q * q) * d[m + 1]
-                        - (2 * m + 2) * (2 * m + 1) * d[m]
-                        + b[m + 1] - b[m]) / ((2 * m + 5) * (2 * m + 4))
-        return a, b, c, d
+    def corrupted(k2, eps, M):
+        P = steps(k2, eps, M).copy()
+        # first step (t = 1): a[1] = ((k2 + S) * a0 - eps * b0) / 2, wrong
+        # sign on s(s+1); b[1] takes that a[1] through the fused update
+        P[0, 2:, 2] *= -1
+        return P
 
-    monkeypatch.setattr(boundary, "coeffs_k_batch", corrupted)
+    monkeypatch.setattr(series, "_steps", corrupted)
+    s = np.array([1.3 + 0.2j])
+    a, b = coeffs_k_batch(1.0, 2.0, s, (1.0, 0.5), 5)
+    S = s * (s + 1)
+    assert a[1] == pytest.approx(((1.0 + S) - 2.0 * 0.5) / 2)
+    assert b[1] == pytest.approx(((3.0 - S) * 0.5 - 4.0 * a[1]) / 6)
     passed, detail = verify.check_oracle_equivalence_k1()
     assert not passed, detail
