@@ -7,8 +7,8 @@ __version__ = "0.1.0"
 from .core import (GridTooCoarseWarning, NoConvergenceError, NonFiniteError,
                    Root, SeedRejectedError, SpectralParams, canonicalize_s,
                    in_stability_domain, mu_of_s)
-from .series import (SeriesCoefficients, SeriesTail, coeffs_full_k,
-                     coeffs_k0, eval_series, tail_estimate)
+from .series import (SeriesCoefficients, coeffs_full_k, coeffs_k0,
+                     eval_series)
 from .boundary import (BoundaryMatrix, assemble, det_functional,
                        eigenfunction_coeffs, null_seeds)
 from .rootfinder import (Branch, CoalescenceEvent, ScanConfig,

@@ -277,10 +277,10 @@ FIGURE_TASKS = {
 }
 
 
-def _figure_task(cfg: RunConfig, fig: str, suffix: str, spec: dict) -> str:
-    """Write one figure dataset: a sweep, or a spectrum when the preset
-    has none."""
-    base = cfg.output or f"figure{fig}"
+def _figure_task(cfg: RunConfig, fig: str, base: str, suffix: str,
+                 spec: dict) -> str:
+    """Write one figure dataset to base_suffix: a sweep, or a spectrum when
+    the preset has none."""
     task = replace(cfg, params=SpectralParams(**spec["params"]),
                    scan=replace(cfg.scan, s_max=spec["s_max"]),
                    sweep=spec.get("sweep"),
@@ -297,9 +297,15 @@ def cmd_figures(cfg: RunConfig, figure: str) -> int:
     if figure != "all" and figure not in FIGURE_TASKS:
         raise ValueError(f"unknown figure {figure!r}; choose from "
                          f"{sorted(FIGURE_TASKS)} or 'all'")
-    for key in FIGURE_TASKS if figure == "all" else [figure]:
+    keys = list(FIGURE_TASKS) if figure == "all" else [figure]
+    for key in keys:
+        # figures share suffixes, so each name of a multi-figure run
+        # carries its figure number
+        base = cfg.output or f"figure{key}"
+        if cfg.output and len(keys) > 1:
+            base += f"_figure{key}"
         for suffix, spec in FIGURE_TASKS[key]:
-            print(f"wrote {_figure_task(cfg, key, suffix, spec)}")
+            print(f"wrote {_figure_task(cfg, key, base, suffix, spec)}")
     return 0
 
 
@@ -403,7 +409,8 @@ def main(argv=None) -> int:
         default_M = 100 if opts["k"] == 0 else 150
         params = SpectralParams(k=int(opts["k"]), eps=float(opts["eps"]),
                                 x0=float(opts["x0"]),
-                                M=int(opts.get("M") or default_M))
+                                M=int(default_M if opts.get("M") is None
+                                      else opts["M"]))
         scan = ScanConfig(s_min=float(opts["smin"]), s_max=float(opts["smax"]),
                           step=float(opts["step"]), tol=float(opts["tol"]))
         sweep = _parse_sweep(opts["sweep"]) if opts.get("sweep") else None

@@ -3,10 +3,11 @@
 Real roots are found by grid scan plus bracketed bisection-then-secant;
 complex roots by Muller iteration (three-point quadratic interpolation,
 derivative-free: the determinant is a black box and numerical derivatives
-are noisy near coalescence).  Parameter continuation reuses each branch's
-previous root as the next seed, halves the parameter step when a seed
-fails, and converts a simultaneous failure of two nearby real branches
-into a coalescence event seeding a complex-conjugate pair.
+are noisy near coalescence).  Parameter continuation scans every sweep
+value once and matches the scanned roots to the branches by their
+predicted positions; a branch left unmatched is resolved by a fine local
+rescan, and two nearby unmatched real branches become a coalescence event
+seeding a complex-conjugate pair.  Samples lie only on the sweep values.
 
 A root's residual is the normalized determinant magnitude at the root
 scaled by its magnitude at the nearest probe points, so a well-converged
@@ -40,6 +41,9 @@ class ScanConfig:
             raise ValueError("s_min must be >= -0.5 (canonical half-plane)")
         if self.step <= 0 or self.tol <= 0:
             raise ValueError("step and tol must be positive")
+        if self.step > self.s_max - self.s_min:
+            raise ValueError("the scan window [s_min, s_max] must be at "
+                             "least one step wide")
 
 
 @dataclass
@@ -113,14 +117,6 @@ def _refine_brackets(F, lo, hi, flo, tol, max_iter):
     return x1
 
 
-def _bracket_roots(F, lo, hi, flo, fhi, cfg):
-    """Refined roots of the sign-change brackets [lo, hi] and their
-    residuals: |F| at the root scaled by the larger end magnitude."""
-    roots = _refine_brackets(F, lo, hi, flo, cfg.tol, cfg.max_iter)
-    ref = np.maximum(np.abs(flo), np.abs(fhi))
-    return roots, np.abs(F(roots)) / np.where(ref == 0, 1.0, ref)
-
-
 def _dedupe(roots, spacing):
     """Collapse clusters closer than spacing, keeping the smallest residual."""
     if not roots:
@@ -148,15 +144,17 @@ def scan_real_roots(F, cfg: ScanConfig, source: str = "series") -> list:
     grid = np.arange(cfg.s_min, cfg.s_max + 0.5 * cfg.step, cfg.step)
     vals = np.real(F(grid))
     roots = []
-    on_grid = np.nonzero(vals == 0)[0]
     sign = np.sign(vals)
     idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
     if idx.size:
-        refined, resid = _bracket_roots(F, grid[idx], grid[idx + 1],
-                                        vals[idx], vals[idx + 1], cfg)
+        flo, fhi = vals[idx], vals[idx + 1]
+        refined = _refine_brackets(F, grid[idx], grid[idx + 1], flo,
+                                   cfg.tol, cfg.max_iter)
+        # |F| at the root scaled by the larger bracket-end magnitude
+        resid = np.abs(F(refined)) / np.maximum(np.abs(flo), np.abs(fhi))
         for r, res in zip(refined, resid):
             roots.append(Root(canonicalize_s(r), float(res), "real", source))
-    for i in on_grid:
+    for i in np.nonzero(vals == 0)[0]:
         roots.append(Root(canonicalize_s(grid[i]), 0.0, "real", source))
     roots = _dedupe(roots, 10 * cfg.tol)
     positions = sorted(r.s.real for r in roots)
@@ -256,79 +254,35 @@ class _LiveBranch:
         self.ds = 0.0                 # movement of the last committed step
         self.dp = 0.0                 # parameter delta of that step
 
+    def predicted(self, dp):
+        """Position after a parameter step dp: the last committed movement
+        scaled to dp, or no movement before the first commit."""
+        return self.s + (self.ds * dp / self.dp if self.dp else 0.0)
 
-def _advance_real(F, p, dp, members, cfg, neighbor_caps):
-    """One continuation attempt for real branches; returns the failures.
+    def commit(self, p, dp, root):
+        self.ds = root.s.real - self.s
+        self.dp = dp
+        self.s = root.s.real
+        self.branch.samples.append((p, root))
 
-    Each member gets a bracket around its predicted position (previous
-    position plus its last movement scaled to the current parameter step).
-    Half-widths cover four predicted movements but at least half a scan
-    step, capped below half the gap to the nearest other live real branch
-    so a fast branch cannot swallow its neighbor's root; a failed bracket
-    is retried once at double width.  Two members refining onto the same
-    root are demoted to failures: that situation is the signature of an
-    imminent coalescence and is resolved by the caller.
+
+def _match(members, found, dp, cfg):
+    """Hand scanned real roots to real branches.
+
+    Each member claims the scanned root nearest its predicted position,
+    within max(8 predicted movements, one scan step) of it, or at any
+    distance before its first committed step.  Returns the (member, root)
+    claims that no other member shares: two members claiming one root is
+    the signature of an imminent coalescence, resolved by the caller.
     """
-    dup_tol = 100 * cfg.tol
-
-    def predict(lb):
-        if lb.dp == 0.0 or dp == 0.0:
-            return 0.0
-        return lb.ds * (dp / lb.dp)
-
-    proposals = {}
-    failed = list(members)
-    for attempt in range(2):
-        if not failed:
-            break
-        steps = np.array([predict(lb) for lb in failed])
-        s_pred = np.array([lb.s for lb in failed]) + steps
-        w = np.maximum(np.abs(steps) * 4, cfg.step / 2) * (2 ** attempt)
-        caps = np.array([neighbor_caps.get(id(lb), np.inf) for lb in failed])
-        w = np.maximum(np.minimum(w, caps), 10 * cfg.tol)
-        lo = np.maximum(s_pred - w, -0.5)
-        hi = s_pred + w
-        flo = np.real(F(lo))
-        fhi = np.real(F(hi))
-        ok = flo * fhi < 0
-        if np.any(ok):
-            roots, resid = _bracket_roots(F, lo[ok], hi[ok], flo[ok],
-                                          fhi[ok], cfg)
-            winners = [m for m, o in zip(failed, ok) if o]
-            for lb, r, res in zip(winners, roots, resid):
-                proposals[id(lb)] = (lb, float(r), float(res))
-        failed = [m for m, o in zip(failed, ok) if not o]
-    # demote duplicate captures
-    taken = sorted(proposals.values(), key=lambda t: t[1])
-    collided = set()
-    for (la, ra, _), (lc, rc, _) in zip(taken, taken[1:]):
-        if rc - ra < dup_tol:
-            collided.update((id(la), id(lc)))
-    for lb, r, resid in taken:
-        if id(lb) in collided:
-            failed.append(lb)
-            continue
-        lb.ds = r - lb.s
-        lb.dp = dp
-        lb.s = r
-        lb.branch.samples.append((p, Root(canonicalize_s(r), resid)))
-    return failed
-
-
-def _neighbor_caps(live, cfg):
-    """Bracket half-width cap per live real branch: 0.45 of the gap to the
-    nearest other live real branch."""
-    reals = sorted((lb for lb in live if lb.status == "real"),
-                   key=lambda lb: lb.s)
-    caps = {}
-    for i, lb in enumerate(reals):
-        gap = np.inf
-        if i > 0:
-            gap = min(gap, lb.s - reals[i - 1].s)
-        if i + 1 < len(reals):
-            gap = min(gap, reals[i + 1].s - lb.s)
-        caps[id(lb)] = 0.45 * gap
-    return caps
+    claims = {}
+    for lb in members:
+        pred = lb.predicted(dp)
+        reach = max(8 * abs(pred - lb.s), cfg.step) if lb.dp else np.inf
+        near = min(found, key=lambda r: abs(r.s.real - pred), default=None)
+        if near is not None and abs(near.s.real - pred) <= reach:
+            claims.setdefault(id(near), []).append((lb, near))
+    return [c[0] for c in claims.values() if len(c) == 1]
 
 
 def _failure_clusters(failed, cfg):
@@ -348,19 +302,24 @@ def _failure_clusters(failed, cfg):
     return clusters
 
 
-def trace_parameter(family, parameter: str, values, cfg: ScanConfig,
-                    rescan_every: int = 1, max_halvings: int = 6) -> list:
+def trace_parameter(family, parameter: str, values, cfg: ScanConfig) -> list:
     """Trace determinant roots along a parameter sweep.
 
     family(p) must return the vectorized determinant functional at
-    parameter value p; values is the monotone sample sequence.  Real
-    branches advance by local re-bracketing around their predicted
-    position, with parameter step halving restricted to the members whose
-    bracket failed.  When two nearby real branches fail together, the pair
-    is recorded as a coalescence event and continued as a single complex
-    pair, appended to both branches.  A full rescan every rescan_every
-    steps (0 disables) picks up roots entering the scan window; branches
-    that fail alone are terminated with a note and the sweep continues.
+    parameter value p; values is the monotone sample sequence, and every
+    sample lies on one of its values.  At each value one real scan of
+    [s_min, s_max] is matched to the live real branches (see _match).
+    Branches left unmatched are resolved by a fine rescan of their
+    neighbourhood: surviving roots go back to the nearest branches,
+    adjacent leftover pairs are recorded as a coalescence event and
+    continued as one complex pair appended to both branches, and a lone
+    leftover ends its branch.  Scanned roots that no real branch holds
+    start new branches.
+
+    A branch that ends carries its reason in Branch.note: "left the scan
+    window" (its predicted position is outside [s_min, s_max]), "no
+    convergence", "coalescence seed rejected", "complex continuation lost"
+    or "complex pair returned to real axis".
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size < 2:
@@ -395,19 +354,18 @@ def trace_parameter(family, parameter: str, values, cfg: ScanConfig,
             lb.status = "complex"
             lb.s = lb.branch.last_root.s
 
-    def handle_failures(failed, F, p):
-        """Resolve branches whose local bracket kept failing at the finest
-        parameter substep: re-scan their neighborhood at a tenth of the
-        grid step, hand surviving real roots back to the nearest branches,
-        and declare the leftover adjacent pairs coalesced.  A leftover
-        without a partner ends its branch."""
+    def handle_failures(failed, F, p, dp):
+        """Resolve unmatched real branches: re-scan their neighbourhood,
+        clipped to the scan window, at a tenth of the grid step, hand
+        surviving real roots back to the nearest branches, and declare the
+        leftover adjacent pairs coalesced.  A leftover without a partner
+        ends its branch."""
         occupied = [lb.s for lb in live
                     if lb.status == "real" and lb not in failed]
         for cluster in _failure_clusters(failed, cfg):
-            lo = min(lb.s for lb in cluster) - 2 * cfg.step
-            hi = max(lb.s for lb in cluster) + 2 * cfg.step
-            fine = ScanConfig(max(-0.5, lo), hi, cfg.step / 10,
-                              cfg.tol, cfg.max_iter)
+            lo = max(cfg.s_min, min(lb.s for lb in cluster) - 2 * cfg.step)
+            hi = min(cfg.s_max, max(lb.s for lb in cluster) + 2 * cfg.step)
+            fine = ScanConfig(lo, hi, cfg.step / 10, cfg.tol, cfg.max_iter)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", GridTooCoarseWarning)
                 found = scan_real_roots(F, fine)
@@ -427,9 +385,7 @@ def trace_parameter(family, parameter: str, values, cfg: ScanConfig,
                     continue
                 lbs.remove(lb)
                 taken.add(id(r))
-                lb.ds = r.s.real - lb.s
-                lb.s = r.s.real
-                lb.branch.samples.append((p, r))
+                lb.commit(p, dp, r)
             lbs.sort(key=lambda lb: lb.s)
             while len(lbs) >= 2:
                 la, lc = sorted(lbs[:2], key=lambda lb: lb.branch.index)
@@ -438,18 +394,19 @@ def trace_parameter(family, parameter: str, values, cfg: ScanConfig,
                 continue_pair(pairs[-1], F, p)
             for lb in lbs:
                 lb.status = "dead"
-                lb.branch.note = "no convergence"
+                inside = cfg.s_min <= lb.predicted(dp) <= cfg.s_max
+                lb.branch.note = ("no convergence" if inside
+                                  else "left the scan window")
 
     def advance_pairs(F, p):
-        """Carry every merged pair to p once: refine a complex pair from
-        its last root, retry a pair parked at an earlier value.  A lost
+        """Carry every merged pair from the previous value to p: refine a
+        complex pair from its last root, retry a parked pair.  A lost
         complex root ends the lower-index member still complex; the other
         continues from the same root."""
         for pair in pairs:
-            la, lc, failures = pair
+            la, lc, _ = pair
             if la.status == "pending-merge":
-                if failures[-1] != p:
-                    continue_pair(pair, F, p)
+                continue_pair(pair, F, p)
                 continue
             members = [lb for lb in (la, lc) if lb.status == "complex"]
             if not members:
@@ -469,44 +426,25 @@ def trace_parameter(family, parameter: str, values, cfg: ScanConfig,
                 lb.s = root.s
                 lb.branch.samples.append((p, root))
 
-    match_dist = 2 * cfg.step
-    p_prev = float(values[0])
-    for step_count, p_target in enumerate(values[1:], start=1):
-        p_target = float(p_target)
-        # (p_from, p_to, depth, members); the last substep ends at p_target
-        queue = [(p_prev, p_target, 0, live)]
-        while queue:
-            p_from, p_to, depth, members = queue.pop(0)
-            F = family(p_to)
-            members = [lb for lb in members if lb.status == "real"]
-            caps = _neighbor_caps(live, cfg)
-            snapshot = {id(lb): (lb.s, lb.ds, lb.dp, len(lb.branch.samples))
-                        for lb in members}
-            failed = _advance_real(F, p_to, p_to - p_from, members, cfg,
-                                   caps)
-            if failed and depth < max_halvings and abs(p_to - p_from) > 1e-9:
-                # retry the whole member set on finer substeps so that
-                # co-approaching branches stay in the same resolution pass;
-                # roll back the members that had already advanced
-                for lb in members:
-                    s, ds, dp, nsamp = snapshot[id(lb)]
-                    lb.s, lb.ds, lb.dp = s, ds, dp
-                    del lb.branch.samples[nsamp:]
-                mid = 0.5 * (p_from + p_to)
-                queue = [(p_from, mid, depth + 1, members),
-                         (mid, p_to, depth + 1, members)] + queue
+    for p_prev, p in zip(values[:-1].tolist(), values[1:].tolist()):
+        dp = p - p_prev
+        F = family(p)
+        found = scan_real_roots(F, cfg)
+        # existing pairs first: a pair made at p below has its sample at p
+        advance_pairs(F, p)
+        reals = [lb for lb in live if lb.status == "real"]
+        matched = _match(reals, found, dp, cfg)
+        for lb, r in matched:
+            lb.commit(p, dp, r)
+        held = {id(lb) for lb, _ in matched}
+        handle_failures([lb for lb in reals if id(lb) not in held], F, p, dp)
+        # scanned roots that no live real branch holds start new branches
+        known = [lb.s for lb in live if lb.status == "real"]
+        for r in found:
+            if any(abs(r.s.real - s) < 2 * cfg.step for s in known):
                 continue
-            if failed:
-                handle_failures(failed, F, p_to)
-        advance_pairs(F, p_target)
-        if rescan_every and step_count % rescan_every == 0:
-            known = [lb.s for lb in live if lb.status == "real"]
-            for r in scan_real_roots(F, cfg):
-                if any(abs(r.s.real - s) < match_dist for s in known):
-                    continue
-                br = Branch(parameter, len(branches), [(p_target, r)])
-                branches.append(br)
-                live.append(_LiveBranch(br, r.s.real))
-                known.append(r.s.real)
-        p_prev = p_target
+            br = Branch(parameter, len(branches), [(p, r)])
+            branches.append(br)
+            live.append(_LiveBranch(br, r.s.real))
+            known.append(r.s.real)
     return branches

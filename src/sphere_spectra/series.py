@@ -40,15 +40,6 @@ class SeriesCoefficients:
         return len(self.a) - 1
 
 
-@dataclass(frozen=True)
-class SeriesTail:
-    """Magnitudes of the last retained series terms at x0, used as a
-    truncation diagnostic."""
-
-    tail_phi: float
-    tail_psi: float
-
-
 # ---------------------------------------------------------------------------
 # batch kernels (s is an array; coefficient arrays have shape (M+1, len(s)))
 # ---------------------------------------------------------------------------
@@ -200,16 +191,3 @@ def eval_series(coeffs: SeriesCoefficients, which: str, x):
     second = (pv(u, (2 * m * (2 * m - 1) * even)[1:])
               + x * pv(u, ((2 * m + 1) * 2 * m * odd)[1:]))
     return value, first, second
-
-
-def tail_estimate(coeffs: SeriesCoefficients, x0: float) -> SeriesTail:
-    """Magnitude of the last retained term of each series at x0."""
-    if not 0 < x0 < 1:
-        raise ValueError(f"tail estimate requires 0 < x0 < 1, got {x0}")
-    M = coeffs.M
-    w_even = x0 ** (2 * M)
-    w_odd = x0 ** (2 * M + 1)
-    return SeriesTail(
-        tail_phi=abs(coeffs.a[M]) * w_even + abs(coeffs.b[M]) * w_odd,
-        tail_psi=abs(coeffs.c[M]) * w_even + abs(coeffs.d[M]) * w_odd,
-    )

@@ -147,8 +147,7 @@ def test_criterion_5_coalescence_and_stability_domain():
         fam = lambda e: ss.det_functional(
             ss.SpectralParams(k=k, eps=float(e), x0=0.9, M=150))
         branches = ss.trace_parameter(fam, "eps", np.arange(0, 12.001, 0.25),
-                                      ss.ScanConfig(0.0, 8.0),
-                                      rescan_every=4)
+                                      ss.ScanConfig(0.0, 8.0))
         events = {(e.param, e.branch_ids)
                   for br in branches for e in br.events}
         if k == 1:

@@ -99,6 +99,21 @@ class TestConfigHandling:
 
     def test_m_cap(self):
         assert run(["spectrum", "--k", "1", "--M", "5000"]) == 2
+        # an explicit M = 0 is checked, not replaced by the default
+        assert run(["spectrum", "--k", "1", "--M", "0"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--smin", "5", "--smax", "5"],
+        ["spectrum", "--smin", "6", "--smax", "5"],
+        ["spectrum", "--smax", "1", "--step", "2"],
+        ["trace", "--smin", "4", "--smax", "3", "--sweep", "eps:0:1:0.5"],
+        ["figures", "--figure", "4", "--smin", "11"],
+    ])
+    def test_empty_scan_window_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "never.csv"
+        assert run(argv + ["--output", str(out)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTraceCommand:
@@ -159,6 +174,22 @@ class TestFiguresCommand:
             lines = (tmp_path / f"fig_k{k}.csv").read_text().splitlines()
             firsts.append(float(lines[1].split(",")[2]))
         assert all(b > a for a, b in zip(firsts, firsts[1:]))
+
+    def test_all_figures_keep_shared_suffixes_apart(self, tmp_path,
+                                                    monkeypatch):
+        from sphere_spectra import cli as cli_mod
+        spec = {"params": dict(k=1, eps=0.0, x0=0.9, M=60), "s_max": 3.0}
+        monkeypatch.setattr(cli_mod, "FIGURE_TASKS", {
+            "1": [("k1", spec | {"param": 1})],
+            "3": [("k1", spec | {"param": 3})]})
+        assert run(["figures", "--figure", "all",
+                    "--output", str(tmp_path / "fig")]) == 0
+        names = sorted(p.name for p in tmp_path.glob("fig*.csv"))
+        assert names == ["fig_figure1_k1.csv", "fig_figure3_k1.csv"]
+        for fig in ("1", "3"):
+            rows = (tmp_path / f"fig_figure{fig}_k1.csv").read_text()
+            params = {line.split(",")[0] for line in rows.splitlines()[1:]}
+            assert params == {fig}
 
     def test_unknown_figure_exits_2(self):
         assert run(["figures", "--figure", "9"]) == 2
@@ -329,7 +360,8 @@ class TestOracleCommand:
 
 
 def test_event_sidecar_uses_row_digits(tmp_path):
-    # the merge lands on a halved substep, 2.3140624999999995 unrounded
+    # the merge lands on a sweep value, 1.7 + i * 0.3 rounded to the rows'
+    # 15 digits
     out = tmp_path / "merge.csv"
     assert run(["trace", "--k", "1", "--x0", "0.9", "--smax", "5",
                 "--sweep", "eps:1.7:2.7:0.3", "--output", str(out)]) == 0
@@ -345,7 +377,7 @@ def test_event_sidecar_uses_row_digits(tmp_path):
 
 
 def test_sidecar_lists_every_branch_termination(tmp_path):
-    # branch 4 of the k = 1 eps sweep stops near eps = 2.63 (no convergence)
+    # branch 4 of the k = 1 eps sweep climbs above s = 8 after eps = 1.25
     out = tmp_path / "eps.csv"
     assert run(["trace", "--k", "1", "--x0", "0.9", "--smax", "8",
                 "--sweep", "eps:0:4:0.25", "--output", str(out)]) == 0
@@ -361,3 +393,27 @@ def test_sidecar_lists_every_branch_termination(tmp_path):
         assert ended[b]["param"] == p
         assert ended[b]["reason"]
     assert len(doc["events"]) == 2
+
+
+def test_branch_above_smax_ends_the_branch_not_the_run(tmp_path):
+    # at x0 = 0.899 branch 4 climbs out of [0, 8]; following it there
+    # overflowed the M = 150 recurrence at s ~ 1284 and ended the run
+    out = tmp_path / "x0899.csv"
+    assert run(["trace", "--k", "1", "--x0", "0.899", "--smax", "8",
+                "--sweep", "eps:0:12:0.25", "--output", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert rows and all(float(r[2]) <= 8 for r in rows if r[3] == "0")
+    doc = json.loads((tmp_path / "x0899.csv.events.json").read_text())
+    assert {"branch": 4, "param": 1.25, "reason": "left the scan window"} \
+        in doc["terminations"]
+
+
+def test_x0_sweep_rows_only_at_sweep_values(tmp_path):
+    # the third root moves 0.137 on the first step
+    out = tmp_path / "x0.csv"
+    assert run(["trace", "--k", "1", "--eps", "0", "--M", "1000",
+                "--sweep", "x0:0.95:0.99:0.01", "--smax", "4.5",
+                "--output", str(out)]) == 0
+    params = {line.split(",")[0]
+              for line in out.read_text().splitlines()[1:]}
+    assert params == {"0.95", "0.96", "0.97", "0.98", "0.99"}

@@ -71,6 +71,12 @@ class TestScan:
             ScanConfig(step=0.0)
         with pytest.raises(ValueError):
             ScanConfig(tol=-1e-10)
+        with pytest.raises(ValueError):
+            ScanConfig(s_min=2.0, s_max=1.0)
+        with pytest.raises(ValueError):
+            ScanConfig(s_min=1.0, s_max=1.0)
+        with pytest.raises(ValueError):
+            ScanConfig(s_min=0.0, s_max=1.0, step=2.0)
 
 
 class TestRefineComplex:
@@ -144,21 +150,47 @@ class TestTrace:
         fam = lambda x0: det_functional(
             SpectralParams(k=3, eps=0.0, x0=float(x0), M=150))
         branches = trace_parameter(fam, "x0", np.arange(0.9, 0.9801, 0.02),
-                                   ScanConfig(0.0, 9.0), rescan_every=0)
+                                   ScanConfig(0.0, 9.0))
         first = branches[0]
         track = [r.s.real for _, r in first.samples]
         assert all(b < a for a, b in zip(track, track[1:]))
         assert track[-1] == pytest.approx(3.006, abs=5e-3)
 
     def test_lone_loss_is_recorded(self):
-        # the root teleports out of reach of any local bracket; the branch
-        # is closed with a note and the sweep carries on
+        # the root teleports out of reach of its predicted position; the
+        # branch is closed with a note and the sweep carries on
         fam = lambda t: (lambda s: np.asarray(s, complex) - (0.5 if t < 1 else 3.0))
         cfg = ScanConfig(0.0, 4.0, 0.05, 1e-12)
-        branches = trace_parameter(fam, "t", np.arange(0.5, 1.4001, 0.1), cfg,
-                                   rescan_every=0, max_halvings=2)
+        branches = trace_parameter(fam, "t", np.arange(0.5, 1.4001, 0.1), cfg)
         assert branches[0].note == "no convergence"
         assert branches[0].samples[-1][1].s.real == pytest.approx(0.5)
+
+    def test_fast_first_step_stays_on_sweep_values(self):
+        # the root moves 0.137 per step from the first one, when there is
+        # no committed movement to predict from
+        built = []
+
+        def fam(t):
+            built.append(t)
+            return lambda s: np.asarray(s, complex) - (1 + 13.7 * (t - 0.95))
+
+        values = [0.95, 0.96, 0.97, 0.98, 0.99]
+        branches = trace_parameter(fam, "t", values,
+                                   ScanConfig(0.0, 4.5, 0.05, 1e-12))
+        assert built == values
+        assert len(branches) == 1
+        assert [p for p, _ in branches[0].samples] == values
+        assert [r.s.real for _, r in branches[0].samples] == pytest.approx(
+            [1 + 13.7 * (t - 0.95) for t in values])
+
+    def test_branch_leaving_window_is_recorded(self):
+        # s = 1.5 t climbs through s_max = 2 between t = 1.3 and 1.4
+        fam = lambda t: (lambda s: np.asarray(s, complex) - 1.5 * t)
+        cfg = ScanConfig(0.0, 2.0, 0.05, 1e-12)
+        branches = trace_parameter(fam, "t", np.arange(1.0, 1.6001, 0.1), cfg)
+        assert len(branches) == 1
+        assert branches[0].note == "left the scan window"
+        assert branches[0].samples[-1][0] == pytest.approx(1.3)
 
     def test_parked_pair_retried_once_per_value(self, monkeypatch):
         # the pair 1 +- 0.2 sqrt(1 - t) closes at t = 1, where the family
@@ -194,7 +226,7 @@ class TestTrace:
 
     def test_duplicate_capture_demoted(self):
         # two branches close in on 1.23 and meet there at t = 2, where the
-        # family keeps a single simple root: both predicted brackets hold
+        # family keeps a single simple root: both predicted positions claim
         # it, so neither may take it on the first try
         def fam(t):
             if t < 2.0:
@@ -202,8 +234,7 @@ class TestTrace:
             return poly(1.23, 5.0)
 
         cfg = ScanConfig(0.0, 3.0, 0.1, 1e-12)
-        branches = trace_parameter(fam, "t", [0.0, 1.0, 2.0, 3.0], cfg,
-                                   rescan_every=0)
+        branches = trace_parameter(fam, "t", [0.0, 1.0, 2.0, 3.0], cfg)
         assert len(branches) == 2
         at = {}
         for br in branches:

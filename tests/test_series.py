@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sphere_spectra import (SpectralParams, coeffs_full_k, coeffs_k0,
-                            eval_series, tail_estimate)
+                            eval_series)
 from sphere_spectra.series import (coeffs_k0_batch, coeffs_k_batch,
                                    stream_coeffs)
 
@@ -184,34 +184,6 @@ class TestEvalSeries:
             eval_series(coeffs, "psi", np.array([0.5, -1.0]))
         with pytest.raises(ValueError):
             eval_series(coeffs, "nope", 0.5)
-
-
-class TestTailEstimate:
-    def test_zero(self):
-        p = params_k(M=10)
-        coeffs = coeffs_full_k(p, 1.0, (0.0, 0.0, 0.0, 0.0))
-        tail = tail_estimate(coeffs, 0.5)
-        assert tail.tail_phi == 0.0 and tail.tail_psi == 0.0
-
-    def test_direct_formula(self):
-        p = params_k(M=10)
-        base = coeffs_full_k(p, 1.0, (0.0, 0.0, 0.0, 0.0))
-        a = base.a.copy()
-        a[10] = 1.0
-        coeffs = type(base)(a, base.b, base.c, base.d, base.seeds)
-        tail = tail_estimate(coeffs, 0.5)
-        assert tail.tail_phi == pytest.approx(0.5 ** 20)
-
-    def test_slow_convergence_near_full_sphere(self):
-        # 0.99**300 ~ 0.049: the last term barely decays at x0 = 0.99
-        p = params_k(M=150)
-        base = coeffs_full_k(p, 1.0, (0.0, 0.0, 0.0, 0.0))
-        a = base.a.copy()
-        a[150] = 1.0
-        coeffs = type(base)(a, base.b, base.c, base.d, base.seeds)
-        tail = tail_estimate(coeffs, 0.99)
-        assert tail.tail_phi == pytest.approx(0.99 ** 300)
-        assert tail.tail_phi > 0.04
 
 
 # ---------------------------------------------------------------------------
