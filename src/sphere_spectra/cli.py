@@ -107,14 +107,14 @@ def _meta(cfg: RunConfig) -> dict:
     }
 
 
-def _filter_rows(roots, param, tol, source):
-    """Render roots as rows, skipping (loudly) any whose residual exceeds
-    the configured tolerance."""
+def _filter_rows(roots, param, tol):
+    """Render roots as rows, skipping (loudly) any whose error bound in s
+    exceeds the configured tolerance."""
     rows = []
     for i, r in enumerate(roots):
-        if r.residual > tol:
-            print(f"warning: dropping root s={r.s:.12g} with residual "
-                  f"{r.residual:.2e} > tol {tol:.2e}", file=sys.stderr)
+        if r.error > tol:
+            print(f"warning: dropping root s={r.s:.12g} with error "
+                  f"{r.error:.2e} > tol {tol:.2e}", file=sys.stderr)
             continue
         rows.append(_row(param, i, r.s, r.mu, r.residual, r.source))
     return rows
@@ -123,18 +123,16 @@ def _filter_rows(roots, param, tol, source):
 def cmd_spectrum(cfg: RunConfig) -> int:
     p = cfg.params
     if p.x0 == 1.0:
+        # s_n >= n, so modes n <= s_max + 1 cover the window
+        n_max = int(cfg.scan.s_max) + 1
         if p.k == 0:
-            spec = analytic.spectrum_full_sphere_k0(p.eps, 32)
+            spec = analytic.spectrum_full_sphere_k0(p.eps, n_max)
         else:
-            spec = analytic.spectrum_full_sphere_k(p.k, p.eps, 32)
-        rows = []
-        branch = 0
-        for s, mu in zip(spec.s_values, spec.mu_values):
-            if s > cfg.scan.s_max:
-                break
-            rows.append(_row(p.x0, branch, complex(s), complex(mu),
-                             0.0, "analytic"))
-            branch += 1
+            spec = analytic.spectrum_full_sphere_k(p.k, p.eps, n_max)
+        window = [(s, mu) for s, mu in zip(spec.s_values, spec.mu_values)
+                  if cfg.scan.s_min <= s <= cfg.scan.s_max]
+        rows = [_row(p.x0, i, complex(s), complex(mu), 0.0, "analytic")
+                for i, (s, mu) in enumerate(window)]
         _emit(rows, cfg, _meta(cfg) | {"regime": spec.regime,
                                        "empty_nontrivial":
                                        spec.empty_nontrivial})
@@ -148,7 +146,7 @@ def _series_spectrum(cfg: RunConfig, meta: dict, param):
     with the given param column."""
     roots = scan_real_roots(boundary.det_functional(cfg.params),
                             _scan_for(cfg))
-    _emit(_filter_rows(roots, param, cfg.scan.tol * 10, "series"), cfg, meta)
+    _emit(_filter_rows(roots, param, cfg.scan.tol), cfg, meta)
 
 
 def cmd_oracle(cfg: RunConfig) -> int:
@@ -156,7 +154,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
     shoot = oracle.shoot_functional(p, n_steps=cfg.n_steps,
                                     which="chi" if cfg.chi else "auto")
     roots = scan_real_roots(shoot, _scan_for(cfg), source="oracle")
-    _emit(_filter_rows(roots, p.x0, cfg.scan.tol * 10, "oracle"),
+    _emit(_filter_rows(roots, p.x0, cfg.scan.tol),
           cfg, _meta(cfg) | {"n_steps": cfg.n_steps, "chi": cfg.chi})
     return 0
 
@@ -198,44 +196,41 @@ def _family(params: SpectralParams, name: str):
 
 
 def _trace_rows(branches):
-    rows = []
-    for br in branches:
-        for param, root in br.samples:
-            rows.append((param, br.index, root))
-    rows.sort(key=lambda t: (t[0], t[1]))
+    rows = sorted(((param, br.index, root) for br in branches
+                   for param, root in br.samples), key=lambda t: t[:2])
     return [_row(param, idx, r.s, r.mu, r.residual, r.source)
             for param, idx, r in rows]
 
 
 def _events_doc(branches):
-    events = []
-    seen = set()
-    for br in branches:
-        for ev in br.events:
-            key = (ev.param, ev.branch_ids)
-            if key in seen:
-                continue
-            seen.add(key)
-            events.append({"param": float(_fmt(ev.param)),
-                           "s_merged": float(_fmt(ev.s_merged)),
-                           "branches": list(ev.branch_ids),
-                           "seed": [ev.seed.real, ev.seed.imag]})
-    events.sort(key=lambda e: e["param"])
-    return events
+    # both members of a merged pair hold the same event
+    unique = {(ev.param, ev.branch_ids): ev
+              for br in branches for ev in br.events}
+    return sorted(({"param": float(_fmt(ev.param)),
+                    "s_merged": float(_fmt(ev.s_merged)),
+                    "branches": list(ev.branch_ids),
+                    "seed": [ev.seed.real, ev.seed.imag]}
+                   for ev in unique.values()), key=lambda e: e["param"])
 
 
 def cmd_trace(cfg: RunConfig) -> int:
-    _traced(cfg, _meta(cfg))
+    _traced(cfg, _meta(cfg), {})
     return 0
 
 
-def _traced(cfg: RunConfig, meta: dict, complex_only: bool = False):
+def _traced(cfg: RunConfig, meta: dict, traces: dict,
+            complex_only: bool = False):
     """Trace the sweep of cfg and write its rows, and its coalescence events
     and branch terminations (last param and reason) to the .events.json
-    sidecar (to stderr without an output)."""
-    name = cfg.sweep[0]
-    branches = trace_parameter(_family(cfg.params, name), name,
-                               _sweep_values(cfg.sweep), _scan_for(cfg))
+    sidecar (to stderr without an output).  traces maps each (params,
+    sweep, scan window) the calling command has traced to its branches; a
+    repeat reuses them."""
+    name, scan = cfg.sweep[0], _scan_for(cfg)
+    key = (cfg.params, cfg.sweep, scan)
+    if key not in traces:
+        traces[key] = trace_parameter(_family(cfg.params, name), name,
+                                      _sweep_values(cfg.sweep), scan)
+    branches = traces[key]
     rows = _trace_rows(branches)
     if complex_only:
         rows = [r for r in rows if r["im_s"] != "0"]
@@ -278,9 +273,9 @@ FIGURE_TASKS = {
 
 
 def _figure_task(cfg: RunConfig, fig: str, base: str, suffix: str,
-                 spec: dict) -> str:
-    """Write one figure dataset to base_suffix: a sweep, or a spectrum when
-    the preset has none."""
+                 spec: dict, traces: dict) -> str:
+    """Write one figure dataset to base_suffix: a sweep (reusing traces,
+    see _traced), or a spectrum when the preset has none."""
     task = replace(cfg, params=SpectralParams(**spec["params"]),
                    scan=replace(cfg.scan, s_max=spec["s_max"]),
                    sweep=spec.get("sweep"),
@@ -289,7 +284,7 @@ def _figure_task(cfg: RunConfig, fig: str, base: str, suffix: str,
     if task.sweep is None:
         _series_spectrum(task, meta, spec["param"])
     else:
-        _traced(task, meta, spec.get("complex_only", False))
+        _traced(task, meta, traces, spec.get("complex_only", False))
     return task.output
 
 
@@ -298,6 +293,7 @@ def cmd_figures(cfg: RunConfig, figure: str) -> int:
         raise ValueError(f"unknown figure {figure!r}; choose from "
                          f"{sorted(FIGURE_TASKS)} or 'all'")
     keys = list(FIGURE_TASKS) if figure == "all" else [figure]
+    traces = {}     # figure 5 shows the complex rows of figure 4's sweeps
     for key in keys:
         # figures share suffixes, so each name of a multi-figure run
         # carries its figure number
@@ -305,7 +301,8 @@ def cmd_figures(cfg: RunConfig, figure: str) -> int:
         if cfg.output and len(keys) > 1:
             base += f"_figure{key}"
         for suffix, spec in FIGURE_TASKS[key]:
-            print(f"wrote {_figure_task(cfg, key, base, suffix, spec)}")
+            out = _figure_task(cfg, key, base, suffix, spec, traces)
+            print(f"wrote {out}")
     return 0
 
 

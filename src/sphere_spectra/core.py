@@ -89,17 +89,20 @@ def in_stability_domain(s: complex) -> bool:
 
 @dataclass(frozen=True)
 class Root:
-    """An eigenvalue record in s-parameterization with a scaled residual
-    and its provenance; mu is always derived from s.
+    """An eigenvalue record in s-parameterization with a scaled residual,
+    its provenance and an error bound; mu is always derived from s.
 
     kind is "real" or "complex-pair"; complex pairs are stored once with
     positive imaginary part.  source records which solver produced it.
+    error bounds |s - s_true|: the closing bracket width of a scanned real
+    root, the last Muller step of a complex refinement.
     """
 
     s: complex
     residual: float
     kind: str = "real"
     source: str = "series"
+    error: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("real", "complex-pair"):

@@ -1,6 +1,7 @@
 """Root location for the determinant functions.
 
-Real roots are found by grid scan plus bracketed bisection-then-secant;
+Real roots are found by grid scan plus one batched Illinois regula falsi
+on the sign-change brackets, which closes each bracket to within tol;
 complex roots by Muller iteration (three-point quadratic interpolation,
 derivative-free: the determinant is a black box and numerical derivatives
 are noisy near coalescence).  Parameter continuation scans every sweep
@@ -10,9 +11,10 @@ rescan, and two nearby unmatched real branches become a coalescence event
 seeding a complex-conjugate pair.  Samples lie only on the sweep values.
 
 A root's residual is the normalized determinant magnitude at the root
-scaled by its magnitude at the nearest probe points, so a well-converged
-simple root has residual of order tol regardless of the determinant's
-overall size.
+scaled by its magnitude at the grid neighbours (Muller: probe points), so
+it does not depend on the determinant's overall size.  A root's error
+bounds its distance in s from the true root: the closing bracket width,
+or the last Muller step.
 """
 
 from __future__ import annotations
@@ -77,54 +79,43 @@ def _as_batch(F):
     return call
 
 
-def _refine_brackets(F, lo, hi, flo, tol, max_iter):
-    """Batched bisection-then-secant on sign-change brackets.
-
-    lo/hi/flo are 1D arrays; returns refined root positions.  Bisection
-    narrows each bracket to ~1e-6, then secant polishes to tol with a
-    midpoint fallback whenever it steps outside its bracket.
+def _refine_brackets(F, lo, hi, flo, fhi, tol, max_iter):
+    """Batched Illinois regula falsi (Dowell & Jarratt 1971, BIT 11) on
+    sign-change brackets [lo, hi] with end values flo, fhi (1D arrays, not
+    modified).  Each round calls F once, at the false-position points of the
+    open brackets; an end kept two rounds running has its weight halved, so
+    both ends converge.  A bracket closes below tol (or two adjacent
+    floats), or with width 0 on an exact zero.  Returns per bracket the end
+    with the smaller |F|, that |F| and the final width (the error bound).
     """
-    lo = lo.astype(float).copy()
-    hi = hi.astype(float).copy()
-    flo = flo.astype(float).copy()
-    coarse = max(tol, 1e-6)
-    it = 0
-    while np.any(hi - lo > coarse) and it < max_iter:
-        mid = 0.5 * (lo + hi)
-        fm = np.real(F(mid))
-        left = flo * fm <= 0
-        hi = np.where(left, mid, hi)
-        lo = np.where(left, lo, mid)
-        flo = np.where(left, flo, fm)
-        it += 1
-    x0, x1 = lo.copy(), hi.copy()
-    f0 = flo
-    f1 = np.real(F(x1))
+    lo, hi, flo, fhi = (a.astype(float) for a in (lo, hi, flo, fhi))
+    wlo, whi = flo.copy(), fhi.copy()       # Illinois weights
+    kept = np.zeros(lo.shape, dtype=int)    # end kept last round: -1 lo, 1 hi
     for _ in range(max_iter):
-        if np.all(np.abs(x1 - x0) < tol):
+        i = np.nonzero((hi - lo > tol) & (np.nextafter(lo, hi) < hi))[0]
+        if not i.size:
             break
-        den = f1 - f0
-        safe = np.abs(den) > 0
-        x2 = np.where(safe, x1 - f1 * (x1 - x0) / np.where(safe, den, 1.0),
-                      0.5 * (lo + hi))
-        x2 = np.where((x2 < lo) | (x2 > hi), 0.5 * (lo + hi), x2)
-        f2 = np.real(F(x2))
-        left = flo * f2 <= 0
-        hi = np.where(left, x2, hi)
-        lo = np.where(left, lo, x2)
-        flo = np.where(left, flo, f2)
-        x0, f0, x1, f1 = x1, f1, x2, f2
-    return x1
+        x = (lo[i] * whi[i] - hi[i] * wlo[i]) / (whi[i] - wlo[i])
+        x = np.clip(x, np.nextafter(lo[i], hi[i]), np.nextafter(hi[i], lo[i]))
+        fx = np.real(F(x))
+        up = fx * flo[i] > 0                # x replaces lo
+        down = fx * fhi[i] > 0              # x replaces hi; neither: F(x) = 0
+        whi[i] *= np.where(up & (kept[i] > 0), 0.5, 1.0)
+        wlo[i] *= np.where(down & (kept[i] < 0), 0.5, 1.0)
+        kept[i] = up.astype(int) - down
+        a, b = i[~down], i[~up]
+        lo[a], flo[a], wlo[a] = x[~down], fx[~down], fx[~down]
+        hi[b], fhi[b], whi[b] = x[~up], fx[~up], fx[~up]
+    low = np.abs(flo) <= np.abs(fhi)
+    return (np.where(low, lo, hi), np.minimum(np.abs(flo), np.abs(fhi)),
+            hi - lo)
 
 
 def _dedupe(roots, spacing):
     """Collapse clusters closer than spacing, keeping the smallest residual."""
-    if not roots:
-        return roots
-    roots = sorted(roots, key=lambda r: (r.s.real, r.s.imag))
-    out = [roots[0]]
-    for r in roots[1:]:
-        if abs(r.s - out[-1].s) < spacing:
+    out = []
+    for r in sorted(roots, key=lambda r: (r.s.real, r.s.imag)):
+        if out and abs(r.s - out[-1].s) < spacing:
             if r.residual < out[-1].residual:
                 out[-1] = r
         else:
@@ -137,25 +128,24 @@ def scan_real_roots(F, cfg: ScanConfig, source: str = "series") -> list:
 
     F must be real-valued on the real axis (true for the determinant
     functions: all recurrence inputs are real for real s).  Sign changes
-    on the grid are bracketed and refined; results are canonicalized,
-    deduplicated, and carry a scaled residual.
+    on the grid are bracketed and refined (see _refine_brackets); results
+    are canonicalized, deduplicated, and carry a scaled residual and the
+    closing bracket width as their error.
     """
     F = _as_batch(F)
     grid = np.arange(cfg.s_min, cfg.s_max + 0.5 * cfg.step, cfg.step)
     vals = np.real(F(grid))
-    roots = []
     sign = np.sign(vals)
     idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    if idx.size:
-        flo, fhi = vals[idx], vals[idx + 1]
-        refined = _refine_brackets(F, grid[idx], grid[idx + 1], flo,
-                                   cfg.tol, cfg.max_iter)
-        # |F| at the root scaled by the larger bracket-end magnitude
-        resid = np.abs(F(refined)) / np.maximum(np.abs(flo), np.abs(fhi))
-        for r, res in zip(refined, resid):
-            roots.append(Root(canonicalize_s(r), float(res), "real", source))
-    for i in np.nonzero(vals == 0)[0]:
-        roots.append(Root(canonicalize_s(grid[i]), 0.0, "real", source))
+    flo, fhi = vals[idx], vals[idx + 1]
+    refined, fabs, width = _refine_brackets(
+        F, grid[idx], grid[idx + 1], flo, fhi, cfg.tol, cfg.max_iter)
+    # |F| at the root scaled by the larger grid-end magnitude
+    resid = fabs / np.maximum(np.abs(flo), np.abs(fhi))
+    roots = [Root(canonicalize_s(r), float(res), "real", source, float(err))
+             for r, res, err in zip(refined, resid, width)]
+    roots += [Root(canonicalize_s(grid[i]), 0.0, "real", source)
+              for i in np.nonzero(vals == 0)[0]]
     roots = _dedupe(roots, 10 * cfg.tol)
     positions = sorted(r.s.real for r in roots)
     if any(b - a < cfg.step for a, b in zip(positions, positions[1:])):
@@ -169,15 +159,15 @@ def refine_complex(F, seed: complex, tol: float = 1e-10, max_iter: int = 60,
     """Muller iteration from a complex seed until the update is below tol.
 
     The residual is |F| at the root scaled by its magnitude one probe
-    distance away (matching the grid-neighbor scaling of the real scan).
+    distance away (matching the grid-neighbor scaling of the real scan);
+    the error is the last Muller step.
     """
     F = _as_batch(F)
     h = max(1e-3, 10 * tol)
     xs = [seed - h, seed + h, complex(seed)]
     fs = [complex(F(x)[0]) for x in xs]
     best = min(zip(xs, fs), key=lambda t: abs(t[1]))
-    converged = False
-    extra = 0
+    extra = 0       # rounds since the first step below tol
     for _ in range(max_iter):
         x2, x1, x0 = xs
         f2, f1, f0 = fs
@@ -192,21 +182,20 @@ def refine_complex(F, seed: complex, tol: float = 1e-10, max_iter: int = 60,
         if den == 0:
             break
         dx = -(x0 - x1) * 2 * c / den
+        step = abs(dx)
         xn = x0 + dx
         fn = complex(F(xn)[0])
         xs = [x1, x0, xn]
         fs = [f1, f0, fn]
         if abs(fn) <= abs(best[1]):
             best = (xn, fn)
-        if abs(dx) < tol:
-            converged = True
-        if converged:
+        if step < tol or extra:
             # polish: the step can drop below tol a little before |F|
             # bottoms out near an almost-degenerate pair
             extra += 1
             if extra > 2 or fn == 0:
                 break
-    if not converged:
+    if not extra:
         raise NoConvergenceError(
             f"Muller iteration did not converge from seed {seed}")
     xn, fn = best
@@ -214,7 +203,7 @@ def refine_complex(F, seed: complex, tol: float = 1e-10, max_iter: int = 60,
     kind = "complex-pair" if abs(s.imag) > max(100 * tol, 1e-9) else "real"
     ref = np.abs(F(np.array([xn + probe, xn - probe,
                              xn + 1j * probe]))).max() or 1.0
-    return Root(s, abs(fn) / ref, kind)
+    return Root(s, abs(fn) / ref, kind, error=step)
 
 
 def detect_coalescence(branch_a: Branch, branch_b: Branch, F, param: float,
@@ -264,6 +253,10 @@ class _LiveBranch:
         self.dp = dp
         self.s = root.s.real
         self.branch.samples.append((p, root))
+
+    def end(self, note):
+        self.status = "dead"
+        self.branch.note = note
 
 
 def _match(members, found, dp, cfg):
@@ -317,9 +310,9 @@ def trace_parameter(family, parameter: str, values, cfg: ScanConfig) -> list:
     start new branches.
 
     A branch that ends carries its reason in Branch.note: "left the scan
-    window" (its predicted position is outside [s_min, s_max]), "no
-    convergence", "coalescence seed rejected", "complex continuation lost"
-    or "complex pair returned to real axis".
+    window" (its predicted position, or its complex pair's Re s, is outside
+    [s_min, s_max]), "no convergence", "coalescence seed rejected",
+    "complex continuation lost" or "complex pair returned to real axis".
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size < 2:
@@ -344,11 +337,11 @@ def trace_parameter(family, parameter: str, values, cfg: ScanConfig) -> list:
                                cfg.tol, cfg.max_iter)
         except (SeedRejectedError, NoConvergenceError):
             failures.append(p)
-            status = "pending-merge" if len(failures) <= 3 else "dead"
             for lb in (la, lc):
-                lb.status = status
-                if status == "dead":
-                    lb.branch.note = "coalescence seed rejected"
+                if len(failures) <= 3:
+                    lb.status = "pending-merge"
+                else:
+                    lb.end("coalescence seed rejected")
             return
         for lb in (la, lc):
             lb.status = "complex"
@@ -393,16 +386,15 @@ def trace_parameter(family, parameter: str, values, cfg: ScanConfig) -> list:
                 pairs.append((la, lc, []))
                 continue_pair(pairs[-1], F, p)
             for lb in lbs:
-                lb.status = "dead"
                 inside = cfg.s_min <= lb.predicted(dp) <= cfg.s_max
-                lb.branch.note = ("no convergence" if inside
-                                  else "left the scan window")
+                lb.end("no convergence" if inside else "left the scan window")
 
     def advance_pairs(F, p):
         """Carry every merged pair from the previous value to p: refine a
         complex pair from its last root, retry a parked pair.  A lost
         complex root ends the lower-index member still complex; the other
-        continues from the same root."""
+        continues from the same root.  A pair whose Re s leaves
+        [s_min, s_max] ends both members."""
         for pair in pairs:
             la, lc, _ = pair
             if la.status == "pending-merge":
@@ -415,16 +407,17 @@ def trace_parameter(family, parameter: str, values, cfg: ScanConfig) -> list:
                 root = refine_complex(F, members[0].s, cfg.tol,
                                       cfg.max_iter, probe=cfg.step)
             except NoConvergenceError:
-                members[0].status = "dead"
-                members[0].branch.note = "complex continuation lost"
+                members[0].end("complex continuation lost")
                 continue
             if root.kind != "complex-pair":
-                members[0].status = "dead"
-                members[0].branch.note = "complex pair returned to real axis"
+                members[0].end("complex pair returned to real axis")
                 continue
             for lb in members:
-                lb.s = root.s
-                lb.branch.samples.append((p, root))
+                if cfg.s_min <= root.s.real <= cfg.s_max:
+                    lb.s = root.s
+                    lb.branch.samples.append((p, root))
+                else:
+                    lb.end("left the scan window")
 
     for p_prev, p in zip(values[:-1].tolist(), values[1:].tolist()):
         dp = p - p_prev

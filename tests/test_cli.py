@@ -40,6 +40,31 @@ class TestSpectrumCommand:
         assert [float(r[2]) for r in rows] == [1, 2, 3, 4, 5]
         assert all(r[8] == "analytic" for r in rows)
 
+    def test_full_sphere_table_covers_its_window(self, tmp_path):
+        out = tmp_path / "exact.csv"
+        assert run(["spectrum", "--k", "1", "--x0", "1.0", "--smax", "50",
+                    "--output", str(out)]) == 0
+        assert _re_s(out) == list(range(1, 51))
+        assert run(["spectrum", "--k", "1", "--x0", "1.0", "--smin", "2.5",
+                    "--smax", "5", "--output", str(out)]) == 0
+        assert _re_s(out) == [3, 4, 5]
+
+    def test_one_row_per_grid_sign_change(self, tmp_path, capsys):
+        # the residual gate dropped 11 of these 20 converged roots
+        from sphere_spectra import boundary
+        from sphere_spectra.core import SpectralParams
+        out = tmp_path / "long.csv"
+        assert run(["spectrum", "--k", "1", "--eps", "0", "--x0", "0.9",
+                    "--smax", "30", "--step", "0.01",
+                    "--output", str(out)]) == 0
+        F = boundary.det_functional(SpectralParams(1, 0.0, 0.9))
+        grid = np.arange(0.0, 30.005, 0.01)
+        signs = np.sign(np.real(F(grid.astype(complex))))
+        changes = int(np.sum(signs[:-1] * signs[1:] < 0))
+        assert changes == 20
+        assert len(_re_s(out)) == changes
+        assert "dropping root" not in capsys.readouterr().err
+
     def test_k0_near_integer_roots(self, tmp_path):
         out = tmp_path / "k0.csv"
         assert run(["spectrum", "--k", "0", "--eps", "1", "--x0", "0.9",
@@ -191,6 +216,30 @@ class TestFiguresCommand:
             params = {line.split(",")[0] for line in rows.splitlines()[1:]}
             assert params == {fig}
 
+    def test_figure_5_reuses_figure_4_traces(self, tmp_path, monkeypatch):
+        from sphere_spectra import cli as cli_mod
+        spec = {"params": dict(k=1, eps=0.0, x0=0.9, M=150),
+                "sweep": ("eps", 2.0, 3.0, 0.25), "s_max": 5.0}
+        monkeypatch.setattr(cli_mod, "FIGURE_TASKS", {
+            "4": [("k1", spec)], "5": [("k1", spec | {"complex_only": True})]})
+        calls = []
+        traced = cli_mod.trace_parameter
+
+        def counted(*args):
+            calls.append(args[1:])
+            return traced(*args)
+
+        monkeypatch.setattr(cli_mod, "trace_parameter", counted)
+        assert run(["figures", "--figure", "all",
+                    "--output", str(tmp_path / "all")]) == 0
+        assert len(calls) == 1
+        assert run(["figures", "--figure", "5",
+                    "--output", str(tmp_path / "five")]) == 0
+        assert len(calls) == 2      # the reuse ends with the command
+        for name in ("k1.csv", "k1.csv.events.json"):
+            assert (tmp_path / f"all_figure5_{name}").read_bytes() == \
+                (tmp_path / f"five_{name}").read_bytes()
+
     def test_unknown_figure_exits_2(self):
         assert run(["figures", "--figure", "9"]) == 2
 
@@ -338,6 +387,16 @@ class TestConfigKeys:
 
 
 class TestOracleCommand:
+    @pytest.mark.parametrize("x0", ["0.898", "0.899", "0.9", "0.901"])
+    def test_converged_roots_are_kept(self, tmp_path, capsys, x0):
+        # a gate on |F| against neighbours 0.05 away dropped 6.1277 and
+        # 7.3296 at x0 = 0.9 although both had converged
+        out = tmp_path / "oracle.csv"
+        assert run(["oracle", "--k", "3", "--eps", "4", "--x0", x0,
+                    "--output", str(out)]) == 0
+        assert len(_re_s(out)) == 4
+        assert "dropping root" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("oracle_args, spectrum_args", [
         (["--k", "1", "--eps", "0"], ["--k", "1", "--eps", "0"]),
         (["--k", "0", "--eps", "1"], ["--k", "0", "--eps", "1"]),
@@ -417,3 +476,13 @@ def test_x0_sweep_rows_only_at_sweep_values(tmp_path):
     params = {line.split(",")[0]
               for line in out.read_text().splitlines()[1:]}
     assert params == {"0.95", "0.96", "0.97", "0.98", "0.99"}
+
+
+@pytest.mark.parametrize("k", ["1", "3"])
+def test_trace_rows_stay_in_the_scan_window(tmp_path, k):
+    # complex pairs were followed above s = 8: 8 rows at k = 1, 30 at k = 3
+    out = tmp_path / "eps.csv"
+    assert run(["trace", "--k", k, "--x0", "0.9", "--smax", "8",
+                "--sweep", "eps:0:12:0.25", "--output", str(out)]) == 0
+    re_s = _re_s(out)
+    assert re_s and all(0 <= s <= 8 for s in re_s)

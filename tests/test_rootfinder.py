@@ -50,6 +50,28 @@ class TestScan:
             assert abs(F(np.array([s]))[0]) <= cfg.tol * neighbors
             assert r.residual <= cfg.tol
 
+    def test_each_root_certified_by_its_bracket(self):
+        # one grid call plus one call per Illinois round
+        calls = []
+        F = poly(1.03, 2.71, 3.3)
+
+        def counted(s):
+            calls.append(s)
+            return F(s)
+
+        cfg = ScanConfig(0.0, 4.0, 0.1)
+        found = scan_real_roots(counted, cfg)
+        assert len(calls) <= 10
+        assert [r.s.real for r in found] == pytest.approx(
+            [1.03, 2.71, 3.3], abs=cfg.tol)
+        assert all(0 <= r.error <= cfg.tol for r in found)
+
+    def test_exact_zero_closes_its_bracket(self):
+        # the first false-position point of [0.75, 1.5] is 1 exactly
+        found = scan_real_roots(poly(1.0), ScanConfig(0.0, 1.5, 0.75))
+        assert [(r.s.real, r.residual, r.error) for r in found] == [
+            (1.0, 0.0, 0.0)]
+
     def test_dedup_spacing(self):
         cfg = ScanConfig(0.0, 4.0, 0.1)
         found = scan_real_roots(poly(1.0, 3.0), cfg)
@@ -99,6 +121,11 @@ class TestRefineComplex:
         root = refine_complex(poly(1.5), 1.4 + 1e-4j)
         assert root.kind == "real"
         assert root.s.real == pytest.approx(1.5, abs=1e-9)
+
+    def test_error_is_the_last_muller_step(self):
+        root = refine_complex(poly(2 + 1j, 2 - 1j), 2 + 0.5j, tol=1e-10)
+        assert 0 <= root.error < 1e-10
+        assert abs(root.s - (2 + 1j)) < 1e-9
 
     def test_no_convergence(self):
         with pytest.raises(NoConvergenceError):
@@ -191,6 +218,25 @@ class TestTrace:
         assert len(branches) == 1
         assert branches[0].note == "left the scan window"
         assert branches[0].samples[-1][0] == pytest.approx(1.3)
+
+    def test_complex_pair_leaving_window_ends_both_members(self):
+        # roots c +- sqrt(1 - t) merge at t = 1 and continue as
+        # c +- i sqrt(t - 1) with c = 1 + 2 (t - 1) crossing s_max = 2.5
+        # after t = 1.75
+        def fam(t):
+            c = 1 + 2 * max(t - 1, 0.0)
+            return lambda s: (np.asarray(s, complex) - c) ** 2 + (t - 1)
+
+        cfg = ScanConfig(0.0, 2.5, 0.05, 1e-12)
+        values = np.round(np.arange(0.5, 2.0001, 0.05), 12)
+        branches = trace_parameter(fam, "t", values, cfg)
+        pair = [br for br in branches if br.events]
+        assert len(pair) == 2
+        for br in pair:
+            assert br.note == "left the scan window"
+            assert br.samples[-1][0] == pytest.approx(1.75)
+        assert all(cfg.s_min <= r.s.real <= cfg.s_max
+                   for br in branches for _, r in br.samples)
 
     def test_parked_pair_retried_once_per_value(self, monkeypatch):
         # the pair 1 +- 0.2 sqrt(1 - t) closes at t = 1, where the family
