@@ -1,21 +1,18 @@
 """Independent eigenvalue oracle: shooting integration of the differential
-systems across [-x0, x0].
+systems across [-x0, x0] by fixed-step RK4 (the singular points x = +-1 lie
+outside; fixed steps keep the Richardson error estimate clean).
 
-The systems are regular on the closed interval (the singular points sit at
-x = +-1, outside), so classical fixed-step RK4 is used; fixed steps keep
-the Richardson error estimate clean.  State magnitudes are renormalized
-jointly at checkpoints if they threaten to overflow, which rescales the
-boundary residual without moving its zeros.
+Each system is y' = (A0(x) + mu A1(x)) y, so one RK4 step is exactly the
+real matrix polynomial T_n(mu) = sum_{j<=4} mu^j C_{n,j}.  Each point's
+trajectories are orthonormalized at every checkpoint, which divides the
+residual by a positive factor (kept as its log10): its zeros and signs stay.
 
-For k != 0, two trajectories started from (Psi, Psi', Phi, Phi') =
-(0, 0, 1, 0) and (0, 0, 0, 1) span the solutions obeying the left boundary
-conditions; the residual is the 2x2 determinant of their (Psi, Psi') values
-at +x0.  For k = 0 a single trajectory from (Psi, Psi', Phi) = (0, 0, 1)
-suffices and the residual is Psi'(x0); the second-order equation for the
-transformed variable chi uses (chi, chi') = (0, 1) and residual chi(x0).
-
-Only the real spectrum is validated here; complex roots are validated by
-residual magnitude in the rootfinder.
+For k != 0, trajectories from (Psi, Psi', Phi, Phi') = (0, 0, 1, 0) and
+(0, 0, 0, 1) span the solutions obeying the left boundary conditions; the
+residual is the 2x2 determinant of their (Psi, Psi') at +x0.  For k = 0 one
+trajectory from (Psi, Psi', Phi) = (0, 0, 1) gives the residual Psi'(x0);
+chi uses (chi, chi') = (0, 1) and chi(x0).  Complex roots are validated by
+residual magnitude in the rootfinder, not here.
 """
 
 from __future__ import annotations
@@ -26,18 +23,14 @@ import numpy as np
 
 from .core import NonFiniteError, SpectralParams
 
-RENORM_THRESHOLD = 1e100
 RENORM_CHECK_EVERY = 100
 
 
 @dataclass(frozen=True)
 class ShootResidual:
-    """Right-boundary residual of the shooting integration.
-
-    value is the (renormalized) residual; log_scale the log10 factor taken
-    out by renormalization; richardson_error compares against a run with
-    half the number of steps.
-    """
+    """Right-boundary residual of the shooting integration: value of the
+    trajectories orthonormalized at every checkpoint, log_scale the log10
+    factor that took out, and the Richardson error against half the steps."""
 
     value: complex
     step_count: int
@@ -45,105 +38,113 @@ class ShootResidual:
     log_scale: float = 0.0
 
 
-def _integrate(rhs, y0, x0, n_steps):
-    """RK4 for a stacked complex state of shape (dim, ...) from -x0 to x0.
-
-    Each state vector y[:, j...] is renormalized on its own.  Returns
-    (final state, log10 renormalization factor of each state vector).
-    """
-    y = y0.astype(complex)
-    scale = np.zeros(y.shape[1:])
-    h = 2.0 * x0 / n_steps
-    x = -x0
-    for i in range(n_steps):
-        k1 = rhs(x, y)
-        k2 = rhs(x + h / 2, y + (h / 2) * k1)
-        k3 = rhs(x + h / 2, y + (h / 2) * k2)
-        k4 = rhs(x + h, y + h * k3)
-        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        x += h
-        if (i + 1) % RENORM_CHECK_EVERY == 0:
-            mags = np.abs(y).max(axis=0)
-            big = mags > RENORM_THRESHOLD
-            if np.any(big):
-                factor = np.where(big, mags, 1.0)
-                y = y / factor
-                scale += np.log10(factor)
-    if not np.all(np.isfinite(y)):
-        raise NonFiniteError("shooting state became non-finite")
-    return y, scale
+def _system_k(p: SpectralParams, x, om):
+    """(A0, A1) of (1-x^2) Psi'' = Phi + 2x Psi' + k^2 Psi / (1-x^2) and
+    (1-x^2) Phi'' = mu Phi + (2x - eps) Phi' + k^2 Phi / (1-x^2)."""
+    a = np.zeros((2, *x.shape, 4, 4))
+    a[0, ..., 0, 1] = a[0, ..., 2, 3] = 1.0
+    a[0, ..., 1, 0] = a[0, ..., 3, 2] = p.abs_k ** 2 / (om * om)
+    a[0, ..., 1, 1] = 2 * x / om
+    a[0, ..., 1, 2] = a[1, ..., 3, 2] = 1 / om
+    a[0, ..., 3, 3] = (2 * x - p.eps) / om
+    return a
 
 
-def _rhs_k(k2, eps, mu):
-    def rhs(x, y):
-        om = 1.0 - x * x
-        out = np.empty_like(y)
-        out[0] = y[1]
-        out[1] = (y[2] + 2 * x * y[1] + k2 * y[0] / om) / om
-        out[2] = y[3]
-        out[3] = (mu * y[2] + (2 * x - eps) * y[3] + k2 * y[2] / om) / om
-        return out
-    return rhs
+def _system_k0(p: SpectralParams, x, om):
+    """(A0, A1) of (1-x^2) Psi'' = Phi + 2x Psi' and
+    Phi' = mu Psi' - eps Phi / (1-x^2)."""
+    a = np.zeros((2, *x.shape, 3, 3))
+    a[0, ..., 0, 1] = a[1, ..., 2, 1] = 1.0
+    a[0, ..., 1, 1] = 2 * x / om
+    a[0, ..., 1, 2] = 1 / om
+    a[0, ..., 2, 2] = -p.eps / om
+    return a
 
 
-def _rhs_k0(eps, mu):
-    def rhs(x, y):
-        om = 1.0 - x * x
-        out = np.empty_like(y)
-        out[0] = y[1]
-        out[1] = (y[2] + 2 * x * y[1]) / om
-        out[2] = mu * y[1] - eps * y[2] / om
-        return out
-    return rhs
+def _system_chi(p: SpectralParams, x, om):
+    """(A0, A1) of (1-x^2) chi'' = mu chi + 2x chi'
+    + (eps^2 + 4 + 4 eps x) chi / (4 (1-x^2))."""
+    a = np.zeros((2, *x.shape, 2, 2))
+    a[0, ..., 0, 1] = 1.0
+    a[0, ..., 1, 0] = (p.eps ** 2 + 4 + 4 * p.eps * x) / (4 * om * om)
+    a[0, ..., 1, 1] = 2 * x / om
+    a[1, ..., 1, 0] = 1 / om
+    return a
 
 
-def _rhs_chi(eps, mu):
-    def rhs(x, y):
-        om = 1.0 - x * x
-        out = np.empty_like(y)
-        out[0] = y[1]
-        out[1] = (mu * y[0] + 2 * x * y[1]
-                  + (eps * eps + 4 + 4 * eps * x) * y[0] / (4 * om)) / om
-        return out
-    return rhs
-
-
-# problem: (state dimension, start component of each trajectory, rhs
-# factory, residual of the end state r[component, trajectory]); each
-# trajectory starts from the unit vector of its component
+# problem: (state dimension, start component of each trajectory, (A0, A1)
+# at arrays x and 1 - x^2, residual of the end state r[component,
+# trajectory]); each trajectory starts from the unit vector of its component
 _PROBLEMS = {
-    "k": (4, (2, 3),
-          lambda p, mu: _rhs_k(p.abs_k ** 2, p.eps, mu),
+    "k": (4, (2, 3), _system_k,
           lambda r: r[0, 0] * r[1, 1] - r[1, 0] * r[0, 1]),
-    "k0": (3, (2,), lambda p, mu: _rhs_k0(p.eps, mu), lambda r: r[1, 0]),
-    "chi": (2, (1,), lambda p, mu: _rhs_chi(p.eps, mu), lambda r: r[0, 0]),
+    "k0": (3, (2,), _system_k0, lambda r: r[1, 0]),
+    "chi": (2, (1,), _system_chi, lambda r: r[0, 0]),
 }
 
 
-def _problem(params: SpectralParams, which: str) -> str:
+def _problem(params: SpectralParams, which: str, n_steps: int) -> str:
     """Problem name for params: "chi" on request, else k != 0 or k = 0."""
     if not 0 < params.x0 < 1:
         raise ValueError(f"shooting requires 0 < x0 < 1, got {params.x0}")
-    if which == "chi":
-        return "chi"
-    if which != "auto":
+    if n_steps < 2:
+        raise ValueError(f"shooting needs at least 2 steps, got {n_steps}")
+    if which not in ("auto", "chi"):
         raise ValueError(f"which must be 'auto' or 'chi', got {which!r}")
-    return "k0" if params.k == 0 else "k"
+    return "chi" if which == "chi" else "k0" if params.k == 0 else "k"
+
+
+def _step_maps(system, params, x, h):
+    """RK4 step maps of the steps starting at x, the staged RK4 applied to
+    the identity: real C of shape (steps, dim, 5 dim) whose column blocks
+    are the coefficients of T_n(mu) = sum_j mu^j C[n, :, j dim:(j+1) dim]."""
+    xs = np.stack([x, x + h / 2, x + h])
+    a = system(params, xs, 1.0 - xs * xs)
+    dim = a.shape[-1]
+    eye = np.eye(dim, 5 * dim)      # the polynomial I + 0 mu + ...
+
+    def times(stage, t):
+        # (A0 + mu A1) t for a polynomial t of degree below 4
+        out = a[0, stage] @ t
+        out[..., dim:] += a[1, stage] @ t[..., :-dim]
+        return out
+    k1 = times(0, eye)
+    k2 = times(1, eye + (h / 2) * k1)
+    k3 = times(1, eye + (h / 2) * k2)
+    k4 = times(2, eye + h * k3)
+    return eye + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def _values(params: SpectralParams, problem: str, s, n_steps):
-    """Residuals at a batch of s and their log10 renormalization factors.
-
-    All start trajectories are integrated together in one state of shape
-    (dim, trajectories, points).
-    """
-    dim, starts, make_rhs, residual = _PROBLEMS[problem]
+    """Residuals at s and their log10 orthonormalization factors; the state
+    (dim, trajectories * points) is advanced by one checkpoint chunk of step
+    maps at a time, one real product with the state times powers of mu."""
+    dim, starts, system, residual = _PROBLEMS[problem]
     s = np.atleast_1d(np.asarray(s, dtype=complex))
-    y = np.zeros((dim, len(starts), s.size), dtype=complex)
-    y[list(starts), range(len(starts))] = 1.0
-    r, scale = _integrate(make_rhs(params, -s * (s + 1)), y, params.x0,
-                          n_steps)
-    return residual(r), scale.sum(axis=0)
+    n = len(starts)
+    traj = np.zeros((dim, n, s.size), dtype=complex)
+    traj[list(starts), range(n)] = 1.0
+    y, scale = traj.reshape(dim, -1), np.zeros(s.size)
+    powers = (np.tile(-s * (s + 1), n) ** np.arange(5)[:, None])[:, None]
+    stacked = np.empty((5, dim, y.shape[1]), dtype=complex)
+    y_real, stacked_real = y.view(float), stacked.view(float).reshape(
+        5 * dim, -1)
+    h = 2.0 * params.x0 / n_steps
+    for start in range(0, n_steps, RENORM_CHECK_EVERY):
+        steps = np.arange(start, min(start + RENORM_CHECK_EVERY, n_steps))
+        for c in _step_maps(system, params, -params.x0 + steps * h, h):
+            np.multiply(y, powers, out=stacked)
+            np.matmul(c, stacked_real, out=y_real)
+        for j in range(n):      # Gram-Schmidt on each point's trajectories
+            for q in traj[:, :j].swapaxes(0, 1):
+                traj[:, j] -= (q.conj() * traj[:, j]).sum(0) * q
+            norm = np.linalg.norm(traj[:, j], axis=0)
+            traj[:, j] /= norm
+            scale += np.log10(norm)
+    value = residual(traj)
+    if not (np.isfinite(value).all() and np.isfinite(scale).all()):
+        raise NonFiniteError("shooting state became non-finite")
+    return value, scale
 
 
 def shoot(params: SpectralParams, s: complex, n_steps: int = 2000,
@@ -155,7 +156,7 @@ def shoot(params: SpectralParams, s: complex, n_steps: int = 2000,
     requires mu != 0); "chi" selects the transformed self-adjoint problem
     with Dirichlet conditions chi(+-x0) = 0 (params.k ignored).
     """
-    problem = _problem(params, which)
+    problem = _problem(params, which, n_steps)
     if problem == "k0" and s * (s + 1) == 0:
         raise ValueError("mu = 0 is the trivial eigenvalue")
     v, sc = _values(params, problem, s, n_steps)
@@ -168,8 +169,6 @@ def shoot(params: SpectralParams, s: complex, n_steps: int = 2000,
 
 def shoot_functional(params: SpectralParams, n_steps: int = 2000,
                      which: str = "auto"):
-    """Vectorized residual functional for the root finder; which as in
-    shoot."""
-    problem = _problem(params, which)
+    """Vectorized residual for the root finder; which as in shoot."""
+    problem = _problem(params, which, n_steps)
     return lambda s: _values(params, problem, s, n_steps)[0]
-

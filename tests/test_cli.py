@@ -397,6 +397,24 @@ class TestOracleCommand:
         assert len(_re_s(out)) == 4
         assert "dropping root" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("steps", ["0", "1", "-5"])
+    def test_invalid_steps_exit_2(self, tmp_path, capsys, steps):
+        # 0 steps divided by zero, and negative counts took no step, so
+        # every grid point of the scan came out as a root
+        out = tmp_path / "oracle.csv"
+        assert run(["oracle", "--k", "1", "--steps", steps,
+                    "--output", str(out)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_invalid_steps_in_config_exit_2(self, tmp_path, capsys):
+        cfgfile, out = tmp_path / "cfg.json", tmp_path / "oracle.csv"
+        cfgfile.write_text(json.dumps({"steps": -5}))
+        assert run(["oracle", "--config", str(cfgfile),
+                    "--output", str(out)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("oracle_args, spectrum_args", [
         (["--k", "1", "--eps", "0"], ["--k", "1", "--eps", "0"]),
         (["--k", "0", "--eps", "1"], ["--k", "0", "--eps", "1"]),

@@ -132,57 +132,130 @@ def test_richardson_root_stability():
     np.testing.assert_allclose(coarse, fine, atol=1e-8)
 
 
-def test_renormalization_preserves_roots(monkeypatch):
-    """Forcing the overflow guard to fire at a tiny threshold rescales the
-    residual (tracked in log_scale) without moving the roots."""
-    params = SpectralParams(k=1, eps=0.0, x0=0.9, M=150)
-    cfg = ScanConfig(2.0, 4.0)
-    plain = [r.s.real for r in
-             scan_real_roots(shoot_functional(params, n_steps=800), cfg,
-                             source="oracle")]
-    res_plain = shoot(params, 2.5, n_steps=800)
-    monkeypatch.setattr(oracle_mod, "RENORM_THRESHOLD", 0.1)
-    res_scaled = shoot(params, 2.5, n_steps=800)
-    scaled = [r.s.real for r in
-              scan_real_roots(shoot_functional(params, n_steps=800), cfg,
-                              source="oracle")]
-    assert res_scaled.log_scale != 0.0
-    assert (res_scaled.value * 10 ** res_scaled.log_scale
-            == pytest.approx(res_plain.value, rel=1e-9))
-    np.testing.assert_allclose(plain, scaled, atol=1e-9)
+# An independent reference for the oracle's step maps: classical staged RK4
+# with one rhs closure per problem, no rescaling, in the precision of s and
+# x0 (np.longdouble for the accuracy check below).
+def _rhs_k(k2, eps, mu):
+    def rhs(x, y):
+        om = 1 - x * x
+        out = np.empty_like(y)
+        out[0] = y[1]
+        out[1] = (y[2] + 2 * x * y[1] + k2 * y[0] / om) / om
+        out[2] = y[3]
+        out[3] = (mu * y[2] + (2 * x - eps) * y[3] + k2 * y[2] / om) / om
+        return out
+    return rhs
 
 
-# residual of the end states e[trajectory][component], one problem each
-_SEPARATE_RESIDUALS = {
-    "k": lambda e: e[0][0] * e[1][1] - e[0][1] * e[1][0],
-    "k0": lambda e: e[0][1],
-    "chi": lambda e: e[0][0],
+def _rhs_k0(eps, mu):
+    def rhs(x, y):
+        om = 1 - x * x
+        out = np.empty_like(y)
+        out[0] = y[1]
+        out[1] = (y[2] + 2 * x * y[1]) / om
+        out[2] = mu * y[1] - eps * y[2] / om
+        return out
+    return rhs
+
+
+def _rhs_chi(eps, mu):
+    def rhs(x, y):
+        om = 1 - x * x
+        out = np.empty_like(y)
+        out[0] = y[1]
+        out[1] = (mu * y[0] + 2 * x * y[1]
+                  + (eps * eps + 4 + 4 * eps * x) * y[0] / (4 * om)) / om
+        return out
+    return rhs
+
+
+# problem: (state dimension, start component of each trajectory, rhs
+# factory, residual of the end states e[trajectory][component])
+_REFERENCE = {
+    "k": (4, (2, 3), lambda p, mu: _rhs_k(p.abs_k ** 2, p.eps, mu),
+          lambda e: e[0][0] * e[1][1] - e[0][1] * e[1][0]),
+    "k0": (3, (2,), lambda p, mu: _rhs_k0(p.eps, mu), lambda e: e[0][1]),
+    "chi": (2, (1,), lambda p, mu: _rhs_chi(p.eps, mu), lambda e: e[0][0]),
 }
 
 
-@pytest.mark.parametrize("threshold", [1e100, 0.1])
+def _staged_residual(params, problem, s, n_steps, real=np.float64):
+    """Residual of one staged RK4 run per start trajectory, unscaled."""
+    dim, starts, make_rhs, residual = _REFERENCE[problem]
+    s = np.asarray(s)
+    rhs = make_rhs(params, -s * (s + 1))
+    x0 = real(params.x0)
+    h = 2 * x0 / n_steps
+    ends = []
+    for comp in starts:
+        y = np.zeros((dim, s.size), dtype=np.result_type(s, x0))
+        y[comp] = 1
+        for i in range(n_steps):
+            x = -x0 + i * h
+            k1 = rhs(x, y)
+            k2 = rhs(x + h / 2, y + (h / 2) * k1)
+            k3 = rhs(x + h / 2, y + (h / 2) * k2)
+            k4 = rhs(x + h, y + h * k3)
+            y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        ends.append(y)
+    return residual(ends)
+
+
+def test_renormalization_preserves_roots():
+    """Orthonormalizing at every checkpoint rescales the residual (tracked
+    in log_scale) without moving the roots of the unscaled staged RK4."""
+    params = SpectralParams(k=1, eps=0.0, x0=0.9, M=150)
+    cfg = ScanConfig(2.0, 4.0)
+    plain = [r.s.real for r in
+             scan_real_roots(lambda s: _staged_residual(params, "k", s, 800),
+                             cfg, source="oracle")]
+    scaled = [r.s.real for r in
+              scan_real_roots(shoot_functional(params, n_steps=800), cfg,
+                              source="oracle")]
+    res_scaled = shoot(params, 2.5, n_steps=800)
+    assert res_scaled.log_scale != 0.0
+    assert (res_scaled.value * 10 ** res_scaled.log_scale
+            == pytest.approx(_staged_residual(params, "k", [2.5], 800)[0],
+                             rel=1e-9))
+    assert len(plain) == len(scaled) > 0
+    np.testing.assert_allclose(plain, scaled, atol=1e-9)
+
+
+@pytest.mark.parametrize("n_steps", [300, 2000])
 @pytest.mark.parametrize("n", [1, 5])
 @pytest.mark.parametrize("k, which, problem", [
     (1, "auto", "k"), (0, "auto", "k0"), (0, "chi", "chi")])
-def test_batched_trajectories_match_separate_runs(monkeypatch, k, which,
-                                                  problem, n, threshold):
-    """All start trajectories in one integration give, bit for bit, the
-    residual and scale of one integration per trajectory, also when the
-    renormalization fires."""
-    monkeypatch.setattr(oracle_mod, "RENORM_THRESHOLD", threshold)
+def test_batched_trajectories_match_separate_runs(k, which, problem, n,
+                                                  n_steps):
+    """All start trajectories advanced in one orthonormalized state give,
+    with their log10 factor put back, the residual of one staged RK4 run
+    per trajectory."""
     params = SpectralParams(k=k, eps=1.0, x0=0.9, M=10)
-    assert oracle_mod._problem(params, which) == problem
-    dim, starts, make_rhs, _ = oracle_mod._PROBLEMS[problem]
+    assert oracle_mod._problem(params, which, n_steps) == problem
     s = np.array([0.5, 1.7, 2.3 + 0.4j, 3.1, 5.0])[:n]
-    rhs = make_rhs(params, -s * (s + 1))
-    ends, scale = [], np.zeros(n)
-    for comp in starts:
-        y = np.zeros((dim, n), dtype=complex)
-        y[comp] = 1.0
-        end, sc = oracle_mod._integrate(rhs, y, params.x0, 300)
-        ends.append(end)
-        scale = scale + sc
-    value, got_scale = oracle_mod._values(params, problem, s, 300)
-    assert value.tobytes() == _SEPARATE_RESIDUALS[problem](ends).tobytes()
-    assert got_scale.tobytes() == scale.tobytes()
-    assert np.all(scale != 0) == (threshold < 1)
+    value, scale = oracle_mod._values(params, problem, s, n_steps)
+    assert np.all(scale != 0)
+    np.testing.assert_allclose(value * 10.0 ** scale,
+                               _staged_residual(params, problem, s, n_steps),
+                               rtol=1e-12, atol=0)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52,
+                    reason="np.longdouble is float64 on this platform, so "
+                           "it cannot resolve the RK4 map beyond float64")
+def test_roots_bracketed_by_long_double_rk4():
+    """Each k = 3, eps = 4 oracle root lies within 1e-11 of the root of the
+    same RK4 map run in extended precision: the residual changes sign
+    across it.  Without orthonormalization the 2x2 determinant of two nearly
+    aligned trajectories cancels, and the root near 7.3296 lands 1.15e-10
+    off."""
+    params = SpectralParams(k=3, eps=4.0, x0=0.9, M=10)
+    roots = np.array([r.s.real for r in
+                      scan_real_roots(shoot_functional(params),
+                                      ScanConfig(0.0, 8.0), source="oracle")])
+    assert len(roots) == 4
+    s = roots.astype(np.longdouble)
+    d = np.longdouble(1e-11)
+    vals = _staged_residual(params, "k", np.concatenate([s - d, s + d]), 2000,
+                            real=np.longdouble)
+    assert np.all(vals[:4] * vals[4:] < 0), roots
