@@ -133,8 +133,8 @@ def test_richardson_root_stability():
 
 
 # An independent reference for the oracle's step maps: classical staged RK4
-# with one rhs closure per problem, no rescaling, in the precision of s and
-# x0 (np.longdouble for the accuracy check below).
+# with one rhs closure per problem, in the precision of s and x0
+# (np.longdouble for the accuracy check below), rescaled only on request.
 def _rhs_k(k2, eps, mu):
     def rhs(x, y):
         om = 1 - x * x
@@ -179,14 +179,17 @@ _REFERENCE = {
 }
 
 
-def _staged_residual(params, problem, s, n_steps, real=np.float64):
-    """Residual of one staged RK4 run per start trajectory, unscaled."""
+def _staged_run(params, problem, s, n_steps, real=np.float64,
+                threshold=np.inf):
+    """Residual of one staged RK4 run per start trajectory and its log10
+    factor: at every oracle checkpoint, each state vector whose largest
+    entry exceeds threshold is divided by that entry."""
     dim, starts, make_rhs, residual = _REFERENCE[problem]
     s = np.asarray(s)
     rhs = make_rhs(params, -s * (s + 1))
     x0 = real(params.x0)
     h = 2 * x0 / n_steps
-    ends = []
+    ends, scale = [], np.zeros(s.size)
     for comp in starts:
         y = np.zeros((dim, s.size), dtype=np.result_type(s, x0))
         y[comp] = 1
@@ -197,8 +200,18 @@ def _staged_residual(params, problem, s, n_steps, real=np.float64):
             k3 = rhs(x + h / 2, y + (h / 2) * k2)
             k4 = rhs(x + h, y + h * k3)
             y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+            if (i + 1) % oracle_mod.RENORM_CHECK_EVERY == 0:
+                mags = np.abs(y).max(axis=0)
+                factor = np.where(mags > threshold, mags, 1.0)
+                y = y / factor
+                scale += np.log10(factor)
         ends.append(y)
-    return residual(ends)
+    return residual(ends), scale
+
+
+def _staged_residual(params, problem, s, n_steps, real=np.float64):
+    """Residual of one staged RK4 run per start trajectory, unscaled."""
+    return _staged_run(params, problem, s, n_steps, real)[0]
 
 
 def test_renormalization_preserves_roots():
@@ -221,23 +234,28 @@ def test_renormalization_preserves_roots():
     np.testing.assert_allclose(plain, scaled, atol=1e-9)
 
 
-@pytest.mark.parametrize("n_steps", [300, 2000])
+@pytest.mark.parametrize("threshold", [1e100, 0.1])
 @pytest.mark.parametrize("n", [1, 5])
 @pytest.mark.parametrize("k, which, problem", [
     (1, "auto", "k"), (0, "auto", "k0"), (0, "chi", "chi")])
 def test_batched_trajectories_match_separate_runs(k, which, problem, n,
-                                                  n_steps):
+                                                  threshold):
     """All start trajectories advanced in one orthonormalized state give,
     with their log10 factor put back, the residual of one staged RK4 run
-    per trajectory."""
+    per trajectory, whether that run is never rescaled (threshold 1e100)
+    or rescaled at every checkpoint (0.1), at 300 and 2000 steps."""
     params = SpectralParams(k=k, eps=1.0, x0=0.9, M=10)
-    assert oracle_mod._problem(params, which, n_steps) == problem
     s = np.array([0.5, 1.7, 2.3 + 0.4j, 3.1, 5.0])[:n]
-    value, scale = oracle_mod._values(params, problem, s, n_steps)
-    assert np.all(scale != 0)
-    np.testing.assert_allclose(value * 10.0 ** scale,
-                               _staged_residual(params, problem, s, n_steps),
-                               rtol=1e-12, atol=0)
+    for n_steps in (300, 2000):
+        assert oracle_mod._problem(params, which, n_steps) == problem
+        value, scale = oracle_mod._values(params, problem, s, n_steps)
+        ref, ref_scale = _staged_run(params, problem, s, n_steps,
+                                     threshold=threshold)
+        assert np.all(scale != 0)
+        assert np.all(ref_scale != 0) == (threshold < 1)
+        np.testing.assert_allclose(value * 10.0 ** scale,
+                                   ref * 10.0 ** ref_scale,
+                                   rtol=1e-12, atol=0)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52,
