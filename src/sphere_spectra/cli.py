@@ -222,9 +222,10 @@ def _traced(cfg: RunConfig, meta: dict, traces: dict,
             complex_only: bool = False):
     """Trace the sweep of cfg and write its rows, and its coalescence events
     and branch terminations (last param and reason) to the .events.json
-    sidecar (to stderr without an output).  traces maps each (params,
-    sweep, scan window) the calling command has traced to its branches; a
-    repeat reuses them."""
+    sidecar (to stderr without an output); JSON output carries the
+    terminations in meta too.  traces maps each (params, sweep, scan
+    window) the calling command has traced to its branches; a repeat
+    reuses them."""
     name, scan = cfg.sweep[0], _scan_for(cfg)
     key = (cfg.params, cfg.sweep, scan)
     if key not in traces:
@@ -234,11 +235,11 @@ def _traced(cfg: RunConfig, meta: dict, traces: dict,
     rows = _trace_rows(branches)
     if complex_only:
         rows = [r for r in rows if r["im_s"] != "0"]
-    _emit(rows, cfg, meta)
     events = {"events": _events_doc(branches),
               "terminations": [{"branch": br.index, "reason": br.note,
                                 "param": float(_fmt(br.samples[-1][0]))}
                                for br in branches if br.note]}
+    _emit(rows, cfg, meta | {"terminations": events["terminations"]})
     if cfg.output:
         with open(cfg.output + ".events.json", "w") as fh:
             json.dump(events, fh, indent=2, sort_keys=True)

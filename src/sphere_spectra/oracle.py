@@ -6,6 +6,8 @@ Each system is y' = (A0(x) + mu A1(x)) y, so one RK4 step is exactly the
 real matrix polynomial T_n(mu) = sum_{j<=4} mu^j C_{n,j}.  Each point's
 trajectories are orthonormalized at every checkpoint, which divides the
 residual by a positive factor (kept as its log10): its zeros and signs stay.
+A step count at which h |eig A0(x)| leaves RK4's real stability interval
+somewhere on the step grid is refused before integrating.
 
 For k != 0, trajectories from (Psi, Psi', Phi, Phi') = (0, 0, 1, 0) and
 (0, 0, 0, 1) span the solutions obeying the left boundary conditions; the
@@ -24,6 +26,7 @@ import numpy as np
 from .core import NonFiniteError, SpectralParams
 
 RENORM_CHECK_EVERY = 100
+RK4_STABLE = 2.78       # RK4 is stable on about [-2.785, 0] of the real axis
 
 
 @dataclass(frozen=True)
@@ -83,15 +86,41 @@ _PROBLEMS = {
 }
 
 
-def _problem(params: SpectralParams, which: str, n_steps: int) -> str:
-    """Problem name for params: "chi" on request, else k != 0 or k = 0."""
+def _problem(params: SpectralParams, which: str, n_steps: int,
+             halved: bool = False) -> str:
+    """Problem name for params: "chi" on request, else k != 0 or k = 0.
+    The run at n_steps (with halved, also the one at half of them) must be
+    stable; see _stiffness."""
     if not 0 < params.x0 < 1:
         raise ValueError(f"shooting requires 0 < x0 < 1, got {params.x0}")
     if n_steps < 2:
         raise ValueError(f"shooting needs at least 2 steps, got {n_steps}")
     if which not in ("auto", "chi"):
         raise ValueError(f"which must be 'auto' or 'chi', got {which!r}")
-    return "chi" if which == "chi" else "k0" if params.k == 0 else "k"
+    problem = "chi" if which == "chi" else "k0" if params.k == 0 else "k"
+    runs = (lambda n: (n, max(2, n // 2))) if halved else (lambda n: (n,))
+    worst, n = max((_stiffness(params, problem, m), m)
+                   for m in runs(n_steps))
+    if worst > RK4_STABLE:
+        # |eig A0| peaks at x = +-x0, which every step grid holds, so
+        # h * max |eig A0| falls as 1/n; the half run is the stiffer one
+        least = int(np.ceil(n * worst / RK4_STABLE)) * (n_steps // n)
+        while max(_stiffness(params, problem, m)
+                  for m in runs(least)) > RK4_STABLE:
+            least += 1
+        raise ValueError(
+            f"RK4 is unstable: h * max |eig A0(x)| = {worst:.4g} at {n} "
+            f"steps exceeds {RK4_STABLE}; use --steps {least} or more")
+    return problem
+
+
+def _stiffness(params: SpectralParams, problem: str, n_steps: int) -> float:
+    """h times the largest spectral radius of A0(x) over the grid of
+    n_steps steps across [-x0, x0]."""
+    h = 2.0 * params.x0 / n_steps
+    x = -params.x0 + np.arange(n_steps + 1) * h
+    a0 = _PROBLEMS[problem][2](params, x, 1.0 - x * x)[0]
+    return h * float(np.abs(np.linalg.eigvals(a0)).max())
 
 
 def _step_maps(system, params, x, h):
@@ -130,18 +159,20 @@ def _values(params: SpectralParams, problem: str, s, n_steps):
     y_real, stacked_real = y.view(float), stacked.view(float).reshape(
         5 * dim, -1)
     h = 2.0 * params.x0 / n_steps
-    for start in range(0, n_steps, RENORM_CHECK_EVERY):
-        steps = np.arange(start, min(start + RENORM_CHECK_EVERY, n_steps))
-        for c in _step_maps(system, params, -params.x0 + steps * h, h):
-            np.multiply(y, powers, out=stacked)
-            np.matmul(c, stacked_real, out=y_real)
-        for j in range(n):      # Gram-Schmidt on each point's trajectories
-            for q in traj[:, :j].swapaxes(0, 1):
-                traj[:, j] -= (q.conj() * traj[:, j]).sum(0) * q
-            norm = np.linalg.norm(traj[:, j], axis=0)
-            traj[:, j] /= norm
-            scale += np.log10(norm)
-    value = residual(traj)
+    # an overflow is reported by the NonFiniteError below, not by numpy
+    with np.errstate(all="ignore"):
+        for start in range(0, n_steps, RENORM_CHECK_EVERY):
+            steps = np.arange(start, min(start + RENORM_CHECK_EVERY, n_steps))
+            for c in _step_maps(system, params, -params.x0 + steps * h, h):
+                np.multiply(y, powers, out=stacked)
+                np.matmul(c, stacked_real, out=y_real)
+            for j in range(n):      # Gram-Schmidt on each point's trajectories
+                for q in traj[:, :j].swapaxes(0, 1):
+                    traj[:, j] -= (q.conj() * traj[:, j]).sum(0) * q
+                norm = np.linalg.norm(traj[:, j], axis=0)
+                traj[:, j] /= norm
+                scale += np.log10(norm)
+        value = residual(traj)
     if not (np.isfinite(value).all() and np.isfinite(scale).all()):
         raise NonFiniteError("shooting state became non-finite")
     return value, scale
@@ -156,7 +187,7 @@ def shoot(params: SpectralParams, s: complex, n_steps: int = 2000,
     requires mu != 0); "chi" selects the transformed self-adjoint problem
     with Dirichlet conditions chi(+-x0) = 0 (params.k ignored).
     """
-    problem = _problem(params, which, n_steps)
+    problem = _problem(params, which, n_steps, halved=True)
     if problem == "k0" and s * (s + 1) == 0:
         raise ValueError("mu = 0 is the trivial eigenvalue")
     v, sc = _values(params, problem, s, n_steps)

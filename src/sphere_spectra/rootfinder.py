@@ -4,7 +4,8 @@ Real roots are found by grid scan plus one batched Illinois regula falsi
 on the sign-change brackets, which closes each bracket to within tol;
 complex roots by Muller iteration (three-point quadratic interpolation,
 derivative-free: the determinant is a black box and numerical derivatives
-are noisy near coalescence).  Parameter continuation scans every sweep
+are noisy near coalescence), one batched loop per sweep value whose live
+complex pairs share each F call.  Parameter continuation scans every sweep
 value once and matches the scanned roots to the branches by their
 predicted positions; a branch left unmatched is resolved by a fine local
 rescan, and two nearby unmatched real branches become a coalescence event
@@ -154,56 +155,71 @@ def scan_real_roots(F, cfg: ScanConfig, source: str = "series") -> list:
     return roots
 
 
-def refine_complex(F, seed: complex, tol: float = 1e-10, max_iter: int = 60,
-                   probe: float = 0.05) -> Root:
-    """Muller iteration from a complex seed until the update is below tol.
+def refine_complex(F, seeds, tol: float = 1e-10, max_iter: int = 60,
+                   probe: float = 0.05) -> list:
+    """Muller iteration from each complex seed until its update is below
+    tol: one Root per seed, or None where the seed did not converge.
 
-    The residual is |F| at the root scaled by its magnitude one probe
-    distance away (matching the grid-neighbor scaling of the real scan);
-    the error is the last Muller step.
+    The seeds share each F call (their start points, then per round the
+    new iterates of the seeds still iterating, then the probes of the
+    converged roots); each keeps its own update and stop rules.  The
+    residual is |F| at the root scaled by its magnitude one probe distance
+    away (as the real scan scales by grid neighbours); the error is the
+    last Muller step.
     """
-    F = _as_batch(F)
-    h = max(1e-3, 10 * tol)
-    xs = [seed - h, seed + h, complex(seed)]
-    fs = [complex(F(x)[0]) for x in xs]
-    best = min(zip(xs, fs), key=lambda t: abs(t[1]))
-    extra = 0       # rounds since the first step below tol
+    if not (seeds := list(seeds)):
+        return []
+    F, h = _as_batch(F), max(1e-3, 10 * tol)
+    xs = [[seed - h, seed + h, complex(seed)] for seed in seeds]
+    fs = F(np.array(xs).ravel()).reshape(-1, 3).tolist()
+    best = [min(zip(x, f), key=lambda t: abs(t[1])) for x, f in zip(xs, fs)]
+    # per seed: rounds since the first step below tol, last step length
+    extra, step = [0] * len(seeds), [0.0] * len(seeds)
+    live = list(range(len(seeds)))
     for _ in range(max_iter):
-        x2, x1, x0 = xs
-        f2, f1, f0 = fs
-        if x1 == x2 or x0 == x1:
+        moves = []      # (seed, next iterate); none at a degenerate point
+        for i in live:
+            (x2, x1, x0), (f2, f1, f0) = xs[i], fs[i]
+            if x1 == x2 or x0 == x1:
+                continue
+            q = (x0 - x1) / (x1 - x2)
+            a = q * f0 - q * (1 + q) * f1 + q * q * f2
+            b = (2 * q + 1) * f0 - (1 + q) ** 2 * f1 + q * q * f2
+            c = (1 + q) * f0
+            disc = np.sqrt(complex(b * b - 4 * a * c))
+            den = b + disc if abs(b + disc) >= abs(b - disc) else b - disc
+            if den != 0:
+                dx = -(x0 - x1) * 2 * c / den
+                step[i] = abs(dx)
+                moves.append((i, x0 + dx))
+        if not moves:
             break
-        q = (x0 - x1) / (x1 - x2)
-        a = q * f0 - q * (1 + q) * f1 + q * q * f2
-        b = (2 * q + 1) * f0 - (1 + q) ** 2 * f1 + q * q * f2
-        c = (1 + q) * f0
-        disc = np.sqrt(complex(b * b - 4 * a * c))
-        den = b + disc if abs(b + disc) >= abs(b - disc) else b - disc
-        if den == 0:
-            break
-        dx = -(x0 - x1) * 2 * c / den
-        step = abs(dx)
-        xn = x0 + dx
-        fn = complex(F(xn)[0])
-        xs = [x1, x0, xn]
-        fs = [f1, f0, fn]
-        if abs(fn) <= abs(best[1]):
-            best = (xn, fn)
-        if step < tol or extra:
-            # polish: the step can drop below tol a little before |F|
-            # bottoms out near an almost-degenerate pair
-            extra += 1
-            if extra > 2 or fn == 0:
-                break
-    if not extra:
-        raise NoConvergenceError(
-            f"Muller iteration did not converge from seed {seed}")
-    xn, fn = best
-    s = canonicalize_s(xn)
-    kind = "complex-pair" if abs(s.imag) > max(100 * tol, 1e-9) else "real"
-    ref = np.abs(F(np.array([xn + probe, xn - probe,
-                             xn + 1j * probe]))).max() or 1.0
-    return Root(s, abs(fn) / ref, kind, error=step)
+        live = []
+        for (i, xn), fn in zip(moves,
+                               F(np.array([x for _, x in moves])).tolist()):
+            xs[i], fs[i] = xs[i][1:] + [xn], fs[i][1:] + [fn]
+            if abs(fn) <= abs(best[i][1]):
+                best[i] = (xn, fn)
+            if step[i] < tol or extra[i]:
+                # polish: the step can drop below tol a little before |F|
+                # bottoms out near an almost-degenerate pair
+                extra[i] += 1
+                if extra[i] > 2 or fn == 0:
+                    continue
+            live.append(i)
+    roots = [None] * len(seeds)
+    done = [i for i in range(len(seeds)) if extra[i]]
+    if done:
+        xb = np.array([best[i][0] for i in done])
+        refs = np.abs(F(np.stack([xb + probe, xb - probe, xb + 1j * probe],
+                                 axis=1).ravel())).reshape(-1, 3).max(axis=1)
+        for i, ref in zip(done, refs):
+            s = canonicalize_s(best[i][0])
+            kind = "complex-pair" if abs(s.imag) > max(100 * tol, 1e-9) \
+                else "real"
+            roots[i] = Root(s, abs(best[i][1]) / (ref or 1.0), kind,
+                            error=step[i])
+    return roots
 
 
 def detect_coalescence(branch_a: Branch, branch_b: Branch, F, param: float,
@@ -221,7 +237,10 @@ def detect_coalescence(branch_a: Branch, branch_b: Branch, F, param: float,
     sb = branch_b.last_root.s.real
     s_star = 0.5 * (sa + sb)
     seed = s_star + 1j * step
-    root = refine_complex(F, seed, tol, max_iter, probe=step)
+    root = refine_complex(F, [seed], tol, max_iter, probe=step)[0]
+    if root is None:
+        raise NoConvergenceError(
+            f"Muller iteration did not converge from seed {seed}")
     if root.kind != "complex-pair":
         raise SeedRejectedError(
             f"complex seed {seed} refined back to the real axis at {root.s}")
@@ -390,27 +409,25 @@ def trace_parameter(family, parameter: str, values, cfg: ScanConfig) -> list:
                 lb.end("no convergence" if inside else "left the scan window")
 
     def advance_pairs(F, p):
-        """Carry every merged pair from the previous value to p: refine a
-        complex pair from its last root, retry a parked pair.  A lost
-        complex root ends the lower-index member still complex; the other
-        continues from the same root.  A pair whose Re s leaves
-        [s_min, s_max] ends both members."""
+        """Carry every merged pair from the previous value to p: retry a
+        parked pair; refine all complex pairs from their last roots in one
+        refine_complex call.  A lost complex root ends the lower-index
+        member still complex; the other continues from the same root.  A
+        pair whose Re s leaves [s_min, s_max] ends both members."""
+        live_pairs = []
         for pair in pairs:
-            la, lc, _ = pair
-            if la.status == "pending-merge":
+            if pair[0].status == "pending-merge":
                 continue_pair(pair, F, p)
-                continue
-            members = [lb for lb in (la, lc) if lb.status == "complex"]
-            if not members:
-                continue
-            try:
-                root = refine_complex(F, members[0].s, cfg.tol,
-                                      cfg.max_iter, probe=cfg.step)
-            except NoConvergenceError:
-                members[0].end("complex continuation lost")
-                continue
-            if root.kind != "complex-pair":
-                members[0].end("complex pair returned to real axis")
+            elif any(lb.status == "complex" for lb in pair[:2]):
+                live_pairs.append([lb for lb in pair[:2]
+                                   if lb.status == "complex"])
+        roots = live_pairs and refine_complex(
+            F, [m[0].s for m in live_pairs], cfg.tol, cfg.max_iter,
+            probe=cfg.step)
+        for members, root in zip(live_pairs, roots):
+            if root is None or root.kind != "complex-pair":
+                members[0].end("complex continuation lost" if root is None
+                               else "complex pair returned to real axis")
                 continue
             for lb in members:
                 if cfg.s_min <= root.s.real <= cfg.s_max:

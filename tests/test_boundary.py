@@ -330,3 +330,18 @@ def test_fused_matrices_match_four_sequence_recurrence(k, eps, x0, M):
     got = _normalized_det(_matrices(params, s))[0]
     want = _normalized_det(four_sequence_matrices(k, eps, x0, s, M))[0]
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+@pytest.mark.parametrize("eps", [4.0, 11.0, 12.0])
+def test_det_functional_values_do_not_depend_on_the_batch(k, eps):
+    """Each point's F value is bit-identical whatever batch it is evaluated
+    in, so a batched root finder follows the iterates of one-point calls."""
+    s = np.array([0.35, 2.9, 1.1 + 0.6j, 4.45, 3.6 + 1.0j, 5.3 - 1.7j,
+                  7.7 + 2.2j])
+    F = det_functional(SpectralParams(k=k, eps=eps, x0=0.9))
+    alone = np.concatenate([F(s[i:i + 1]) for i in range(s.size)])
+    for size in (2, 3, 7):
+        batched = np.concatenate([F(s[i:i + size])
+                                  for i in range(0, s.size, size)])
+        assert batched.tobytes() == alone.tobytes(), size

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -415,6 +416,28 @@ class TestOracleCommand:
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, least", [
+        (["--k", "1", "--eps", "1000"], 3414),
+        (["--k", "0", "--eps", "1000", "--smax", "4"], 3408)])
+    def test_unstable_step_exits_2(self, tmp_path, capsys, argv, least):
+        # h * eps / (1 - x0^2) is about 4.7 at the default 2000 steps: k = 1
+        # overflowed with numpy warnings before exiting 3, and k = 0 ran the
+        # unstable step to exit 0
+        out = tmp_path / "oracle.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["oracle", *argv, "--output", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error: RK4 is unstable")
+            assert f"use --steps {least} or more" in err
+            assert not out.exists()
+            # the named step count is the least that runs
+            assert run(["oracle", *argv, "--steps", str(least - 1),
+                        "--output", str(out)]) == 2
+            assert run(["oracle", *argv, "--steps", str(least),
+                        "--output", str(out)]) == 0
+        assert out.read_text() == ",".join(SCHEMA) + "\n"
+
     @pytest.mark.parametrize("oracle_args, spectrum_args", [
         (["--k", "1", "--eps", "0"], ["--k", "1", "--eps", "0"]),
         (["--k", "0", "--eps", "1"], ["--k", "0", "--eps", "1"]),
@@ -470,6 +493,31 @@ def test_sidecar_lists_every_branch_termination(tmp_path):
         assert ended[b]["param"] == p
         assert ended[b]["reason"]
     assert len(doc["events"]) == 2
+
+
+def test_json_meta_lists_branch_terminations(tmp_path):
+    # the benchmark's eps sweep: branch 4 climbs above s = 8 after 1.25
+    out = tmp_path / "eps.json"
+    assert run(["trace", "--k", "1", "--x0", "0.9", "--smax", "8",
+                "--sweep", "eps:0:12:0.25", "--format", "json",
+                "--output", str(out)]) == 0
+    ended = json.loads(out.read_text())["meta"]["terminations"]
+    sidecar = json.loads((tmp_path / "eps.json.events.json").read_text())
+    assert ended == sidecar["terminations"]
+    assert {"branch": 4, "reason": "left the scan window",
+            "param": 1.25} in ended
+
+
+def test_figure_json_meta_lists_branch_terminations(tmp_path):
+    base = tmp_path / "fig"
+    assert run(["figures", "--figure", "5", "--format", "json",
+                "--output", str(base)]) == 0
+    for suffix in ("k1", "k3"):
+        doc = json.loads((tmp_path / f"fig_{suffix}.json").read_text())
+        sidecar = json.loads(
+            (tmp_path / f"fig_{suffix}.json.events.json").read_text())
+        assert doc["meta"]["terminations"] == sidecar["terminations"]
+        assert doc["meta"]["terminations"]
 
 
 def test_branch_above_smax_ends_the_branch_not_the_run(tmp_path):

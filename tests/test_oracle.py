@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from sphere_spectra import (ScanConfig, SpectralParams, det_functional,
-                            scan_real_roots, shoot, shoot_functional)
+from sphere_spectra import (NonFiniteError, ScanConfig, SpectralParams,
+                            det_functional, scan_real_roots, shoot,
+                            shoot_functional)
 from sphere_spectra import oracle as oracle_mod
 
 
@@ -277,3 +280,26 @@ def test_roots_bracketed_by_long_double_rk4():
     vals = _staged_residual(params, "k", np.concatenate([s - d, s + d]), 2000,
                             real=np.longdouble)
     assert np.all(vals[:4] * vals[4:] < 0), roots
+
+
+def test_unstable_step_refused_for_either_richardson_run():
+    # shoot also runs half the steps, so it needs twice the count that the
+    # scan functional needs
+    params = SpectralParams(k=1, eps=1000.0, x0=0.9, M=10)
+    shoot_functional(params, n_steps=3414)
+    with pytest.raises(ValueError, match="at 2000 steps"):
+        shoot_functional(params, n_steps=2000)
+    for n_steps in (3414, 6827):
+        with pytest.raises(ValueError, match="use --steps 6828 or more"):
+            shoot(params, 1.0, n_steps=n_steps)
+    assert shoot(params, 1.0, n_steps=6828).step_count == 6828
+
+
+def test_overflow_reported_without_numpy_warnings():
+    # mu = -s(s+1) ~ -1e8 is far outside what the step resolves; the state
+    # overflows and only the NonFiniteError reports it
+    F = shoot_functional(SpectralParams(k=1, eps=0.0, x0=0.9, M=10))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError):
+            F(np.array([1e4]))

@@ -101,36 +101,78 @@ class TestScan:
             ScanConfig(s_min=0.0, s_max=1.0, step=2.0)
 
 
+def counting(F):
+    """F and the list of batch sizes it was called with."""
+    calls = []
+
+    def G(s):
+        calls.append(np.size(s))
+        return F(s)
+    return G, calls
+
+
 class TestRefineComplex:
     def test_pure_imaginary_pair(self):
-        root = refine_complex(lambda s: np.asarray(s) ** 2 + 1, 0.2 + 0.8j)
+        root, = refine_complex(lambda s: np.asarray(s) ** 2 + 1, [0.2 + 0.8j])
         assert root.s == pytest.approx(1j, abs=1e-9)
         assert root.kind == "complex-pair"
 
     def test_shifted_pair(self):
         F = poly(2 + 1j, 2 - 1j)
-        root = refine_complex(F, 2 + 0.5j)
+        root = refine_complex(F, [2 + 0.5j])[0]
         assert root.s == pytest.approx(2 + 1j, abs=1e-9)
 
     def test_result_canonicalized(self):
         F = poly(2 + 1j, 2 - 1j)
-        root = refine_complex(F, 2 - 0.5j)
+        root = refine_complex(F, [2 - 0.5j])[0]
         assert root.s.imag > 0
 
     def test_real_root_classified_real(self):
-        root = refine_complex(poly(1.5), 1.4 + 1e-4j)
+        root = refine_complex(poly(1.5), [1.4 + 1e-4j])[0]
         assert root.kind == "real"
         assert root.s.real == pytest.approx(1.5, abs=1e-9)
 
     def test_error_is_the_last_muller_step(self):
-        root = refine_complex(poly(2 + 1j, 2 - 1j), 2 + 0.5j, tol=1e-10)
+        root = refine_complex(poly(2 + 1j, 2 - 1j), [2 + 0.5j], tol=1e-10)[0]
         assert 0 <= root.error < 1e-10
         assert abs(root.s - (2 + 1j)) < 1e-9
 
     def test_no_convergence(self):
-        with pytest.raises(NoConvergenceError):
-            refine_complex(lambda s: np.ones_like(np.asarray(s, complex)),
-                           1.0 + 1.0j, max_iter=10)
+        ones = lambda s: np.ones_like(np.asarray(s, complex))
+        assert refine_complex(ones, [1.0 + 1.0j], max_iter=10) == [None]
+        # F is flat right of Re s = 5: that seed stops on a zero
+        # denominator, while its batch mate still converges as it does alone
+        F = lambda s: np.where(np.real(s) > 5, 1.0, np.asarray(s) ** 2 + 1)
+        alone = refine_complex(F, [0.2 + 0.8j], max_iter=10)[0]
+        lost, root = refine_complex(F, [6.0 + 1.0j, 0.2 + 0.8j], max_iter=10)
+        assert lost is None
+        assert root == alone and root.s == pytest.approx(1j, abs=1e-9)
+
+    def test_empty_batch_calls_nothing(self):
+        F, calls = counting(poly(1.5))
+        assert refine_complex(F, []) == [] and calls == []
+
+    def test_batch_matches_single_seeds(self):
+        # a complex pair, a seed that collapses onto the real root 1.45 and
+        # a slow seed converging only linearly on the double root 5.2+1.1i
+        F = poly(2.1 + 0.9j, 2.1 - 0.9j, 1.45, 5.2 + 1.1j, 5.2 + 1.1j)
+        seeds = [2 + 0.5j, 1.4 + 1e-4j, 5.5 + 0.6j]
+        alone, single_calls = [], []
+        for seed in seeds:
+            G, calls = counting(F)
+            alone += refine_complex(G, [seed])
+            single_calls.append(calls)
+        G, calls = counting(F)
+        batch = refine_complex(G, seeds)
+        assert batch == alone
+        assert [r.kind for r in batch] == ["complex-pair", "real",
+                                           "complex-pair"]
+        # one start call, one call per round of the slowest seed, one
+        # probe call; alone a seed makes its rounds plus two calls
+        rounds = [len(c) - 2 for c in single_calls]
+        assert rounds[2] > max(rounds[:2])
+        assert len(calls) == 1 + max(rounds) + 1
+        assert calls[0] == calls[-1] == 3 * len(seeds)
 
 
 class TestTrace:
@@ -310,6 +352,13 @@ class TestDetectCoalescence:
             assert p == 1.25
             assert root.kind == "complex-pair"
             assert root.s == pytest.approx(0.5j, abs=1e-9)
+
+    def test_no_convergence_raises(self):
+        F = lambda s: np.ones_like(np.asarray(s, complex))
+        ba, bb = self._branch(0, 0.9), self._branch(1, 1.1)
+        with pytest.raises(NoConvergenceError):
+            detect_coalescence(ba, bb, F, 1.0, step=0.05)
+        assert not ba.events and len(bb.samples) == 1
 
     def test_seed_rejected_on_real_attractor(self):
         # nearby genuine real roots pull the seed back to the axis
