@@ -4,16 +4,14 @@ closed-form reference spectra, and parameter-continuation root tracing."""
 
 __version__ = "0.1.0"
 
-from .core import (GridTooCoarseWarning, NoConvergenceError, NonFiniteError,
-                   Root, SeedRejectedError, SpectralParams, canonicalize_s,
-                   in_stability_domain, mu_of_s)
+from .core import (GridTooCoarseWarning, NonFiniteError, Root, SpectralParams,
+                   canonicalize_s, in_stability_domain, mu_of_s)
 from .series import (SeriesCoefficients, coeffs_full_k, coeffs_k0,
                      eval_series)
 from .boundary import (BoundaryMatrix, assemble, det_functional,
                        eigenfunction_coeffs, null_seeds)
-from .rootfinder import (Branch, CoalescenceEvent, ScanConfig,
-                         detect_coalescence, refine_complex, scan_real_roots,
-                         trace_parameter)
+from .rootfinder import (Branch, CoalescenceEvent, ScanConfig, refine_complex,
+                         scan_real_roots, trace_parameter)
 from .analytic import (AnalyticSpectrum, Polynomial, PowerWeightedPoly,
                        chi_mode, darboux_residual, eigenfunction_phi_k,
                        gauss_composite, green_identity_residual,

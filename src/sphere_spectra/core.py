@@ -15,14 +15,6 @@ class NonFiniteError(FloatingPointError):
     """A boundary-matrix entry overflowed (truncation order too large for x0)."""
 
 
-class NoConvergenceError(RuntimeError):
-    """Iterative refinement exhausted its iteration budget."""
-
-
-class SeedRejectedError(RuntimeError):
-    """Complex continuation seed collapsed back onto the real axis."""
-
-
 class GridTooCoarseWarning(UserWarning):
     """Two sign changes landed inside one scan step; roots may be missed."""
 

@@ -4,12 +4,13 @@ Real roots are found by grid scan plus one batched Illinois regula falsi
 on the sign-change brackets, which closes each bracket to within tol;
 complex roots by Muller iteration (three-point quadratic interpolation,
 derivative-free: the determinant is a black box and numerical derivatives
-are noisy near coalescence), one batched loop per sweep value whose live
-complex pairs share each F call.  Parameter continuation scans every sweep
-value once and matches the scanned roots to the branches by their
-predicted positions; a branch left unmatched is resolved by a fine local
-rescan, and two nearby unmatched real branches become a coalescence event
-seeding a complex-conjugate pair.  Samples lie only on the sweep values.
+are noisy near coalescence), one batched loop whose seeds share each F
+call.  Parameter continuation scans every sweep value once and matches the
+scanned roots to the branches by their predicted positions; a branch left
+unmatched is resolved by a fine local rescan, and two nearby unmatched real
+branches merge into a pair.  Then every merged pair at the value, new,
+parked or already complex, is refined in one Muller pass.  Samples lie
+only on the sweep values and inside the scan window.
 
 A root's residual is the normalized determinant magnitude at the root
 scaled by its magnitude at the grid neighbours (Muller: probe points), so
@@ -25,19 +26,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (GridTooCoarseWarning, NoConvergenceError, Root,
-                   SeedRejectedError, canonicalize_s)
+from .core import GridTooCoarseWarning, Root, canonicalize_s
+
+# iteration budget of the Illinois and Muller loops, read at call time
+MAX_ITER = 80
 
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Scan interval on the canonical half-plane plus refinement knobs."""
+    """Scan interval on the canonical half-plane, grid step and
+    refinement tolerance."""
 
     s_min: float = 0.0
     s_max: float = 8.0
     step: float = 0.05
     tol: float = 1e-10
-    max_iter: int = 80
 
     def __post_init__(self):
         if self.s_min < -0.5:
@@ -80,7 +83,7 @@ def _as_batch(F):
     return call
 
 
-def _refine_brackets(F, lo, hi, flo, fhi, tol, max_iter):
+def _refine_brackets(F, lo, hi, flo, fhi, tol):
     """Batched Illinois regula falsi (Dowell & Jarratt 1971, BIT 11) on
     sign-change brackets [lo, hi] with end values flo, fhi (1D arrays, not
     modified).  Each round calls F once, at the false-position points of the
@@ -92,7 +95,7 @@ def _refine_brackets(F, lo, hi, flo, fhi, tol, max_iter):
     lo, hi, flo, fhi = (a.astype(float) for a in (lo, hi, flo, fhi))
     wlo, whi = flo.copy(), fhi.copy()       # Illinois weights
     kept = np.zeros(lo.shape, dtype=int)    # end kept last round: -1 lo, 1 hi
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         i = np.nonzero((hi - lo > tol) & (np.nextafter(lo, hi) < hi))[0]
         if not i.size:
             break
@@ -140,7 +143,7 @@ def scan_real_roots(F, cfg: ScanConfig, source: str = "series") -> list:
     idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
     flo, fhi = vals[idx], vals[idx + 1]
     refined, fabs, width = _refine_brackets(
-        F, grid[idx], grid[idx + 1], flo, fhi, cfg.tol, cfg.max_iter)
+        F, grid[idx], grid[idx + 1], flo, fhi, cfg.tol)
     # |F| at the root scaled by the larger grid-end magnitude
     resid = fabs / np.maximum(np.abs(flo), np.abs(fhi))
     roots = [Root(canonicalize_s(r), float(res), "real", source, float(err))
@@ -155,8 +158,7 @@ def scan_real_roots(F, cfg: ScanConfig, source: str = "series") -> list:
     return roots
 
 
-def refine_complex(F, seeds, tol: float = 1e-10, max_iter: int = 60,
-                   probe: float = 0.05) -> list:
+def refine_complex(F, seeds, tol: float = 1e-10, probe: float = 0.05) -> list:
     """Muller iteration from each complex seed until its update is below
     tol: one Root per seed, or None where the seed did not converge.
 
@@ -176,7 +178,7 @@ def refine_complex(F, seeds, tol: float = 1e-10, max_iter: int = 60,
     # per seed: rounds since the first step below tol, last step length
     extra, step = [0] * len(seeds), [0.0] * len(seeds)
     live = list(range(len(seeds)))
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         moves = []      # (seed, next iterate); none at a degenerate point
         for i in live:
             (x2, x1, x0), (f2, f1, f0) = xs[i], fs[i]
@@ -222,42 +224,12 @@ def refine_complex(F, seeds, tol: float = 1e-10, max_iter: int = 60,
     return roots
 
 
-def detect_coalescence(branch_a: Branch, branch_b: Branch, F, param: float,
-                       step: float, tol: float = 1e-10,
-                       max_iter: int = 60) -> complex:
-    """Seed and start the complex continuation of a merged real pair.
-
-    branch_a and branch_b must hold their last real samples at the merge;
-    the seed is the pair midpoint displaced by one grid step into the upper
-    half-plane.  The refined complex-pair root at param is appended to both
-    branches; the seed is returned.  SeedRejectedError is raised when the
-    refinement falls back onto the real axis.
-    """
-    sa = branch_a.last_root.s.real
-    sb = branch_b.last_root.s.real
-    s_star = 0.5 * (sa + sb)
-    seed = s_star + 1j * step
-    root = refine_complex(F, [seed], tol, max_iter, probe=step)[0]
-    if root is None:
-        raise NoConvergenceError(
-            f"Muller iteration did not converge from seed {seed}")
-    if root.kind != "complex-pair":
-        raise SeedRejectedError(
-            f"complex seed {seed} refined back to the real axis at {root.s}")
-    event = CoalescenceEvent(param, s_star, (branch_a.index, branch_b.index),
-                             seed)
-    for br in (branch_a, branch_b):
-        br.events.append(event)
-        br.samples.append((param, root))
-    return seed
-
-
 class _LiveBranch:
     __slots__ = ("branch", "status", "s", "ds", "dp")
 
     def __init__(self, branch, s):
         self.branch = branch
-        self.status = "real"          # real | pending-merge | complex | dead
+        self.status = "real"          # real | pair | dead
         self.s = s
         self.ds = 0.0                 # movement of the last committed step
         self.dp = 0.0                 # parameter delta of that step
@@ -323,10 +295,13 @@ def trace_parameter(family, parameter: str, values, cfg: ScanConfig) -> list:
     [s_min, s_max] is matched to the live real branches (see _match).
     Branches left unmatched are resolved by a fine rescan of their
     neighbourhood: surviving roots go back to the nearest branches,
-    adjacent leftover pairs are recorded as a coalescence event and
-    continued as one complex pair appended to both branches, and a lone
-    leftover ends its branch.  Scanned roots that no real branch holds
-    start new branches.
+    adjacent leftover pairs merge, and a lone leftover ends its branch.
+    Then one refine_complex call refines every merged pair at the value:
+    a pair formed there or parked by a failed conversion is seeded from
+    its members' midpoint, and a converted one (its coalescence event
+    recorded on both branches) from its last complex root, which is
+    appended to both.  Scanned roots that no real branch holds start new
+    branches.
 
     A branch that ends carries its reason in Branch.note: "left the scan
     window" (its predicted position, or its complex pair's Re s, is outside
@@ -344,40 +319,18 @@ def trace_parameter(family, parameter: str, values, cfg: ScanConfig) -> list:
 
     pairs = []      # (lower-index member, other member, failure params)
 
-    def continue_pair(pair, F, p):
-        """Convert a merged real pair into a complex pair at p.  When the
-        conversion is premature (the seed refines back to the real axis
-        just before the true merge parameter) the pair is parked; it is
-        retried once at each of the next three sweep values, then ends."""
-        la, lc, failures = pair
-        lo, hi = sorted((la, lc), key=lambda lb: lb.s)
-        try:
-            detect_coalescence(lo.branch, hi.branch, F, p, cfg.step,
-                               cfg.tol, cfg.max_iter)
-        except (SeedRejectedError, NoConvergenceError):
-            failures.append(p)
-            for lb in (la, lc):
-                if len(failures) <= 3:
-                    lb.status = "pending-merge"
-                else:
-                    lb.end("coalescence seed rejected")
-            return
-        for lb in (la, lc):
-            lb.status = "complex"
-            lb.s = lb.branch.last_root.s
-
     def handle_failures(failed, F, p, dp):
         """Resolve unmatched real branches: re-scan their neighbourhood,
         clipped to the scan window, at a tenth of the grid step, hand
-        surviving real roots back to the nearest branches, and declare the
-        leftover adjacent pairs coalesced.  A leftover without a partner
-        ends its branch."""
+        surviving real roots back to the nearest branches, and merge the
+        leftover adjacent pairs (refined by refine_pairs).  A leftover
+        without a partner ends its branch."""
         occupied = [lb.s for lb in live
                     if lb.status == "real" and lb not in failed]
         for cluster in _failure_clusters(failed, cfg):
             lo = max(cfg.s_min, min(lb.s for lb in cluster) - 2 * cfg.step)
             hi = min(cfg.s_max, max(lb.s for lb in cluster) + 2 * cfg.step)
-            fine = ScanConfig(lo, hi, cfg.step / 10, cfg.tol, cfg.max_iter)
+            fine = ScanConfig(lo, hi, cfg.step / 10, cfg.tol)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", GridTooCoarseWarning)
                 found = scan_real_roots(F, fine)
@@ -402,33 +355,47 @@ def trace_parameter(family, parameter: str, values, cfg: ScanConfig) -> list:
             while len(lbs) >= 2:
                 la, lc = sorted(lbs[:2], key=lambda lb: lb.branch.index)
                 del lbs[:2]
+                la.status = lc.status = "pair"
                 pairs.append((la, lc, []))
-                continue_pair(pairs[-1], F, p)
             for lb in lbs:
                 inside = cfg.s_min <= lb.predicted(dp) <= cfg.s_max
                 lb.end("no convergence" if inside else "left the scan window")
 
-    def advance_pairs(F, p):
-        """Carry every merged pair from the previous value to p: retry a
-        parked pair; refine all complex pairs from their last roots in one
-        refine_complex call.  A lost complex root ends the lower-index
-        member still complex; the other continues from the same root.  A
-        pair whose Re s leaves [s_min, s_max] ends both members."""
-        live_pairs = []
-        for pair in pairs:
-            if pair[0].status == "pending-merge":
-                continue_pair(pair, F, p)
-            elif any(lb.status == "complex" for lb in pair[:2]):
-                live_pairs.append([lb for lb in pair[:2]
-                                   if lb.status == "complex"])
-        roots = live_pairs and refine_complex(
-            F, [m[0].s for m in live_pairs], cfg.tol, cfg.max_iter,
-            probe=cfg.step)
-        for members, root in zip(live_pairs, roots):
+    def refine_pairs(F, p):
+        """Refine every merged pair at p in one refine_complex call.  A pair
+        with its event continues from its last complex root; a new or
+        parked pair is converted from the midpoint of its members' last
+        real roots, one scan step into the upper half-plane, and on success
+        records the event on both members.  A failed conversion (no
+        convergence, or the seed falls back onto the real axis just before
+        the true merge parameter) parks the pair: it is retried once at each
+        of the next three sweep values, then ends.  A lost complex root ends
+        the lower-index member; the other continues from the same root.  A
+        complex root whose Re s is outside [s_min, s_max] ends both."""
+        work = [(m, failures) for la, lc, failures in pairs
+                if (m := [lb for lb in (la, lc) if lb.status == "pair"])]
+        seeds = [m[0].s if m[0].branch.events
+                 else 0.5 * (m[0].s + m[1].s) + 1j * cfg.step
+                 for m, _ in work]
+        roots = work and refine_complex(F, seeds, cfg.tol, probe=cfg.step)
+        for (members, failures), seed, root in zip(work, seeds, roots):
+            merging = not members[0].branch.events
             if root is None or root.kind != "complex-pair":
-                members[0].end("complex continuation lost" if root is None
-                               else "complex pair returned to real axis")
+                if not merging:
+                    members[0].end("complex continuation lost" if root is None
+                                   else "complex pair returned to real axis")
+                else:
+                    failures.append(p)
+                    if len(failures) > 3:
+                        for lb in members:
+                            lb.end("coalescence seed rejected")
                 continue
+            if merging:
+                ids = tuple(lb.branch.index
+                            for lb in sorted(members, key=lambda lb: lb.s))
+                event = CoalescenceEvent(p, seed.real, ids, seed)
+                for lb in members:
+                    lb.branch.events.append(event)
             for lb in members:
                 if cfg.s_min <= root.s.real <= cfg.s_max:
                     lb.s = root.s
@@ -440,14 +407,13 @@ def trace_parameter(family, parameter: str, values, cfg: ScanConfig) -> list:
         dp = p - p_prev
         F = family(p)
         found = scan_real_roots(F, cfg)
-        # existing pairs first: a pair made at p below has its sample at p
-        advance_pairs(F, p)
         reals = [lb for lb in live if lb.status == "real"]
         matched = _match(reals, found, dp, cfg)
         for lb, r in matched:
             lb.commit(p, dp, r)
         held = {id(lb) for lb, _ in matched}
         handle_failures([lb for lb in reals if id(lb) not in held], F, p, dp)
+        refine_pairs(F, p)
         # scanned roots that no live real branch holds start new branches
         known = [lb.s for lb in live if lb.status == "real"]
         for r in found:

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from sphere_spectra import (Branch, GridTooCoarseWarning, NoConvergenceError,
-                            Root, ScanConfig, SeedRejectedError,
-                            detect_coalescence, refine_complex,
-                            scan_real_roots, trace_parameter)
+from sphere_spectra import (GridTooCoarseWarning, Root, ScanConfig,
+                            refine_complex, rootfinder, scan_real_roots,
+                            trace_parameter)
 from sphere_spectra.rootfinder import _dedupe
 
 
@@ -111,6 +110,26 @@ def counting(F):
     return G, calls
 
 
+def recording_refine(monkeypatch, fam):
+    """fam wrapped to note the value it was last built at, and the list of
+    (value, seeds, roots) of every refine_complex call a trace over it
+    makes."""
+    value, calls = [None], []
+    refine = rootfinder.refine_complex
+
+    def recording(F, seeds, *args, **kwargs):
+        roots = refine(F, seeds, *args, **kwargs)
+        calls.append((value[0], list(seeds), roots))
+        return roots
+
+    def built(t):
+        value[0] = t
+        return fam(t)
+
+    monkeypatch.setattr(rootfinder, "refine_complex", recording)
+    return built, calls
+
+
 class TestRefineComplex:
     def test_pure_imaginary_pair(self):
         root, = refine_complex(lambda s: np.asarray(s) ** 2 + 1, [0.2 + 0.8j])
@@ -137,14 +156,15 @@ class TestRefineComplex:
         assert 0 <= root.error < 1e-10
         assert abs(root.s - (2 + 1j)) < 1e-9
 
-    def test_no_convergence(self):
+    def test_no_convergence(self, monkeypatch):
+        monkeypatch.setattr(rootfinder, "MAX_ITER", 10)
         ones = lambda s: np.ones_like(np.asarray(s, complex))
-        assert refine_complex(ones, [1.0 + 1.0j], max_iter=10) == [None]
+        assert refine_complex(ones, [1.0 + 1.0j]) == [None]
         # F is flat right of Re s = 5: that seed stops on a zero
         # denominator, while its batch mate still converges as it does alone
         F = lambda s: np.where(np.real(s) > 5, 1.0, np.asarray(s) ** 2 + 1)
-        alone = refine_complex(F, [0.2 + 0.8j], max_iter=10)[0]
-        lost, root = refine_complex(F, [6.0 + 1.0j, 0.2 + 0.8j], max_iter=10)
+        alone = refine_complex(F, [0.2 + 0.8j])[0]
+        lost, root = refine_complex(F, [6.0 + 1.0j, 0.2 + 0.8j])
         assert lost is None
         assert root == alone and root.s == pytest.approx(1j, abs=1e-9)
 
@@ -284,25 +304,18 @@ class TestTrace:
         # the pair 1 +- 0.2 sqrt(1 - t) closes at t = 1, where the family
         # jumps to real roots 0.8 and 1.2 outside the pair's brackets; every
         # complex seed then refines back onto the real axis
-        from sphere_spectra import rootfinder
-
         def fam(t):
             if t < 1.0:
                 return lambda s: (np.asarray(s, complex) - 1) ** 2 \
                     - 0.04 * (1 - t)
             return poly(0.8, 1.2)
 
-        attempts = []
-
-        def recording(branch_a, branch_b, F, param, *args):
-            attempts.append(param)
-            return detect_coalescence(branch_a, branch_b, F, param, *args)
-
-        monkeypatch.setattr(rootfinder, "detect_coalescence", recording)
+        fam, calls = recording_refine(monkeypatch, fam)
         cfg = ScanConfig(0.0, 2.0, 0.05, 1e-12)
         values = [0.9, 0.95, 1.0, 1.05, 1.1, 1.15, 1.2]
         branches = trace_parameter(fam, "t", values, cfg)
         # parked at 1.0, then one retry at each of the next three values
+        attempts = [t for t, seeds, _ in calls for _ in seeds]
         assert attempts == [1.0, 1.05, 1.1, 1.15]
         assert [br.note for br in branches[:2]] == [
             "coalescence seed rejected"] * 2
@@ -311,6 +324,114 @@ class TestTrace:
         # the roots at 0.8 and 1.2 are picked up by the rescan at t = 1
         assert sorted(round(br.last_root.s.real, 9)
                       for br in branches[2:]) == [0.8, 1.2]
+
+    def test_coalescence_seed_and_continuation(self, monkeypatch):
+        # the pair 1 +- 0.2 sqrt(1 - t) merges at t = 1 and sits at
+        # 1 +- 0.2i sqrt(t - 1) at the first value past it
+        fam = lambda t: (lambda s: (np.asarray(s, complex) - 1) ** 2
+                         + 0.04 * (t - 1))
+        fam, calls = recording_refine(monkeypatch, fam)
+        cfg = ScanConfig(0.0, 2.0, 0.05, 1e-12)
+        branches = trace_parameter(fam, "t", [0.9, 0.95, 1.05], cfg)
+        assert len(branches) == 2
+        below = [br.samples[1][1].s.real for br in branches]
+        assert [p for p, _ in branches[0].samples] == [0.9, 0.95, 1.05]
+        event = branches[0].events[0]
+        # the seed is the midpoint of the last real roots plus one step
+        assert event.seed == 0.5 * sum(below) + 0.05j
+        assert event.seed == pytest.approx(1.0 + 0.05j, abs=1e-12)
+        assert event.s_merged == event.seed.real and event.param == 1.05
+        assert [(t, seeds) for t, seeds, _ in calls] == [(1.05, [event.seed])]
+        for br in branches:
+            assert br.events == [event]
+            assert br.events[0].branch_ids == (0, 1)
+            p, root = br.samples[-1]
+            assert p == 1.05
+            assert root.kind == "complex-pair"
+            assert root.s == pytest.approx(1 + 0.2j * np.sqrt(0.05),
+                                           abs=1e-9)
+
+    @pytest.mark.parametrize("at_merge, outcome", [
+        (lambda s: np.ones_like(np.asarray(s, complex)), None),
+        (poly(0.7, 1.3), "real"),    # real roots pull the seed to the axis
+    ], ids=["no-convergence", "real-attractor"])
+    def test_failed_conversion_parks_pair(self, monkeypatch, at_merge,
+                                          outcome):
+        # the pair 1 +- 0.2 sqrt(1 - t) closes at t = 1, where the
+        # conversion fails; the retry at t = 1.05 meets the complex pair
+        def fam(t):
+            if t == 1.0:
+                return at_merge
+            return lambda s: (np.asarray(s, complex) - 1) ** 2 \
+                + 0.04 * (t - 1)
+
+        fam, calls = recording_refine(monkeypatch, fam)
+        cfg = ScanConfig(0.0, 2.0, 0.05, 1e-12)
+        branches = trace_parameter(fam, "t", [0.9, 0.95, 1.0, 1.05], cfg)
+        pair = branches[:2]
+        seed = 0.5 * sum(br.samples[1][1].s.real for br in pair) + 0.05j
+        assert [(t, seeds) for t, seeds, _ in calls] == [
+            (1.0, [seed]), (1.05, [seed])]
+        failed, = calls[0][2]
+        assert getattr(failed, "kind", None) == outcome
+        for br in pair:
+            assert br.note == ""
+            assert [p for p, _ in br.samples] == [0.9, 0.95, 1.05]
+            assert br.samples[-1][1].kind == "complex-pair"
+            assert [(e.param, e.seed) for e in br.events] == [(1.05, seed)]
+
+    def test_new_pair_root_outside_window_ends_pair(self):
+        # the pair 2.4 +- 0.2 sqrt(1 - t) merges at t = 1 and moves off as
+        # c +- 0.2i sqrt(t - 1), c = 2.4 + 4 (t - 1): its first complex
+        # root, at t = 1.05, has Re s = 2.6 beyond s_max = 2.5
+        def fam(t):
+            if t < 1.0:
+                return lambda s: (np.asarray(s, complex) - 2.4) ** 2 \
+                    - 0.04 * (1 - t)
+            c = 2.4 + 4 * (t - 1)
+            return lambda s: (np.asarray(s, complex) - c) ** 2 \
+                + 0.04 * (t - 1)
+
+        cfg = ScanConfig(0.0, 2.5, 0.05, 1e-12)
+        values = [0.9, 0.95, 1.0, 1.05, 1.1, 1.15]
+        branches = trace_parameter(fam, "t", values, cfg)
+        assert len(branches) == 2
+        for br in branches:
+            assert br.note == "left the scan window"
+            assert [e.param for e in br.events] == [1.05]
+            assert [p for p, _ in br.samples] == [0.9, 0.95]
+        assert all(cfg.s_min <= r.s.real <= cfg.s_max
+                   for br in branches for _, r in br.samples)
+
+    @pytest.mark.parametrize("merges", [(0.975, 1.125), (0.975, 0.975)],
+                             ids=["while-live", "same-value"])
+    def test_one_muller_pass_per_value(self, monkeypatch, merges):
+        # pairs 1 +- 0.2 sqrt(ta - t) and 3 +- 0.2 sqrt(tb - t) merge at
+        # ta and tb, between sweep values
+        ta, tb = merges
+
+        def fam(t):
+            return lambda s: (((np.asarray(s, complex) - 1) ** 2
+                               + 0.04 * (t - ta))
+                              * ((np.asarray(s, complex) - 3) ** 2
+                                 + 0.04 * (t - tb)))
+
+        fam, calls = recording_refine(monkeypatch, fam)
+        cfg = ScanConfig(0.0, 4.0, 0.05, 1e-12)
+        values = np.round(np.arange(0.9, 1.2001, 0.05), 12).tolist()
+        branches = trace_parameter(fam, "t", values, cfg)
+        events = {e.param for br in branches for e in br.events}
+        first = [min(v for v in values if v > m) for m in merges]
+        assert events == set(first)
+        # one call at each value from the first merge on, holding a seed
+        # for each pair merged by then
+        assert [t for t, _, _ in calls] == [v for v in values
+                                            if v >= min(first)]
+        assert [len(seeds) for t, seeds, _ in calls] == [
+            sum(t >= f for f in first) for t, _, _ in calls]
+        assert all(r.kind == "complex-pair"
+                   for _, _, roots in calls for r in roots)
+        assert all(br.note == "" for br in branches)
 
     def test_duplicate_capture_demoted(self):
         # two branches close in on 1.23 and meet there at t = 2, where the
@@ -334,35 +455,3 @@ class TestTrace:
         assert sorted(br.note for br in branches) == ["", "no convergence"]
         lost = next(br for br in branches if br.note)
         assert lost.samples[-1][0] < 2.0
-
-
-class TestDetectCoalescence:
-    def _branch(self, idx, s):
-        return Branch("t", idx, [(1.0, Root(s, 1e-13))])
-
-    def test_seed_and_continuation(self):
-        # at the post-merge parameter the pair sits at +-0.5i
-        F = lambda s: np.asarray(s, complex) ** 2 + 0.25
-        ba, bb = self._branch(0, -0.1), self._branch(1, 0.1)
-        seed = detect_coalescence(ba, bb, F, 1.25, step=0.05)
-        assert seed == pytest.approx(0.0 + 0.05j, abs=1e-12)
-        for br in (ba, bb):
-            assert br.events[0].branch_ids == (0, 1)
-            p, root = br.samples[-1]
-            assert p == 1.25
-            assert root.kind == "complex-pair"
-            assert root.s == pytest.approx(0.5j, abs=1e-9)
-
-    def test_no_convergence_raises(self):
-        F = lambda s: np.ones_like(np.asarray(s, complex))
-        ba, bb = self._branch(0, 0.9), self._branch(1, 1.1)
-        with pytest.raises(NoConvergenceError):
-            detect_coalescence(ba, bb, F, 1.0, step=0.05)
-        assert not ba.events and len(bb.samples) == 1
-
-    def test_seed_rejected_on_real_attractor(self):
-        # nearby genuine real roots pull the seed back to the axis
-        F = poly(0.0, 0.3)
-        ba, bb = self._branch(0, 0.05), self._branch(1, 0.25)
-        with pytest.raises(SeedRejectedError):
-            detect_coalescence(ba, bb, F, 1.0, step=0.05)
