@@ -8,14 +8,14 @@ from .core import (GridTooCoarseWarning, NonFiniteError, Root, SpectralParams,
                    canonicalize_s, in_stability_domain, mu_of_s)
 from .series import (SeriesCoefficients, coeffs_full_k, coeffs_k0,
                      eval_series)
-from .boundary import (BoundaryMatrix, assemble, det_functional,
-                       eigenfunction_coeffs, null_seeds)
+from .boundary import (assemble, det_functional, eigenfunction_coeffs,
+                       null_seeds)
 from .rootfinder import (Branch, CoalescenceEvent, ScanConfig, refine_complex,
                          scan_real_roots, trace_parameter)
-from .analytic import (AnalyticSpectrum, Polynomial, PowerWeightedPoly,
-                       chi_mode, darboux_residual, eigenfunction_phi_k,
-                       gauss_composite, green_identity_residual,
-                       hypergeom_truncated, k0_truncated, sigma_of,
-                       spectrum_chi_limit, spectrum_full_sphere_k,
-                       spectrum_full_sphere_k0, vorticity_ode_residual)
-from .oracle import ShootResidual, shoot, shoot_functional
+from .analytic import (AnalyticSpectrum, PowerWeightedPoly, chi_mode,
+                       darboux_residual, gauss_composite,
+                       green_identity_residual, hypergeom_truncated,
+                       k0_truncated, sigma_of, spectrum_chi_limit,
+                       spectrum_full_sphere_k, spectrum_full_sphere_k0,
+                       vorticity_ode_residual)
+from .oracle import shoot_functional

@@ -19,33 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from .series import eval_series
-
-P = np.polynomial.polynomial
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    """Real polynomial, ascending coefficients; trailing zeros trimmed."""
-
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        coef = np.trim_zeros(np.asarray(self.coefficients, dtype=float), "b")
-        if coef.size == 0:
-            coef = np.zeros(1)
-        object.__setattr__(self, "coefficients", coef)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __call__(self, x):
-        return P.polyval(x, self.coefficients)
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial(P.polyder(self.coefficients))
 
 
 @dataclass(frozen=True)
@@ -66,13 +42,13 @@ class PowerWeightedPoly:
         return (1 - x) ** self.p * (1 + x) ** self.q * self.poly(x)
 
     def derivative(self) -> "PowerWeightedPoly":
-        c = self.poly.coefficients
+        poly = self.poly
         # d/dx [(1-x)^p (1+x)^q P] =
         #   (1-x)^(p-1) (1+x)^(q-1) [ -p(1+x)P + q(1-x)P + (1-x^2)P' ]
-        term = P.polyadd(P.polymul([-self.p, -self.p], c),
-                         P.polymul([self.q, -self.q], c))
-        term = P.polyadd(term, P.polymul([1, 0, -1], P.polyder(c)))
-        return PowerWeightedPoly(self.p - 1, self.q - 1, Polynomial(term))
+        term = (Polynomial([-self.p, -self.p]) * poly
+                + Polynomial([self.q, -self.q]) * poly
+                + Polynomial([1, 0, -1]) * poly.deriv())
+        return PowerWeightedPoly(self.p - 1, self.q - 1, term)
 
 
 @dataclass(frozen=True)
@@ -153,12 +129,11 @@ def _truncated_hypergeometric(n: int, beta: float, gamma: float) -> Polynomial:
     for j in range(n):
         coef_z[j + 1] = (coef_z[j] * (-n + j) * (beta + j)
                          / ((gamma + j) * (j + 1)))
-    out = np.zeros(1)
-    zpow = np.ones(1)                       # ((1-x)/2)**j
+    out, zpow = Polynomial([0.0]), Polynomial([1.0])   # zpow: ((1-x)/2)**j
     for j in range(n + 1):
-        out = P.polyadd(out, coef_z[j] * zpow)
-        zpow = P.polymul(zpow, [0.5, -0.5])
-    return Polynomial(out)
+        out = out + coef_z[j] * zpow
+        zpow = zpow * Polynomial([0.5, -0.5])
+    return out
 
 
 def hypergeom_truncated(n: int, sigma: float) -> Polynomial:
@@ -190,13 +165,6 @@ def eigenfunction_phi_k_mode(k: int, eps: float, n: int) -> PowerWeightedPoly:
                              hypergeom_truncated(n, sigma))
 
 
-def eigenfunction_phi_k(k: int, eps: float, n: int, x: float) -> float:
-    """Pointwise value of the closed-form vorticity eigenfunction, |x| < 1."""
-    if not abs(x) < 1:
-        raise ValueError(f"eigenfunction evaluation requires |x| < 1, got {x}")
-    return float(eigenfunction_phi_k_mode(k, eps, n)(x))
-
-
 def chi_mode(eps: float, n: int):
     """Closed-form eigenfunction of the transformed self-adjoint problem
     at x0 = 1 and its eigenvalue mu = -s(s+1), s = eps/2 + n.
@@ -212,9 +180,7 @@ def chi_mode(eps: float, n: int):
         raise ValueError("eps = 0 chi modes start at n = 1 (s = n)")
     s = eps / 2 + n
     F = hypergeom_truncated(n, eps / 2)
-    dF = F.derivative()
-    poly = Polynomial(P.polyadd(P.polymul([1, 1], dF.coefficients),
-                                (eps / 2) * F.coefficients))
+    poly = Polynomial([1, 1]) * F.deriv() + (eps / 2) * F
     chi = PowerWeightedPoly(eps / 4 + 0.5, eps / 4 - 0.5, poly)
     return chi, float(-s * (s + 1))
 

@@ -16,29 +16,12 @@ determinant, which postpones overflow near x0 -> 1 without moving roots.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import NonFiniteError, SpectralParams
 from .series import (SeriesCoefficients, coeffs_full_k, coeffs_k0,
                      coeffs_k0_batch, coeffs_k_batch, stream_functional)
-
-
-@dataclass(frozen=True)
-class BoundaryMatrix:
-    """Boundary matrix at one s: 4x4 for k != 0, 2x2 for k = 0.
-
-    Each column is the boundary-residual vector of a unit seed.
-    """
-
-    entries: np.ndarray
-    params: SpectralParams
-    s: complex
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
 
 def _check_series_domain(params: SpectralParams):
@@ -89,12 +72,12 @@ def _matrices(params: SpectralParams, s):
     return stack
 
 
-def assemble(params: SpectralParams, s: complex) -> BoundaryMatrix:
+def assemble(params: SpectralParams, s: complex) -> np.ndarray:
     """Boundary matrix at a single s: 4x4 for k != 0, 2x2 for k = 0
-    (mu != 0 required)."""
+    (mu != 0 required); each column is the boundary-residual vector of a
+    unit seed."""
     _check_series_domain(params)
-    return BoundaryMatrix(_matrices(params, np.array([s]))[0], params,
-                          complex(s))
+    return _matrices(params, np.array([s]))[0]
 
 
 def _normalized_det(stack: np.ndarray):
@@ -123,13 +106,12 @@ def det_functional(params: SpectralParams):
     return F
 
 
-def null_seeds(matrix: BoundaryMatrix) -> np.ndarray:
+def null_seeds(A: np.ndarray) -> np.ndarray:
     """Seed vector spanning the (near-)null space of A at an eigenvalue.
 
     Computed from the SVD of the column-normalized matrix; the returned
     seeds absorb the normalization so that A @ seeds is (near) zero.
     """
-    A = matrix.entries
     norms = np.abs(A).max(axis=0)
     norms = np.where(norms == 0, 1.0, norms)
     _, _, vh = np.linalg.svd(A / norms)

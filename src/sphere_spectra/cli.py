@@ -328,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "full or truncated sphere")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, spectrum_like=True):
+    def common(p):
         p.add_argument("--config", help="JSON file with default options")
         p.add_argument("--k", type=int, default=None)
         p.add_argument("--eps", type=float, default=None)

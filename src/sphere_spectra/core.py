@@ -105,7 +105,3 @@ class Root:
     @property
     def mu(self) -> complex:
         return mu_of_s(self.s)
-
-    @property
-    def stable(self) -> bool:
-        return in_stability_domain(self.s)

@@ -1,13 +1,13 @@
-"""Independent eigenvalue oracle: shooting integration of the differential
-systems across [-x0, x0] by fixed-step RK4 (the singular points x = +-1 lie
-outside; fixed steps keep the Richardson error estimate clean).
+"""Independent eigenvalue oracle: fixed-step RK4 shooting of the differential
+systems across [-x0, x0], inside the singular points x = +-1.
 
 Each system is y' = (A0(x) + mu A1(x)) y, so one RK4 step is exactly the
 real matrix polynomial T_n(mu) = sum_{j<=4} mu^j C_{n,j}.  Each point's
 trajectories are orthonormalized at every checkpoint, which divides the
 residual by a positive factor (kept as its log10): its zeros and signs stay.
-A step count at which h |eig A0(x)| leaves RK4's real stability interval
-somewhere on the step grid is refused before integrating.
+A step count at which h |eig(A0(x) + mu A1(x))| leaves RK4's real stability
+interval somewhere on the step grid is refused before integrating, at mu = 0
+and at the largest |mu| of the first batch (a scan's first is its grid).
 
 For k != 0, trajectories from (Psi, Psi', Phi, Phi') = (0, 0, 1, 0) and
 (0, 0, 0, 1) span the solutions obeying the left boundary conditions; the
@@ -19,26 +19,12 @@ residual magnitude in the rootfinder, not here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import NonFiniteError, SpectralParams
 
 RENORM_CHECK_EVERY = 100
 RK4_STABLE = 2.78       # RK4 is stable on about [-2.785, 0] of the real axis
-
-
-@dataclass(frozen=True)
-class ShootResidual:
-    """Right-boundary residual of the shooting integration: value of the
-    trajectories orthonormalized at every checkpoint, log_scale the log10
-    factor that took out, and the Richardson error against half the steps."""
-
-    value: complex
-    step_count: int
-    richardson_error: float
-    log_scale: float = 0.0
 
 
 def _system_k(p: SpectralParams, x, om):
@@ -86,11 +72,8 @@ _PROBLEMS = {
 }
 
 
-def _problem(params: SpectralParams, which: str, n_steps: int,
-             halved: bool = False) -> str:
-    """Problem name for params: "chi" on request, else k != 0 or k = 0.
-    The run at n_steps (with halved, also the one at half of them) must be
-    stable; see _stiffness."""
+def _problem(params: SpectralParams, which: str, n_steps: int) -> str:
+    """Problem name: "chi" on request, else "k" or "k0"; stable at mu = 0."""
     if not 0 < params.x0 < 1:
         raise ValueError(f"shooting requires 0 < x0 < 1, got {params.x0}")
     if n_steps < 2:
@@ -98,29 +81,28 @@ def _problem(params: SpectralParams, which: str, n_steps: int,
     if which not in ("auto", "chi"):
         raise ValueError(f"which must be 'auto' or 'chi', got {which!r}")
     problem = "chi" if which == "chi" else "k0" if params.k == 0 else "k"
-    runs = (lambda n: (n, max(2, n // 2))) if halved else (lambda n: (n,))
-    worst, n = max((_stiffness(params, problem, m), m)
-                   for m in runs(n_steps))
-    if worst > RK4_STABLE:
-        # |eig A0| peaks at x = +-x0, which every step grid holds, so
-        # h * max |eig A0| falls as 1/n; the half run is the stiffer one
-        least = int(np.ceil(n * worst / RK4_STABLE)) * (n_steps // n)
-        while max(_stiffness(params, problem, m)
-                  for m in runs(least)) > RK4_STABLE:
-            least += 1
-        raise ValueError(
-            f"RK4 is unstable: h * max |eig A0(x)| = {worst:.4g} at {n} "
-            f"steps exceeds {RK4_STABLE}; use --steps {least} or more")
+    _check_steps(params, problem, n_steps, 0.0)
     return problem
 
 
-def _stiffness(params: SpectralParams, problem: str, n_steps: int) -> float:
-    """h times the largest spectral radius of A0(x) over the grid of
-    n_steps steps across [-x0, x0]."""
-    h = 2.0 * params.x0 / n_steps
-    x = -params.x0 + np.arange(n_steps + 1) * h
-    a0 = _PROBLEMS[problem][2](params, x, 1.0 - x * x)[0]
-    return h * float(np.abs(np.linalg.eigvals(a0)).max())
+def _check_steps(params: SpectralParams, problem: str, n_steps: int, mu):
+    """Refuse n_steps when h * max |eig(A0(x) + mu A1(x))| over the step
+    grid exceeds RK4_STABLE, naming the least step count that passes."""
+    def stiffness(n):
+        h = 2.0 * params.x0 / n
+        x = -params.x0 + np.arange(n + 1) * h
+        a0, a1 = _PROBLEMS[problem][2](params, x, 1.0 - x * x)
+        return h * float(np.abs(np.linalg.eigvals(a0 + mu * a1)).max())
+    worst = stiffness(n_steps)
+    if worst > RK4_STABLE:
+        # the radius peaks at x = +-x0, on every grid: h * it falls as 1/n
+        least = int(np.ceil(n_steps * worst / RK4_STABLE))
+        while stiffness(least) > RK4_STABLE:
+            least += 1
+        raise ValueError(
+            f"RK4 is unstable: h * max |eig(A0(x) + mu A1(x))| = "
+            f"{worst:.4g} at {n_steps} steps and |mu| = {abs(mu):.4g} "
+            f"exceeds {RK4_STABLE}; use --steps {least} or more")
 
 
 def _step_maps(system, params, x, h):
@@ -178,28 +160,21 @@ def _values(params: SpectralParams, problem: str, s, n_steps):
     return value, scale
 
 
-def shoot(params: SpectralParams, s: complex, n_steps: int = 2000,
-          which: str = "auto") -> ShootResidual:
-    """Boundary residual at spectral coordinate s, with a Richardson error
-    estimate from a run at half the number of steps.
-
-    which: "auto" picks the k != 0 or k = 0 system from params (k = 0
-    requires mu != 0); "chi" selects the transformed self-adjoint problem
-    with Dirichlet conditions chi(+-x0) = 0 (params.k ignored).
-    """
-    problem = _problem(params, which, n_steps, halved=True)
-    if problem == "k0" and s * (s + 1) == 0:
-        raise ValueError("mu = 0 is the trivial eigenvalue")
-    v, sc = _values(params, problem, s, n_steps)
-    v_half, sc_half = _values(params, problem, s, max(2, n_steps // 2))
-    # RK4: halving the step cuts the error ~16x, so the difference between
-    # the two runs is ~15x the fine-run error
-    err = abs(v[0] * 10.0 ** sc[0] - v_half[0] * 10.0 ** sc_half[0]) / 15.0
-    return ShootResidual(complex(v[0]), n_steps, float(err), float(sc[0]))
-
-
 def shoot_functional(params: SpectralParams, n_steps: int = 2000,
                      which: str = "auto"):
-    """Vectorized residual for the root finder; which as in shoot."""
+    """Vectorized boundary residual for the root finder.  which: "auto"
+    picks the k != 0 or k = 0 system from params, "chi" the transformed
+    problem with chi(+-x0) = 0.  The first call checks its largest |mu|."""
     problem = _problem(params, which, n_steps)
-    return lambda s: _values(params, problem, s, n_steps)[0]
+    checked = False
+
+    def residual(s):
+        nonlocal checked
+        s = np.atleast_1d(np.asarray(s, dtype=complex))
+        if not checked:
+            mu = -s * (s + 1)
+            _check_steps(params, problem, n_steps,
+                         np.real_if_close(mu[np.abs(mu).argmax()]))
+            checked = True
+        return _values(params, problem, s, n_steps)[0]
+    return residual

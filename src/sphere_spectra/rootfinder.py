@@ -72,10 +72,6 @@ class Branch:
     events: list = field(default_factory=list)
     note: str = ""
 
-    @property
-    def last_root(self) -> Root:
-        return self.samples[-1][1]
-
 
 def _as_batch(F):
     def call(s):

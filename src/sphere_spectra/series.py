@@ -35,10 +35,6 @@ class SeriesCoefficients:
     d: np.ndarray
     seeds: tuple
 
-    @property
-    def M(self) -> int:
-        return len(self.a) - 1
-
 
 # ---------------------------------------------------------------------------
 # batch kernels (s is an array; coefficient arrays have shape (M+1, len(s)))

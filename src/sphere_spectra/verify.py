@@ -144,7 +144,7 @@ def check_block_factorization():
     params = SpectralParams(k=2, eps=0.0, x0=0.8, M=80)
     worst = 0.0
     for s in (1.3, 2.6 + 0.4j, 4.1):
-        A = boundary.assemble(params, s).entries
+        A = boundary.assemble(params, s)
         full = np.linalg.det(A)
         even = np.linalg.det(A[np.ix_([0, 2], [0, 2])])
         odd = np.linalg.det(A[np.ix_([1, 3], [1, 3])])
@@ -162,7 +162,7 @@ def check_normalization_invariance():
     D = np.diag([2.0, 0.5j, -3.0, 1.0])
     worst = 0.0
     for s in (0.8, 1.9 + 0.6j, 3.4):
-        A = boundary.assemble(params, s).entries
+        A = boundary.assemble(params, s)
         scaled = A @ D
         norms = np.abs(scaled).max(axis=0)
         val = np.linalg.det(scaled / norms)
@@ -179,17 +179,17 @@ def check_polynomial_closed_forms():
     for sigma in (0.0, 1.0, 2.5):
         F2 = analytic.hypergeom_truncated(2, sigma)
         ref = np.array([-1, 0, 2 * sigma + 3]) / (2 * (1 + sigma))
-        worst = max(worst, np.abs(F2.coefficients - ref).max())
+        worst = max(worst, np.abs(F2.coef - ref).max())
         F3 = analytic.hypergeom_truncated(3, sigma)
         ref3 = np.array([0, -3, 0, 5 + 2 * sigma]) / (2 * (1 + sigma))
-        worst = max(worst, np.abs(F3.coefficients - ref3).max())
+        worst = max(worst, np.abs(F3.coef - ref3).max())
         G1 = analytic.k0_truncated(1, sigma)
         ref1 = np.array([sigma, 1]) / (1 + sigma)
-        worst = max(worst, np.abs(G1.coefficients - ref1).max())
+        worst = max(worst, np.abs(G1.coef - ref1).max())
         G2 = analytic.k0_truncated(2, sigma)
         ref2 = np.array([sigma * sigma - 1, 3 * sigma, 3]) \
             / ((1 + sigma) * (2 + sigma))
-        worst = max(worst, np.abs(G2.coefficients - ref2).max())
+        worst = max(worst, np.abs(G2.coef - ref2).max())
     return worst < 1e-12, f"max coefficient deviation {worst:.2e}"
 
 
@@ -200,10 +200,10 @@ def check_legendre_reduction():
         basis = np.zeros(n + 1)
         basis[n] = 1.0
         ref = legendre.leg2poly(basis)
-        got = analytic.k0_truncated(n, 0.0).coefficients
+        got = analytic.k0_truncated(n, 0.0).coef
         got = np.pad(got, (0, len(ref) - len(got)))
         worst = max(worst, np.abs(got - ref).max())
-        got2 = analytic.hypergeom_truncated(n, 0.0).coefficients
+        got2 = analytic.hypergeom_truncated(n, 0.0).coef
         got2 = np.pad(got2, (0, len(ref) - len(got2)))
         worst = max(worst, np.abs(got2 - ref).max())
     return worst < 1e-14, f"max coefficient deviation {worst:.2e}"

@@ -161,7 +161,7 @@ def test_criterion_5_coalescence_and_stability_domain():
             first_merge = min((e.param for e in br.events), default=None)
             for p, r in br.samples:
                 if r.kind == "complex-pair":
-                    if not r.stable:
+                    if not ss.in_stability_domain(r.s):
                         outside.append((k, p, r.s))
                     # the |F| < 1e-8 check applies to the continuation just
                     # above the merge, where the determinant has slope
@@ -228,7 +228,7 @@ def test_criterion_8_structural_invariants():
     # parity block factorization at eps = 0
     params = ss.SpectralParams(k=2, eps=0.0, x0=0.8, M=80)
     for s in (1.3, 2.6 + 0.4j):
-        A = ss.assemble(params, s).entries
+        A = ss.assemble(params, s)
         full = np.linalg.det(A)
         blocks = (np.linalg.det(A[np.ix_([0, 2], [0, 2])])
                   * np.linalg.det(A[np.ix_([1, 3], [1, 3])]))
@@ -237,15 +237,15 @@ def test_criterion_8_structural_invariants():
 
     # polynomial constructors against the published closed forms
     for sigma in (0.0, 1.0, 2.0):
-        F2 = ss.hypergeom_truncated(2, sigma).coefficients
+        F2 = ss.hypergeom_truncated(2, sigma).coef
         ref2 = np.array([-1.0, 0.0, 2 * sigma + 3]) / (2 * (1 + sigma))
-        F3 = ss.hypergeom_truncated(3, sigma).coefficients
+        F3 = ss.hypergeom_truncated(3, sigma).coef
         ref3 = np.array([0.0, -3.0, 0.0, 5 + 2 * sigma]) / (2 * (1 + sigma))
-        G1 = ss.k0_truncated(1, sigma).coefficients
+        G1 = ss.k0_truncated(1, sigma).coef
         g1 = np.array([sigma, 1.0]) / (1 + sigma)
-        G2 = ss.k0_truncated(2, sigma).coefficients
+        G2 = ss.k0_truncated(2, sigma).coef
         g2 = np.array([sigma ** 2 - 1, 3 * sigma, 3.0]) / ((1 + sigma) * (2 + sigma))
-        G3 = ss.k0_truncated(3, sigma).coefficients
+        G3 = ss.k0_truncated(3, sigma).coef
         g3 = (np.array([sigma * (sigma ** 2 - 4), 6 * sigma ** 2 - 9,
                         15 * sigma, 15.0])
               / ((1 + sigma) * (2 + sigma) * (3 + sigma)))

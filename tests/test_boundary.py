@@ -80,7 +80,7 @@ def exact_columns_k0(eps, x0, s, M):
 class TestAssembleAk:
     def test_matches_exact_reference(self):
         params = SpectralParams(k=1, eps=0.0, x0=0.9, M=150)
-        A = assemble(params, 1.5).entries
+        A = assemble(params, 1.5)
         cols = exact_columns_k(Fr(1), Fr(0), Fr(9, 10), Fr(3, 2), 150)
         ref = np.array([[float(cols[j][i]) for j in range(4)]
                         for i in range(4)])
@@ -90,7 +90,7 @@ class TestAssembleAk:
 
     def test_matches_exact_reference_with_coupling(self):
         params = SpectralParams(k=2, eps=1.0, x0=0.8, M=60)
-        A = assemble(params, 2.0).entries
+        A = assemble(params, 2.0)
         cols = exact_columns_k(Fr(4), Fr(1), Fr(4, 5), Fr(2), 60)
         ref = np.array([[float(cols[j][i]) for j in range(4)]
                         for i in range(4)])
@@ -100,13 +100,13 @@ class TestAssembleAk:
     def test_parity_blocks_at_eps_zero(self):
         # columns ordered (a0, b0, c0, d0): even seeds feed rows 0, 2 only
         params = SpectralParams(k=1, eps=0.0, x0=0.9, M=80)
-        A = assemble(params, 1.7).entries
+        A = assemble(params, 1.7)
         assert np.all(A[np.ix_([1, 3], [0, 2])] == 0)
         assert np.all(A[np.ix_([0, 2], [1, 3])] == 0)
 
     def test_pure_c0_column(self):
         params = SpectralParams(k=2, eps=3.0, x0=0.7, M=50)
-        A = assemble(params, 1.1 + 0.3j).entries
+        A = assemble(params, 1.1 + 0.3j)
         col = A[:, 2]
         assert col[1] == 0 and col[3] == 0
         # the c-chain decouples: c_{m+2} from c alone when a = 0
@@ -123,8 +123,10 @@ class TestAssembleAk:
                                        rel=1e-13)
 
     def test_dim_follows_k_and_full_sphere_rejected(self):
-        assert assemble(SpectralParams(k=0, eps=0, x0=0.9, M=10), 1.0).dim == 2
-        assert assemble(SpectralParams(k=1, eps=0, x0=0.9, M=10), 1.0).dim == 4
+        assert assemble(SpectralParams(k=0, eps=0, x0=0.9, M=10),
+                        1.0).shape == (2, 2)
+        assert assemble(SpectralParams(k=1, eps=0, x0=0.9, M=10),
+                        1.0).shape == (4, 4)
         for k in (0, 1):
             with pytest.raises(ValueError):
                 assemble(SpectralParams(k=k, eps=0, x0=1.0, M=10), 1.0)
@@ -133,7 +135,7 @@ class TestAssembleAk:
 class TestAssembleA0:
     def test_matches_exact_reference(self):
         params = SpectralParams(k=0, eps=1.0, x0=0.9, M=100)
-        A = assemble(params, 1.8).entries
+        A = assemble(params, 1.8)
         cols = exact_columns_k0(Fr(1), Fr(9, 10), Fr(9, 5), 100)
         ref = np.array([[float(cols[j][i]) for j in range(2)]
                         for i in range(2)])
@@ -143,7 +145,7 @@ class TestAssembleA0:
     def test_viscous_seed_kills_odd_chain(self):
         # seed (1, 0) with eps = 0: b0 = 0, so entry (2,1) vanishes
         params = SpectralParams(k=0, eps=0.0, x0=0.9, M=60)
-        A = assemble(params, 2.4).entries
+        A = assemble(params, 2.4)
         assert A[1, 0] == 0
 
     def test_column_linearity(self):
@@ -218,7 +220,7 @@ class TestDetSymmetries:
     def test_block_factorization_at_eps_zero(self):
         params = SpectralParams(k=2, eps=0.0, x0=0.8, M=80)
         for s in (1.3, 2.6 + 0.4j, 4.1):
-            A = assemble(params, s).entries
+            A = assemble(params, s)
             full = np.linalg.det(A)
             blocks = (np.linalg.det(A[np.ix_([0, 2], [0, 2])])
                       * np.linalg.det(A[np.ix_([1, 3], [1, 3])]))
@@ -233,7 +235,7 @@ class TestDetSymmetries:
             s = np.atleast_1d(np.asarray(s, complex))
             out = np.empty(s.size, complex)
             for i, si in enumerate(s):
-                A = assemble(params, si).entries @ D
+                A = assemble(params, si) @ D
                 norms = np.abs(A).max(axis=0)
                 out[i] = np.linalg.det(A / np.where(norms == 0, 1, norms))
             return out
@@ -263,8 +265,8 @@ def test_null_seeds_span_kernel_at_root():
     root = scan_real_roots(det_functional(params), ScanConfig(2.0, 2.5))[0]
     mat = assemble(params, root.s)
     seeds = null_seeds(mat)
-    residual = np.abs(mat.entries @ seeds).max()
-    scale = np.abs(mat.entries).max() * np.abs(seeds).max()
+    residual = np.abs(mat @ seeds).max()
+    scale = np.abs(mat).max() * np.abs(seeds).max()
     assert residual < 1e-9 * scale
 
 

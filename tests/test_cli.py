@@ -438,6 +438,26 @@ class TestOracleCommand:
                         "--output", str(out)]) == 0
         assert out.read_text() == ",".join(SCHEMA) + "\n"
 
+    def test_unstable_step_at_window_mu_exits_2(self, tmp_path, capsys):
+        # A0 alone passes at the default 2000 steps, but h * |eig(A0 +
+        # mu A1)| is 6.2 at s = 3000: the run exited 0 with rows at 1914.7,
+        # 2099.9, 2125.3 and 2334.4, each with residual 1
+        argv = ["oracle", "--k", "1", "--eps", "0", "--x0", "0.9",
+                "--smin", "100", "--smax", "3000", "--step", "100",
+                "--output", str(tmp_path / "oracle.csv")]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: RK4 is unstable")
+        assert "use --steps 4458 or more" in err
+        assert not (tmp_path / "oracle.csv").exists()
+        # the named step count is the least that runs
+        assert run(argv + ["--steps", "4457"]) == 2
+        assert run(argv + ["--steps", "4458"]) == 0
+        rows = (tmp_path / "oracle.csv").read_text().splitlines()[1:]
+        assert rows
+        assert all(float(dict(zip(SCHEMA, r.split(",")))["residual"]) < 1e-6
+                   for r in rows)
+
     @pytest.mark.parametrize("oracle_args, spectrum_args", [
         (["--k", "1", "--eps", "0"], ["--k", "1", "--eps", "0"]),
         (["--k", "0", "--eps", "1"], ["--k", "0", "--eps", "1"]),

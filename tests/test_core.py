@@ -109,7 +109,7 @@ class TestParams:
 class TestRoot:
     def test_complex_pair_storage(self):
         r = Root(2 + 1j, 1e-12, "complex-pair", "series")
-        assert r.stable
+        assert in_stability_domain(r.s)
         assert r.mu == mu_of_s(2 + 1j)
 
     def test_kind_validation(self):

@@ -4,22 +4,26 @@ import numpy as np
 import pytest
 
 from sphere_spectra import (NonFiniteError, ScanConfig, SpectralParams,
-                            det_functional, scan_real_roots, shoot,
-                            shoot_functional)
+                            det_functional, scan_real_roots, shoot_functional)
 from sphere_spectra import oracle as oracle_mod
 
 
 class TestShootK:
     def test_nonzero_residual_off_spectrum(self):
         params = SpectralParams(k=1, eps=0.0, x0=0.9, M=150)
-        res = shoot(params, 0.5)
-        assert abs(res.value) > 1e-6
-        assert res.step_count == 2000
+        value = shoot_functional(params)(0.5)[0]
+        assert abs(value) > 1e-6
+        # the default is 2000 steps
+        assert value == oracle_mod._values(params, "k", 0.5, 2000)[0][0]
 
     def test_richardson_error_small(self):
+        # RK4: halving the step cuts the error ~16x, so the difference
+        # between the runs at n and n // 2 steps is ~15x the fine-run error
         params = SpectralParams(k=1, eps=0.0, x0=0.9, M=150)
-        res = shoot(params, 0.5)
-        assert res.richardson_error < 1e-8 * abs(res.value)
+        v, sc = oracle_mod._values(params, "k", 0.5, 2000)
+        v_half, sc_half = oracle_mod._values(params, "k", 0.5, 1000)
+        err = abs(v[0] * 10.0 ** sc[0] - v_half[0] * 10.0 ** sc_half[0]) / 15
+        assert err < 1e-8 * abs(v[0])
 
     def test_near_full_sphere_first_root(self):
         # Dirichlet eigenvalue approaching the full-sphere limit s = 3
@@ -32,34 +36,27 @@ class TestShootK:
     def test_requires_interior_x0_and_known_problem(self):
         for which in ("auto", "chi"):
             with pytest.raises(ValueError):
-                shoot(SpectralParams(k=1, eps=0.0, x0=1.0, M=10), 1.0,
-                      which=which)
-        with pytest.raises(ValueError):
-            shoot(SpectralParams(k=1, eps=0.0, x0=0.9, M=10), 1.0,
-                  which="psi")
+                shoot_functional(SpectralParams(k=1, eps=0.0, x0=1.0, M=10),
+                                 which=which)
         with pytest.raises(ValueError):
             shoot_functional(SpectralParams(k=1, eps=0.0, x0=0.9, M=10),
                              which="psi")
 
     def test_problem_follows_k(self):
         # k = 0 selects the three-component system, whose residual is
-        # Psi'(x0); the functional and the single-point call agree
-        for k in (0, 1):
+        # Psi'(x0); the functional runs the problem that k selects
+        for k, problem in ((0, "k0"), (1, "k")):
             params = SpectralParams(k=k, eps=1.0, x0=0.9, M=10)
-            res = shoot(params, 1.7, n_steps=400)
-            ref = shoot_functional(params, n_steps=400)(np.array([1.7]))[0]
-            assert res.value == ref
+            value = shoot_functional(params, n_steps=400)(np.array([1.7]))[0]
+            ref = oracle_mod._values(params, problem, 1.7, 400)[0][0]
+            assert value == ref
         k0 = SpectralParams(k=0, eps=1.0, x0=0.9, M=10)
         k1 = SpectralParams(k=1, eps=1.0, x0=0.9, M=10)
-        assert shoot(k0, 1.7, 400).value != shoot(k1, 1.7, 400).value
+        assert (shoot_functional(k0, 400)(1.7)[0]
+                != shoot_functional(k1, 400)(1.7)[0])
 
 
 class TestShootK0:
-    def test_rejects_trivial_mu(self):
-        params = SpectralParams(k=0, eps=1.0, x0=0.9, M=10)
-        with pytest.raises(ValueError):
-            shoot(params, 0.0)
-
     def test_matches_series_roots(self):
         params = SpectralParams(k=0, eps=1.0, x0=0.9, M=100)
         cfg = ScanConfig(0.05, 6.0)
@@ -83,13 +80,13 @@ class TestShootK0:
 class TestShootChi:
     def test_high_reynolds_limits(self):
         params = SpectralParams(k=0, eps=4.0, x0=0.99, M=10)
-        res = shoot(params, 2.0, n_steps=1500, which="chi")
+        value = oracle_mod._values(params, "chi", 2.0, 1500)[0][0]
         functional = shoot_functional(params, n_steps=1500, which="chi")
         roots = scan_real_roots(functional, ScanConfig(1.5, 2.5),
                                 source="oracle")
         assert len(roots) == 1
         assert abs(roots[0].s.real - 2.0) < 0.1
-        assert abs(res.value) == pytest.approx(
+        assert abs(value) == pytest.approx(
             abs(functional(np.array([2.0 + 0j]))[0]), rel=1e-12)
 
     def test_viscous_limits(self):
@@ -218,8 +215,9 @@ def _staged_residual(params, problem, s, n_steps, real=np.float64):
 
 
 def test_renormalization_preserves_roots():
-    """Orthonormalizing at every checkpoint rescales the residual (tracked
-    in log_scale) without moving the roots of the unscaled staged RK4."""
+    """Orthonormalizing at every checkpoint rescales the residual (its
+    log10 factor is kept) without moving the roots of the unscaled staged
+    RK4."""
     params = SpectralParams(k=1, eps=0.0, x0=0.9, M=150)
     cfg = ScanConfig(2.0, 4.0)
     plain = [r.s.real for r in
@@ -228,9 +226,9 @@ def test_renormalization_preserves_roots():
     scaled = [r.s.real for r in
               scan_real_roots(shoot_functional(params, n_steps=800), cfg,
                               source="oracle")]
-    res_scaled = shoot(params, 2.5, n_steps=800)
-    assert res_scaled.log_scale != 0.0
-    assert (res_scaled.value * 10 ** res_scaled.log_scale
+    value, log_scale = oracle_mod._values(params, "k", [2.5], 800)
+    assert log_scale[0] != 0.0
+    assert (value[0] * 10 ** log_scale[0]
             == pytest.approx(_staged_residual(params, "k", [2.5], 800)[0],
                              rel=1e-9))
     assert len(plain) == len(scaled) > 0
@@ -282,24 +280,19 @@ def test_roots_bracketed_by_long_double_rk4():
     assert np.all(vals[:4] * vals[4:] < 0), roots
 
 
-def test_unstable_step_refused_for_either_richardson_run():
-    # shoot also runs half the steps, so it needs twice the count that the
-    # scan functional needs
+def test_unstable_step_refused():
     params = SpectralParams(k=1, eps=1000.0, x0=0.9, M=10)
     shoot_functional(params, n_steps=3414)
     with pytest.raises(ValueError, match="at 2000 steps"):
         shoot_functional(params, n_steps=2000)
-    for n_steps in (3414, 6827):
-        with pytest.raises(ValueError, match="use --steps 6828 or more"):
-            shoot(params, 1.0, n_steps=n_steps)
-    assert shoot(params, 1.0, n_steps=6828).step_count == 6828
 
 
 def test_overflow_reported_without_numpy_warnings():
-    # mu = -s(s+1) ~ -1e8 is far outside what the step resolves; the state
-    # overflows and only the NonFiniteError reports it
-    F = shoot_functional(SpectralParams(k=1, eps=0.0, x0=0.9, M=10))
+    # mu = -s(s+1) ~ -1e8 is far outside what the step resolves (the
+    # functional refuses it); the state overflows and only the
+    # NonFiniteError reports it
+    params = SpectralParams(k=1, eps=0.0, x0=0.9, M=10)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteError):
-            F(np.array([1e4]))
+            oracle_mod._values(params, "k", np.array([1e4]), 2000)

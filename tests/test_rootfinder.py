@@ -322,7 +322,7 @@ class TestTrace:
         assert not any(br.events for br in branches)
         assert all(r.kind == "real" for br in branches for _, r in br.samples)
         # the roots at 0.8 and 1.2 are picked up by the rescan at t = 1
-        assert sorted(round(br.last_root.s.real, 9)
+        assert sorted(round(br.samples[-1][1].s.real, 9)
                       for br in branches[2:]) == [0.8, 1.2]
 
     def test_coalescence_seed_and_continuation(self, monkeypatch):
