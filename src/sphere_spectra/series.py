@@ -11,6 +11,12 @@ truncation at index M.  All recurrences depend on s through s*(s+1) only,
 and on k through k**2, which is the source of the F(s) = F(-1-s) and
 F_k = F_{-k} symmetries checked in the tests.  Only the vorticity pair
 (a, b) depends on s; the batch kernels run it over a batch of s values.
+
+The kernels take the first PLAIN steps one at a time and compose the rest
+BLOCK at a time into matrix polynomials in S, one matrix product on
+[S^j state], j = 0..BLOCK, per block.  Early steps have large S terms
+(1/(2t)^2 each), whose monomial expansion cancels at large real S: blocks
+from t = 1 put the boundary rows 100 times further from long double.
 """
 
 from __future__ import annotations
@@ -40,6 +46,9 @@ class SeriesCoefficients:
 # batch kernels (s is an array; coefficient arrays have shape (M+1, len(s)))
 # ---------------------------------------------------------------------------
 
+PLAIN, BLOCK = 16, 8
+
+
 @functools.lru_cache(maxsize=8)
 def _steps(k2: float, eps: float, M: int) -> np.ndarray:
     """Fused vorticity steps, one 4x4 matrix P[t-1] per index t = 1..M.
@@ -66,15 +75,41 @@ def _steps(k2: float, eps: float, M: int) -> np.ndarray:
     return np.stack([a0, b0 - f * a0, a1, b1 - f * a1], 1)
 
 
+@functools.lru_cache(maxsize=2)          # one (k, eps, M) in use at a time
+def _blocks(k2: float, eps: float, M: int) -> np.ndarray:
+    """The steps after PLAIN, BLOCK at a time: [S^j y] @ C[i] (j = 0..BLOCK,
+    y the four values before block i) gives its 2*BLOCK values (a, b).
+    Composed in long double and rounded once; zero steps pad the last
+    block, so C[i] does not depend on M."""
+    P = _steps(k2, eps, M)[PLAIN:].astype(np.longdouble)
+    P = np.concatenate([P, np.zeros((-len(P) % BLOCK, 4, 4))])
+    # Q[i, v, 4j + c]: value v (y, then each step's a, b) in S^j y[c]
+    Q = np.zeros((len(P) // BLOCK, 2 * BLOCK + 4, 4 * BLOCK + 4), P.dtype)
+    Q[:, range(4), range(4)] = 1
+    for t in range(BLOCK):
+        r = P[t::BLOCK] @ Q[:, 2 * t:2 * t + 4]
+        Q[:, 2 * t + 4:2 * t + 6] = r[:, :2]
+        Q[:, 2 * t + 4:2 * t + 6, 4:] += r[:, 2:, :-4]
+    return Q[:, 4:].transpose(0, 2, 1).astype(float, order="C")
+
+
 def _vorticity(k2: float, eps: float, s, a0, b0, M: int):
     """The fused steps from (a0, b0), one column per s; Z[0] is index -1."""
     S = s * (s + 1)
     Z = np.zeros((M + 2, 2, s.size), dtype=complex)
     Z[1, 0], Z[1, 1] = a0, b0
     Zr = Z.view(float)                 # the real P acts on Z as floats
-    for t, P in enumerate(_steps(k2, eps, M), start=1):
+    for t, P in enumerate(_steps(k2, eps, M)[:PLAIN], start=1):
         r = (P @ Zr[t - 1:t + 1].reshape(4, 2 * s.size)).view(complex)
         Z[t + 1] = r[:2] + S * r[2:]
+    Sj = S ** np.arange(BLOCK + 1)[:, None, None]
+    X = np.empty((BLOCK + 1, 4, s.size), complex)
+    R = np.empty((2 * s.size, 2 * BLOCK))
+    for t, C in zip(range(PLAIN + 1, M + 1, BLOCK), _blocks(k2, eps, M)):
+        np.multiply(Sj, Z[t - 1:t + 1].reshape(4, -1), out=X)
+        # the batch as the rows: a column's values do not depend on it
+        np.matmul(X.reshape(-1, s.size).view(float).T, C, out=R)
+        Zr[t + 1:t + 1 + BLOCK] = R.T.reshape(BLOCK, 2, -1)[:M + 1 - t]
     return Z[1:, 0], Z[1:, 1]
 
 

@@ -341,9 +341,14 @@ def test_det_functional_values_do_not_depend_on_the_batch(k, eps):
     in, so a batched root finder follows the iterates of one-point calls."""
     s = np.array([0.35, 2.9, 1.1 + 0.6j, 4.45, 3.6 + 1.0j, 5.3 - 1.7j,
                   7.7 + 2.2j])
+    s = np.concatenate([s, np.linspace(0.2, 7.9, 33)
+                        + 1j * np.resize([0, 0.4, 0, -1.3], 33)])
     F = det_functional(SpectralParams(k=k, eps=eps, x0=0.9))
     alone = np.concatenate([F(s[i:i + 1]) for i in range(s.size)])
-    for size in (2, 3, 7):
+    for size in (2, 3, 4, 5, 7, 8, 16, 33):
         batched = np.concatenate([F(s[i:i + size])
                                   for i in range(0, s.size, size)])
         assert batched.tobytes() == alone.tobytes(), size
+    grid = 0.05 * np.arange(1, 162)          # a scan grid's 161 points
+    alone = np.concatenate([F(grid[i:i + 1]) for i in range(grid.size)])
+    assert F(grid).tobytes() == alone.tobytes()

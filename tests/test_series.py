@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from sphere_spectra import (SpectralParams, coeffs_full_k, coeffs_k0,
                             eval_series)
+from sphere_spectra.boundary import _stream_rows
 from sphere_spectra.series import (coeffs_k0_batch, coeffs_k_batch,
                                    stream_coeffs)
 
@@ -273,3 +274,81 @@ def test_interior_residual_bounded_by_tail():
         r2 = om * ddphi - 2 * x * dphi - phi / om + p.eps * dphi + S * phi
         assert abs(r1) < 1e-8
         assert abs(r2) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the blocked kernel against a long-double recurrence
+# ---------------------------------------------------------------------------
+
+def long_double_vorticity(k2, eps, s, a0, b0, M):
+    """(a, b) by the unfused recurrence, one step at a time in long double:
+    a[t] from the four previous values, then b[t] with a[t] substituted."""
+    L, s = np.longdouble, s.astype(np.clongdouble)
+    S, eps, k2 = s * (s + 1), L(eps), L(k2)
+    a = np.zeros((M + 2, s.size), np.clongdouble)
+    b = np.zeros_like(a)
+    a[1], b[1] = a0, b0                        # row 0 is index -1
+    for t in range(1, M + 1):
+        n = L(2 * t)
+        a2, b2, a1, b1 = a[t - 1], b[t - 1], a[t], b[t]
+        if k2:
+            a[t + 1] = (-(n - 4) * (n - 3) * a2 + eps * (n - 3) * b2
+                        + (k2 + 2 * (n - 2) ** 2) * a1 - eps * (n - 1) * b1
+                        + S * (a2 - a1)) / (n * (n - 1))
+            b[t + 1] = (-(n - 2) * (n - 3) * b2 + eps * (n - 2) * a1
+                        + (k2 + 2 * (n - 1) ** 2) * b1 + S * (b2 - b1)) / (
+                            (n + 1) * n)
+        else:
+            a[t + 1] = ((n - 2) * (n - 1) * a1 - eps * (n - 1) * b1
+                        - S * a1) / (n * (n - 1))
+            b[t + 1] = ((n - 1) * n - S) * b1 / ((n + 1) * n)
+        b[t + 1] -= eps / (n + 1) * a[t + 1]
+    return a[1:], b[1:]
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52,
+                    reason="np.longdouble is float64 on this platform, so "
+                           "it cannot serve as the reference")
+@pytest.mark.parametrize("x0, M, bound", [(0.9, 150, 4e-14),
+                                          (0.99, 1000, 3e-13)])
+@pytest.mark.parametrize("k", [0, 1, 3])
+@pytest.mark.parametrize("eps", [0.0, 4.0, 12.0])
+def test_boundary_rows_match_long_double_recurrence(x0, M, bound, k, eps):
+    """The boundary rows of each unit seed, from the float64 kernel and
+    from the long-double recurrence, agree to the bound in units of the
+    rows' term magnitudes |g| @ |a| + |g| @ |b| (the rounding scale of the
+    rows themselves), at real s up to 10 and at complex s."""
+    s = np.concatenate([np.linspace(0.05, 10, 34),
+                        [0.5 + 0.5j, 1.1 + 0.6j, 3.6 + 1j, 5.3 - 1.7j,
+                         7.7 + 2.2j, 9 + 3j, 2 + 4j, -0.5 + 3j]])
+    k2 = float(k * k)
+    g, _ = _stream_rows(k2, M, x0)
+    gl = g.astype(np.longdouble)
+    one, zero = np.ones(s.size), np.zeros(s.size)
+    for seeds in ((one, zero), (zero, one)):
+        if k:
+            a, b = coeffs_k_batch(k2, eps, s, seeds, M)
+            ra, rb = long_double_vorticity(k2, eps, s, *seeds, M)
+        else:
+            a, b = coeffs_k0_batch(eps, s, seeds, M)
+            sl = s.astype(np.clongdouble)
+            b0 = -eps * seeds[0] - sl * (sl + 1) * seeds[1]
+            ra, rb = long_double_vorticity(0, eps, s, seeds[0], b0, M)
+        err = np.abs(g[:, 0] @ a + g[:, 1] @ b - gl[:, 0] @ ra - gl[:, 1] @ rb)
+        scale = np.abs(gl[:, 0]) @ np.abs(ra) + np.abs(gl[:, 1]) @ np.abs(rb)
+        assert np.all(err <= bound * scale)
+
+
+@pytest.mark.parametrize("M", [20, 25, 150, 1000])
+@pytest.mark.parametrize("k2", [0.0, 1.0, 9.0])
+@pytest.mark.parametrize("eps", [0.0, 4.0, 12.0])
+def test_coefficients_are_a_prefix_of_the_longer_run(M, k2, eps):
+    """The coefficients to M are bit-identical to the first M + 1 of those
+    to 3M/2, so one run to the larger M serves both."""
+    s = np.array([0.35, 2.9, 7.7, 1.1 + 0.6j, 5.3 - 1.7j])
+    seeds = (np.array([1.0, 0.0, 1.0, 0.3, -2.0]),
+             np.array([0.0, 1.0, 1.0, 0.7, 0.5]))
+    kernel = ((lambda m: coeffs_k_batch(k2, eps, s, seeds, m)) if k2
+              else (lambda m: coeffs_k0_batch(eps, s, seeds, m)))
+    for short, long_ in zip(kernel(M), kernel(3 * M // 2)):
+        assert short.tobytes() == long_[:M + 1].tobytes()

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -49,8 +51,15 @@ def test_crashing_check_reports_failure(monkeypatch):
 
 def test_corrupted_recurrence_caught_by_oracle_equivalence(monkeypatch):
     """A sign flip in the starting vorticity coefficient must break the
-    series/oracle agreement (the mutation is visible at eps = 0 too)."""
+    series/oracle agreement (the mutation is visible at eps = 0 too), and
+    so must one inside a composed block of steps."""
     steps = series._steps
+    s = np.array([1.3 + 0.2j])
+    clean = coeffs_k_batch(1.0, 2.0, s, (1.0, 0.5), 40)[0]
+    # a fresh block cache, so the blocks are composed from the patched
+    # steps and none of them outlives the test
+    blocks = functools.lru_cache(maxsize=2)(series._blocks.__wrapped__)
+    monkeypatch.setattr(series, "_blocks", blocks)
 
     def corrupted(k2, eps, M):
         P = steps(k2, eps, M).copy()
@@ -60,10 +69,24 @@ def test_corrupted_recurrence_caught_by_oracle_equivalence(monkeypatch):
         return P
 
     monkeypatch.setattr(series, "_steps", corrupted)
-    s = np.array([1.3 + 0.2j])
     a, b = coeffs_k_batch(1.0, 2.0, s, (1.0, 0.5), 5)
     S = s * (s + 1)
     assert a[1] == pytest.approx(((1.0 + S) - 2.0 * 0.5) / 2)
     assert b[1] == pytest.approx(((3.0 - S) * 0.5 - 4.0 * a[1]) / 6)
+    passed, detail = verify.check_oracle_equivalence_k1()
+    assert not passed, detail
+
+    t = series.PLAIN + 3                     # the third step of a block
+
+    def corrupted_in_block(k2, eps, M):
+        P = steps(k2, eps, M).copy()
+        P[t - 1, 2:, 2] *= -1                # the same flip at step t
+        return P
+
+    blocks.cache_clear()
+    monkeypatch.setattr(series, "_steps", corrupted_in_block)
+    a = coeffs_k_batch(1.0, 2.0, s, (1.0, 0.5), 40)[0]
+    assert a[:t].tobytes() == clean[:t].tobytes()
+    assert abs(a[t] - clean[t]) > 1e-3 * abs(clean[t])
     passed, detail = verify.check_oracle_equivalence_k1()
     assert not passed, detail
