@@ -2,12 +2,12 @@
 systems across [-x0, x0], inside the singular points x = +-1.
 
 Each system is y' = (A0(x) + mu A1(x)) y, so one RK4 step is exactly the
-real matrix polynomial T_n(mu) = sum_{j<=4} mu^j C_{n,j}.  Each point's
-trajectories are orthonormalized at every checkpoint, which divides the
-residual by a positive factor (kept as its log10): its zeros and signs stay.
-A step count at which h |eig(A0(x) + mu A1(x))| leaves RK4's real stability
-interval somewhere on the step grid is refused before integrating, at mu = 0
-and at the largest |mu| of the first batch (a scan's first is its grid).
+real matrix polynomial T_n(mu) = sum_{j<=4} mu^j C_{n,j}; a functional
+composes up to BLOCK steps into one block polynomial, once.  Trajectories
+are orthonormalized at every checkpoint, dividing the residual by a positive
+factor (kept as its log10).  A step count whose h |eig(A0 + mu A1)| on the
+grid leaves RK4's real stability interval is refused, at mu = 0 and at each
+call's largest |mu| past those checked; that stiffness caps the block too.
 
 For k != 0, trajectories from (Psi, Psi', Phi, Phi') = (0, 0, 1, 0) and
 (0, 0, 0, 1) span the solutions obeying the left boundary conditions; the
@@ -25,6 +25,8 @@ from .core import NonFiniteError, SpectralParams
 
 RENORM_CHECK_EVERY = 100
 RK4_STABLE = 2.78       # RK4 is stable on about [-2.785, 0] of the real axis
+BLOCK = 10              # most RK4 steps composed into one block
+BLOCK_STIFF = 4.0       # most block length * h * max |eig|
 
 
 def _system_k(p: SpectralParams, x, om):
@@ -73,26 +75,33 @@ _PROBLEMS = {
 
 
 def _problem(params: SpectralParams, which: str, n_steps: int) -> str:
-    """Problem name: "chi" on request, else "k" or "k0"; stable at mu = 0."""
+    """Problem name: "chi" on request, else "k" or "k0"."""
     if not 0 < params.x0 < 1:
         raise ValueError(f"shooting requires 0 < x0 < 1, got {params.x0}")
     if n_steps < 2:
         raise ValueError(f"shooting needs at least 2 steps, got {n_steps}")
     if which not in ("auto", "chi"):
         raise ValueError(f"which must be 'auto' or 'chi', got {which!r}")
-    problem = "chi" if which == "chi" else "k0" if params.k == 0 else "k"
-    _check_steps(params, problem, n_steps, 0.0)
-    return problem
+    return "chi" if which == "chi" else "k0" if params.k == 0 else "k"
 
 
 def _check_steps(params: SpectralParams, problem: str, n_steps: int, mu):
-    """Refuse n_steps when h * max |eig(A0(x) + mu A1(x))| over the step
-    grid exceeds RK4_STABLE, naming the least step count that passes."""
+    """h * max |eig(A0(x) + mu A1(x))| on the step grid, refused above
+    RK4_STABLE with the least step count that passes.  A0 + mu A1 is block-
+    triangular: its 2x2 diagonal blocks b have eig t +- sqrt(t^2 - det b),
+    t = trace b / 2 (k = 0 adds the eigenvalue 0 of its first column)."""
+    dim, _, system, _ = _PROBLEMS[problem]
+
     def stiffness(n):
         h = 2.0 * params.x0 / n
         x = -params.x0 + np.arange(n + 1) * h
-        a0, a1 = _PROBLEMS[problem][2](params, x, 1.0 - x * x)
-        return h * float(np.abs(np.linalg.eigvals(a0 + mu * a1)).max())
+        a0, a1 = system(params, x, 1.0 - x * x)
+        b = np.stack([(a0 + mu * a1)[:, i:i + 2, i:i + 2]
+                      for i in range(dim % 2, dim, 2)])
+        t = (b[..., 0, 0] + b[..., 1, 1]) / 2
+        r = np.sqrt(t * t - b[..., 0, 0] * b[..., 1, 1]
+                    + b[..., 0, 1] * b[..., 1, 0] + 0j)
+        return h * float(np.maximum(abs(t + r), abs(t - r)).max())
     worst = stiffness(n_steps)
     if worst > RK4_STABLE:
         # the radius peaks at x = +-x0, on every grid: h * it falls as 1/n
@@ -103,6 +112,7 @@ def _check_steps(params: SpectralParams, problem: str, n_steps: int, mu):
             f"RK4 is unstable: h * max |eig(A0(x) + mu A1(x))| = "
             f"{worst:.4g} at {n_steps} steps and |mu| = {abs(mu):.4g} "
             f"exceeds {RK4_STABLE}; use --steps {least} or more")
+    return worst
 
 
 def _step_maps(system, params, x, h):
@@ -126,26 +136,47 @@ def _step_maps(system, params, x, h):
     return eye + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _values(params: SpectralParams, problem: str, s, n_steps):
-    """Residuals at s and their log10 orthonormalization factors; the state
-    (dim, trajectories * points) is advanced by one checkpoint chunk of step
-    maps at a time, one real product with the state times powers of mu."""
-    dim, starts, system, residual = _PROBLEMS[problem]
+def _blocks(params: SpectralParams, problem: str, n_steps: int, block: int):
+    """The step maps composed block at a time, one array per checkpoint
+    chunk: C[i] (dim, (4 block + 1) dim) holds block i's product of maps,
+    laid out as in _step_maps.  Identity steps pad a chunk, exactly."""
+    dim, _, system, _ = _PROBLEMS[problem]
+    h = 2.0 * params.x0 / n_steps
+    for start in range(0, n_steps, RENORM_CHECK_EVERY):
+        steps = np.arange(start, min(start + RENORM_CHECK_EVERY, n_steps))
+        c = _step_maps(system, params, -params.x0 + steps * h, h)
+        pad = np.broadcast_to(np.eye(dim, 5 * dim),
+                              (-len(c) % block, dim, 5 * dim))
+        c = np.concatenate([c, pad]).reshape(-1, block, dim, 5 * dim)
+        # T q = [T_0 .. T_4] @ shifted, row block a of shifted = mu^a q
+        shifted = np.zeros((len(c), 5 * dim, (4 * block + 1) * dim))
+        q = c[:, 0]
+        for t in range(1, block):
+            for a in range(5):
+                shifted[:, a * dim:(a + 1) * dim,
+                        a * dim:a * dim + q.shape[-1]] = q
+            q = c[:, t] @ shifted[:, :, :q.shape[-1] + 4 * dim]
+        yield q
+
+
+def _values(problem: str, s, blocks):
+    """Residuals at s and their log10 orthonormalization factors: one real
+    product per block, with the state (dim, trajectories * points) * mu^j."""
+    dim, starts, _, residual = _PROBLEMS[problem]
     s = np.atleast_1d(np.asarray(s, dtype=complex))
     n = len(starts)
     traj = np.zeros((dim, n, s.size), dtype=complex)
     traj[list(starts), range(n)] = 1.0
     y, scale = traj.reshape(dim, -1), np.zeros(s.size)
-    powers = (np.tile(-s * (s + 1), n) ** np.arange(5)[:, None])[:, None]
-    stacked = np.empty((5, dim, y.shape[1]), dtype=complex)
+    degree = blocks[0].shape[-1] // dim
+    stacked = np.empty((degree, dim, y.shape[1]), dtype=complex)
     y_real, stacked_real = y.view(float), stacked.view(float).reshape(
-        5 * dim, -1)
-    h = 2.0 * params.x0 / n_steps
+        degree * dim, -1)
     # an overflow is reported by the NonFiniteError below, not by numpy
     with np.errstate(all="ignore"):
-        for start in range(0, n_steps, RENORM_CHECK_EVERY):
-            steps = np.arange(start, min(start + RENORM_CHECK_EVERY, n_steps))
-            for c in _step_maps(system, params, -params.x0 + steps * h, h):
+        powers = np.tile(-s * (s + 1), n) ** np.arange(degree)[:, None, None]
+        for chunk in blocks:
+            for c in chunk:
                 np.multiply(y, powers, out=stacked)
                 np.matmul(c, stacked_real, out=y_real)
             for j in range(n):      # Gram-Schmidt on each point's trajectories
@@ -163,18 +194,27 @@ def _values(params: SpectralParams, problem: str, s, n_steps):
 def shoot_functional(params: SpectralParams, n_steps: int = 2000,
                      which: str = "auto"):
     """Vectorized boundary residual for the root finder.  which: "auto"
-    picks the k != 0 or k = 0 system from params, "chi" the transformed
-    problem with chi(+-x0) = 0.  The first call checks its largest |mu|."""
+    picks the k != 0 or k = 0 system from params, "chi" the problem with
+    chi(+-x0) = 0.  A call past the largest |mu| checked is checked and may
+    shorten the blocks; residual.meta has the block and largest stiffness."""
     problem = _problem(params, which, n_steps)
-    checked = False
+    meta = dict(block=0, h_max_eig=_check_steps(params, problem, n_steps, 0.0))
+    top, blocks = 0.0, None
 
     def residual(s):
-        nonlocal checked
+        nonlocal top, blocks
         s = np.atleast_1d(np.asarray(s, dtype=complex))
-        if not checked:
-            mu = -s * (s + 1)
-            _check_steps(params, problem, n_steps,
-                         np.real_if_close(mu[np.abs(mu).argmax()]))
-            checked = True
-        return _values(params, problem, s, n_steps)[0]
+        mu = max(-s * (s + 1), key=abs)
+        if abs(mu) > top:
+            top, worst = abs(mu), _check_steps(params, problem, n_steps, mu)
+            meta["h_max_eig"] = max(meta["h_max_eig"], worst)
+        # a block's expansion in mu cancels about exp(block * stiffness),
+        # and |mu|^(4 block) must stay finite
+        block = int(np.clip(min(BLOCK_STIFF / meta["h_max_eig"], 75 / max(
+            1.0, np.log10(top + 1.0))), 1, BLOCK))
+        if block != meta["block"]:
+            meta["block"] = block
+            blocks = list(_blocks(params, problem, n_steps, block))
+        return _values(problem, s, blocks)[0]
+    residual.meta = meta
     return residual

@@ -438,6 +438,19 @@ class TestOracleCommand:
                         "--output", str(out)]) == 0
         assert out.read_text() == ",".join(SCHEMA) + "\n"
 
+    def test_json_meta_reports_block_and_stiffness(self, tmp_path):
+        # the scan's largest |mu| is 72 (s = 8); at x = +-0.9 the (Phi,
+        # Phi') block of A0 + mu A1 has complex eigenvalues there, with
+        # |eig|^2 = -det = 72 / (1 - x^2) - 1 / (1 - x^2)^2
+        out = tmp_path / "oracle.json"
+        assert run(["oracle", "--k", "1", "--eps", "0", "--x0", "0.9",
+                    "--format", "json", "--output", str(out)]) == 0
+        meta = json.loads(out.read_text())["meta"]
+        om = 1 - 0.9 ** 2
+        assert meta["n_steps"] == 2000 and meta["block"] == 10
+        assert meta["h_max_eig"] == pytest.approx(
+            2 * 0.9 / 2000 * np.sqrt(72 / om - 1 / om ** 2), rel=1e-12)
+
     def test_unstable_step_at_window_mu_exits_2(self, tmp_path, capsys):
         # A0 alone passes at the default 2000 steps, but h * |eig(A0 +
         # mu A1)| is 6.2 at s = 3000: the run exited 0 with rows at 1914.7,

@@ -8,20 +8,27 @@ from sphere_spectra import (NonFiniteError, ScanConfig, SpectralParams,
 from sphere_spectra import oracle as oracle_mod
 
 
+def _values(params, problem, s, n_steps, block=oracle_mod.BLOCK):
+    """The oracle's (values, log10 factors) at s with blocks of block steps,
+    the length a functional uses at the moderate |mu| of these tests."""
+    return oracle_mod._values(problem, s, list(
+        oracle_mod._blocks(params, problem, n_steps, block)))
+
+
 class TestShootK:
     def test_nonzero_residual_off_spectrum(self):
         params = SpectralParams(k=1, eps=0.0, x0=0.9, M=150)
         value = shoot_functional(params)(0.5)[0]
         assert abs(value) > 1e-6
         # the default is 2000 steps
-        assert value == oracle_mod._values(params, "k", 0.5, 2000)[0][0]
+        assert value == _values(params, "k", 0.5, 2000)[0][0]
 
     def test_richardson_error_small(self):
         # RK4: halving the step cuts the error ~16x, so the difference
         # between the runs at n and n // 2 steps is ~15x the fine-run error
         params = SpectralParams(k=1, eps=0.0, x0=0.9, M=150)
-        v, sc = oracle_mod._values(params, "k", 0.5, 2000)
-        v_half, sc_half = oracle_mod._values(params, "k", 0.5, 1000)
+        v, sc = _values(params, "k", 0.5, 2000)
+        v_half, sc_half = _values(params, "k", 0.5, 1000)
         err = abs(v[0] * 10.0 ** sc[0] - v_half[0] * 10.0 ** sc_half[0]) / 15
         assert err < 1e-8 * abs(v[0])
 
@@ -48,7 +55,7 @@ class TestShootK:
         for k, problem in ((0, "k0"), (1, "k")):
             params = SpectralParams(k=k, eps=1.0, x0=0.9, M=10)
             value = shoot_functional(params, n_steps=400)(np.array([1.7]))[0]
-            ref = oracle_mod._values(params, problem, 1.7, 400)[0][0]
+            ref = _values(params, problem, 1.7, 400)[0][0]
             assert value == ref
         k0 = SpectralParams(k=0, eps=1.0, x0=0.9, M=10)
         k1 = SpectralParams(k=1, eps=1.0, x0=0.9, M=10)
@@ -80,7 +87,7 @@ class TestShootK0:
 class TestShootChi:
     def test_high_reynolds_limits(self):
         params = SpectralParams(k=0, eps=4.0, x0=0.99, M=10)
-        value = oracle_mod._values(params, "chi", 2.0, 1500)[0][0]
+        value = _values(params, "chi", 2.0, 1500)[0][0]
         functional = shoot_functional(params, n_steps=1500, which="chi")
         roots = scan_real_roots(functional, ScanConfig(1.5, 2.5),
                                 source="oracle")
@@ -226,7 +233,7 @@ def test_renormalization_preserves_roots():
     scaled = [r.s.real for r in
               scan_real_roots(shoot_functional(params, n_steps=800), cfg,
                               source="oracle")]
-    value, log_scale = oracle_mod._values(params, "k", [2.5], 800)
+    value, log_scale = _values(params, "k", [2.5], 800)
     assert log_scale[0] != 0.0
     assert (value[0] * 10 ** log_scale[0]
             == pytest.approx(_staged_residual(params, "k", [2.5], 800)[0],
@@ -249,7 +256,7 @@ def test_batched_trajectories_match_separate_runs(k, which, problem, n,
     s = np.array([0.5, 1.7, 2.3 + 0.4j, 3.1, 5.0])[:n]
     for n_steps in (300, 2000):
         assert oracle_mod._problem(params, which, n_steps) == problem
-        value, scale = oracle_mod._values(params, problem, s, n_steps)
+        value, scale = _values(params, problem, s, n_steps)
         ref, ref_scale = _staged_run(params, problem, s, n_steps,
                                      threshold=threshold)
         assert np.all(scale != 0)
@@ -289,10 +296,109 @@ def test_unstable_step_refused():
 
 def test_overflow_reported_without_numpy_warnings():
     # mu = -s(s+1) ~ -1e8 is far outside what the step resolves (the
-    # functional refuses it); the state overflows and only the
-    # NonFiniteError reports it
+    # functional refuses it); the state overflows, and with ten-step blocks
+    # so does mu^40, and only the NonFiniteError reports it
     params = SpectralParams(k=1, eps=0.0, x0=0.9, M=10)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonFiniteError):
-            oracle_mod._values(params, "k", np.array([1e4]), 2000)
+        for block in (1, oracle_mod.BLOCK):
+            with pytest.raises(NonFiniteError):
+                _values(params, "k", np.array([1e4]), 2000, block)
+
+
+@pytest.mark.parametrize("k, which", [(1, "auto"), (3, "auto"), (0, "auto"),
+                                      (0, "chi")])
+def test_step_check_is_the_spectral_radius(k, which):
+    """The closed-form stiffness of the step check is h times the largest
+    |eig(A0(x) + mu A1(x))| that numpy's eigvals find on the step grid, at
+    real mu of either sign and at complex mu."""
+    params = SpectralParams(k=k, eps=4.0, x0=0.9, M=10)
+    problem = oracle_mod._problem(params, which, 2000)
+    h = 2 * 0.9 / 2000
+    x = -0.9 + np.arange(2001) * h
+    a0, a1 = oracle_mod._PROBLEMS[problem][2](params, x, 1 - x * x)
+    for mu in (0.0, -72.0, 30.0, -500 + 80j):
+        ref = h * np.abs(np.linalg.eigvals(a0 + mu * a1)).max()
+        assert (oracle_mod._check_steps(params, problem, 2000, mu)
+                == pytest.approx(ref, rel=1e-12))
+
+
+def test_later_call_past_checked_mu_is_checked():
+    """Only a functional's first call had its largest |mu| checked, so a
+    later call further out ran an unstable step.  Now such a call is
+    refused; a stable one gets the shorter blocks a fresh functional builds
+    for it, and at the stiff end the blocks are single steps."""
+    params = SpectralParams(k=1, eps=0.0, x0=0.9, M=10)
+    f = shoot_functional(params)
+    f(np.arange(0.05, 8.0, 0.05))
+    assert f.meta["block"] == oracle_mod.BLOCK
+    # h * |eig| is 3.1 at s = 1500.3 and 2000 steps
+    with pytest.raises(ValueError, match="at 2000 steps"):
+        f(np.array([1.0, 1500.3]))
+    assert f.meta["block"] == oracle_mod.BLOCK
+    s = np.array([2.5, 500.3])
+    later = f(s)
+    fresh = shoot_functional(params)
+    assert later.tobytes() == fresh(s).tobytes()
+    assert f.meta == fresh.meta and 1 < f.meta["block"] < oracle_mod.BLOCK
+    value = f(np.array([1000.3]))[0]
+    assert f.meta["block"] == 1
+    assert value == _values(params, "k", 1000.3, 2000, block=1)[0][0]
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52,
+                    reason="np.longdouble is float64 on this platform, so "
+                           "it cannot resolve the RK4 map beyond float64")
+@pytest.mark.parametrize("n_steps", [2000, 2003, 4458])
+@pytest.mark.parametrize("k, eps, which, problem", [
+    (1, 0.0, "auto", "k"), (3, 4.0, "auto", "k"), (0, 1.0, "auto", "k0"),
+    (0, 4.0, "chi", "chi")])
+def test_blocked_values_match_long_double_rk4(k, eps, which, problem,
+                                              n_steps):
+    """Near s = 10, 100, 300 and 1000, a fresh functional's values, with
+    their log10 factor put back, are within 10 times the distance of the
+    stepwise map (one product per RK4 step) from the same RK4 run in long
+    double.  A distance is the largest error over three points relative to
+    their largest residual, as one point near a root, or one lucky
+    rounding, says little.  Step counts 2003 and 4458 leave a short last
+    chunk and a padded last block."""
+    params = SpectralParams(k=k, eps=eps, x0=0.9, M=10)
+    s = np.add.outer([10.0, 100.0, 300.0, 1000.0], [0.1, 0.3, 0.7])
+    ref, ref_scale = _staged_run(params, problem,
+                                 s.ravel().astype(np.longdouble), n_steps,
+                                 real=np.longdouble)
+    ref = (ref * np.longdouble(10) ** ref_scale).reshape(s.shape)
+
+    def distance(group, i, block):
+        value, scale = _values(params, problem, group, n_steps, block)
+        return (np.abs(value * np.longdouble(10) ** scale - ref[i]).max()
+                / np.abs(ref[i]).max())
+    blocks = []
+    for i, group in enumerate(s):
+        f = shoot_functional(params, n_steps, which)
+        value = f(group)
+        blocks.append(f.meta["block"])
+        assert value.tobytes() == _values(params, problem, group, n_steps,
+                                          blocks[-1])[0].tobytes()
+        assert distance(group, i, blocks[-1]) <= 10 * distance(group, i, 1)
+    assert blocks[:2] == [oracle_mod.BLOCK] * 2 and blocks[3] < blocks[2]
+
+
+def test_blocks_keep_powers_of_mu_finite():
+    """At x0 = 0.1 and 5000 steps, s = 8000 (|mu| = 6.4e7) passes the step
+    check and ten-step blocks pass the stiffness bound, but mu^40 overflows
+    and the ten-step values are not finite.  The functional takes nine
+    steps a block, and its values agree with the stepwise map's."""
+    params = SpectralParams(k=1, eps=0.0, x0=0.1, M=10)
+    f = shoot_functional(params, 5000)
+    s = np.array([7990.0, 8000.0])
+    value = f(s)
+    assert oracle_mod.BLOCK_STIFF / f.meta["h_max_eig"] > oracle_mod.BLOCK
+    assert f.meta["block"] == 9
+    with pytest.raises(NonFiniteError):
+        _values(params, "k", s, 5000, block=10)
+    v, scale = _values(params, "k", s, 5000, block=9)
+    ref, ref_scale = _values(params, "k", s, 5000, block=1)
+    assert value.tobytes() == v.tobytes()
+    np.testing.assert_allclose(v * 10.0 ** scale, ref * 10.0 ** ref_scale,
+                               rtol=1e-12, atol=0)

@@ -3,7 +3,8 @@ import functools
 import numpy as np
 import pytest
 
-from sphere_spectra import series, verify
+from sphere_spectra import oracle, series, verify
+from sphere_spectra.core import SpectralParams
 from sphere_spectra.series import coeffs_k_batch
 
 
@@ -88,5 +89,29 @@ def test_corrupted_recurrence_caught_by_oracle_equivalence(monkeypatch):
     a = coeffs_k_batch(1.0, 2.0, s, (1.0, 0.5), 40)[0]
     assert a[:t].tobytes() == clean[:t].tobytes()
     assert abs(a[t] - clean[t]) > 1e-3 * abs(clean[t])
+    passed, detail = verify.check_oracle_equivalence_k1()
+    assert not passed, detail
+
+
+def test_corrupted_step_map_caught_by_oracle_equivalence(monkeypatch):
+    """A sign flip in one coefficient of one RK4 step map, composed into a
+    block with nine good ones, must break the series/oracle agreement."""
+    step_maps = oracle._step_maps
+    params = SpectralParams(k=1, eps=0.0, x0=0.9, M=150)
+    clean = oracle.shoot_functional(params, n_steps=1200)(2.5)[0]
+
+    def corrupted(system, p, x, h):
+        c = step_maps(system, p, x, h)
+        if x[0] == -p.x0:                    # the first checkpoint chunk
+            # the fourth step's mu coefficient of Phi in Phi' (k != 0 maps
+            # have 4 x 4 column blocks per power of mu)
+            c[3, 3, 4 + 2] *= -1
+        return c
+
+    monkeypatch.setattr(oracle, "_step_maps", corrupted)
+    shoot = oracle.shoot_functional(params, n_steps=1200)
+    value = shoot(2.5)[0]
+    assert shoot.meta["block"] == oracle.BLOCK
+    assert abs(value - clean) > 1e-5 * abs(clean)
     passed, detail = verify.check_oracle_equivalence_k1()
     assert not passed, detail
