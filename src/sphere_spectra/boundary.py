@@ -49,9 +49,10 @@ def _matrices(params: SpectralParams, s):
 
     The vorticity recurrence runs on the two free seeds, (a0, b0) for
     k != 0 and (a0, d0) for k = 0, as one batch of 2*len(s) columns; the
-    c0 and d0 columns of A_k are constants.
+    c0 and d0 columns of A_k are constants.  The stack is float64 for
+    real s and complex otherwise.
     """
-    s = np.asarray(s, dtype=complex)
+    s = np.asarray(s)
     n = s.size
     if params.k == 0 and np.any(s * (s + 1) == 0):
         raise ValueError("mu = 0 is the trivial k = 0 eigenvalue; "
@@ -61,10 +62,12 @@ def _matrices(params: SpectralParams, s):
     seeds = (np.repeat([1.0, 0.0], n), np.repeat([0.0, 1.0], n))
     if params.k != 0:
         a, b = coeffs_k_batch(k2, params.eps, sb, seeds, params.M)
-        rows = np.hstack([g[:, 0] @ a + g[:, 1] @ b, np.repeat(h, n, 1)])
     else:
         a, b = coeffs_k0_batch(params.eps, sb, seeds, params.M)
-        rows = g[:, 0] @ a + g[:, 1] @ b + h[:, 1:] * seeds[1]
+    # the batch as the rows: a column's values do not depend on it
+    rows = (a.T @ g[:, 0].T + b.T @ g[:, 1].T).T
+    rows = (np.hstack([rows, np.repeat(h, n, 1)]) if params.k != 0
+            else rows + h[:, 1:] * seeds[1])
     stack = rows.reshape(len(h), len(h), n).transpose(2, 0, 1)
     if not np.all(np.isfinite(stack)):
         raise NonFiniteError(
@@ -96,11 +99,12 @@ def _normalized_det(stack: np.ndarray):
 
 def det_functional(params: SpectralParams):
     """Vectorized F(s): maps an array of s values to normalized determinant
-    values.  This is the functional handed to the root finder."""
+    values, float64 for real s.  This is the functional handed to the root
+    finder."""
     _check_series_domain(params)
 
     def F(s):
-        s = np.atleast_1d(np.asarray(s, dtype=complex))
+        s = np.atleast_1d(np.asarray(s))
         return _normalized_det(_matrices(params, s))[0]
 
     return F

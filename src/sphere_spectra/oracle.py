@@ -163,13 +163,14 @@ def _values(problem: str, s, blocks):
     """Residuals at s and their log10 orthonormalization factors: one real
     product per block, with the state (dim, trajectories * points) * mu^j."""
     dim, starts, _, residual = _PROBLEMS[problem]
-    s = np.atleast_1d(np.asarray(s, dtype=complex))
+    s = np.atleast_1d(np.asarray(s))
+    s = s.astype(np.result_type(s, float), copy=False)
     n = len(starts)
-    traj = np.zeros((dim, n, s.size), dtype=complex)
+    traj = np.zeros((dim, n, s.size), s.dtype)
     traj[list(starts), range(n)] = 1.0
     y, scale = traj.reshape(dim, -1), np.zeros(s.size)
     degree = blocks[0].shape[-1] // dim
-    stacked = np.empty((degree, dim, y.shape[1]), dtype=complex)
+    stacked = np.empty((degree, dim, y.shape[1]), y.dtype)
     y_real, stacked_real = y.view(float), stacked.view(float).reshape(
         degree * dim, -1)
     # an overflow is reported by the NonFiniteError below, not by numpy
@@ -203,7 +204,7 @@ def shoot_functional(params: SpectralParams, n_steps: int = 2000,
 
     def residual(s):
         nonlocal top, blocks
-        s = np.atleast_1d(np.asarray(s, dtype=complex))
+        s = np.atleast_1d(np.asarray(s))
         mu = max(-s * (s + 1), key=abs)
         if abs(mu) > top:
             top, worst = abs(mu), _check_steps(params, problem, n_steps, mu)

@@ -9,8 +9,9 @@ call.  Parameter continuation scans every sweep value once and matches the
 scanned roots to the branches by their predicted positions; a branch left
 unmatched is resolved by a fine local rescan, and two nearby unmatched real
 branches merge into a pair.  Then every merged pair at the value, new,
-parked or already complex, is refined in one Muller pass.  Samples lie
-only on the sweep values and inside the scan window.
+parked or already complex, is refined in one Muller pass, a complex one
+from the root its path predicts.  Samples lie only on the sweep values and
+inside the scan window.  Scans call F on float arrays, Muller on complex.
 
 A root's residual is the normalized determinant magnitude at the root
 scaled by its magnitude at the grid neighbours (Muller: probe points), so
@@ -75,7 +76,7 @@ class Branch:
 
 def _as_batch(F):
     def call(s):
-        return np.asarray(F(np.atleast_1d(np.asarray(s, dtype=complex))))
+        return np.asarray(F(np.atleast_1d(np.asarray(s))))
     return call
 
 
@@ -246,6 +247,14 @@ class _LiveBranch:
         self.branch.note = note
 
 
+def _extrapolate(samples, p):
+    """The polynomial through the last three (or fewer) complex samples of
+    a pair, at p: its predicted root, never extrapolated across the merge."""
+    last = [(q, r.s) for q, r in samples if r.kind == "complex-pair"][-3:]
+    return complex(sum(s * np.prod([(p - u) / (q - u) for u, _ in last
+                                    if u != q]) for q, s in last))
+
+
 def _match(members, found, dp, cfg):
     """Hand scanned real roots to real branches.
 
@@ -295,9 +304,9 @@ def trace_parameter(family, parameter: str, values, cfg: ScanConfig) -> list:
     Then one refine_complex call refines every merged pair at the value:
     a pair formed there or parked by a failed conversion is seeded from
     its members' midpoint, and a converted one (its coalescence event
-    recorded on both branches) from its last complex root, which is
-    appended to both.  Scanned roots that no real branch holds start new
-    branches.
+    recorded on both branches) from the quadratic through its last three
+    complex roots; the new root is appended to both.  Scanned roots that
+    no real branch holds start new branches.
 
     A branch that ends carries its reason in Branch.note: "left the scan
     window" (its predicted position, or its complex pair's Re s, is outside
@@ -359,18 +368,19 @@ def trace_parameter(family, parameter: str, values, cfg: ScanConfig) -> list:
 
     def refine_pairs(F, p):
         """Refine every merged pair at p in one refine_complex call.  A pair
-        with its event continues from its last complex root; a new or
-        parked pair is converted from the midpoint of its members' last
-        real roots, one scan step into the upper half-plane, and on success
-        records the event on both members.  A failed conversion (no
-        convergence, or the seed falls back onto the real axis just before
-        the true merge parameter) parks the pair: it is retried once at each
-        of the next three sweep values, then ends.  A lost complex root ends
-        the lower-index member; the other continues from the same root.  A
-        complex root whose Re s is outside [s_min, s_max] ends both."""
+        with its event continues from the root its complex samples predict
+        (_extrapolate); a new or parked pair is converted from the midpoint
+        of its members' last real roots, one scan step into the upper
+        half-plane, and on success records the event on both members.  A
+        failed conversion (no convergence, or the seed falls back onto the
+        real axis just before the true merge parameter) parks the pair: it
+        is retried once at each of the next three sweep values, then ends.
+        A lost complex root ends the lower-index member; the other continues
+        from the same root.  A complex root whose Re s is outside [s_min,
+        s_max] ends both."""
         work = [(m, failures) for la, lc, failures in pairs
                 if (m := [lb for lb in (la, lc) if lb.status == "pair"])]
-        seeds = [m[0].s if m[0].branch.events
+        seeds = [_extrapolate(m[0].branch.samples, p) if m[0].branch.events
                  else 0.5 * (m[0].s + m[1].s) + 1j * cfg.step
                  for m, _ in work]
         roots = work and refine_complex(F, seeds, cfg.tol, probe=cfg.step)

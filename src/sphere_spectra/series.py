@@ -43,7 +43,8 @@ class SeriesCoefficients:
 
 
 # ---------------------------------------------------------------------------
-# batch kernels (s is an array; coefficient arrays have shape (M+1, len(s)))
+# batch kernels (s is an array; coefficient arrays have shape (M+1, len(s)),
+# float64 when s and the seeds are real and complex otherwise)
 # ---------------------------------------------------------------------------
 
 PLAIN, BLOCK = 16, 8
@@ -87,43 +88,49 @@ def _blocks(k2: float, eps: float, M: int) -> np.ndarray:
     Q = np.zeros((len(P) // BLOCK, 2 * BLOCK + 4, 4 * BLOCK + 4), P.dtype)
     Q[:, range(4), range(4)] = 1
     for t in range(BLOCK):
-        r = P[t::BLOCK] @ Q[:, 2 * t:2 * t + 4]
-        Q[:, 2 * t + 4:2 * t + 6] = r[:, :2]
-        Q[:, 2 * t + 4:2 * t + 6, 4:] += r[:, 2:, :-4]
+        w = 4 * t + 4       # step t reads degree <= t in S: w columns
+        r = P[t::BLOCK] @ Q[:, 2 * t:2 * t + 4, :w]
+        Q[:, 2 * t + 4:2 * t + 6, :w] = r[:, :2]
+        Q[:, 2 * t + 4:2 * t + 6, 4:w + 4] += r[:, 2:]
     return Q[:, 4:].transpose(0, 2, 1).astype(float, order="C")
 
 
 def _vorticity(k2: float, eps: float, s, a0, b0, M: int):
     """The fused steps from (a0, b0), one column per s; Z[0] is index -1."""
+    s = np.asarray(s, np.result_type(*map(np.asarray, (s, a0, b0)), float))
     S = s * (s + 1)
-    Z = np.zeros((M + 2, 2, s.size), dtype=complex)
+    Z = np.zeros((M + 2, 2, s.size), s.dtype)
     Z[1, 0], Z[1, 1] = a0, b0
     Zr = Z.view(float)                 # the real P acts on Z as floats
+    r = np.empty((4, Zr.shape[-1]))
+    rz = r.view(Z.dtype)
     for t, P in enumerate(_steps(k2, eps, M)[:PLAIN], start=1):
-        r = (P @ Zr[t - 1:t + 1].reshape(4, 2 * s.size)).view(complex)
-        Z[t + 1] = r[:2] + S * r[2:]
+        np.matmul(P, Zr[t - 1:t + 1].reshape(4, -1), out=r)
+        np.multiply(S, rz[2:], out=Z[t + 1])
+        Z[t + 1] += rz[:2]
     Sj = S ** np.arange(BLOCK + 1)[:, None, None]
-    X = np.empty((BLOCK + 1, 4, s.size), complex)
-    R = np.empty((2 * s.size, 2 * BLOCK))
+    X = np.empty((BLOCK + 1, 4, s.size), Z.dtype)
+    R = np.empty((Zr.shape[-1], 2 * BLOCK))
+    Xr, RT = X.reshape(-1, s.size).view(float).T, R.T.reshape(BLOCK, 2, -1)
     for t, C in zip(range(PLAIN + 1, M + 1, BLOCK), _blocks(k2, eps, M)):
         np.multiply(Sj, Z[t - 1:t + 1].reshape(4, -1), out=X)
         # the batch as the rows: a column's values do not depend on it
-        np.matmul(X.reshape(-1, s.size).view(float).T, C, out=R)
-        Zr[t + 1:t + 1 + BLOCK] = R.T.reshape(BLOCK, 2, -1)[:M + 1 - t]
+        np.matmul(Xr, C, out=R)
+        Zr[t + 1:t + 1 + BLOCK] = RT[:M + 1 - t]
     return Z[1:, 0], Z[1:, 1]
 
 
 def coeffs_k_batch(k2: float, eps: float, s: np.ndarray, seeds, M: int):
     """Vorticity sequences (a, b) for the k != 0 system, one column per s
     value, from seeds = (a0, b0)."""
-    return _vorticity(k2, eps, np.asarray(s, dtype=complex), *seeds, M)
+    return _vorticity(k2, eps, s, *seeds, M)
 
 
 def coeffs_k0_batch(eps: float, s: np.ndarray, seeds, M: int):
     """Vorticity sequences (a, b) for the k = 0 system, one column per s
     value, from the free seeds (a0, d0): the compatibility condition fixes
     b0 = -eps*a0 - s*(s+1)*d0."""
-    s = np.asarray(s, dtype=complex)
+    s = np.asarray(s)
     a0, d0 = seeds
     return _vorticity(0, eps, s, a0, -eps * a0 - s * (s + 1) * d0, M)
 

@@ -175,6 +175,25 @@ def test_criterion_5_coalescence_and_stability_domain():
                   f"{worst_residual:.1e}")
 
 
+def test_criterion_5_sweeps_determinant_calls():
+    """The criterion-5 sweeps make their determinant calls one after
+    another, so the count sets their time: 968 with Muller restarted from
+    each pair's last root, 815 with seeds predicted from its path."""
+    calls = []
+    for k in (1, 3):
+        def fam(e, k=k):
+            F = ss.det_functional(
+                ss.SpectralParams(k=k, eps=float(e), x0=0.9, M=150))
+
+            def counted(s):
+                calls.append(np.size(s))
+                return F(s)
+            return counted
+        ss.trace_parameter(fam, "eps", np.arange(0, 12.001, 0.25),
+                           ss.ScanConfig(0.0, 8.0))
+    assert len(calls) <= 815, len(calls)
+
+
 def test_criterion_6_k0_negativity_and_integer_trend():
     gaps = {}
     all_negative = True

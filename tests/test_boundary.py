@@ -352,3 +352,28 @@ def test_det_functional_values_do_not_depend_on_the_batch(k, eps):
     grid = 0.05 * np.arange(1, 162)          # a scan grid's 161 points
     alone = np.concatenate([F(grid[i:i + 1]) for i in range(grid.size)])
     assert F(grid).tobytes() == alone.tobytes()
+    # a real grid at M = 1000, whose 1001-term row products depend on the
+    # batch under threaded BLAS unless the batch is their rows
+    F = det_functional(SpectralParams(k=k, eps=eps, x0=0.99, M=1000))
+    grid = np.linspace(0.1, 9.9, 67)
+    alone = np.concatenate([F(grid[i:i + 1]) for i in range(grid.size)])
+    assert F(grid).tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+@pytest.mark.parametrize("eps", [0.0, 4.0, 12.0])
+def test_det_functional_is_float_at_real_s(k, eps):
+    """Real s runs in float64.  Its matrices are within 1e-13 of the same
+    points passed as complex, relative to each column's largest entry, and
+    so are its values, the determinants of matrices with unit columns (a
+    value's own relative error grows as cancellation makes it small)."""
+    params = SpectralParams(k=k, eps=eps, x0=0.9)
+    s = np.linspace(0.05, 9.95, 67)
+    real, cplx = _matrices(params, s), _matrices(params, s.astype(complex))
+    assert real.dtype == np.float64 and cplx.dtype == np.complex128
+    scale = np.abs(cplx).max(axis=1, keepdims=True)
+    assert np.all(np.abs(real - cplx) <= 1e-13 * scale)
+    F = det_functional(params)
+    real, cplx = F(s), F(s.astype(complex))
+    assert real.dtype == np.float64 and cplx.dtype == np.complex128
+    np.testing.assert_allclose(real, cplx, rtol=0, atol=1e-13)

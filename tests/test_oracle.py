@@ -15,6 +15,20 @@ def _values(params, problem, s, n_steps, block=oracle_mod.BLOCK):
         oracle_mod._blocks(params, problem, n_steps, block)))
 
 
+@pytest.mark.parametrize("k, eps, which", [(1, 0.0, "auto"),
+                                           (1, 4.0, "auto"),
+                                           (0, 1.0, "auto"), (0, 4.0, "chi")])
+def test_real_s_runs_in_float(k, eps, which):
+    """Real s runs in float64, within 1e-13 of the same points passed as
+    complex: the residual of orthonormal trajectories is of size 1 at
+    most, so this is relative to its scale."""
+    F = shoot_functional(SpectralParams(k=k, eps=eps, x0=0.9), which=which)
+    s = np.linspace(0.05, 9.95, 67)
+    real, cplx = F(s), F(s.astype(complex))
+    assert real.dtype == np.float64 and cplx.dtype == np.complex128
+    np.testing.assert_allclose(real, cplx, rtol=0, atol=1e-13)
+
+
 class TestShootK:
     def test_nonzero_residual_off_spectrum(self):
         params = SpectralParams(k=1, eps=0.0, x0=0.9, M=150)

@@ -351,6 +351,64 @@ class TestTrace:
             assert root.s == pytest.approx(1 + 0.2j * np.sqrt(0.05),
                                            abs=1e-9)
 
+    def test_complex_seeds_predicted_from_the_path(self, monkeypatch):
+        # the pair u +- |v| merges at t = 1 and moves on along the quadratic
+        # path u + iv = (0.8 - 1i) + 0.3 t + (0.2 + 1i) t^2, v = t^2 - 1
+        def fam(t):
+            u, v = 0.8 + 0.3 * t + 0.2 * t * t, t * t - 1
+            return lambda s: (np.asarray(s, complex) - u) ** 2 \
+                + np.sign(v) * v * v
+
+        def path(t):
+            return (0.8 - 1j) + 0.3 * t + (0.2 + 1j) * t * t
+
+        fam, calls = recording_refine(monkeypatch, fam)
+        cfg = ScanConfig(0.0, 3.0, 0.05, 1e-12)
+        values = [0.9, 0.95, 1.05, 1.1, 1.15, 1.2, 1.25, 1.3]
+        branches = trace_parameter(fam, "t", values, cfg)
+        assert [t for t, _, _ in calls] == values[2:]
+        (seed0,), (seed1,), (seed2,), *later = [seeds for _, seeds, _ in calls]
+        roots = [r.s for _, _, (r,) in calls]
+        # the first complex seed is the midpoint rule, unchanged; then
+        # the last root, the line through two, the quadratic through three
+        below = [br.samples[1][1].s.real for br in branches]
+        assert seed0 == branches[0].events[0].seed == 0.5 * sum(below) + 0.05j
+        assert seed1 == roots[0]
+        assert seed2 == pytest.approx(2 * roots[1] - roots[0], abs=1e-15)
+        assert abs(seed2 - path(1.15)) > 1e-3
+        for t, (seed,) in zip(values[5:], later):
+            assert abs(seed - path(t)) < 1e-12
+        for br in branches:
+            assert br.note == "" and len(br.samples) == len(values)
+            assert all(abs(r.s - path(p)) < 1e-12 for p, r in br.samples[2:])
+
+    def test_scans_pass_floats_and_muller_complex(self, monkeypatch):
+        # a trace through the merge of 1 +- 0.2 sqrt(1 - t)
+        inside, dtypes = [False], set()
+        refine = rootfinder.refine_complex
+
+        def in_muller(*args, **kwargs):
+            inside[0] = True
+            try:
+                return refine(*args, **kwargs)
+            finally:
+                inside[0] = False
+
+        def fam(t):
+            def F(s):
+                dtypes.add((inside[0], np.asarray(s).dtype))
+                return (np.asarray(s, complex) - 1) ** 2 + 0.04 * (t - 1)
+            return F
+
+        monkeypatch.setattr(rootfinder, "refine_complex", in_muller)
+        cfg = ScanConfig(0.0, 2.0, 0.05, 1e-12)
+        trace_parameter(fam, "t", [0.9, 0.95, 1.05, 1.1], cfg)
+        assert dtypes == {(False, np.dtype(float)),
+                          (True, np.dtype(complex))}
+        dtypes.clear()
+        refine_complex(fam(1.1), [1.0, 2, 1 + 0.1j])
+        assert dtypes == {(False, np.dtype(complex))}
+
     @pytest.mark.parametrize("at_merge, outcome", [
         (lambda s: np.ones_like(np.asarray(s, complex)), None),
         (poly(0.7, 1.3), "real"),    # real roots pull the seed to the axis

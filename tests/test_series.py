@@ -42,6 +42,19 @@ def sequences_k0(eps, s, seeds, M):
     return (a, b) + stream_coeffs(0, a, b, 0.0, seeds[1])
 
 
+def test_complex_seeds_at_real_s_stay_complex():
+    """At real s the kernels are real-linear in the seeds: the imaginary
+    parts of complex seeds run as a second real problem, not dropped."""
+    s = np.array([0.7, 2.3, 5.1])
+    for kernel in (lambda seeds: coeffs_k_batch(1.0, 4.0, s, seeds, 40),
+                   lambda seeds: coeffs_k0_batch(4.0, s, seeds, 40)):
+        got = kernel((1.0 + 2.0j, 0.5j))
+        re, im = kernel((1.0, 0.0)), kernel((2.0, 0.5))
+        assert got[0].dtype == np.complex128 and re[0].dtype == np.float64
+        for g, r, i in zip(got, re, im):
+            np.testing.assert_array_equal(g, r + 1j * i)
+
+
 class TestVorticityInitialTerms:
     def test_a1_viscous_limit(self):
         a, b = vorticity(params_k(k=1), s=1.0, a0=1.0, b0=0.0)
