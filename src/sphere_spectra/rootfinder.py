@@ -5,7 +5,8 @@ on the sign-change brackets, which closes each bracket to within tol;
 complex roots by Muller iteration (three-point quadratic interpolation,
 derivative-free: the determinant is a black box and numerical derivatives
 are noisy near coalescence), one batched loop whose seeds share each F
-call.  Parameter continuation scans every sweep value once and matches the
+call and end with a Newton step averaged over a small circle.
+Parameter continuation scans every sweep value once and matches the
 scanned roots to the branches by their predicted positions; a branch left
 unmatched is resolved by a fine local rescan, and two nearby unmatched real
 branches merge into a pair.  Then every merged pair at the value, new,
@@ -14,10 +15,10 @@ from the root its path predicts.  Samples lie only on the sweep values and
 inside the scan window.  Scans call F on float arrays, Muller on complex.
 
 A root's residual is the normalized determinant magnitude at the root
-scaled by its magnitude at the grid neighbours (Muller: probe points), so
-it does not depend on the determinant's overall size.  A root's error
-bounds its distance in s from the true root: the closing bracket width,
-or the last Muller step.
+(Muller: at its last iterate) scaled by its magnitude at the grid
+neighbours (Muller: probe points), so it does not depend on the
+determinant's overall size.  A root's error bounds its distance in s
+from the true root: the closing bracket width, or the last Muller step.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .core import GridTooCoarseWarning, Root, canonicalize_s
 
 # iteration budget of the Illinois and Muller loops, read at call time
 MAX_ITER = 80
+RING = 8  # points on the circle around a converged Muller iterate
 
 
 @dataclass(frozen=True)
@@ -159,21 +161,27 @@ def refine_complex(F, seeds, tol: float = 1e-10, probe: float = 0.05) -> list:
     """Muller iteration from each complex seed until its update is below
     tol: one Root per seed, or None where the seed did not converge.
 
-    The seeds share each F call (their start points, then per round the
-    new iterates of the seeds still iterating, then the probes of the
-    converged roots); each keeps its own update and stop rules.  The
-    residual is |F| at the root scaled by its magnitude one probe distance
-    away (as the real scan scales by grid neighbours); the error is the
-    last Muller step.
+    The seeds share each F call: their start points, then per round the
+    new iterates of the seeds still iterating.  A seed whose step falls
+    below tol evaluates the iterate x it reaches, RING points on the
+    circle |s - x| = r = 100 tol and three probes (x ± probe, x + i probe)
+    in that round's call, and stops.  Its root is one Newton step from x:
+    F(x) is the mean over x and the circle and F'(x) the circle's first
+    Fourier coefficient over r, exact for polynomials of degree below RING
+    and averaging out the rounding noise that near F's floor moves every
+    iterate.  Where the second coefficient outweighs the first, as near a
+    double root, the step would be noise and the root stays at x.  The
+    residual is |F(x)| over its largest magnitude at the probes; the error
+    is the last Muller step.
     """
     if not (seeds := list(seeds)):
         return []
-    F, h = _as_batch(F), max(1e-3, 10 * tol)
+    F, h, r = _as_batch(F), max(1e-3, 10 * tol), 100 * tol
     xs = [[seed - h, seed + h, complex(seed)] for seed in seeds]
     fs = F(np.array(xs).ravel()).reshape(-1, 3).tolist()
-    best = [min(zip(x, f), key=lambda t: abs(t[1])) for x, f in zip(xs, fs)]
-    # per seed: rounds since the first step below tol, last step length
-    extra, step = [0] * len(seeds), [0.0] * len(seeds)
+    w = np.exp(2j * np.pi * np.arange(RING) / RING).tolist()
+    near = [0, *(r * z for z in w), probe, -probe, 1j * probe]
+    step, roots = [0.0] * len(seeds), [None] * len(seeds)
     live = list(range(len(seeds)))
     for _ in range(MAX_ITER):
         moves = []      # (seed, next iterate); none at a degenerate point
@@ -193,31 +201,23 @@ def refine_complex(F, seeds, tol: float = 1e-10, probe: float = 0.05) -> list:
                 moves.append((i, x0 + dx))
         if not moves:
             break
+        pts = [[x + d for d in near] if step[i] < tol else [x]
+               for i, x in moves]
+        fx = iter(F(np.array(sum(pts, []))).tolist())
         live = []
-        for (i, xn), fn in zip(moves,
-                               F(np.array([x for _, x in moves])).tolist()):
-            xs[i], fs[i] = xs[i][1:] + [xn], fs[i][1:] + [fn]
-            if abs(fn) <= abs(best[i][1]):
-                best[i] = (xn, fn)
-            if step[i] < tol or extra[i]:
-                # polish: the step can drop below tol a little before |F|
-                # bottoms out near an almost-degenerate pair
-                extra[i] += 1
-                if extra[i] > 2 or fn == 0:
-                    continue
-            live.append(i)
-    roots = [None] * len(seeds)
-    done = [i for i in range(len(seeds)) if extra[i]]
-    if done:
-        xb = np.array([best[i][0] for i in done])
-        refs = np.abs(F(np.stack([xb + probe, xb - probe, xb + 1j * probe],
-                                 axis=1).ravel())).reshape(-1, 3).max(axis=1)
-        for i, ref in zip(done, refs):
-            s = canonicalize_s(best[i][0])
-            kind = "complex-pair" if abs(s.imag) > max(100 * tol, 1e-9) \
-                else "real"
-            roots[i] = Root(s, abs(best[i][1]) / (ref or 1.0), kind,
-                            error=step[i])
+        for (i, xn), p in zip(moves, pts):
+            fn, *fr = [next(fx) for _ in p]
+            if not fr:
+                xs[i], fs[i] = xs[i][1:] + [xn], fs[i][1:] + [fn]
+                live.append(i)
+                continue
+            mean = (fn + sum(fr[:RING])) / (RING + 1)
+            c1, c2 = (sum(f / z ** m for f, z in zip(fr, w)) for m in (1, 2))
+            dx = -mean * RING * r / c1 if abs(c2) < abs(c1) else 0
+            s = canonicalize_s(xn + dx)
+            kind = "complex-pair" if abs(s.imag) > max(r, 1e-9) else "real"
+            roots[i] = Root(s, abs(fn) / (max(map(abs, fr[RING:])) or 1.0),
+                            kind, error=step[i])
     return roots
 
 

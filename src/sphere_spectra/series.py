@@ -99,25 +99,25 @@ def _vorticity(k2: float, eps: float, s, a0, b0, M: int):
     """The fused steps from (a0, b0), one column per s; Z[0] is index -1."""
     s = np.asarray(s, np.result_type(*map(np.asarray, (s, a0, b0)), float))
     S = s * (s + 1)
-    Z = np.zeros((M + 2, 2, s.size), s.dtype)
+    # BLOCK - 1 spare rows take the zero-padded tail of the last block
+    Z = np.zeros((M + 1 + BLOCK, 2, s.size), s.dtype)
     Z[1, 0], Z[1, 1] = a0, b0
-    Zr = Z.view(float)                 # the real P acts on Z as floats
+    Zc = Z.reshape(-1, s.size)         # rows 2i, 2i + 1: index i - 1
+    Zr = Zc.view(float)                # the real P acts on Z as floats
     r = np.empty((4, Zr.shape[-1]))
     rz = r.view(Z.dtype)
     for t, P in enumerate(_steps(k2, eps, M)[:PLAIN], start=1):
-        np.matmul(P, Zr[t - 1:t + 1].reshape(4, -1), out=r)
+        np.matmul(P, Zr[2 * t - 2:2 * t + 2], out=r)
         np.multiply(S, rz[2:], out=Z[t + 1])
         Z[t + 1] += rz[:2]
     Sj = S ** np.arange(BLOCK + 1)[:, None, None]
     X = np.empty((BLOCK + 1, 4, s.size), Z.dtype)
-    R = np.empty((Zr.shape[-1], 2 * BLOCK))
-    Xr, RT = X.reshape(-1, s.size).view(float).T, R.T.reshape(BLOCK, 2, -1)
+    Xr = X.reshape(-1, s.size).view(float).T
     for t, C in zip(range(PLAIN + 1, M + 1, BLOCK), _blocks(k2, eps, M)):
-        np.multiply(Sj, Z[t - 1:t + 1].reshape(4, -1), out=X)
+        np.multiply(Sj, Zc[2 * t - 2:2 * t + 2], out=X)
         # the batch as the rows: a column's values do not depend on it
-        np.matmul(Xr, C, out=R)
-        Zr[t + 1:t + 1 + BLOCK] = RT[:M + 1 - t]
-    return Z[1:, 0], Z[1:, 1]
+        np.matmul(Xr, C, out=Zr[2 * t + 2:2 * t + 2 + 2 * BLOCK].T)
+    return Z[1:M + 2, 0], Z[1:M + 2, 1]
 
 
 def coeffs_k_batch(k2: float, eps: float, s: np.ndarray, seeds, M: int):

@@ -1,10 +1,12 @@
+import zlib
+
 import numpy as np
 import pytest
 
 from sphere_spectra import (GridTooCoarseWarning, Root, ScanConfig,
-                            refine_complex, rootfinder, scan_real_roots,
-                            trace_parameter)
-from sphere_spectra.rootfinder import _dedupe
+                            SpectralParams, det_functional, refine_complex,
+                            rootfinder, scan_real_roots, trace_parameter)
+from sphere_spectra.rootfinder import RING, _dedupe
 
 
 def poly(*roots):
@@ -110,6 +112,16 @@ def counting(F):
     return G, calls
 
 
+def recording(F):
+    """F and the list of point arrays it was called with."""
+    points = []
+
+    def G(s):
+        points.append(np.array(s))
+        return F(s)
+    return G, points
+
+
 def recording_refine(monkeypatch, fam):
     """fam wrapped to note the value it was last built at, and the list of
     (value, seeds, roots) of every refine_complex call a trace over it
@@ -187,12 +199,90 @@ class TestRefineComplex:
         assert batch == alone
         assert [r.kind for r in batch] == ["complex-pair", "real",
                                            "complex-pair"]
-        # one start call, one call per round of the slowest seed, one
-        # probe call; alone a seed makes its rounds plus two calls
-        rounds = [len(c) - 2 for c in single_calls]
+        # one start call, then one call per round of the slowest seed, and
+        # no separate probe call: alone a seed makes its rounds plus one
+        rounds = [len(c) - 1 for c in single_calls]
         assert rounds[2] > max(rounds[:2])
-        assert len(calls) == 1 + max(rounds) + 1
-        assert calls[0] == calls[-1] == 3 * len(seeds)
+        assert len(calls) == 1 + max(rounds)
+        assert calls[0] == 3 * len(seeds)
+        # the slowest seed's last iterate, its circle and its three probes
+        assert calls[-1] == 1 + RING + 3
+
+    def test_seed_near_a_simple_root_makes_three_calls(self):
+        # the start call, one Muller step to the root, and the step below
+        # tol, whose iterate shares its call with its circle and probes
+        F = poly(2.1 + 0.9j, 2.1 - 0.9j, 1.45)
+        G, points = recording(F)
+        tol, probe = 1e-10, 0.05
+        root, = refine_complex(G, [2.1 + 0.9j + 1e-4 * (1 - 1j)], tol=tol,
+                               probe=probe)
+        assert [p.size for p in points] == [3, 1, 1 + RING + 3]
+        x, circle, probes = np.split(points[-1], [1, 1 + RING])
+        w = np.exp(2j * np.pi * np.arange(RING) / RING)
+        assert np.allclose(circle, x + 100 * tol * w, rtol=0, atol=1e-15)
+        assert probes.tolist() == (x + [probe, -probe, 1j * probe]).tolist()
+        assert root.kind == "complex-pair"
+        assert abs(root.s - (2.1 + 0.9j)) < 1e-12
+        assert root.residual == abs(F(x)[0]) / np.abs(F(probes)).max()
+
+    def test_root_is_a_newton_step_from_the_last_iterate(self):
+        # F has degree 5 < RING, so the circle gives F and F' at the last
+        # iterate x up to rounding: the root is x - F(x) / F'(x), which at
+        # a loose tol lies well past x
+        roots = [2.1 + 0.9j, 2.1 - 0.9j, 1.45, 4.0 + 2.0j, 0.5 - 3.0j]
+        coef = np.poly(roots)
+        F = lambda s: np.polyval(coef, np.asarray(s, complex))  # noqa: E731
+        G, points = recording(F)
+        root, = refine_complex(G, [2.1 + 0.9j + 1e-2 * (1 - 1j)], tol=1e-3)
+        x = points[-1][0]
+        newton = x - F(x) / np.polyval(np.polyder(coef), x)
+        assert abs(root.s - newton) < 1e-14
+        assert abs(x - roots[0]) > 1e3 * abs(root.s - roots[0])
+
+    def test_double_root_stays_at_the_last_iterate(self):
+        # at a double root the circle's second Fourier coefficient outweighs
+        # its first, so a Newton step would be rounding noise (it landed
+        # 6e-9 away): the root is the last iterate itself
+        G, points = recording(poly(5.2 + 1.1j, 5.2 + 1.1j))
+        root, = refine_complex(G, [5.5 + 0.6j])
+        assert root.s == points[-1][0]
+        assert abs(root.s - (5.2 + 1.1j)) < 1e-12
+
+    def test_newton_step_averages_out_noise(self):
+        # pairs r, r* under noise of size 1e-10 in F, its phase a hash of s:
+        # an evaluated point can be as far as 1e-10 / |F'(r)| = 5e-11 from
+        # r and still have |F| at the noise.  Over 40 pairs the averaged
+        # Newton step lands less than half that from the root, and at least
+        # twice as close as the last iterate
+        def noisy(r):
+            def F(s):
+                s = np.asarray(s, complex)
+                turn = [zlib.crc32(z.tobytes()) / 2 ** 32 for z in s.ravel()]
+                noise = np.exp(2j * np.pi * np.reshape(turn, s.shape))
+                return (s - r) * (s - r.conjugate()) + 1e-10 * noise
+            return F
+        ours, last = [], []
+        for r in 1.5 + 0.07 * np.arange(40) + 1j:
+            G, points = recording(noisy(r))
+            root, = refine_complex(G, [r + 1e-4 * (1 - 1j)])
+            ours.append(abs(root.s - r))
+            last.append(abs(points[-1][0] - r))
+        assert np.median(ours) < min(2.5e-11, np.median(last) / 2)
+
+    @pytest.mark.parametrize("eps, pairs", [
+        (4.0, [3.5958163206 + 0.9862702213j, 6.2739620420 + 1.0939533013j]),
+        (9.9, [5.0165908827 + 2.6469096237j, 7.7046906093 + 3.4799975196j]),
+    ])
+    def test_determinant_pairs_do_not_depend_on_the_batch(self, eps, pairs):
+        # the iterates, circles and probes of both live pairs share their
+        # calls: each pair's Root is the one it gets alone
+        F = det_functional(SpectralParams(k=1, eps=eps, x0=0.9, M=150))
+        seeds = [s + 1e-4 * (1 - 1j) for s in pairs]
+        alone = [refine_complex(F, [seed])[0] for seed in seeds]
+        together = refine_complex(F, seeds)
+        assert together == alone
+        assert all(r.kind == "complex-pair" and abs(r.s - s) < 1e-9
+                   for r, s in zip(together, pairs))
 
 
 class TestTrace:

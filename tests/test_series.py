@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from sphere_spectra import (SpectralParams, coeffs_full_k, coeffs_k0,
                             eval_series)
 from sphere_spectra.boundary import _stream_rows
-from sphere_spectra.series import (coeffs_k0_batch, coeffs_k_batch,
-                                   stream_coeffs)
+from sphere_spectra.series import (BLOCK, PLAIN, coeffs_k0_batch,
+                                   coeffs_k_batch, stream_coeffs)
 
 
 def params_k(k=1, eps=0.0, M=40, x0=0.9):
@@ -352,16 +352,22 @@ def test_boundary_rows_match_long_double_recurrence(x0, M, bound, k, eps):
         assert np.all(err <= bound * scale)
 
 
-@pytest.mark.parametrize("M", [20, 25, 150, 1000])
+@pytest.mark.parametrize("M", [*range(PLAIN + 1, PLAIN + BLOCK + 1), 25, 150,
+                               1000])
 @pytest.mark.parametrize("k2", [0.0, 1.0, 9.0])
 @pytest.mark.parametrize("eps", [0.0, 4.0, 12.0])
 def test_coefficients_are_a_prefix_of_the_longer_run(M, k2, eps):
     """The coefficients to M are bit-identical to the first M + 1 of those
-    to 3M/2, so one run to the larger M serves both."""
-    s = np.array([0.35, 2.9, 7.7, 1.1 + 0.6j, 5.3 - 1.7j])
+    to 3M/2 and to M = 150, so one run to the larger M serves both.  M = 17
+    to 24 covers every length of the last block, which writes all BLOCK of
+    its values, those past index M into spare rows."""
     seeds = (np.array([1.0, 0.0, 1.0, 0.3, -2.0]),
              np.array([0.0, 1.0, 1.0, 0.7, 0.5]))
-    kernel = ((lambda m: coeffs_k_batch(k2, eps, s, seeds, m)) if k2
-              else (lambda m: coeffs_k0_batch(eps, s, seeds, m)))
-    for short, long_ in zip(kernel(M), kernel(3 * M // 2)):
-        assert short.tobytes() == long_[:M + 1].tobytes()
+    for s in (np.array([0.35, 2.9, 7.7, 1.1 + 0.6j, 5.3 - 1.7j]),
+              np.array([0.35, 2.9, 7.7, 1.1, 5.3])):
+        kernel = ((lambda m: coeffs_k_batch(k2, eps, s, seeds, m)) if k2
+                  else (lambda m: coeffs_k0_batch(eps, s, seeds, m)))
+        for longer in {3 * M // 2, max(M, 150)}:
+            for short, long_ in zip(kernel(M), kernel(longer)):
+                assert short.shape == (M + 1, s.size)
+                assert short.tobytes() == long_[:M + 1].tobytes()
