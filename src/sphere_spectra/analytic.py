@@ -60,7 +60,6 @@ class AnalyticSpectrum:
     only the trivial mu = 0 mode survives.
     """
 
-    sigma: float
     s_values: np.ndarray
     mu_values: np.ndarray
     regime: str
@@ -89,7 +88,7 @@ def spectrum_full_sphere_k(k: int, eps: float, n_max: int) -> AnalyticSpectrum:
         raise ValueError("eps must be nonnegative")
     sigma = sigma_of(k, eps)
     s = sigma + np.arange(n_max + 1)
-    return AnalyticSpectrum(sigma, s, -s * (s + 1), "k-nonzero-full-sphere")
+    return AnalyticSpectrum(s, -s * (s + 1), "k-nonzero-full-sphere")
 
 
 def spectrum_full_sphere_k0(eps: float, n_max: int) -> AnalyticSpectrum:
@@ -102,10 +101,10 @@ def spectrum_full_sphere_k0(eps: float, n_max: int) -> AnalyticSpectrum:
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     if eps >= 2:
-        return AnalyticSpectrum(eps / 2, np.array([0.0]), np.array([0.0]),
+        return AnalyticSpectrum(np.array([0.0]), np.array([0.0]),
                                 "k0-full-sphere", empty_nontrivial=True)
     n = np.arange(n_max + 1, dtype=float)
-    return AnalyticSpectrum(eps / 2, n, -n * (n + 1), "k0-full-sphere")
+    return AnalyticSpectrum(n, -n * (n + 1), "k0-full-sphere")
 
 
 def spectrum_chi_limit(eps: float, n_max: int) -> AnalyticSpectrum:
@@ -116,7 +115,7 @@ def spectrum_chi_limit(eps: float, n_max: int) -> AnalyticSpectrum:
         raise ValueError("eps must be nonnegative")
     base = 1.0 if eps <= 2 else eps / 2.0
     s = base + np.arange(n_max + 1)
-    return AnalyticSpectrum(eps / 2, s, -s * (s + 1), "k0-chi-limit")
+    return AnalyticSpectrum(s, -s * (s + 1), "k0-chi-limit")
 
 
 def _truncated_hypergeometric(n: int, beta: float, gamma: float) -> Polynomial:

@@ -84,17 +84,10 @@ def assemble(params: SpectralParams, s: complex) -> np.ndarray:
 
 
 def _normalized_det(stack: np.ndarray):
-    """Column-normalized determinants of a stack of matrices.
-
-    Returns (values, scales): values are det of the normalized matrices,
-    scales the log10 of the factored-out column-norm product.  Roots are
-    those of the raw determinant.
-    """
+    """Determinants of a stack of matrices with each column divided by its
+    largest magnitude; roots are those of the raw determinant."""
     norms = np.abs(stack).max(axis=1, keepdims=True)
-    safe = np.where(norms == 0, 1.0, norms)
-    vals = np.linalg.det(stack / safe)
-    scales = np.log10(safe).sum(axis=2)[:, 0]
-    return vals, scales
+    return np.linalg.det(stack / np.where(norms == 0, 1.0, norms))
 
 
 def det_functional(params: SpectralParams):
@@ -105,7 +98,7 @@ def det_functional(params: SpectralParams):
 
     def F(s):
         s = np.atleast_1d(np.asarray(s))
-        return _normalized_det(_matrices(params, s))[0]
+        return _normalized_det(_matrices(params, s))
 
     return F
 

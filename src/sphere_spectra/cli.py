@@ -372,6 +372,10 @@ _DEFAULTS = {"k": 1, "eps": 0.0, "x0": 0.9, "smin": 0.0, "smax": 8.0,
              "step": 0.05, "tol": 1e-10, "fmt": "csv", "steps": 2000,
              "chi": False, "figure": "1"}
 
+# the JSON type of each config key's value, that of its flag (str if absent)
+_CONFIG_TYPES = {"k": int, "M": int, "steps": int, "chi": bool} | {
+    key: (int, float) for key in ("eps", "x0", "smin", "smax", "step", "tol")}
+
 
 def _merge_config(args) -> dict:
     """File values fill unset flags; flags win.  The file's keys must be
@@ -386,6 +390,12 @@ def _merge_config(args) -> dict:
         if unknown:
             raise ValueError(f"unknown config keys for {args.command}: "
                              f"{', '.join(unknown)}")
+        wrong = sorted(key for key, val in data.items()
+                       if not isinstance(val, _CONFIG_TYPES.get(key, str))
+                       or isinstance(val, bool) != (key == "chi"))
+        if wrong:
+            raise ValueError(f"config values of the wrong type: "
+                             f"{', '.join(wrong)}")
         merged.update(data)
     for key, val in vars(args).items():
         if val is not None and key not in ("command", "config"):

@@ -31,15 +31,13 @@ from .core import SpectralParams
 
 @dataclass(frozen=True)
 class SeriesCoefficients:
-    """The four coefficient sequences, each of length M+1, plus the seeds
-    (a0, b0, c0, d0) that generated them.  Coefficients are linear in the
-    seeds."""
+    """The four coefficient sequences, each of length M+1; they are linear
+    in the seeds (a0, b0, c0, d0) that generated them."""
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
     d: np.ndarray
-    seeds: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +181,7 @@ def coeffs_full_k(params: SpectralParams, s: complex, seeds) -> SeriesCoefficien
     k2 = params.abs_k ** 2
     a, b = coeffs_k_batch(k2, params.eps, np.array([s]), seeds[:2], params.M)
     c, d = stream_coeffs(k2, a[:, 0], b[:, 0], seeds[2], seeds[3])
-    return SeriesCoefficients(a[:, 0], b[:, 0], c, d, tuple(seeds))
+    return SeriesCoefficients(a[:, 0], b[:, 0], c, d)
 
 
 def coeffs_k0(params: SpectralParams, s: complex,
@@ -200,7 +198,7 @@ def coeffs_k0(params: SpectralParams, s: complex,
                          "requires s*(s+1) != 0")
     a, b = coeffs_k0_batch(params.eps, np.array([s]), (a0, d0), params.M)
     c, d = stream_coeffs(0, a[:, 0], b[:, 0], 0, d0)
-    return SeriesCoefficients(a[:, 0], b[:, 0], c, d, (a0, d0))
+    return SeriesCoefficients(a[:, 0], b[:, 0], c, d)
 
 
 def eval_series(coeffs: SeriesCoefficients, which: str, x):

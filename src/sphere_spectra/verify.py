@@ -1,235 +1,204 @@
 """Self-verification suite: structural invariants, analytic limits and a
 reduced oracle-equivalence matrix, runnable from the CLI (verify command).
 
-Each check is a small function returning (passed, detail).  Checks are
-grouped; groups can be run selectively, and run serially in registry order.
+Each invariant is written once, as a function of its inputs returning
+(passed, detail) against one fixed bound; the tests call it on their own
+inputs, and the registry CHECKS on fixed samples, serially in its order.
 """
 
 from __future__ import annotations
 
+import functools
 import time
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 
 from . import analytic, boundary, oracle
 from .core import SpectralParams
 from .rootfinder import ScanConfig, scan_real_roots
-from .series import coeffs_full_k, coeffs_k0, coeffs_k_batch, eval_series
+from .series import (coeffs_full_k, coeffs_k0_batch, coeffs_k_batch,
+                     eval_series, stream_coeffs)
 
 _RNG_SEED = 20260810
 
 
-def _rel(a, b):
-    scale = max(abs(a), abs(b), 1e-300)
-    return abs(a - b) / scale
+def _invariant(bound, what):
+    """Make measure(*inputs), the worst deviation from an invariant, a check
+    returning (passed, detail) against the fixed bound (0: exact equality);
+    .over(cases) judges the worst over several tuples of inputs."""
+    def wrap(measure):
+        def over(cases):
+            worst = np.max([measure(*inputs) for inputs in cases])
+            passed = worst < bound if bound else worst == 0
+            return bool(passed), f"{what} {worst:.2e}"
+        check = functools.wraps(measure)(lambda *inputs: over([inputs]))
+        check.over = over
+        return check
+    return wrap
+
+
+def _deviation(u, v):
+    """max |v - u| relative to max |u|, or to 1e-292 (tiny / eps) if that is
+    larger: below it subnormal rounding sets the relative precision."""
+    return np.abs(v - u).max() / max(np.abs(u).max(), 1e-292)
+
+
+def _min_rel(a, b):
+    """Largest |a - b| relative to the smaller of |a| and |b|."""
+    return np.max(np.abs(a - b) / np.minimum(np.abs(a), np.abs(b)))
+
+
+def _coef_deviation(poly, ref):
+    return np.abs(np.pad(poly.coef, (0, len(ref) - len(poly.coef)))
+                  - ref).max()
 
 
 # ---------------------------------------------------------------------------
 # series invariants
 # ---------------------------------------------------------------------------
 
-def check_series_linearity():
-    rng = np.random.default_rng(_RNG_SEED)
-    worst = 0.0
-    for _ in range(5):
-        params = SpectralParams(int(rng.integers(1, 5)),
-                                float(rng.uniform(0, 6)), 0.5, 40)
-        s = complex(rng.uniform(-2, 4), rng.uniform(-2, 2))
-        seeds = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        alpha = complex(rng.uniform(0.5, 3), rng.uniform(-1, 1))
-        base = astuple(coeffs_full_k(params, s, seeds))[:4]
-        scaled = astuple(coeffs_full_k(params, s, alpha * seeds))[:4]
-        for u, v in zip(base, scaled):
-            denom = np.abs(alpha * u).max() or 1.0
-            worst = max(worst, np.abs(v - alpha * u).max() / denom)
-    return worst < 1e-13, f"max relative deviation {worst:.2e}"
+def _sequences(params, s, seeds):
+    """The sequences (a, b, c, d) at s from the seeds (a0, b0, c0, d0), or
+    for k = 0 from the free seeds (a0, d0)."""
+    if params.k:
+        return astuple(coeffs_full_k(params, s, seeds))
+    a, b = coeffs_k0_batch(params.eps, np.array([s]), seeds, params.M)
+    return (a, b) + stream_coeffs(0, a, b, 0.0, seeds[1])
 
 
-def check_series_s_symmetry():
-    rng = np.random.default_rng(_RNG_SEED + 1)
-    worst = 0.0
-    for _ in range(5):
-        params = SpectralParams(int(rng.integers(1, 5)),
-                                float(rng.uniform(0, 6)), 0.5, 40)
-        s = complex(rng.uniform(-2, 4), rng.uniform(-2, 2))
-        seeds = tuple(rng.standard_normal(4))
-        one = astuple(coeffs_full_k(params, s, seeds))[:4]
-        two = astuple(coeffs_full_k(params, -1 - s, seeds))[:4]
-        for u, v in zip(one, two):
-            denom = np.abs(u).max() or 1.0
-            worst = max(worst, np.abs(v - u).max() / denom)
-    return worst < 1e-14, f"max relative deviation {worst:.2e}"
+@_invariant(1e-13, "max relative deviation")
+def series_linearity(params, s, seeds, alpha):
+    """Seeds scaled by alpha scale every sequence by alpha."""
+    scaled = _sequences(params, s, alpha * np.asarray(seeds))
+    return np.max([_deviation(alpha * u, v)
+                   for u, v in zip(_sequences(params, s, seeds), scaled)])
 
 
-def check_series_k0_s_symmetry():
-    rng = np.random.default_rng(_RNG_SEED + 2)
-    worst = 0.0
-    for _ in range(5):
-        params = SpectralParams(0, float(rng.uniform(0, 6)), 0.5, 40)
-        s = complex(rng.uniform(0.2, 4), rng.uniform(-2, 2))
-        seeds = tuple(rng.standard_normal(2))
-        one = astuple(coeffs_k0(params, s, *seeds))[:4]
-        two = astuple(coeffs_k0(params, -1 - s, *seeds))[:4]
-        for u, v in zip(one, two):
-            denom = np.abs(u).max() or 1.0
-            worst = max(worst, np.abs(v - u).max() / denom)
-    return worst < 1e-14, f"max relative deviation {worst:.2e}"
+@_invariant(1e-14, "max relative deviation")
+def series_s_reflection(params, s, seeds):
+    """The sequences at s and at -1 - s agree: they read s(s+1) only.  The
+    pair is taken as (-1 - t, t), t = -1 - s, whose products s(s+1) agree
+    in floating point where -1 - s rounds them apart (s near 0 or -1)."""
+    t = -1 - s
+    return np.max([_deviation(u, v) for u, v in zip(
+        _sequences(params, -1 - t, seeds), _sequences(params, t, seeds))])
 
 
-def check_series_parity_decoupling():
-    # at eps = 0 the even and odd vorticity chains are independent
-    s = np.array([1.7 + 0.3j])
-    a, b = coeffs_k_batch(4.0, 0.0, s, (1.0, 0.0), 60)
-    odd_leak = np.abs(b).max()
-    a2, b2 = coeffs_k_batch(4.0, 0.0, s, (0.0, 1.0), 60)
-    even_leak = np.abs(a2).max()
-    ok = odd_leak == 0.0 and even_leak == 0.0
-    return ok, f"odd leak {odd_leak:.2e}, even leak {even_leak:.2e}"
+@_invariant(0.0, "max leak")
+def series_parity_decoupling(params, s):
+    """At eps = 0 the vorticity chains are independent: the even seed
+    leaves b zero, the odd seed a."""
+    k2, s = params.abs_k ** 2, np.array([s])
+    odd = coeffs_k_batch(k2, params.eps, s, (1.0, 0.0), params.M)[1]
+    even = coeffs_k_batch(k2, params.eps, s, (0.0, 1.0), params.M)[0]
+    return np.abs([odd, even]).max()
 
 
-def check_series_ode_residual():
-    """Truncated series substituted into the governing equations leaves a
-    residual controlled by the truncation tail (M = 150, x0 = 0.9)."""
-    params = SpectralParams(k=1, eps=1.0, x0=0.9, M=150)
-    s = 2.3
-    coeffs = coeffs_full_k(params, s, (0.3, -0.2, 1.0, 0.4))
-    x = np.array([0.1, 0.3, 0.5])
+@_invariant(1e-8, "max interior residual")
+def series_ode_residual(params, s, seeds, x):
+    """The truncated series substituted into the governing equations leaves
+    a residual at interior points x controlled by the truncation tail."""
+    coeffs, x = coeffs_full_k(params, s, seeds), np.asarray(x)
+    k2 = params.abs_k ** 2
     psi, dpsi, ddpsi = eval_series(coeffs, "psi", x)
     phi, dphi, ddphi = eval_series(coeffs, "phi", x)
     om = 1 - x * x
-    r1 = om * ddpsi - 2 * x * dpsi - psi / om - phi
-    r2 = (om * ddphi - 2 * x * dphi - phi / om + params.eps * dphi
+    r1 = om * ddpsi - 2 * x * dpsi - k2 * psi / om - phi
+    r2 = (om * ddphi - 2 * x * dphi - k2 * phi / om + params.eps * dphi
           + s * (s + 1) * phi)
-    worst = max(np.abs(r1).max(), np.abs(r2).max())
-    return worst < 1e-8, f"max interior residual {worst:.2e}"
+    return np.abs([r1, r2]).max()
 
 
 # ---------------------------------------------------------------------------
 # boundary invariants
 # ---------------------------------------------------------------------------
 
-def check_det_reflection_symmetry():
-    rng = np.random.default_rng(_RNG_SEED + 3)
-    worst = 0.0
-    for k in (1, 2):
-        params = SpectralParams(k=k, eps=1.5, x0=0.8, M=80)
-        F = boundary.det_functional(params)
-        for _ in range(4):
-            s = complex(rng.uniform(-0.4, 4), rng.uniform(-2, 2))
-            worst = max(worst, _rel(F(np.array([s]))[0],
-                                    F(np.array([-1 - s]))[0]))
-    params0 = SpectralParams(k=0, eps=1.5, x0=0.8, M=80)
-    F0 = boundary.det_functional(params0)
-    for _ in range(4):
-        s = complex(rng.uniform(0.3, 4), rng.uniform(-2, 2))
-        worst = max(worst, _rel(F0(np.array([s]))[0],
-                                F0(np.array([-1 - s]))[0]))
-    return worst < 1e-12, f"max relative asymmetry {worst:.2e}"
+@_invariant(1e-12, "max relative asymmetry")
+def det_reflection(params, s):
+    """F(s) = F(-1 - s), relative to the smaller of the two."""
+    F, s = boundary.det_functional(params), np.asarray(s)
+    return _min_rel(F(s), F(-1 - s))
 
 
-def check_det_k_sign_symmetry():
-    worst = 0.0
-    for k in (1, 2, 3):
-        Fp = boundary.det_functional(SpectralParams(k=k, eps=2.0, x0=0.8, M=80))
-        Fm = boundary.det_functional(SpectralParams(k=-k, eps=2.0, x0=0.8, M=80))
-        s = np.array([0.7 + 0.2j, 2.4, 3.1 - 1.0j])
-        worst = max(worst, np.max(np.abs(Fp(s) - Fm(s))
-                                  / np.maximum(np.abs(Fp(s)), 1e-300)))
-    return worst == 0.0, f"max relative difference {worst:.2e}"
+@_invariant(0.0, "max difference")
+def det_k_sign(params, s):
+    """F_k = F_{-k} exactly: the recurrences read k**2 only."""
+    s, F = np.asarray(s), boundary.det_functional
+    return np.abs(F(params)(s) - F(replace(params, k=-params.k))(s)).max()
 
 
-def check_block_factorization():
-    """At eps = 0 the determinant factors into even and odd parity blocks."""
-    params = SpectralParams(k=2, eps=0.0, x0=0.8, M=80)
-    worst = 0.0
-    for s in (1.3, 2.6 + 0.4j, 4.1):
-        A = boundary.assemble(params, s)
-        full = np.linalg.det(A)
-        even = np.linalg.det(A[np.ix_([0, 2], [0, 2])])
-        odd = np.linalg.det(A[np.ix_([1, 3], [1, 3])])
-        cross = max(np.abs(A[np.ix_([0, 2], [1, 3])]).max(),
-                    np.abs(A[np.ix_([1, 3], [0, 2])]).max())
-        worst = max(worst, _rel(full, even * odd), cross)
-    return worst < 1e-10, f"max factorization defect {worst:.2e}"
+@_invariant(1e-10, "max factorization defect")
+def block_factorization(params, s):
+    """At eps = 0 the boundary matrix has no entry across the parity blocks
+    (rows and columns 0, 2 and 1, 3), and its determinant is the product
+    of theirs, relative to the smaller of the two."""
+    A, even, odd = boundary._matrices(params, np.asarray(s)), [0, 2], [1, 3]
+    if A[:, even][..., odd].any() or A[:, odd][..., even].any():
+        return np.inf
+    return _min_rel(np.linalg.det(A), np.linalg.det(A[:, even][..., even])
+                    * np.linalg.det(A[:, odd][..., odd]))
 
 
-def check_normalization_invariance():
-    """Column rescaling of the seed basis must not move the normalized
-    determinant magnitude (phases may differ)."""
-    params = SpectralParams(k=1, eps=2.0, x0=0.85, M=100)
-    F = boundary.det_functional(params)
-    D = np.diag([2.0, 0.5j, -3.0, 1.0])
-    worst = 0.0
-    for s in (0.8, 1.9 + 0.6j, 3.4):
-        A = boundary.assemble(params, s)
-        scaled = A @ D
-        norms = np.abs(scaled).max(axis=0)
-        val = np.linalg.det(scaled / norms)
-        worst = max(worst, _rel(abs(val), abs(F(np.array([s]))[0])))
-    return worst < 1e-12, f"max magnitude deviation {worst:.2e}"
+@_invariant(1e-12, "max deviation")
+def normalization_invariance(params, s, scale):
+    """Seed columns scaled by the factors scale move the normalized
+    determinant by the unit factor prod(scale / |scale|) only, relative to
+    the smaller of the two."""
+    s, scale = np.asarray(s), np.asarray(scale)
+    rescaled = boundary._normalized_det(boundary._matrices(params, s) * scale)
+    return _min_rel(rescaled, np.prod(scale / np.abs(scale))
+                    * boundary.det_functional(params)(s))
 
 
 # ---------------------------------------------------------------------------
 # analytic invariants
 # ---------------------------------------------------------------------------
 
-def check_polynomial_closed_forms():
-    worst = 0.0
-    for sigma in (0.0, 1.0, 2.5):
-        F2 = analytic.hypergeom_truncated(2, sigma)
-        ref = np.array([-1, 0, 2 * sigma + 3]) / (2 * (1 + sigma))
-        worst = max(worst, np.abs(F2.coef - ref).max())
-        F3 = analytic.hypergeom_truncated(3, sigma)
-        ref3 = np.array([0, -3, 0, 5 + 2 * sigma]) / (2 * (1 + sigma))
-        worst = max(worst, np.abs(F3.coef - ref3).max())
-        G1 = analytic.k0_truncated(1, sigma)
-        ref1 = np.array([sigma, 1]) / (1 + sigma)
-        worst = max(worst, np.abs(G1.coef - ref1).max())
-        G2 = analytic.k0_truncated(2, sigma)
-        ref2 = np.array([sigma * sigma - 1, 3 * sigma, 3]) \
-            / ((1 + sigma) * (2 + sigma))
-        worst = max(worst, np.abs(G2.coef - ref2).max())
-    return worst < 1e-12, f"max coefficient deviation {worst:.2e}"
+@_invariant(1e-12, "max coefficient deviation")
+def polynomial_closed_forms(sigma):
+    """F2, F3 and G1 to G3 against their published closed forms."""
+    f = [np.array([-1, 0, 2 * sigma + 3]) / (2 * (1 + sigma)),
+         np.array([0, -3, 0, 5 + 2 * sigma]) / (2 * (1 + sigma))]
+    g = [np.array([sigma, 1]) / (1 + sigma),
+         np.array([sigma * sigma - 1, 3 * sigma, 3])
+         / ((1 + sigma) * (2 + sigma)),
+         np.array([sigma * (sigma * sigma - 4), 6 * sigma * sigma - 9,
+                   15 * sigma, 15])
+         / ((1 + sigma) * (2 + sigma) * (3 + sigma))]
+    return np.max([_coef_deviation(analytic.hypergeom_truncated(n, sigma), r)
+                   for n, r in zip((2, 3), f)]
+                  + [_coef_deviation(analytic.k0_truncated(n, sigma), r)
+                     for n, r in zip((1, 2, 3), g)])
 
 
-def check_legendre_reduction():
-    from numpy.polynomial import legendre
-    worst = 0.0
-    for n in range(7):
-        basis = np.zeros(n + 1)
-        basis[n] = 1.0
-        ref = legendre.leg2poly(basis)
-        got = analytic.k0_truncated(n, 0.0).coef
-        got = np.pad(got, (0, len(ref) - len(got)))
-        worst = max(worst, np.abs(got - ref).max())
-        got2 = analytic.hypergeom_truncated(n, 0.0).coef
-        got2 = np.pad(got2, (0, len(ref) - len(got2)))
-        worst = max(worst, np.abs(got2 - ref).max())
-    return worst < 1e-14, f"max coefficient deviation {worst:.2e}"
+@_invariant(1e-14, "max coefficient deviation")
+def legendre_reduction(n):
+    """At sigma = 0 both polynomial families are the Legendre P_n."""
+    ref = np.polynomial.legendre.leg2poly(np.eye(n + 1)[n])
+    return np.max([_coef_deviation(analytic.k0_truncated(n, 0.0), ref),
+                   _coef_deviation(analytic.hypergeom_truncated(n, 0.0), ref)])
 
 
-def check_eigenfunction_ode_residuals():
-    worst = 0.0
-    for (k, eps, n) in ((1, 0.0, 0), (1, 2.0, 1), (3, 1.0, 2), (2, 0.0, 4)):
-        sigma = analytic.sigma_of(k, eps)
-        s = sigma + n
-        varphi = analytic.PowerWeightedPoly(
-            sigma / 2, sigma / 2, analytic.hypergeom_truncated(n, sigma))
-        worst = max(worst, analytic.vorticity_ode_residual(
-            varphi, sigma, 0.0, -s * (s + 1), np.linspace(-0.9, 0.9, 20)))
-        phi = analytic.eigenfunction_phi_k_mode(k, eps, n)
-        worst = max(worst, analytic.vorticity_ode_residual(
-            phi, k, eps, -s * (s + 1), np.linspace(-0.9, 0.9, 20)))
-    return worst < 1e-10, f"max scaled ODE residual {worst:.2e}"
+@_invariant(1e-10, "max scaled ODE residual")
+def eigenfunction_ode(k, eps, n, x=None):
+    """At s = sigma + n the sigma-mode (1 - x^2)^(sigma/2) F_n solves the
+    eps = 0 vorticity equation with k = sigma, and the dressed mode the
+    equation at (k, eps); x defaults to vorticity_ode_residual's grid."""
+    sigma = analytic.sigma_of(k, eps)
+    mu = -(sigma + n) * (sigma + n + 1)
+    varphi = analytic.PowerWeightedPoly(
+        sigma / 2, sigma / 2, analytic.hypergeom_truncated(n, sigma))
+    phi = analytic.eigenfunction_phi_k_mode(k, eps, n)
+    return np.max([analytic.vorticity_ode_residual(varphi, sigma, 0.0, mu, x),
+                   analytic.vorticity_ode_residual(phi, k, eps, mu, x)])
 
 
-def check_darboux_pair():
-    worst = 0.0
-    for eps, n in ((0.0, 1), (0.0, 3), (4.0, 0), (4.0, 2), (2.0, 1), (6.0, 1)):
-        chi, mu = analytic.chi_mode(eps, n)
-        worst = max(worst, analytic.darboux_residual(chi, eps, mu))
-    return worst < 1e-10, f"max pair residual {worst:.2e}"
+@_invariant(1e-10, "max pair residual")
+def darboux_pair(eps, n):
+    """The closed-form chi mode passes the transform pair at its mu."""
+    chi, mu = analytic.chi_mode(eps, n)
+    return analytic.darboux_residual(chi, eps, mu)
 
 
 def check_spectra_values():
@@ -254,39 +223,25 @@ def check_spectra_values():
 # oracle cross-checks (reduced matrix; the full one runs in acceptance)
 # ---------------------------------------------------------------------------
 
-def _roots_match(params, cfg, n_steps=1200):
-    F = boundary.det_functional(params)
-    series_roots = scan_real_roots(F, cfg)
-    shoot = oracle.shoot_functional(params, n_steps=n_steps)
-    oracle_root_list = scan_real_roots(shoot, cfg, source="oracle")
-    a = np.array([r.s.real for r in series_roots])
-    b = np.array([r.s.real for r in oracle_root_list])
-    if a.size != b.size:
-        return False, f"count mismatch: series {a.size}, oracle {b.size}"
-    gap = np.abs(a - b).max() if a.size else 0.0
-    return gap < 1e-6, f"{a.size} roots, max |ds| {gap:.2e}"
+def oracle_equivalence(params, cfg, n_steps):
+    """The series determinant and the shooting oracle find as many real
+    roots in the window cfg, each pair within 1e-6."""
+    a = np.array([r.s.real for r in
+                  scan_real_roots(boundary.det_functional(params), cfg)])
+    b = np.array([r.s.real for r in scan_real_roots(
+        oracle.shoot_functional(params, n_steps=n_steps), cfg,
+        source="oracle")])
+    gap = np.abs(a - b).max(initial=0.0) if a.size == b.size else np.inf
+    return gap < 1e-6, (f"{a.size} series vs {b.size} oracle roots, "
+                        f"max |ds| {gap:.2e}")
 
 
-def check_oracle_equivalence_k1():
-    params = SpectralParams(k=1, eps=0.0, x0=0.9, M=150)
-    return _roots_match(params, ScanConfig(0.0, 6.0))
-
-
-def check_oracle_equivalence_k0():
-    params = SpectralParams(k=0, eps=1.0, x0=0.9, M=100)
-    return _roots_match(params, ScanConfig(0.05, 6.0))
-
-
-def check_green_identity():
-    worst = 0.0
-    for k in (1, 3):
-        params = SpectralParams(k=k, eps=0.0, x0=0.9, M=150)
-        cfg = ScanConfig(0.0, k + 3.0)
-        root = scan_real_roots(boundary.det_functional(params), cfg)[0]
-        coeffs = boundary.eigenfunction_coeffs(params, root.s)
-        worst = max(worst, analytic.green_identity_residual(
-            coeffs, root.mu.real, params))
-    return worst < 1e-4, f"max Green-identity residual {worst:.2e}"
+@_invariant(1e-4, "max Green-identity residual")
+def green_identity(params, cfg):
+    """mu = -(phi, phi) / ||Psi||^2 on the first root in cfg (eps = 0)."""
+    root = scan_real_roots(boundary.det_functional(params), cfg)[0]
+    coeffs = boundary.eigenfunction_coeffs(params, root.s)
+    return analytic.green_identity_residual(coeffs, root.mu.real, params)
 
 
 def check_k0_negativity():
@@ -297,24 +252,69 @@ def check_k0_negativity():
     return ok, f"{len(mus)} roots, max mu {max(mus) if mus else 'n/a'}"
 
 
+def _random_series_cases(seed, k0, draw):
+    """Five (params, s, *draw(rng)) of random k, eps and s."""
+    rng = np.random.default_rng(seed)
+    return [(SpectralParams(0 if k0 else int(rng.integers(1, 5)),
+                            float(rng.uniform(0, 6)), 0.5, 40),
+             complex(rng.uniform(0.2 if k0 else -2, 4), rng.uniform(-2, 2)),
+             *draw(rng)) for _ in range(5)]
+
+
+def check_det_reflection_symmetry():
+    rng = np.random.default_rng(_RNG_SEED + 3)
+    return det_reflection.over(
+        (SpectralParams(k, 1.5, 0.8, 80),
+         [complex(rng.uniform(lo, 4), rng.uniform(-2, 2)) for _ in range(4)])
+        for k, lo in ((1, -0.4), (2, -0.4), (0, 0.3)))
+
+
+def check_oracle_equivalence_k1():
+    return oracle_equivalence(SpectralParams(1, 0.0, 0.9, 150),
+                              ScanConfig(0.0, 6.0), 1200)
+
+
 CHECKS = [
-    ("series", "linearity", check_series_linearity),
-    ("series", "s-reflection", check_series_s_symmetry),
-    ("series", "k0-s-reflection", check_series_k0_s_symmetry),
-    ("series", "parity-decoupling", check_series_parity_decoupling),
-    ("series", "ode-residual", check_series_ode_residual),
+    ("series", "linearity", lambda: series_linearity.over(_random_series_cases(
+        _RNG_SEED, False, lambda rng: (
+            rng.standard_normal(4) + 1j * rng.standard_normal(4),
+            complex(rng.uniform(0.5, 3), rng.uniform(-1, 1)))))),
+    ("series", "s-reflection", lambda: series_s_reflection.over(
+        _random_series_cases(_RNG_SEED + 1, False,
+                             lambda rng: [tuple(rng.standard_normal(4))]))),
+    ("series", "k0-s-reflection", lambda: series_s_reflection.over(
+        _random_series_cases(_RNG_SEED + 2, True,
+                             lambda rng: [tuple(rng.standard_normal(2))]))),
+    ("series", "parity-decoupling", lambda: series_parity_decoupling(
+        SpectralParams(2, 0.0, 0.5, 60), 1.7 + 0.3j)),
+    ("series", "ode-residual", lambda: series_ode_residual(
+        SpectralParams(1, 1.0, 0.9, 150), 2.3, (0.3, -0.2, 1.0, 0.4),
+        [0.1, 0.3, 0.5])),
     ("boundary", "det-reflection", check_det_reflection_symmetry),
-    ("boundary", "det-k-sign", check_det_k_sign_symmetry),
-    ("boundary", "block-factorization", check_block_factorization),
-    ("boundary", "normalization-invariance", check_normalization_invariance),
-    ("analytic", "polynomial-closed-forms", check_polynomial_closed_forms),
-    ("analytic", "legendre-reduction", check_legendre_reduction),
-    ("analytic", "eigenfunction-ode", check_eigenfunction_ode_residuals),
-    ("analytic", "darboux-pair", check_darboux_pair),
+    ("boundary", "det-k-sign", lambda: det_k_sign.over(
+        (SpectralParams(k, 2.0, 0.8, 80), [0.7 + 0.2j, 2.4, 3.1 - 1.0j])
+        for k in (1, 2, 3))),
+    ("boundary", "block-factorization", lambda: block_factorization(
+        SpectralParams(2, 0.0, 0.8, 80), [1.3, 2.6 + 0.4j, 4.1])),
+    ("boundary", "normalization-invariance", lambda: normalization_invariance(
+        SpectralParams(1, 2.0, 0.85, 100), [0.8, 1.9 + 0.6j, 3.4],
+        [2.0, 0.5j, -3.0, 1.0])),
+    ("analytic", "polynomial-closed-forms", lambda: polynomial_closed_forms
+     .over((sigma,) for sigma in (0.0, 1.0, 2.5))),
+    ("analytic", "legendre-reduction", lambda: legendre_reduction.over(
+        (n,) for n in range(7))),
+    ("analytic", "eigenfunction-ode", lambda: eigenfunction_ode.over(
+        (*mode, np.linspace(-0.9, 0.9, 20))
+        for mode in ((1, 0.0, 0), (1, 2.0, 1), (3, 1.0, 2), (2, 0.0, 4)))),
+    ("analytic", "darboux-pair", lambda: darboux_pair.over(
+        ((0.0, 1), (0.0, 3), (4.0, 0), (4.0, 2), (2.0, 1), (6.0, 1)))),
     ("analytic", "spectra-values", check_spectra_values),
     ("oracle", "equivalence-k1", check_oracle_equivalence_k1),
-    ("oracle", "equivalence-k0", check_oracle_equivalence_k0),
-    ("oracle", "green-identity", check_green_identity),
+    ("oracle", "equivalence-k0", lambda: oracle_equivalence(
+        SpectralParams(0, 1.0, 0.9, 100), ScanConfig(0.05, 6.0), 1200)),
+    ("oracle", "green-identity", lambda: green_identity.over(
+        (SpectralParams(k, 0.0, 0.9, 150), ScanConfig(0.0, k + 3.0))
+        for k in (1, 3))),
     ("oracle", "k0-negativity", check_k0_negativity),
 ]
 

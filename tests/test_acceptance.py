@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import sphere_spectra as ss
+from sphere_spectra import verify
 
 warnings.simplefilter("ignore", ss.GridTooCoarseWarning)
 
@@ -120,22 +121,10 @@ def test_criterion_3_truncation_convergence(k):
 @pytest.mark.parametrize("eps", [0.0, 1.0, 4.0])
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_criterion_4_oracle_equivalence(k, eps, x0):
-    M = 100 if k == 0 else 150
-    params = ss.SpectralParams(k=k, eps=eps, x0=x0, M=M)
-    smin = 0.05 if k == 0 else 0.0
-    cfg = ss.ScanConfig(smin, 8.0)
-    series = [r.s.real for r in
-              ss.scan_real_roots(ss.det_functional(params), cfg)]
-    shoot = ss.shoot_functional(params, n_steps=2000)
-    found = [r.s.real for r in
-             ss.scan_real_roots(shoot, cfg, source="oracle")]
-    same = len(series) == len(found)
-    gap = (np.abs(np.array(series) - np.array(found)).max()
-           if same and series else 0.0)
-    ok = same and gap < 1e-6
-    report(f"4(k={k},eps={eps},x0={x0})", ok,
-           f"{len(series)} series vs {len(found)} oracle roots, "
-           f"max |ds| = {gap:.2e}")
+    params = ss.SpectralParams(k=k, eps=eps, x0=x0, M=100 if k == 0 else 150)
+    cfg = ss.ScanConfig(0.05 if k == 0 else 0.0, 8.0)
+    report(f"4(k={k},eps={eps},x0={x0})",
+           *verify.oracle_equivalence(params, cfg, 2000))
 
 
 def test_criterion_5_coalescence_and_stability_domain():
@@ -227,71 +216,26 @@ def test_criterion_7_chi_regime_split():
 
 
 def test_criterion_8_structural_invariants():
-    problems = []
     rng = np.random.default_rng(11)
-
-    # determinant reflection symmetry
-    F = ss.det_functional(ss.SpectralParams(k=2, eps=1.5, x0=0.8, M=100))
-    for _ in range(5):
-        s = complex(rng.uniform(-0.4, 4), rng.uniform(-2, 2))
-        v1, v2 = F(np.array([s]))[0], F(np.array([-1 - s]))[0]
-        if abs(v1 - v2) > 1e-12 * abs(v1):
-            problems.append(f"F(s) != F(-1-s) at {s}")
-
-    # k-sign symmetry
-    for k in (1, 2, 3):
-        s = np.array([0.7 + 0.2j, 2.4, 3.1 - 1.0j])
-        vp = ss.det_functional(ss.SpectralParams(k=k, eps=2.0, x0=0.8, M=80))(s)
-        vm = ss.det_functional(ss.SpectralParams(k=-k, eps=2.0, x0=0.8, M=80))(s)
-        if not np.array_equal(vp, vm):
-            problems.append(f"F_k != F_-k at k={k}")
-
-    # parity block factorization at eps = 0
-    params = ss.SpectralParams(k=2, eps=0.0, x0=0.8, M=80)
-    for s in (1.3, 2.6 + 0.4j):
-        A = ss.assemble(params, s)
-        full = np.linalg.det(A)
-        blocks = (np.linalg.det(A[np.ix_([0, 2], [0, 2])])
-                  * np.linalg.det(A[np.ix_([1, 3], [1, 3])]))
-        if abs(full - blocks) > 1e-10 * abs(full):
-            problems.append(f"block factorization fails at s={s}")
-
-    # polynomial constructors against the published closed forms
-    for sigma in (0.0, 1.0, 2.0):
-        F2 = ss.hypergeom_truncated(2, sigma).coef
-        ref2 = np.array([-1.0, 0.0, 2 * sigma + 3]) / (2 * (1 + sigma))
-        F3 = ss.hypergeom_truncated(3, sigma).coef
-        ref3 = np.array([0.0, -3.0, 0.0, 5 + 2 * sigma]) / (2 * (1 + sigma))
-        G1 = ss.k0_truncated(1, sigma).coef
-        g1 = np.array([sigma, 1.0]) / (1 + sigma)
-        G2 = ss.k0_truncated(2, sigma).coef
-        g2 = np.array([sigma ** 2 - 1, 3 * sigma, 3.0]) / ((1 + sigma) * (2 + sigma))
-        G3 = ss.k0_truncated(3, sigma).coef
-        g3 = (np.array([sigma * (sigma ** 2 - 4), 6 * sigma ** 2 - 9,
-                        15 * sigma, 15.0])
-              / ((1 + sigma) * (2 + sigma) * (3 + sigma)))
-        for got, ref, name in ((F2, ref2, "F2"), (F3, ref3, "F3"),
-                               (G1, g1, "G1"), (G2, g2, "G2"), (G3, g3, "G3")):
-            got = np.pad(got, (0, len(ref) - len(got)))
-            if np.abs(got - ref).max() > 1e-12:
-                problems.append(f"{name} coefficients off at sigma={sigma}")
-
-    # transform-pair residuals on constructed modes
-    for eps, n in ((0.0, 1), (0.0, 2), (4.0, 0), (4.0, 1), (6.0, 2)):
-        chi, mu = ss.chi_mode(eps, n)
-        if ss.darboux_residual(chi, eps, mu) > 1e-10:
-            problems.append(f"darboux residual at eps={eps}, n={n}")
-
-    # Green identity on first roots at eps = 0
-    for k in (1, 3):
-        params = ss.SpectralParams(k=k, eps=0.0, x0=0.9, M=150)
-        root = ss.scan_real_roots(ss.det_functional(params),
-                                  ss.ScanConfig(0.0, k + 3.0))[0]
-        coeffs = ss.eigenfunction_coeffs(params, root.s)
-        res = ss.green_identity_residual(coeffs, root.mu.real, params)
-        if res > 1e-4:
-            problems.append(f"green identity residual {res:.1e} at k={k}")
-
+    P = ss.SpectralParams
+    cases = [(verify.det_reflection, P(2, 1.5, 0.8, 100),
+              [complex(rng.uniform(-0.4, 4), rng.uniform(-2, 2))
+               for _ in range(5)])]
+    cases += [(verify.det_k_sign, P(k, 2.0, 0.8, 80),
+               [0.7 + 0.2j, 2.4, 3.1 - 1.0j]) for k in (1, 2, 3)]
+    cases += [(verify.block_factorization, P(2, 0.0, 0.8, 80),
+               [1.3, 2.6 + 0.4j])]
+    cases += [(verify.polynomial_closed_forms, sigma)
+              for sigma in (0.0, 1.0, 2.0)]
+    cases += [(verify.darboux_pair, eps, n) for eps, n in
+              ((0.0, 1), (0.0, 2), (4.0, 0), (4.0, 1), (6.0, 2))]
+    cases += [(verify.green_identity, P(k, 0.0, 0.9, 150),
+               ss.ScanConfig(0.0, k + 3.0)) for k in (1, 3)]
+    problems = []
+    for check, *inputs in cases:
+        passed, detail = check(*inputs)
+        if not passed:
+            problems.append(f"{check.__name__} at {inputs}: {detail}")
     report(8, not problems, "; ".join(problems) if problems else
            "reflection, k-sign, parity blocks, polynomials, transform pair, "
            "Green identity all within tolerance")

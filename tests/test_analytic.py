@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from sphere_spectra import (PowerWeightedPoly, ScanConfig, SpectralParams,
-                            chi_mode, darboux_residual, det_functional,
-                            eigenfunction_coeffs, gauss_composite,
+from sphere_spectra import (PowerWeightedPoly, SpectralParams, chi_mode,
+                            coeffs_full_k, darboux_residual, gauss_composite,
                             green_identity_residual, hypergeom_truncated,
-                            k0_truncated, scan_real_roots, sigma_of,
-                            spectrum_chi_limit, spectrum_full_sphere_k,
-                            spectrum_full_sphere_k0, vorticity_ode_residual)
+                            k0_truncated, sigma_of, spectrum_chi_limit,
+                            spectrum_full_sphere_k, spectrum_full_sphere_k0,
+                            verify)
 from sphere_spectra.analytic import (AnalyticSpectrum, Polynomial,
                                      eigenfunction_phi_k_mode)
 
@@ -74,7 +73,7 @@ def test_spectrum_monotonicity_enforced():
         assert np.all(np.diff(spec.s_values) > 0)
         assert np.all(np.diff(spec.mu_values) < 0)
     with pytest.raises(ValueError):
-        AnalyticSpectrum(1.0, np.array([1.0, 1.0]), np.array([-2.0, -2.0]),
+        AnalyticSpectrum(np.array([1.0, 1.0]), np.array([-2.0, -2.0]),
                          "k0-full-sphere")
 
 
@@ -101,23 +100,16 @@ class TestTruncatedPolynomials:
         assert k0_truncated(0, 2.0).coef.tolist() == [1.0]
 
     def test_k0_reduces_to_legendre(self):
-        from numpy.polynomial import legendre
         for n in range(7):
-            basis = np.zeros(n + 1)
-            basis[n] = 1.0
-            ref = legendre.leg2poly(basis)
-            got = k0_truncated(n, 0.0).coef
-            np.testing.assert_allclose(np.pad(got, (0, len(ref) - len(got))),
-                                       ref, atol=1e-14)
+            passed, detail = verify.legendre_reduction(n)
+            assert passed, (n, detail)
 
     def test_ode_residual(self):
+        # k = sigma at eps = 0: the sigma-mode is its own dressed mode
         xs = np.linspace(-0.95, 0.95, 20)
         for n, sigma in ((0, 1.0), (2, 1.0), (3, 0.5), (5, 2.5)):
-            s = sigma + n
-            varphi = PowerWeightedPoly(sigma / 2, sigma / 2,
-                                       hypergeom_truncated(n, sigma))
-            assert vorticity_ode_residual(varphi, sigma, 0.0, -s * (s + 1),
-                                          xs) < 1e-10
+            passed, detail = verify.eigenfunction_ode(sigma, 0.0, n, xs)
+            assert passed, (n, sigma, detail)
 
 
 class TestPolynomialType:
@@ -140,9 +132,9 @@ class TestEigenfunctionPhi:
 
     def test_dressed_mode_satisfies_vorticity_equation(self):
         k, eps, n = 1, 2.0, 1
-        s = sigma_of(k, eps) + n
+        passed, detail = verify.eigenfunction_ode(k, eps, n)
+        assert passed, detail
         phi = eigenfunction_phi_k_mode(k, eps, n)
-        assert vorticity_ode_residual(phi, k, eps, -s * (s + 1)) < 1e-10
         # pointwise value agrees with the direct formula
         x = 0.5
         sigma = sigma_of(k, eps)
@@ -154,18 +146,16 @@ class TestEigenfunctionPhi:
 
 class TestDarboux:
     def test_viscous_legendre_mode(self):
-        chi, mu = chi_mode(0.0, 1)
-        assert mu == -2
-        assert darboux_residual(chi, 0.0, mu) < 1e-10
+        assert chi_mode(0.0, 1)[1] == -2
+        assert verify.darboux_pair(0.0, 1)[0]
 
     def test_zero_candidate_guarded(self):
         chi = PowerWeightedPoly(0.5, 0.5, Polynomial([0.0]))
         assert darboux_residual(chi, 0.0, -2.0) == 0.0
 
     def test_high_reynolds_mode(self):
-        chi, mu = chi_mode(4.0, 0)
-        assert mu == -6  # s = eps/2 = 2
-        assert darboux_residual(chi, 4.0, mu) < 1e-10
+        assert chi_mode(4.0, 0)[1] == -6  # s = eps/2 = 2
+        assert verify.darboux_pair(4.0, 0)[0]
 
     def test_wrong_eigenvalue_detected(self):
         chi, mu = chi_mode(4.0, 0)
@@ -206,23 +196,12 @@ class TestDarboux:
 
 
 class TestGreenIdentity:
-    def test_first_roots(self):
-        for k in (1, 3):
-            params = SpectralParams(k=k, eps=0.0, x0=0.9, M=150)
-            cfg = ScanConfig(0.0, k + 3.0)
-            root = scan_real_roots(det_functional(params), cfg)[0]
-            coeffs = eigenfunction_coeffs(params, root.s)
-            assert green_identity_residual(coeffs, root.mu.real,
-                                           params) < 1e-4
-
     def test_zero_eigenfunction_guarded(self):
-        from sphere_spectra import coeffs_full_k
         params = SpectralParams(k=1, eps=0.0, x0=0.9, M=40)
         coeffs = coeffs_full_k(params, 1.5, (0.0, 0.0, 0.0, 0.0))
         assert green_identity_residual(coeffs, -2.0, params) == 0.0
 
     def test_preconditions(self):
-        from sphere_spectra import coeffs_full_k
         params = SpectralParams(k=1, eps=1.0, x0=0.9, M=40)
         coeffs = coeffs_full_k(params, 1.5, (1.0, 0.0, 0.0, 0.0))
         with pytest.raises(ValueError):

@@ -379,6 +379,15 @@ class TestConfigKeys:
         (["spectrum"], {"chi": True}),
         (["trace", "--sweep", "eps:0:1:0.5"], {"figure": "2"}),
         (["oracle"], ["k", 1]),
+        # values of the wrong type raised TypeError or AttributeError (exit
+        # 1 is a failed verification), or were misread: k = 1.5 ran k = 1,
+        # "false" the chi problem, and an output of 5 wrote to descriptor 5
+        (["spectrum"], {"step": None}),
+        (["spectrum"], {"k": [1]}),
+        (["spectrum"], {"k": 1.5}),
+        (["spectrum"], {"output": 5}),
+        (["trace"], {"sweep": 5}),
+        (["oracle"], {"chi": "false"}),
     ])
     def test_unknown_keys_exit_2(self, tmp_path, capsys, argv, data):
         cfgfile = tmp_path / "cfg.json"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sphere_spectra import (NonFiniteError, ScanConfig, SpectralParams,
-                            det_functional, scan_real_roots, shoot_functional)
+                            scan_real_roots, shoot_functional)
 from sphere_spectra import oracle as oracle_mod
 
 
@@ -78,17 +78,6 @@ class TestShootK:
 
 
 class TestShootK0:
-    def test_matches_series_roots(self):
-        params = SpectralParams(k=0, eps=1.0, x0=0.9, M=100)
-        cfg = ScanConfig(0.05, 6.0)
-        series = [r.s.real for r in
-                  scan_real_roots(det_functional(params), cfg)]
-        functional = shoot_functional(params, n_steps=1200)
-        found = [r.s.real for r in
-                 scan_real_roots(functional, cfg, source="oracle")]
-        assert len(series) == len(found)
-        np.testing.assert_allclose(series, found, atol=1e-6)
-
     def test_negativity(self):
         params = SpectralParams(k=0, eps=4.0, x0=0.9, M=100)
         functional = shoot_functional(params, n_steps=1200)
@@ -125,17 +114,6 @@ class TestOracleRoots:
         roots = scan_real_roots(F, ScanConfig(0.0, 5.0, 0.1),
                                 source="oracle")
         assert [round(r.s.real, 9) for r in roots] == [1.0, 4.0]
-
-    def test_equivalence_with_series_k1(self):
-        params = SpectralParams(k=1, eps=0.0, x0=0.9, M=150)
-        cfg = ScanConfig(0.0, 6.0)
-        series = [r.s.real for r in
-                  scan_real_roots(det_functional(params), cfg)]
-        found = [r.s.real for r in
-                 scan_real_roots(shoot_functional(params, n_steps=1200), cfg,
-                                 source="oracle")]
-        assert len(series) == len(found)
-        np.testing.assert_allclose(series, found, atol=1e-6)
 
 
 def test_richardson_root_stability():

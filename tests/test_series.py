@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sphere_spectra import (SpectralParams, coeffs_full_k, coeffs_k0,
-                            eval_series)
+                            eval_series, verify)
 from sphere_spectra.boundary import _stream_rows
 from sphere_spectra.series import (BLOCK, PLAIN, coeffs_k0_batch,
                                    coeffs_k_batch, stream_coeffs)
@@ -27,19 +29,6 @@ def stream(p, a0=0.0, b0=0.0, c0=0.0, d0=0.0, s=1.0):
     a, b = coeffs_k_batch(k2, p.eps, np.array([s]), (a0, b0), p.M)
     c, d = stream_coeffs(k2, a, b, c0, d0)
     return c[:, 0], d[:, 0]
-
-
-def sequences_k(k2, eps, s, seeds, M):
-    """The four sequences (a, b, c, d) of the batch kernel and
-    stream_coeffs for the seed vector (a0, b0, c0, d0)."""
-    a, b = coeffs_k_batch(k2, eps, s, seeds[:2], M)
-    return (a, b) + stream_coeffs(k2, a, b, *seeds[2:])
-
-
-def sequences_k0(eps, s, seeds, M):
-    """The four sequences for k = 0 from the free seeds (a0, d0)."""
-    a, b = coeffs_k0_batch(eps, s, seeds, M)
-    return (a, b) + stream_coeffs(0, a, b, 0.0, seeds[1])
 
 
 def test_complex_seeds_at_real_s_stay_complex():
@@ -147,7 +136,7 @@ class TestEvalSeries:
         coeffs = coeffs_full_k(p, 1.0, (0.0, 0.0, 0.0, 0.0))
         c = coeffs.c.copy()
         c[0] = 1.0
-        coeffs = type(coeffs)(coeffs.a, coeffs.b, c, coeffs.d, coeffs.seeds)
+        coeffs = replace(coeffs, c=c)
         for x in (-0.7, 0.0, 0.5):
             val, der, der2 = eval_series(coeffs, "psi", x)
             assert val == 1.0 and der == 0.0 and der2 == 0.0
@@ -157,7 +146,7 @@ class TestEvalSeries:
         base = coeffs_full_k(p, 1.0, (0.0, 0.0, 0.0, 0.0))
         c = base.c.copy()
         c[1] = 1.0
-        coeffs = type(base)(base.a, base.b, c, base.d, base.seeds)
+        coeffs = replace(base, c=c)
         val, der, der2 = eval_series(coeffs, "psi", 0.5)
         assert val == pytest.approx(0.25)
         assert der == pytest.approx(1.0)
@@ -168,7 +157,7 @@ class TestEvalSeries:
         base = coeffs_full_k(p, 1.0, (0.0, 0.0, 0.0, 0.0))
         d = base.d.copy()
         d[0] = 1.0
-        coeffs = type(base)(base.a, base.b, base.c, d, base.seeds)
+        coeffs = replace(base, d=d)
         val, der, der2 = eval_series(coeffs, "phi", 0.9)
         assert val == 0.0  # phi reads the a, b sequences
         val, der, der2 = eval_series(coeffs, "psi", 0.9)
@@ -182,7 +171,7 @@ class TestEvalSeries:
         base = coeffs_full_k(p, 1.0, (0.0, 0.0, 0.0, 0.0))
         c, d = base.c.copy(), base.d.copy()
         c[0], c[2], d[1] = 2.0, -1.0, 1.0
-        coeffs = type(base)(base.a, base.b, c, d, base.seeds)
+        coeffs = replace(base, c=c, d=d)
         x = np.array([-0.6, 0.0, 0.3, 0.8])
         val, der, der2 = eval_series(coeffs, "psi", x)
         np.testing.assert_allclose(val, 2 + x ** 3 - x ** 4, atol=1e-15)
@@ -216,32 +205,25 @@ s_vals = st.complex_numbers(max_magnitude=4, allow_nan=False,
        seeds=st.tuples(seed_vals, seed_vals, seed_vals, seed_vals),
        k=st.integers(1, 4), eps=st.floats(0, 6))
 def test_linearity_in_seeds(s, alpha, seeds, k, eps):
-    base = sequences_k(k * k, eps, np.array([s]), seeds, 30)
-    scaled = sequences_k(k * k, eps, np.array([s]),
-                         tuple(alpha * v for v in seeds), 30)
-    for u, v in zip(base, scaled):
-        np.testing.assert_allclose(v, alpha * u, rtol=1e-12, atol=1e-12)
+    passed, detail = verify.series_linearity(params_k(k, eps, M=30), s, seeds,
+                                             alpha)
+    assert passed, detail
 
 
 @settings(max_examples=25, deadline=None)
 @given(s=s_vals, k=st.integers(1, 4), eps=st.floats(0, 6))
 def test_s_reflection_symmetry(s, k, eps):
-    seeds = (1.0, -0.5, 0.3, 0.8)
-    one = sequences_k(k * k, eps, np.array([s]), seeds, 30)
-    two = sequences_k(k * k, eps, np.array([-1 - s]), seeds, 30)
-    for u, v in zip(one, two):
-        scale = max(np.abs(u).max(), 1.0)
-        np.testing.assert_allclose(v, u, rtol=0, atol=1e-14 * scale)
+    passed, detail = verify.series_s_reflection(params_k(k, eps, M=30), s,
+                                                (1.0, -0.5, 0.3, 0.8))
+    assert passed, detail
 
 
 @settings(max_examples=25, deadline=None)
 @given(s=s_vals, eps=st.floats(0, 6))
 def test_k0_s_reflection_symmetry(s, eps):
-    one = sequences_k0(eps, np.array([s]), (1.0, 0.7), 30)
-    two = sequences_k0(eps, np.array([-1 - s]), (1.0, 0.7), 30)
-    for u, v in zip(one, two):
-        scale = max(np.abs(u).max(), 1.0)
-        np.testing.assert_allclose(v, u, rtol=0, atol=1e-14 * scale)
+    passed, detail = verify.series_s_reflection(params_k(0, eps, M=30), s,
+                                                (1.0, 0.7))
+    assert passed, detail
 
 
 def test_k_sign_symmetry():
@@ -255,38 +237,9 @@ def test_k_sign_symmetry():
 
 
 def test_parity_decoupling_at_eps_zero():
-    p = params_k(k=2, eps=0.0)
-    a, b = vorticity(p, 1.7, a0=1.0, b0=0.0)
-    assert np.all(b == 0)
-    a, b = vorticity(p, 1.7, a0=0.0, b0=1.0)
-    assert np.all(a == 0)
-
-
-def test_interior_residual_bounded_by_tail():
-    """The truncated series substituted into the governing system leaves
-    only the truncation error at interior points."""
-    p = SpectralParams(k=1, eps=1.0, x0=0.9, M=150)
-    s = 2.3
-    S = s * (s + 1)
-    coeffs = coeffs_full_k(p, s, (0.3, -0.2, 1.0, 0.4))
-    m = np.arange(p.M + 1)
-    pv = np.polynomial.polynomial.polyval
-    a, b, c, d = coeffs.a, coeffs.b, coeffs.c, coeffs.d
-    for x in (0.1, 0.3, 0.5):
-        u = x * x
-        psi = pv(u, c) + x * pv(u, d)
-        dpsi = x * pv(u, (2 * m * c)[1:]) + pv(u, (2 * m + 1) * d)
-        ddpsi = (pv(u, (2 * m * (2 * m - 1) * c)[1:])
-                 + x * pv(u, ((2 * m + 1) * 2 * m * d)[1:]))
-        phi = pv(u, a) + x * pv(u, b)
-        dphi = x * pv(u, (2 * m * a)[1:]) + pv(u, (2 * m + 1) * b)
-        ddphi = (pv(u, (2 * m * (2 * m - 1) * a)[1:])
-                 + x * pv(u, ((2 * m + 1) * 2 * m * b)[1:]))
-        om = 1 - u
-        r1 = om * ddpsi - 2 * x * dpsi - psi / om - phi
-        r2 = om * ddphi - 2 * x * dphi - phi / om + p.eps * dphi + S * phi
-        assert abs(r1) < 1e-8
-        assert abs(r2) < 1e-8
+    passed, detail = verify.series_parity_decoupling(params_k(k=2, eps=0.0),
+                                                     1.7)
+    assert passed, detail
 
 
 # ---------------------------------------------------------------------------

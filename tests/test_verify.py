@@ -1,25 +1,98 @@
 import functools
+import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sphere_spectra import oracle, series, verify
+from sphere_spectra import boundary, oracle, series, verify
+from sphere_spectra.cli import main
 from sphere_spectra.core import SpectralParams
 from sphere_spectra.series import coeffs_k_batch
 
+REGISTRY = [
+    ("series", "linearity"), ("series", "s-reflection"),
+    ("series", "k0-s-reflection"), ("series", "parity-decoupling"),
+    ("series", "ode-residual"), ("boundary", "det-reflection"),
+    ("boundary", "det-k-sign"), ("boundary", "block-factorization"),
+    ("boundary", "normalization-invariance"),
+    ("analytic", "polynomial-closed-forms"),
+    ("analytic", "legendre-reduction"), ("analytic", "eigenfunction-ode"),
+    ("analytic", "darboux-pair"), ("analytic", "spectra-values"),
+    ("oracle", "equivalence-k1"), ("oracle", "equivalence-k0"),
+    ("oracle", "green-identity"), ("oracle", "k0-negativity"),
+]
 
-def test_registry_groups_cover_all_modules():
-    groups = {g for g, _, _ in verify.CHECKS}
-    assert groups == {"series", "boundary", "analytic", "oracle"}
+
+_vorticity, _rows = series._vorticity, boundary._stream_rows
+
+
+def _kernel(edit):
+    """series._vorticity with edit(a, b, s) applied to its output."""
+    return lambda k2, eps, s, *rest: edit(*_vorticity(k2, eps, s, *rest),
+                                          np.asarray(s))
+
+
+def _cross_row(k2, M, x0):
+    g, h = _rows(k2, M, x0)
+    g = g.copy()                             # not the cached rows
+    g[0, 1] += 1e-12 * g[0, 0]               # an even row reads b
+    return g, h
+
+
+_P, _SEEDS = SpectralParams(2, 1.0, 0.8, 60), (1.0, 0.5, -0.2, 0.8)
+_READS_S = _kernel(lambda a, b, s: (a * (1 + 1e-9 * s), b))  # not s(s+1)
+
+
+@pytest.mark.parametrize("check, inputs, target, fault", [
+    (verify.series_linearity, (_P, 1.3 + 0.4j, _SEEDS, 2.0 - 0.5j),
+     (series, "_vorticity"), _kernel(lambda a, b, s: (a + 1e-3, b))),
+    (verify.series_s_reflection, (_P, 1.3 + 0.4j, _SEEDS),
+     (series, "_vorticity"), _READS_S),
+    (verify.series_s_reflection, (replace(_P, k=0), 1.3 + 0.4j, (1.0, 0.7)),
+     (series, "_vorticity"), _READS_S),
+    (verify.series_parity_decoupling, (replace(_P, eps=0.0), 1.7),
+     (series, "_vorticity"), _kernel(lambda a, b, s: (a, b + 1e-12 * a))),
+    (verify.series_ode_residual, (_P, 2.3, _SEEDS, [0.1, 0.3, 0.5]),
+     (series, "_vorticity"), _kernel(lambda a, b, s: (a * (1 + 1e-6), b))),
+    (verify.det_reflection, (_P, [1.2 + 0.5j, 2.5]),
+     (series, "_vorticity"), _READS_S),
+    (verify.det_k_sign, (_P, [0.7 + 0.2j, 2.4]), (SpectralParams, "abs_k"),
+     property(lambda p: abs(p.k) + 1e-9 * (p.k < 0))),
+    (verify.block_factorization, (replace(_P, eps=0.0), [1.3, 2.6]),
+     (boundary, "_stream_rows"), _cross_row),
+    (verify.normalization_invariance,
+     (_P, [0.8, 1.9 + 0.6j], [2.0, 0.5j, -3.0, 1.0]),
+     (boundary, "_normalized_det"),
+     lambda A: np.linalg.det(A / np.abs(A).max(axis=2, keepdims=True))),
+])
+def test_planted_fault_fails_the_shared_check(monkeypatch, check, inputs,
+                                              target, fault):
+    """Each series and boundary invariant passes on clean code and fails
+    with one planted fault in the kernel, the rows or the normalization."""
+    passed, detail = check(*inputs)
+    assert passed, detail
+    monkeypatch.setattr(*target, fault)
+    passed, detail = check(*inputs)
+    assert not passed, detail
+
+
+def test_registry_groups_cover_all_modules(tmp_path, capsys):
+    """The registry holds these 18 checks of the four groups in this order,
+    and the verify command runs and reports each of them."""
+    assert [(g, n) for g, n, _ in verify.CHECKS] == REGISTRY
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert [(c["group"], c["name"]) for c in doc["checks"]] == REGISTRY
+    assert doc["passed"]
+    assert capsys.readouterr().out.count("PASS ") == len(REGISTRY)
 
 
 def test_fast_groups_pass():
-    results = verify.run_checks("analytic")
-    assert results and all(r["passed"] for r in results)
-    results = verify.run_checks("series")
-    assert all(r["passed"] for r in results)
-    results = verify.run_checks("boundary")
-    assert all(r["passed"] for r in results)
+    for group in ("analytic", "series", "boundary"):
+        results = verify.run_checks(group)
+        assert results and all(r["passed"] for r in results)
 
 
 def test_oracle_group_passes():
