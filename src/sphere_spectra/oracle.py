@@ -1,10 +1,11 @@
 """Independent eigenvalue oracle: fixed-step RK4 shooting of the differential
 systems across [-x0, x0], inside the singular points x = +-1.
 
-Each system is y' = (A0(x) + mu A1(x)) y, so one RK4 step is exactly the
-real matrix polynomial T_n(mu) = sum_{j<=4} mu^j C_{n,j}; a functional
-composes up to BLOCK steps into one block polynomial, once.  Trajectories
-are orthonormalized at every checkpoint, dividing the residual by a positive
+Each system is y' = (A0(x) + mu A1(x)) y, so one RK4 step is exactly the real
+matrix polynomial T_n(mu) = sum_{j<=4} mu^j C_{n,j}; a functional composes up
+to BLOCK steps into one block polynomial, once, and a call evaluates it once
+per point.  All start trajectories of all points advance in one state,
+orthonormalized at every checkpoint, dividing the residual by a positive
 factor (kept as its log10).  A step count whose h |eig(A0 + mu A1)| on the
 grid leaves RK4's real stability interval is refused, at mu = 0 and at each
 call's largest |mu| past those checked; that stiffness caps the block too.
@@ -137,9 +138,9 @@ def _step_maps(system, params, x, h):
 
 
 def _blocks(params: SpectralParams, problem: str, n_steps: int, block: int):
-    """The step maps composed block at a time, one array per checkpoint
-    chunk: C[i] (dim, (4 block + 1) dim) holds block i's product of maps,
-    laid out as in _step_maps.  Identity steps pad a chunk, exactly."""
+    """The step maps composed block at a time, one real array per checkpoint
+    chunk: flat[a, (b, i, j)] is block b's coefficient of mu^a at row i,
+    column j.  Identity steps pad a chunk, exactly."""
     dim, _, system, _ = _PROBLEMS[problem]
     h = 2.0 * params.x0 / n_steps
     for start in range(0, n_steps, RENORM_CHECK_EVERY):
@@ -156,37 +157,36 @@ def _blocks(params: SpectralParams, problem: str, n_steps: int, block: int):
                 shifted[:, a * dim:(a + 1) * dim,
                         a * dim:a * dim + q.shape[-1]] = q
             q = c[:, t] @ shifted[:, :, :q.shape[-1] + 4 * dim]
-        yield q
+        yield np.moveaxis(q.reshape(len(c), dim, -1, dim), 2, 0).reshape(
+            4 * block + 1, -1)
 
 
 def _values(problem: str, s, blocks):
-    """Residuals at s and their log10 orthonormalization factors: one real
-    product per block, with the state (dim, trajectories * points) * mu^j."""
+    """Residuals at s and their log10 orthonormalization factors.  Per chunk,
+    one product with the batch as its rows evaluates every block map at every
+    point; each block then advances the state (points, dim, trajectories) in
+    one stacked product, and Gram-Schmidt runs on that layout."""
     dim, starts, _, residual = _PROBLEMS[problem]
     s = np.atleast_1d(np.asarray(s))
     s = s.astype(np.result_type(s, float), copy=False)
     n = len(starts)
-    traj = np.zeros((dim, n, s.size), s.dtype)
-    traj[list(starts), range(n)] = 1.0
-    y, scale = traj.reshape(dim, -1), np.zeros(s.size)
-    degree = blocks[0].shape[-1] // dim
-    stacked = np.empty((degree, dim, y.shape[1]), y.dtype)
-    y_real, stacked_real = y.view(float), stacked.view(float).reshape(
-        degree * dim, -1)
+    y = np.zeros((s.size, dim, n), s.dtype)
+    y[:, list(starts), range(n)] = 1.0
+    scale = np.zeros(s.size)
     # an overflow is reported by the NonFiniteError below, not by numpy
     with np.errstate(all="ignore"):
-        powers = np.tile(-s * (s + 1), n) ** np.arange(degree)[:, None, None]
-        for chunk in blocks:
-            for c in chunk:
-                np.multiply(y, powers, out=stacked)
-                np.matmul(c, stacked_real, out=y_real)
+        powers = (-s * (s + 1))[:, None] ** np.arange(len(blocks[0]))
+        for flat in blocks:
+            maps = (powers @ flat).reshape(s.size, -1, dim, dim)
+            for b in range(maps.shape[1]):
+                y = maps[:, b] @ y
             for j in range(n):      # Gram-Schmidt on each point's trajectories
-                for q in traj[:, :j].swapaxes(0, 1):
-                    traj[:, j] -= (q.conj() * traj[:, j]).sum(0) * q
-                norm = np.linalg.norm(traj[:, j], axis=0)
-                traj[:, j] /= norm
+                for q in y[..., :j].transpose(2, 0, 1):
+                    y[..., j] -= (q.conj() * y[..., j]).sum(1)[:, None] * q
+                norm = np.linalg.norm(y[..., j], axis=1)
+                y[..., j] /= norm[:, None]
                 scale += np.log10(norm)
-        value = residual(traj)
+        value = residual(np.moveaxis(y, 0, -1))
     if not (np.isfinite(value).all() and np.isfinite(scale).all()):
         raise NonFiniteError("shooting state became non-finite")
     return value, scale

@@ -394,3 +394,41 @@ def test_blocks_keep_powers_of_mu_finite():
     assert value.tobytes() == v.tobytes()
     np.testing.assert_allclose(v * 10.0 ** scale, ref * 10.0 ** ref_scale,
                                rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("k, problem", [(1, "k"), (0, "k0"), (0, "chi")])
+def test_flat_blocks_are_products_of_step_maps(k, problem):
+    """Block 0 of the first chunk, read from flat[a, (b, i, j)] at mu, is
+    the product of its BLOCK RK4 step maps, each evaluated at mu: it reads
+    below 1e-15 relative, and a transposed (i, j) 0.09 or more."""
+    params = SpectralParams(k=k, eps=1.0, x0=0.9, M=10)
+    dim, _, system, _ = oracle_mod._PROBLEMS[problem]
+    h = 2 * 0.9 / 2000
+    x = -0.9 + np.arange(oracle_mod.BLOCK) * h
+    maps = oracle_mod._step_maps(system, params, x, h)
+    flat = next(oracle_mod._blocks(params, problem, 2000, oracle_mod.BLOCK))
+    assert flat.shape[0] == 4 * oracle_mod.BLOCK + 1
+    for s in (2.0, 2.0 + 0.5j):
+        mu = -s * (s + 1)
+        ref = np.eye(dim)
+        for c in maps:
+            step = sum(mu ** j * c[:, j * dim:(j + 1) * dim] for j in range(5))
+            ref = step @ ref
+        block = sum(mu ** a * row[:dim * dim].reshape(dim, dim)
+                    for a, row in enumerate(flat))
+        assert np.abs(block - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("k, eps, which", [(1, 0.0, "auto"), (3, 4.0, "auto"),
+                                           (0, 1.0, "auto"), (0, 4.0, "chi")])
+def test_batch_mates_change_values_by_rounding_only(k, eps, which):
+    """Each point's value alone equals its entry in one batched call of 161
+    points, within 1e-14 of the batch's largest |value|, at real and complex
+    s.  The batch is the rows of each chunk's product; an index slip that
+    mixes points fails this."""
+    grid = np.linspace(0.05, 8.05, 161)
+    for s in (grid, grid + 0.3j):
+        f = shoot_functional(SpectralParams(k=k, eps=eps, x0=0.9), which=which)
+        batch = f(s)
+        single = np.array([f(np.array([p]))[0] for p in s])
+        assert np.abs(single - batch).max() <= 1e-14 * np.abs(batch).max()

@@ -77,6 +77,19 @@ def test_planted_fault_fails_the_shared_check(monkeypatch, check, inputs,
     assert not passed, detail
 
 
+def test_nan_spectrum_fails_spectra_values(monkeypatch):
+    """A NaN s in the chi-limit spectrum fails the check; a fold of the
+    deviations with max() from 0.0 dropped it and passed."""
+    passed, detail = verify.check_spectra_values()
+    assert passed is True, detail
+    s = np.array([2.0, np.nan, 4.0, 5.0])
+    monkeypatch.setattr(verify.analytic, "spectrum_chi_limit",
+                        lambda eps, n_max: verify.analytic.AnalyticSpectrum(
+                            s, -s * (s + 1), "k0-chi-limit"))
+    passed, detail = verify.check_spectra_values()
+    assert passed is False, detail
+
+
 def test_registry_groups_cover_all_modules(tmp_path, capsys):
     """The registry holds these 18 checks of the four groups in this order,
     and the verify command runs and reports each of them."""
