@@ -155,9 +155,8 @@ def cmd_oracle(cfg: RunConfig) -> int:
                                     which="chi" if cfg.chi else "auto")
     roots = scan_real_roots(shoot, _scan_for(cfg), source="oracle")
     _emit(_filter_rows(roots, p.x0, cfg.scan.tol),
-          cfg, _meta(cfg) | {"n_steps": cfg.n_steps, "chi": cfg.chi,
-                             "block": shoot.meta["block"],
-                             "h_max_eig": shoot.meta["h_max_eig"]})
+          cfg, _meta(cfg) | {"n_steps": cfg.n_steps, "chi": cfg.chi}
+          | shoot.meta)
     return 0
 
 

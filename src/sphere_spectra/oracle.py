@@ -194,10 +194,10 @@ def _values(problem: str, s, blocks):
 
 def shoot_functional(params: SpectralParams, n_steps: int = 2000,
                      which: str = "auto"):
-    """Vectorized boundary residual for the root finder.  which: "auto"
-    picks the k != 0 or k = 0 system from params, "chi" the problem with
-    chi(+-x0) = 0.  A call past the largest |mu| checked is checked and may
-    shorten the blocks; residual.meta has the block and largest stiffness."""
+    """Vectorized boundary residual for the root finder: the raw boundary
+    determinant over 10**L, L = meta["log_scale_ref"] the largest log10 factor
+    of the first call; meta has the block and largest stiffness too.  which:
+    "auto" picks the k != 0 or k = 0 system, "chi" the chi(+-x0) = 0 one."""
     problem = _problem(params, which, n_steps)
     meta = dict(block=0, h_max_eig=_check_steps(params, problem, n_steps, 0.0))
     top, blocks = 0.0, None
@@ -216,6 +216,9 @@ def shoot_functional(params: SpectralParams, n_steps: int = 2000,
         if block != meta["block"]:
             meta["block"] = block
             blocks = list(_blocks(params, problem, n_steps, block))
-        return _values(problem, s, blocks)[0]
+        value, scale = _values(problem, s, blocks)
+        ref = meta.setdefault("log_scale_ref", float(scale.max()))
+        low = -300 - np.log10(abs(value), where=value != 0, out=0 * scale)
+        return value * 10.0 ** np.clip(scale - ref, low, 300)  # |value| <= 1
     residual.meta = meta
     return residual

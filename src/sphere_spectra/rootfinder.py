@@ -1,7 +1,8 @@
 """Root location for the determinant functions.
 
-Real roots are found by grid scan plus one batched Illinois regula falsi
-on the sign-change brackets, which closes each bracket to within tol;
+Real roots are found by grid scan plus guarded inverse interpolation on
+the sign-change brackets, one F call per round for all of them (Brent
+1973, ch. 4; see _refine_brackets), which closes each bracket below tol;
 complex roots by Muller iteration (three-point quadratic interpolation,
 derivative-free: the determinant is a black box and numerical derivatives
 are noisy near coalescence), one batched loop whose seeds share each F
@@ -30,7 +31,7 @@ import numpy as np
 
 from .core import GridTooCoarseWarning, Root, canonicalize_s
 
-# iteration budget of the Illinois and Muller loops, read at call time
+# rounds of the bracket refiner and the Muller loop, read at call time
 MAX_ITER = 80
 RING = 8  # points on the circle around a converged Muller iterate
 
@@ -82,36 +83,52 @@ def _as_batch(F):
     return call
 
 
-def _refine_brackets(F, lo, hi, flo, fhi, tol):
-    """Batched Illinois regula falsi (Dowell & Jarratt 1971, BIT 11) on
-    sign-change brackets [lo, hi] with end values flo, fhi (1D arrays, not
-    modified).  Each round calls F once, at the false-position points of the
-    open brackets; an end kept two rounds running has its weight halved, so
-    both ends converge.  A bracket closes below tol (or two adjacent
-    floats), or with width 0 on an exact zero.  Returns per bracket the end
-    with the smaller |F|, that |F| and the final width (the error bound).
-    """
-    lo, hi, flo, fhi = (a.astype(float) for a in (lo, hi, flo, fhi))
-    wlo, whi = flo.copy(), fhi.copy()       # Illinois weights
-    kept = np.zeros(lo.shape, dtype=int)    # end kept last round: -1 lo, 1 hi
+def _refine_brackets(F, s, f, tol):
+    """Guarded inverse interpolation on sign-change brackets, one per row of
+    s, f: its ends, their grid neighbours (nan if none), then four nan pool
+    columns.  Each round's F call takes, per open bracket, the inverse-cubic
+    estimate x through its four points of nonzero F nearest zero, guards at
+    x -+ d (d its change from the quadratic through the nearest three,
+    >= tol / 4) and the midpoint if its last round did not halve it; if x is
+    not inside, the midpoint and quarter points.  Returns per bracket the end
+    with the smaller |F|, that |F| and the final width (the error bound)."""
+    s, f = s.copy(), f.copy()      # the pool: four nearest, then the new
+    ends, fends = s[:, :2].copy(), f[:, :2].copy()
+    halved = np.ones(len(s), dtype=bool)
     for _ in range(MAX_ITER):
-        i = np.nonzero((hi - lo > tol) & (np.nextafter(lo, hi) < hi))[0]
+        a, b = ends.T
+        i = np.nonzero((b - a > tol) & (np.nextafter(a, b) < b))[0]
         if not i.size:
             break
-        x = (lo[i] * whi[i] - hi[i] * wlo[i]) / (whi[i] - wlo[i])
-        x = np.clip(x, np.nextafter(lo[i], hi[i]), np.nextafter(hi[i], lo[i]))
-        fx = np.real(F(x))
-        up = fx * flo[i] > 0                # x replaces lo
-        down = fx * fhi[i] > 0              # x replaces hi; neither: F(x) = 0
-        whi[i] *= np.where(up & (kept[i] > 0), 0.5, 1.0)
-        wlo[i] *= np.where(down & (kept[i] < 0), 0.5, 1.0)
-        kept[i] = up.astype(int) - down
-        a, b = i[~down], i[~up]
-        lo[a], flo[a], wlo[a] = x[~down], fx[~down], fx[~down]
-        hi[b], fhi[b], whi[b] = x[~up], fx[~up], fx[~up]
-    low = np.abs(flo) <= np.abs(fhi)
-    return (np.where(low, lo, hi), np.minimum(np.abs(flo), np.abs(fhi)),
-            hi - lo)
+        (a, b), rows, w = ends[i].T, np.arange(i.size)[:, None], b[i] - a[i]
+        near = np.argsort(np.where(f[i] == 0, np.inf, abs(f[i])), 1)[:, :4]
+        p, fp = s[i][rows, near], f[i][rows, near]
+        # s(F) at F = 0 in Lagrange form, as a correction to the nearest point
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lw = fp[:, None, :] / (fp[:, None, :] - fp[:, :, None])
+            lw[:, range(4), range(4)] = 1.0
+            ds, mid = p - p[:, :1], a + w / 2
+            x = p[:, 0] + (ds * lw.prod(2)).sum(1)
+            d = abs(x - p[:, 0] - (ds[:, :3] * lw[:, :3, :3].prod(2)).sum(1))
+        inside = (a < x) & (x < b)
+        x, d = np.where(inside, (x, np.maximum(d, tol / 4)), (mid, w / 4))
+        new = np.clip(np.stack([x, x - d, x + d, np.where(
+            halved[i] | ~inside, np.nan, mid)], axis=1),
+            np.nextafter(a, b)[:, None], np.nextafter(b, a)[:, None])
+        fn = np.full(new.shape, np.nan)
+        fn[~np.isnan(new)] = np.real(F(new[~np.isnan(new)]))
+        s[i], f[i] = np.column_stack([p, new]), np.column_stack([fp, fn])
+        cs, cf = (np.column_stack(v) for v in ((ends[i], new), (fends[i], fn)))
+        cs, cf = cs[rows, (o := np.argsort(cs, axis=1))], cf[rows, o]
+        # shortest sign change or zero; the last point (b or nan) is no zero
+        zero = cf[:, :-1] == 0
+        k = np.where(zero, 0, np.where(cf[:, :-1] * cf[:, 1:] < 0, np.diff(
+            cs, axis=1), np.inf)).argmin(axis=1)[:, None]
+        j = np.column_stack([k, k + ~zero[rows, k]])
+        ends[i], fends[i] = cs[rows, j], cf[rows, j]
+        halved[i] = ends[i, 1] - ends[i, 0] <= w / 2
+    low = np.abs(fends[:, 0]) <= np.abs(fends[:, 1])
+    return np.where(low, *ends.T), np.abs(fends).min(1), np.diff(ends)[:, 0]
 
 
 def _dedupe(roots, spacing):
@@ -140,11 +157,11 @@ def scan_real_roots(F, cfg: ScanConfig, source: str = "series") -> list:
     vals = np.real(F(grid))
     sign = np.sign(vals)
     idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    flo, fhi = vals[idx], vals[idx + 1]
-    refined, fabs, width = _refine_brackets(
-        F, grid[idx], grid[idx + 1], flo, fhi, cfg.tol)
-    # |F| at the root scaled by the larger grid-end magnitude
-    resid = fabs / np.maximum(np.abs(flo), np.abs(fhi))
+    near = np.full((idx.size, 8), -1)   # -1: the nan appended to the grid
+    near[:, :4] = idx[:, None] + [0, 1, -1, 2]  # the ends, their neighbours
+    s, f = (np.append(v, np.nan)[near] for v in (grid, vals))
+    refined, fabs, width = _refine_brackets(F, s, f, cfg.tol)
+    resid = fabs / np.maximum(abs(vals[idx]), abs(vals[idx + 1]))  # grid ends
     roots = [Root(canonicalize_s(r), float(res), "real", source, float(err))
              for r, res, err in zip(refined, resid, width)]
     roots += [Root(canonicalize_s(grid[i]), 0.0, "real", source)

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from sphere_spectra import GridTooCoarseWarning, oracle
 from sphere_spectra.cli import SCHEMA, main
 
 
@@ -447,6 +448,32 @@ class TestOracleCommand:
                         "--output", str(out)]) == 0
         assert out.read_text() == ",".join(SCHEMA) + "\n"
 
+    def test_chi_scan_makes_four_shooting_calls(self, tmp_path, monkeypatch):
+        # the grid call and one call per refinement round: on the rescaled
+        # residual every bracket closes within three rounds (Illinois on the
+        # orthonormalized residual made 14 calls); JSON meta reports the
+        # functional's log10 reference factor
+        calls, made = [], []
+        functional = oracle.shoot_functional
+
+        def counted(*args, **kwargs):
+            made.append(functional(*args, **kwargs))
+
+            def call(s):
+                calls.append(np.size(s))
+                return made[-1](s)
+            call.meta = made[-1].meta
+            return call
+
+        monkeypatch.setattr(oracle, "shoot_functional", counted)
+        out = tmp_path / "oracle.json"
+        assert run(["oracle", "--chi", "--eps", "4", "--x0", "0.9",
+                    "--format", "json", "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["rows"] and len(made) == 1
+        assert 1 < len(calls) <= 4
+        assert doc["meta"]["log_scale_ref"] == made[0].meta["log_scale_ref"]
+
     def test_json_meta_reports_block_and_stiffness(self, tmp_path):
         # the scan's largest |mu| is 72 (s = 8); at x = +-0.9 the (Phi,
         # Phi') block of A0 + mu A1 has complex eigenvalues there, with
@@ -474,7 +501,9 @@ class TestOracleCommand:
         assert not (tmp_path / "oracle.csv").exists()
         # the named step count is the least that runs
         assert run(argv + ["--steps", "4457"]) == 2
-        assert run(argv + ["--steps", "4458"]) == 0
+        # roots lie closer than the 100-wide scan step, as it warns
+        with pytest.warns(GridTooCoarseWarning):
+            assert run(argv + ["--steps", "4458"]) == 0
         rows = (tmp_path / "oracle.csv").read_text().splitlines()[1:]
         assert rows
         assert all(float(dict(zip(SCHEMA, r.split(",")))["residual"]) < 1e-6

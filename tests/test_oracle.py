@@ -15,6 +15,15 @@ def _values(params, problem, s, n_steps, block=oracle_mod.BLOCK):
         oracle_mod._blocks(params, problem, n_steps, block)))
 
 
+def _rescaled(value, scale, ref):
+    """The functional's value for the oracle's (value, scale): value *
+    10**(scale - ref), the exponent clipped to at most 300 and to at least
+    what keeps a nonzero |value| <= 1 at 1e-300 or more."""
+    low = -300 - np.log10(np.abs(value), where=value != 0,
+                          out=np.zeros(np.shape(value)))
+    return value * 10.0 ** np.clip(scale - ref, low, 300)
+
+
 @pytest.mark.parametrize("k, eps, which", [(1, 0.0, "auto"),
                                            (1, 4.0, "auto"),
                                            (0, 1.0, "auto"), (0, 4.0, "chi")])
@@ -90,12 +99,13 @@ class TestShootK0:
 class TestShootChi:
     def test_high_reynolds_limits(self):
         params = SpectralParams(k=0, eps=4.0, x0=0.99, M=10)
-        value = _values(params, "chi", 2.0, 1500)[0][0]
         functional = shoot_functional(params, n_steps=1500, which="chi")
         roots = scan_real_roots(functional, ScanConfig(1.5, 2.5),
                                 source="oracle")
         assert len(roots) == 1
         assert abs(roots[0].s.real - 2.0) < 0.1
+        value = _rescaled(*_values(params, "chi", 2.0, 1500),
+                          functional.meta["log_scale_ref"])[0]
         assert abs(value) == pytest.approx(
             abs(functional(np.array([2.0 + 0j]))[0]), rel=1e-12)
 
@@ -331,11 +341,36 @@ def test_later_call_past_checked_mu_is_checked():
     s = np.array([2.5, 500.3])
     later = f(s)
     fresh = shoot_functional(params)
-    assert later.tobytes() == fresh(s).tobytes()
-    assert f.meta == fresh.meta and 1 < f.meta["block"] < oracle_mod.BLOCK
+    first = fresh(s)
+    # the same blocks and values, each over its functional's first-call factor
+    v, scale = _values(params, "k", s, 2000, block=fresh.meta["block"])
+    assert later.tobytes() == _rescaled(
+        v, scale, f.meta["log_scale_ref"]).tobytes()
+    assert first.tobytes() == _rescaled(v, scale, scale.max()).tobytes()
+    assert f.meta["log_scale_ref"] != fresh.meta["log_scale_ref"]
+    assert f.meta | {"log_scale_ref": 0} == fresh.meta | {"log_scale_ref": 0}
+    assert 1 < f.meta["block"] < oracle_mod.BLOCK
     value = f(np.array([1000.3]))[0]
     assert f.meta["block"] == 1
-    assert value == _values(params, "k", 1000.3, 2000, block=1)[0][0]
+    assert value == _rescaled(*_values(params, "k", 1000.3, 2000, block=1),
+                              f.meta["log_scale_ref"])[0]
+
+
+def test_rescaled_value_stays_finite_and_nonzero(monkeypatch):
+    """The functional returns the residual times 10**(scale - L), L the
+    largest log10 factor of its first call.  An exponent past the float
+    range is clipped: a nonzero value neither underflows to zero nor
+    overflows, and a zero stays zero."""
+    out = iter([(np.array([1e-5, 0.5, -1e-20, 0.0]),
+                 np.array([0.0, -1000.0, 2000.0, 5.0])),
+                (np.array([-0.25]), np.array([2500.0]))])
+    monkeypatch.setattr(oracle_mod, "_values", lambda *args: next(out))
+    f = shoot_functional(SpectralParams(k=1, eps=0.0, x0=0.9, M=10))
+    first = f(np.array([1.0, 2.0, 3.0, 4.0]))
+    assert f.meta["log_scale_ref"] == 2000.0
+    assert first[2:].tolist() == [-1e-20, 0.0]
+    assert first[:2] == pytest.approx([1e-300, 1e-300], rel=1e-12, abs=0)
+    assert f(np.array([5.0])) == pytest.approx([-0.25e300], rel=1e-12)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52,
@@ -370,8 +405,9 @@ def test_blocked_values_match_long_double_rk4(k, eps, which, problem,
         f = shoot_functional(params, n_steps, which)
         value = f(group)
         blocks.append(f.meta["block"])
-        assert value.tobytes() == _values(params, problem, group, n_steps,
-                                          blocks[-1])[0].tobytes()
+        v, scale = _values(params, problem, group, n_steps, blocks[-1])
+        assert f.meta["log_scale_ref"] == scale.max()
+        assert value.tobytes() == _rescaled(v, scale, scale.max()).tobytes()
         assert distance(group, i, blocks[-1]) <= 10 * distance(group, i, 1)
     assert blocks[:2] == [oracle_mod.BLOCK] * 2 and blocks[3] < blocks[2]
 
@@ -391,7 +427,7 @@ def test_blocks_keep_powers_of_mu_finite():
         _values(params, "k", s, 5000, block=10)
     v, scale = _values(params, "k", s, 5000, block=9)
     ref, ref_scale = _values(params, "k", s, 5000, block=1)
-    assert value.tobytes() == v.tobytes()
+    assert value.tobytes() == _rescaled(v, scale, scale.max()).tobytes()
     np.testing.assert_allclose(v * 10.0 ** scale, ref * 10.0 ** ref_scale,
                                rtol=1e-12, atol=0)
 

@@ -52,7 +52,9 @@ class TestScan:
             assert r.residual <= cfg.tol
 
     def test_each_root_certified_by_its_bracket(self):
-        # one grid call plus one call per Illinois round
+        # one grid call plus one call per refinement round, which every open
+        # bracket shares: its inverse-cubic estimate and the two guards
+        # close it in two rounds
         calls = []
         F = poly(1.03, 2.71, 3.3)
 
@@ -62,16 +64,57 @@ class TestScan:
 
         cfg = ScanConfig(0.0, 4.0, 0.1)
         found = scan_real_roots(counted, cfg)
-        assert len(calls) <= 10
+        assert len(calls) <= 4
         assert [r.s.real for r in found] == pytest.approx(
             [1.03, 2.71, 3.3], abs=cfg.tol)
         assert all(0 <= r.error <= cfg.tol for r in found)
 
     def test_exact_zero_closes_its_bracket(self):
-        # the first false-position point of [0.75, 1.5] is 1 exactly
+        # [0.75, 1.5] has one grid neighbour, so its first round takes the
+        # midpoint and the quarter points; the second round's inverse
+        # interpolation of the linear F lands on 1 exactly
         found = scan_real_roots(poly(1.0), ScanConfig(0.0, 1.5, 0.75))
         assert [(r.s.real, r.residual, r.error) for r in found] == [
             (1.0, 0.0, 0.0)]
+
+    def test_exact_zero_on_a_guard_point(self):
+        # F is exp(s) - exp(c) but for 0 at the upper guard of the first
+        # round: that zero is a bracket of width 0 and closes it at once
+        c = 1.2345678
+        smooth = lambda s: np.exp(np.asarray(s, float)) - np.exp(c)  # noqa
+        cfg = ScanConfig(0.0, 2.0, 0.05)
+        G, points = recording(smooth)
+        scan_real_roots(G, cfg)
+        x, lower, upper = points[1]
+        assert lower < x < upper and abs(upper - c) > cfg.tol
+        G, points = recording(lambda s: np.where(np.asarray(s) == upper,
+                                                 0.0, smooth(s)))
+        assert [(r.s.real, r.residual, r.error)
+                for r in scan_real_roots(G, cfg)] == [(upper, 0.0, 0.0)]
+        assert len(points) == 2
+
+    @pytest.mark.parametrize("F, roots", [
+        (lambda s: np.sign(np.asarray(s) - 1.2345678), [1.2345678]),
+        (lambda s: np.cbrt(np.asarray(s) - 1.2345678), [1.2345678]),
+        (lambda s: np.asarray(s) - 1.2345678 + 1e-12 * (np.array(
+            [zlib.crc32(np.float64(z).tobytes()) for z in np.ravel(s)])
+            / 2 ** 31 - 1), [1.2345678]),
+        (poly(1.01, 1.07, 1.13), [1.01, 1.07, 1.13]),
+    ], ids=["jump", "cube-root-kink", "pseudo-noise-1e-12", "three-cells"])
+    def test_bracket_closes_around_a_true_sign_change(self, F, roots):
+        # inverse interpolation cannot model these (equal values, an
+        # infinite slope, noise, or neighbours across other roots); the
+        # midpoint and quarter points still close every bracket below tol
+        # within MAX_ITER rounds, at a root of F.  The noise, below 1e-12
+        # in size, changes the sign of F only within 1e-12 of its root
+        cfg = ScanConfig(0.0, 2.0, 0.05)
+        G, calls = counting(F)
+        found = scan_real_roots(G, cfg)
+        assert len(calls) <= 1 + rootfinder.MAX_ITER
+        assert len(found) == len(roots)
+        for r, root in zip(found, roots):
+            assert 0 <= r.error <= cfg.tol
+            assert abs(r.s.real - root) <= cfg.tol + 1e-12
 
     def test_dedup_spacing(self):
         cfg = ScanConfig(0.0, 4.0, 0.1)
