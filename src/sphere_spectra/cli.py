@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from dataclasses import dataclass, replace
@@ -322,6 +323,7 @@ def cmd_verify(only: str | None, output: str | None) -> int:
     return 0 if doc["passed"] else 1
 
 
+@functools.cache         # one per process, built by main(), not at import
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="sphere-spectra",

@@ -2,31 +2,30 @@
 systems across [-x0, x0], inside the singular points x = +-1.
 
 Each system is y' = (A0(x) + mu A1(x)) y, so one RK4 step is exactly the real
-matrix polynomial T_n(mu) = sum_{j<=4} mu^j C_{n,j}; a functional composes up
-to BLOCK steps into one block polynomial, once, and a call evaluates it once
-per point.  All start trajectories of all points advance in one state,
-orthonormalized at every checkpoint, dividing the residual by a positive
-factor (kept as its log10).  A step count whose h |eig(A0 + mu A1)| on the
+matrix polynomial T_n(mu) = sum_{j<=4} mu^j C_{n,j}.  A functional composes
+each block of steps into one, once, to the least degree float64 tells from
+the whole; a call evaluates it once per point and advances all trajectories
+in one state, orthonormalized at every checkpoint (the residual's positive
+factor is kept as its log10).  A step count whose h |eig(A0 + mu A1)| on the
 grid leaves RK4's real stability interval is refused, at mu = 0 and at each
-call's largest |mu| past those checked; that stiffness caps the block too.
+call's largest |mu| past those checked; that stiffness sets the blocks too.
 
 For k != 0, trajectories from (Psi, Psi', Phi, Phi') = (0, 0, 1, 0) and
 (0, 0, 0, 1) span the solutions obeying the left boundary conditions; the
 residual is the 2x2 determinant of their (Psi, Psi') at +x0.  For k = 0 one
 trajectory from (Psi, Psi', Phi) = (0, 0, 1) gives the residual Psi'(x0);
-chi uses (chi, chi') = (0, 1) and chi(x0).  Complex roots are validated by
-residual magnitude in the rootfinder, not here.
+chi uses (chi, chi') = (0, 1) and chi(x0).
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import NonFiniteError, SpectralParams
 
 RENORM_CHECK_EVERY = 100
 RK4_STABLE = 2.78       # RK4 is stable on about [-2.785, 0] of the real axis
-BLOCK = 10              # most RK4 steps composed into one block
 BLOCK_STIFF = 4.0       # most block length * h * max |eig|
 
 
@@ -36,9 +35,8 @@ def _system_k(p: SpectralParams, x, om):
     a = np.zeros((2, *x.shape, 4, 4))
     a[0, ..., 0, 1] = a[0, ..., 2, 3] = 1.0
     a[0, ..., 1, 0] = a[0, ..., 3, 2] = p.abs_k ** 2 / (om * om)
-    a[0, ..., 1, 1] = 2 * x / om
     a[0, ..., 1, 2] = a[1, ..., 3, 2] = 1 / om
-    a[0, ..., 3, 3] = (2 * x - p.eps) / om
+    a[0, ..., 1, 1], a[0, ..., 3, 3] = 2 * x / om, (2 * x - p.eps) / om
     return a
 
 
@@ -47,8 +45,7 @@ def _system_k0(p: SpectralParams, x, om):
     Phi' = mu Psi' - eps Phi / (1-x^2)."""
     a = np.zeros((2, *x.shape, 3, 3))
     a[0, ..., 0, 1] = a[1, ..., 2, 1] = 1.0
-    a[0, ..., 1, 1] = 2 * x / om
-    a[0, ..., 1, 2] = 1 / om
+    a[0, ..., 1, 1], a[0, ..., 1, 2] = 2 * x / om, 1 / om
     a[0, ..., 2, 2] = -p.eps / om
     return a
 
@@ -59,19 +56,17 @@ def _system_chi(p: SpectralParams, x, om):
     a = np.zeros((2, *x.shape, 2, 2))
     a[0, ..., 0, 1] = 1.0
     a[0, ..., 1, 0] = (p.eps ** 2 + 4 + 4 * p.eps * x) / (4 * om * om)
-    a[0, ..., 1, 1] = 2 * x / om
-    a[1, ..., 1, 0] = 1 / om
+    a[0, ..., 1, 1], a[1, ..., 1, 0] = 2 * x / om, 1 / om
     return a
 
 
-# problem: (state dimension, start component of each trajectory, (A0, A1)
-# at arrays x and 1 - x^2, residual of the end state r[component,
-# trajectory]); each trajectory starts from the unit vector of its component
+# problem: (dim, start component of each trajectory (a unit vector), (A0, A1)
+# at arrays x and 1 - x^2, residual of the end state r[component, trajectory])
 _PROBLEMS = {
-    "k": (4, (2, 3), _system_k,
+    "k": (4, [2, 3], _system_k,
           lambda r: r[0, 0] * r[1, 1] - r[1, 0] * r[0, 1]),
-    "k0": (3, (2,), _system_k0, lambda r: r[1, 0]),
-    "chi": (2, (1,), _system_chi, lambda r: r[0, 0]),
+    "k0": (3, [2], _system_k0, lambda r: r[1, 0]),
+    "chi": (2, [1], _system_chi, lambda r: r[0, 0]),
 }
 
 
@@ -97,8 +92,8 @@ def _check_steps(params: SpectralParams, problem: str, n_steps: int, mu):
         h = 2.0 * params.x0 / n
         x = -params.x0 + np.arange(n + 1) * h
         a0, a1 = system(params, x, 1.0 - x * x)
-        b = np.stack([(a0 + mu * a1)[:, i:i + 2, i:i + 2]
-                      for i in range(dim % 2, dim, 2)])
+        a = a0 + mu * a1
+        b = np.stack([a[:, i:i + 2, i:i + 2] for i in range(dim % 2, dim, 2)])
         t = (b[..., 0, 0] + b[..., 1, 1]) / 2
         r = np.sqrt(t * t - b[..., 0, 0] * b[..., 1, 1]
                     + b[..., 0, 1] * b[..., 1, 0] + 0j)
@@ -117,61 +112,64 @@ def _check_steps(params: SpectralParams, problem: str, n_steps: int, mu):
 
 
 def _step_maps(system, params, x, h):
-    """RK4 step maps of the steps starting at x, the staged RK4 applied to
-    the identity: real C of shape (steps, dim, 5 dim) whose column blocks
-    are the coefficients of T_n(mu) = sum_j mu^j C[n, :, j dim:(j+1) dim]."""
+    """RK4 step maps of the steps starting at x: real C of shape (*x.shape,
+    dim, 5 dim), T_n(mu) = sum_j mu^j C[n, :, j dim:(j+1) dim]."""
     xs = np.stack([x, x + h / 2, x + h])
     a = system(params, xs, 1.0 - xs * xs)
     dim = a.shape[-1]
     eye = np.eye(dim, 5 * dim)      # the polynomial I + 0 mu + ...
-
-    def times(stage, t):
-        # (A0 + mu A1) t for a polynomial t of degree below 4
-        out = a[0, stage] @ t
-        out[..., dim:] += a[1, stage] @ t[..., :-dim]
-        return out
-    k1 = times(0, eye)
-    k2 = times(1, eye + (h / 2) * k1)
-    k3 = times(1, eye + (h / 2) * k2)
-    k4 = times(2, eye + h * k3)
-    return eye + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    k = np.concatenate([*a[:, 0], np.zeros(a.shape[2:-1] + (3 * dim,))], -1)
+    out = eye + (h / 6) * k         # k1 = A0 + mu A1 at x; each next k is
+    for stage, f, w in ((1, h / 2, h / 3), (1, h / 2, h / 3), (2, h, h / 6)):
+        t = eye + f * k             # (A0 + mu A1) t at its stage's x, of
+        k = a[0, stage] @ t         # degree below 4 until k4
+        k[..., dim:] += a[1, stage] @ t[..., :-dim]
+        out += w * k
+    return out
 
 
-def _blocks(params: SpectralParams, problem: str, n_steps: int, block: int):
-    """The step maps composed block at a time, one real array per checkpoint
-    chunk: flat[a, (b, i, j)] is block b's coefficient of mu^a at row i,
-    column j.  Identity steps pad a chunk, exactly."""
+def _blocks(params, problem: str, n_steps: int, block: int, degree: int):
+    """The step maps composed block at a time, all at once, exactly up to
+    mu^degree: flat[c, a, (b, i, j)] is block b of checkpoint chunk c's mu^a
+    coefficient at row i, column j.  Identity steps pad chunks to blocks."""
     dim, _, system, _ = _PROBLEMS[problem]
-    h = 2.0 * params.x0 / n_steps
-    for start in range(0, n_steps, RENORM_CHECK_EVERY):
-        steps = np.arange(start, min(start + RENORM_CHECK_EVERY, n_steps))
-        c = _step_maps(system, params, -params.x0 + steps * h, h)
-        pad = np.broadcast_to(np.eye(dim, 5 * dim),
-                              (-len(c) % block, dim, 5 * dim))
-        c = np.concatenate([c, pad]).reshape(-1, block, dim, 5 * dim)
-        # T q = [T_0 .. T_4] @ shifted, row block a of shifted = mu^a q
-        shifted = np.zeros((len(c), 5 * dim, (4 * block + 1) * dim))
-        q = c[:, 0]
-        for t in range(1, block):
-            for a in range(5):
-                shifted[:, a * dim:(a + 1) * dim,
-                        a * dim:a * dim + q.shape[-1]] = q
-            q = c[:, t] @ shifted[:, :, :q.shape[-1] + 4 * dim]
-        yield np.moveaxis(q.reshape(len(c), dim, -1, dim), 2, 0).reshape(
-            4 * block + 1, -1)
+    h, cols = 2.0 * params.x0 / n_steps, (degree + 1) * dim
+    slot = np.arange(0, RENORM_CHECK_EVERY, block)[:, None] + np.arange(block)
+    n = np.arange(0, n_steps, RENORM_CHECK_EVERY)[:, None, None] + slot
+    pad = ((slot >= RENORM_CHECK_EVERY) | (n >= n_steps)).reshape(-1, block)
+    x = -params.x0 + h * np.where(pad, 0, n.reshape(pad.shape))
+    # T q = [T_0 .. T_4] @ shifted, its row block a mu^a q: a window of buf
+    buf = np.zeros((len(x), dim, 4 * dim + cols))
+    q, shifted = buf[..., 4 * dim:], np.empty((len(x), 5 * dim, cols))
+    q[..., :dim] = np.eye(dim)
+    window = sliding_window_view(buf, cols, 2).swapaxes(1, 2)[:, 4 * dim::-dim]
+    slab = max(1, 12000 // (5 * dim * dim * len(x)))  # temporaries ~100 KB
+    for t0 in range(0, block, slab):
+        c = _step_maps(system, params, x[:, t0:t0 + slab], h)
+        c[pad[:, t0:t0 + slab]] = np.eye(dim, 5 * dim)
+        for t in range(c.shape[1]):
+            shifted.reshape(window.shape)[:] = window
+            np.matmul(c[:, t], shifted, out=q)
+    q = q.reshape(len(n), -1, dim, degree + 1, dim)
+    return np.moveaxis(q, 3, 1).reshape(len(n), degree + 1, -1)
+
+
+def _kept(blocks, top: float) -> bool:
+    """Whether at |mu| = top each block entry's top two degrees are below
+    2**-60 of its summed term magnitudes (all over max(top, 1)**degree)."""
+    d = blocks.shape[1] - 1
+    terms = abs(blocks) * top ** (np.arange(d + 1.0) - d * (top > 1))[:, None]
+    return bool((terms[:, -2:].max(1) <= 2.0 ** -60 * terms.sum(1)).all())
 
 
 def _values(problem: str, s, blocks):
     """Residuals at s and their log10 orthonormalization factors.  Per chunk,
-    one product with the batch as its rows evaluates every block map at every
-    point; each block then advances the state (points, dim, trajectories) in
-    one stacked product, and Gram-Schmidt runs on that layout."""
+    one product evaluates every block at every point, each block advances the
+    state (points, dim, trajectories) in one product, then Gram-Schmidt."""
     dim, starts, _, residual = _PROBLEMS[problem]
     s = np.atleast_1d(np.asarray(s))
     s = s.astype(np.result_type(s, float), copy=False)
-    n = len(starts)
-    y = np.zeros((s.size, dim, n), s.dtype)
-    y[:, list(starts), range(n)] = 1.0
+    y = np.zeros((s.size, dim, len(starts)), s.dtype) + np.eye(dim)[:, starts]
     scale = np.zeros(s.size)
     # an overflow is reported by the NonFiniteError below, not by numpy
     with np.errstate(all="ignore"):
@@ -180,7 +178,7 @@ def _values(problem: str, s, blocks):
             maps = (powers @ flat).reshape(s.size, -1, dim, dim)
             for b in range(maps.shape[1]):
                 y = maps[:, b] @ y
-            for j in range(n):      # Gram-Schmidt on each point's trajectories
+            for j in range(len(starts)):    # Gram-Schmidt on each point
                 for q in y[..., :j].transpose(2, 0, 1):
                     y[..., j] -= (q.conj() * y[..., j]).sum(1)[:, None] * q
                 norm = np.linalg.norm(y[..., j], axis=1)
@@ -196,26 +194,28 @@ def shoot_functional(params: SpectralParams, n_steps: int = 2000,
                      which: str = "auto"):
     """Vectorized boundary residual for the root finder: the raw boundary
     determinant over 10**L, L = meta["log_scale_ref"] the largest log10 factor
-    of the first call; meta has the block and largest stiffness too.  which:
+    of the first call (meta also has block, degree and h_max_eig).  which:
     "auto" picks the k != 0 or k = 0 system, "chi" the chi(+-x0) = 0 one."""
     problem = _problem(params, which, n_steps)
-    meta = dict(block=0, h_max_eig=_check_steps(params, problem, n_steps, 0.0))
+    meta = dict(h_max_eig=_check_steps(params, problem, n_steps, 0.0))
     top, blocks = 0.0, None
 
     def residual(s):
         nonlocal top, blocks
         s = np.atleast_1d(np.asarray(s))
         mu = max(-s * (s + 1), key=abs)
-        if abs(mu) > top:
+        if grew := abs(mu) > top:
             top, worst = abs(mu), _check_steps(params, problem, n_steps, mu)
             meta["h_max_eig"] = max(meta["h_max_eig"], worst)
-        # a block's expansion in mu cancels about exp(block * stiffness),
-        # and |mu|^(4 block) must stay finite
-        block = int(np.clip(min(BLOCK_STIFF / meta["h_max_eig"], 75 / max(
-            1.0, np.log10(top + 1.0))), 1, BLOCK))
-        if block != meta["block"]:
-            meta["block"] = block
-            blocks = list(_blocks(params, problem, n_steps, block))
+        # a block's expansion in mu cancels about exp(block * stiffness);
+        # its degree is the least of 16, 32, ... that _kept passes, or 4 block
+        block = min(int(BLOCK_STIFF / meta["h_max_eig"]) or 1,
+                    RENORM_CHECK_EVERY)
+        d = meta["degree"] if block == meta.get("block") else 0
+        while not d or grew and d < 4 * block and not _kept(blocks, top):
+            d = min(max(16, 2 * d), 4 * block)
+            blocks = _blocks(params, problem, n_steps, block, d)
+        meta.update(block=block, degree=d)
         value, scale = _values(problem, s, blocks)
         ref = meta.setdefault("log_scale_ref", float(scale.max()))
         low = -300 - np.log10(abs(value), where=value != 0, out=0 * scale)

@@ -155,6 +155,13 @@ def scan_real_roots(F, cfg: ScanConfig, source: str = "series") -> list:
     F = _as_batch(F)
     grid = np.arange(cfg.s_min, cfg.s_max + 0.5 * cfg.step, cfg.step)
     vals = np.real(F(grid))
+    if not vals.all():
+        # a root on a grid node hides a second one in a cell beside it; F at
+        # tol off each such node, in one more call, gives them their signs
+        side = np.clip(grid[vals == 0][:, None] + [-cfg.tol, cfg.tol],
+                       grid[0], grid[-1]).ravel()
+        order = np.argsort(grid := np.append(grid, side))
+        grid, vals = grid[order], np.append(vals, np.real(F(side)))[order]
     sign = np.sign(vals)
     idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
     near = np.full((idx.size, 8), -1)   # -1: the nan appended to the grid

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sphere_spectra import GridTooCoarseWarning, oracle
-from sphere_spectra.cli import SCHEMA, main
+from sphere_spectra.cli import SCHEMA, _build_parser, main
 
 
 def run(argv):
@@ -112,6 +112,24 @@ class TestConfigHandling:
         assert out1.read_text() != out2.read_text()
         # the file value was used in the first run
         assert out1.read_text().splitlines()[1].startswith("0.5,")
+
+    def test_one_parser_keeps_no_values_between_calls(self, tmp_path):
+        # main() builds its parser once per process; a flag or a config
+        # value of one call must not reach the next
+        def meta(*argv):
+            out = tmp_path / "oracle.json"
+            assert run(["oracle", "--eps", "4", "--x0", "0.9", "--smax", "3",
+                        "--format", "json", *argv,
+                        "--output", str(out)]) == 0
+            return json.loads(out.read_text())["meta"]
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"k": 3, "steps": 2500}))
+        assert meta("--chi")["chi"] is True
+        plain = meta()
+        assert plain["chi"] is False and plain["params"]["k"] == 1
+        assert meta("--config", str(cfgfile))["n_steps"] == 2500
+        assert meta() == plain
+        assert _build_parser.cache_info().currsize == 1
 
     def test_invalid_x0_exits_2(self):
         assert run(["spectrum", "--k", "1", "--x0", "1.5"]) == 2
@@ -474,16 +492,23 @@ class TestOracleCommand:
         assert 1 < len(calls) <= 4
         assert doc["meta"]["log_scale_ref"] == made[0].meta["log_scale_ref"]
 
-    def test_json_meta_reports_block_and_stiffness(self, tmp_path):
+    def test_json_meta_reports_block_and_stiffness(self, tmp_path,
+                                                   monkeypatch):
         # the scan's largest |mu| is 72 (s = 8); at x = +-0.9 the (Phi,
         # Phi') block of A0 + mu A1 has complex eigenvalues there, with
-        # |eig|^2 = -det = 72 / (1 - x^2) - 1 / (1 - x^2)^2
+        # |eig|^2 = -det = 72 / (1 - x^2) - 1 / (1 - x^2)^2.  The blocks,
+        # one per checkpoint chunk and kept to degree 16, are built once
+        builds, blocks = [], oracle._blocks
+        monkeypatch.setattr(oracle, "_blocks", lambda *a: builds.append(
+            a[-2:]) or blocks(*a))
         out = tmp_path / "oracle.json"
         assert run(["oracle", "--k", "1", "--eps", "0", "--x0", "0.9",
                     "--format", "json", "--output", str(out)]) == 0
         meta = json.loads(out.read_text())["meta"]
         om = 1 - 0.9 ** 2
-        assert meta["n_steps"] == 2000 and meta["block"] == 10
+        assert meta["n_steps"] == 2000
+        assert (meta["block"], meta["degree"]) == (100, 16)
+        assert builds == [(100, 16)]
         assert meta["h_max_eig"] == pytest.approx(
             2 * 0.9 / 2000 * np.sqrt(72 / om - 1 / om ** 2), rel=1e-12)
 

@@ -8,11 +8,17 @@ from sphere_spectra import (NonFiniteError, ScanConfig, SpectralParams,
 from sphere_spectra import oracle as oracle_mod
 
 
-def _values(params, problem, s, n_steps, block=oracle_mod.BLOCK):
-    """The oracle's (values, log10 factors) at s with blocks of block steps,
-    the length a functional uses at the moderate |mu| of these tests."""
-    return oracle_mod._values(problem, s, list(
-        oracle_mod._blocks(params, problem, n_steps, block)))
+def _values(params, problem, s, n_steps, block=None, degree=None):
+    """The oracle's (values, log10 factors) at s with blocks of block steps
+    kept to mu**degree (by default the whole polynomial, 4 block), or with
+    the block and degree a fresh functional picks for s."""
+    if block is None:
+        f = shoot_functional(params, n_steps,
+                             "chi" if problem == "chi" else "auto")
+        f(s)
+        block, degree = f.meta["block"], f.meta["degree"]
+    return oracle_mod._values(problem, s, oracle_mod._blocks(
+        params, problem, n_steps, block, degree or 4 * block))
 
 
 def _rescaled(value, scale, ref):
@@ -298,14 +304,14 @@ def test_unstable_step_refused():
 
 def test_overflow_reported_without_numpy_warnings():
     # mu = -s(s+1) ~ -1e8 is far outside what the step resolves (the
-    # functional refuses it); the state overflows, and with ten-step blocks
-    # so does mu^40, and only the NonFiniteError reports it
+    # functional refuses it); the state overflows, and at degree 64 so does
+    # mu^64, and only the NonFiniteError reports it
     params = SpectralParams(k=1, eps=0.0, x0=0.9, M=10)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for block in (1, oracle_mod.BLOCK):
+        for block, degree in ((1, 4), (100, 64)):
             with pytest.raises(NonFiniteError):
-                _values(params, "k", np.array([1e4]), 2000, block)
+                _values(params, "k", np.array([1e4]), 2000, block, degree)
 
 
 @pytest.mark.parametrize("k, which", [(1, "auto"), (3, "auto"), (0, "auto"),
@@ -333,27 +339,89 @@ def test_later_call_past_checked_mu_is_checked():
     params = SpectralParams(k=1, eps=0.0, x0=0.9, M=10)
     f = shoot_functional(params)
     f(np.arange(0.05, 8.0, 0.05))
-    assert f.meta["block"] == oracle_mod.BLOCK
+    chunk = oracle_mod.RENORM_CHECK_EVERY
+    assert (f.meta["block"], f.meta["degree"]) == (chunk, 16)
     # h * |eig| is 3.1 at s = 1500.3 and 2000 steps
     with pytest.raises(ValueError, match="at 2000 steps"):
         f(np.array([1.0, 1500.3]))
-    assert f.meta["block"] == oracle_mod.BLOCK
+    assert (f.meta["block"], f.meta["degree"]) == (chunk, 16)
     s = np.array([2.5, 500.3])
     later = f(s)
     fresh = shoot_functional(params)
     first = fresh(s)
     # the same blocks and values, each over its functional's first-call factor
-    v, scale = _values(params, "k", s, 2000, block=fresh.meta["block"])
+    v, scale = _values(params, "k", s, 2000, fresh.meta["block"],
+                       fresh.meta["degree"])
     assert later.tobytes() == _rescaled(
         v, scale, f.meta["log_scale_ref"]).tobytes()
     assert first.tobytes() == _rescaled(v, scale, scale.max()).tobytes()
     assert f.meta["log_scale_ref"] != fresh.meta["log_scale_ref"]
     assert f.meta | {"log_scale_ref": 0} == fresh.meta | {"log_scale_ref": 0}
-    assert 1 < f.meta["block"] < oracle_mod.BLOCK
+    assert 1 < f.meta["block"] < chunk
     value = f(np.array([1000.3]))[0]
-    assert f.meta["block"] == 1
+    assert (f.meta["block"], f.meta["degree"]) == (1, 4)
     assert value == _rescaled(*_values(params, "k", 1000.3, 2000, block=1),
                               f.meta["log_scale_ref"])[0]
+
+
+def test_later_call_raises_degree(monkeypatch):
+    """A later call past the checked |mu| that keeps the block length but
+    fails the truncation check at the kept degree rebuilds the blocks once,
+    at the next degree of the ladder: the values a fresh functional gives."""
+    builds = []
+    blocks = oracle_mod._blocks
+    monkeypatch.setattr(oracle_mod, "_blocks", lambda *a: builds.append(
+        a[-2:]) or blocks(*a))
+    params = SpectralParams(k=1, eps=0.0, x0=0.9, M=10)
+    f = shoot_functional(params)
+    f(np.arange(0.05, 8.0, 0.05))
+    f(np.array([1.0, 7.0]))
+    assert builds == [(100, 16)]
+    s = np.array([2.5, 17.0])
+    later = f(s)
+    assert builds == [(100, 16), (100, 32)]
+    assert (f.meta["block"], f.meta["degree"]) == (100, 32)
+    fresh = shoot_functional(params)
+    fresh(s)
+    assert fresh.meta | {"log_scale_ref": 0} == f.meta | {"log_scale_ref": 0}
+    assert builds[2:] == [(100, 16), (100, 32)]
+    f(np.array([17.0]))     # no further build
+    assert len(builds) == 4
+    v, scale = _values(params, "k", s, 2000, 100, 32)
+    assert later.tobytes() == _rescaled(
+        v, scale, f.meta["log_scale_ref"]).tobytes()
+
+
+@pytest.mark.parametrize("k, eps, which, problem", [
+    (1, 0.0, "auto", "k"), (3, 4.0, "auto", "k"), (1, 12.0, "auto", "k"),
+    (0, 1.0, "auto", "k0"), (0, 4.0, "chi", "chi")])
+def test_truncated_blocks_match_full_composition(k, eps, which, problem):
+    """The blocks a functional keeps to its degree D hold the coefficients
+    of the whole composition (degree 4 block) up to mu^D, to rounding, and
+    at the largest |mu| checked, real or complex, they evaluate within
+    1e-15 of the whole polynomial's summed term magnitudes (Horner sums,
+    which stay finite where |mu|^(4 block) overflows)."""
+    params = SpectralParams(k=k, eps=eps, x0=0.9)
+    f = shoot_functional(params, which=which)
+    s = np.linspace(0.05, 8.05, 161)
+    f(s)
+    block, degree = f.meta["block"], f.meta["degree"]
+    assert degree < 4 * block
+    kept = oracle_mod._blocks(params, problem, 2000, block, degree)
+    whole = oracle_mod._blocks(params, problem, 2000, block, 4 * block)
+    np.testing.assert_allclose(kept, whole[:, :degree + 1], rtol=4e-15,
+                               atol=0)
+
+    def horner(c, mu):
+        acc = 0
+        for a in range(c.shape[1] - 1, -1, -1):
+            acc = acc * mu + c[:, a]
+        return acc
+    top = abs(s[-1] * (s[-1] + 1))
+    for mu in (-top, top * np.exp(0.7j)):
+        value = np.einsum("a,cae->ce", mu ** np.arange(degree + 1), kept)
+        ref, size = horner(whole, mu), horner(abs(whole), top)
+        assert np.all(abs(value - ref) <= 1e-15 * size)
 
 
 def test_rescaled_value_stays_finite_and_nonzero(monkeypatch):
@@ -396,36 +464,45 @@ def test_blocked_values_match_long_double_rk4(k, eps, which, problem,
                                  real=np.longdouble)
     ref = (ref * np.longdouble(10) ** ref_scale).reshape(s.shape)
 
-    def distance(group, i, block):
-        value, scale = _values(params, problem, group, n_steps, block)
+    def distance(group, i, block, degree):
+        value, scale = _values(params, problem, group, n_steps, block, degree)
         return (np.abs(value * np.longdouble(10) ** scale - ref[i]).max()
                 / np.abs(ref[i]).max())
     blocks = []
     for i, group in enumerate(s):
         f = shoot_functional(params, n_steps, which)
         value = f(group)
-        blocks.append(f.meta["block"])
-        v, scale = _values(params, problem, group, n_steps, blocks[-1])
+        blocks.append((f.meta["block"], f.meta["degree"]))
+        v, scale = _values(params, problem, group, n_steps, *blocks[-1])
         assert f.meta["log_scale_ref"] == scale.max()
         assert value.tobytes() == _rescaled(v, scale, scale.max()).tobytes()
-        assert distance(group, i, blocks[-1]) <= 10 * distance(group, i, 1)
-    assert blocks[:2] == [oracle_mod.BLOCK] * 2 and blocks[3] < blocks[2]
+        assert (distance(group, i, *blocks[-1])
+                <= 10 * distance(group, i, 1, 4))
+    # blocks of a whole chunk near s = 10, shorter further out, kept to
+    # degree 16 or 32 (or whole, when that is less)
+    lengths = [b for b, _ in blocks]
+    assert lengths[0] == oracle_mod.RENORM_CHECK_EVERY
+    assert lengths == sorted(lengths, reverse=True) and lengths[3] < lengths[2]
+    assert all(min(16, 4 * b) <= d <= 32 for b, d in blocks)
 
 
 def test_blocks_keep_powers_of_mu_finite():
     """At x0 = 0.1 and 5000 steps, s = 8000 (|mu| = 6.4e7) passes the step
-    check and ten-step blocks pass the stiffness bound, but mu^40 overflows
-    and the ten-step values are not finite.  The functional takes nine
-    steps a block, and its values agree with the stepwise map's."""
+    check and twelve-step blocks pass the stiffness bound, but mu^48 of the
+    whole twelve-step polynomial overflows and its values are not finite.
+    The functional keeps the blocks to degree 32, where mu^32 is finite and
+    degree 16 fails the truncation check, and its values agree with the
+    stepwise map's."""
     params = SpectralParams(k=1, eps=0.0, x0=0.1, M=10)
     f = shoot_functional(params, 5000)
     s = np.array([7990.0, 8000.0])
     value = f(s)
-    assert oracle_mod.BLOCK_STIFF / f.meta["h_max_eig"] > oracle_mod.BLOCK
-    assert f.meta["block"] == 9
+    assert (f.meta["block"], f.meta["degree"]) == (12, 32)
     with pytest.raises(NonFiniteError):
-        _values(params, "k", s, 5000, block=10)
-    v, scale = _values(params, "k", s, 5000, block=9)
+        _values(params, "k", s, 5000, block=12)
+    blocks = oracle_mod._blocks(params, "k", 5000, 12, 16)
+    assert not oracle_mod._kept(blocks, 8000.0 * 8001.0)
+    v, scale = _values(params, "k", s, 5000, 12, 32)
     ref, ref_scale = _values(params, "k", s, 5000, block=1)
     assert value.tobytes() == _rescaled(v, scale, scale.max()).tobytes()
     np.testing.assert_allclose(v * 10.0 ** scale, ref * 10.0 ** ref_scale,
@@ -434,25 +511,32 @@ def test_blocks_keep_powers_of_mu_finite():
 
 @pytest.mark.parametrize("k, problem", [(1, "k"), (0, "k0"), (0, "chi")])
 def test_flat_blocks_are_products_of_step_maps(k, problem):
-    """Block 0 of the first chunk, read from flat[a, (b, i, j)] at mu, is
-    the product of its BLOCK RK4 step maps, each evaluated at mu: it reads
-    below 1e-15 relative, and a transposed (i, j) 0.09 or more."""
+    """Block b of a checkpoint chunk, read from flat[chunk, a, (b, i, j)] at
+    mu and kept to degree 16, is the product of its RK4 step maps, each
+    evaluated at mu: a whole chunk, the short last block of a chunk, the
+    short last chunk and a block of identity padding read below 1e-13
+    relative (2.4e-15 at most), and a transposed (i, j) 0.03 or more where
+    the block holds a step."""
     params = SpectralParams(k=k, eps=1.0, x0=0.9, M=10)
     dim, _, system, _ = oracle_mod._PROBLEMS[problem]
-    h = 2 * 0.9 / 2000
-    x = -0.9 + np.arange(oracle_mod.BLOCK) * h
-    maps = oracle_mod._step_maps(system, params, x, h)
-    flat = next(oracle_mod._blocks(params, problem, 2000, oracle_mod.BLOCK))
-    assert flat.shape[0] == 4 * oracle_mod.BLOCK + 1
-    for s in (2.0, 2.0 + 0.5j):
-        mu = -s * (s + 1)
-        ref = np.eye(dim)
-        for c in maps:
-            step = sum(mu ** j * c[:, j * dim:(j + 1) * dim] for j in range(5))
-            ref = step @ ref
-        block = sum(mu ** a * row[:dim * dim].reshape(dim, dim)
-                    for a, row in enumerate(flat))
-        assert np.abs(block - ref).max() <= 1e-13 * np.abs(ref).max()
+    for n_steps, block, chunk, b, steps in [
+            (2000, 100, 0, 0, range(100)), (2000, 30, 0, 3, range(90, 100)),
+            (2003, 30, 20, 0, range(2000, 2003)), (2003, 30, 20, 2, [])]:
+        h = 2 * 0.9 / n_steps
+        maps = oracle_mod._step_maps(system, params, -0.9 + np.array(
+            steps, dtype=float) * h, h)
+        flat = oracle_mod._blocks(params, problem, n_steps, block, 16)
+        per = -(-oracle_mod.RENORM_CHECK_EVERY // block)
+        assert flat.shape == (-(-n_steps // 100), 17, per * dim * dim)
+        for s in (2.0, 2.0 + 0.5j):
+            mu = -s * (s + 1)
+            ref = np.eye(dim)
+            for c in maps:
+                ref = sum(mu ** j * c[:, j * dim:(j + 1) * dim]
+                          for j in range(5)) @ ref
+            got = sum(mu ** a * row.reshape(per, dim, dim)[b]
+                      for a, row in enumerate(flat[chunk]))
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("k, eps, which", [(1, 0.0, "auto"), (3, 4.0, "auto"),

@@ -93,6 +93,26 @@ class TestScan:
                 for r in scan_real_roots(G, cfg)] == [(upper, 0.0, 0.0)]
         assert len(points) == 2
 
+    def test_root_beside_an_exact_zero_on_a_node(self):
+        # F vanishes on the grid node 1.0 exactly, so neither cell beside it
+        # showed a sign change and the root at 1.03 was lost without a
+        # warning; F at tol either side of the node, in one more call,
+        # brackets it.  With no exact zero on a node there is no such call:
+        # the grid call, then refinement rounds of three or more points
+        cfg = ScanConfig(0.0, 2.0, 0.05)
+        G, points = recording(poly(1.0, 1.03))
+        with pytest.warns(GridTooCoarseWarning):
+            found = scan_real_roots(G, cfg)
+        assert [r.s.real for r in found] == pytest.approx([1.0, 1.03],
+                                                          abs=cfg.tol)
+        assert found[0].s.real == 1.0 and found[0].residual == 0.0
+        assert points[1].tolist() == [1.0 - cfg.tol, 1.0 + cfg.tol]
+        assert all(len(p) >= 3 for p in points[2:])
+        G, points = recording(poly(1.0 - 1e-3, 1.03))
+        with pytest.warns(GridTooCoarseWarning):
+            assert len(scan_real_roots(G, cfg)) == 2
+        assert len(points[0]) == 41 and all(len(p) >= 3 for p in points[1:])
+
     @pytest.mark.parametrize("F, roots", [
         (lambda s: np.sign(np.asarray(s) - 1.2345678), [1.2345678]),
         (lambda s: np.cbrt(np.asarray(s) - 1.2345678), [1.2345678]),

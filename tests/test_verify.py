@@ -181,23 +181,22 @@ def test_corrupted_recurrence_caught_by_oracle_equivalence(monkeypatch):
 
 def test_corrupted_step_map_caught_by_oracle_equivalence(monkeypatch):
     """A sign flip in one coefficient of one RK4 step map, composed into a
-    block with nine good ones, must break the series/oracle agreement."""
+    block with 99 good ones, must break the series/oracle agreement."""
     step_maps = oracle._step_maps
     params = SpectralParams(k=1, eps=0.0, x0=0.9, M=150)
     clean = oracle.shoot_functional(params, n_steps=1200)(2.5)[0]
 
     def corrupted(system, p, x, h):
         c = step_maps(system, p, x, h)
-        if x[0] == -p.x0:                    # the first checkpoint chunk
-            # the fourth step's mu coefficient of Phi in Phi' (k != 0 maps
-            # have 4 x 4 column blocks per power of mu)
-            c[3, 3, 4 + 2] *= -1
+        # the fourth step's mu coefficient of Phi in Phi' (k != 0 maps have
+        # 4 x 4 column blocks per power of mu)
+        c[x == -p.x0 + h * 3, 3, 4 + 2] *= -1
         return c
 
     monkeypatch.setattr(oracle, "_step_maps", corrupted)
     shoot = oracle.shoot_functional(params, n_steps=1200)
     value = shoot(2.5)[0]
-    assert shoot.meta["block"] == oracle.BLOCK
+    assert shoot.meta["block"] == oracle.RENORM_CHECK_EVERY
     assert abs(value - clean) > 1e-5 * abs(clean)
     passed, detail = verify.check_oracle_equivalence_k1()
     assert not passed, detail
