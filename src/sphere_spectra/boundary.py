@@ -9,8 +9,9 @@ Eigenvalues are the roots of F(s) = det(A(s)).
 
 The derivative functionals follow the series sums verbatim, i.e. without
 the common x0**-1 factor of the literal derivative; root locations are
-unaffected.  Columns are normalized by their max magnitude before the
-determinant, which postpones overflow near x0 -> 1 without moving roots.
+unaffected.  The recurrence carries the rows of A (series.fold_blocks).
+Columns are normalized by their max magnitude before the determinant,
+which postpones overflow near x0 -> 1 without moving roots.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import numpy as np
 
 from .core import NonFiniteError, SpectralParams
 from .series import (SeriesCoefficients, coeffs_full_k, coeffs_k0,
-                     coeffs_k0_batch, coeffs_k_batch, stream_functional)
+                     coeffs_k0_batch, coeffs_k_batch, fold_blocks,
+                     stream_functional)
 
 
 def _check_series_domain(params: SpectralParams):
@@ -43,14 +45,14 @@ def _stream_rows(k2: float, M: int, x0: float):
     return g, h
 
 
-def _matrices(params: SpectralParams, s):
+def _matrices(params: SpectralParams, s, fold=None):
     """Stack of boundary matrices over a batch of s values, shape
-    (len(s), dim, dim).
+    (len(s), dim, dim); fold (series.fold_blocks) is made here if None.
 
     The vorticity recurrence runs on the two free seeds, (a0, b0) for
-    k != 0 and (a0, d0) for k = 0, as one batch of 2*len(s) columns; the
-    c0 and d0 columns of A_k are constants.  The stack is float64 for
-    real s and complex otherwise.
+    k != 0 and (a0, d0) for k = 0, as one batch of 2*len(s) columns that
+    carry their rows of A; the c0 and d0 columns of A_k are constants.
+    The stack is float64 for real s and complex otherwise.
     """
     s = np.asarray(s)
     n = s.size
@@ -59,13 +61,12 @@ def _matrices(params: SpectralParams, s):
                          "A_0(s) requires s*(s+1) != 0")
     k2, sb = params.abs_k ** 2, np.tile(s, 2)
     g, h = _stream_rows(k2, params.M, params.x0)
+    fold = fold_blocks(k2, params.eps, params.M, g) if fold is None else fold
     seeds = (np.repeat([1.0, 0.0], n), np.repeat([0.0, 1.0], n))
     if params.k != 0:
-        a, b = coeffs_k_batch(k2, params.eps, sb, seeds, params.M)
+        rows = coeffs_k_batch(k2, params.eps, sb, seeds, params.M, fold)
     else:
-        a, b = coeffs_k0_batch(params.eps, sb, seeds, params.M)
-    # the batch as the rows: a column's values do not depend on it
-    rows = (a.T @ g[:, 0].T + b.T @ g[:, 1].T).T
+        rows = coeffs_k0_batch(params.eps, sb, seeds, params.M, fold)
     rows = (np.hstack([rows, np.repeat(h, n, 1)]) if params.k != 0
             else rows + h[:, 1:] * seeds[1])
     stack = rows.reshape(len(h), len(h), n).transpose(2, 0, 1)
@@ -93,12 +94,15 @@ def _normalized_det(stack: np.ndarray):
 def det_functional(params: SpectralParams):
     """Vectorized F(s): maps an array of s values to normalized determinant
     values, float64 for real s.  This is the functional handed to the root
-    finder."""
+    finder; it folds the rows into the current blocks once, when made."""
     _check_series_domain(params)
+    k2 = params.abs_k ** 2
+    fold = fold_blocks(k2, params.eps, params.M,
+                       _stream_rows(k2, params.M, params.x0)[0])
 
     def F(s):
         s = np.atleast_1d(np.asarray(s))
-        return _normalized_det(_matrices(params, s))
+        return _normalized_det(_matrices(params, s, fold))
 
     return F
 

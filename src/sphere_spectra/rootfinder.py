@@ -24,6 +24,7 @@ from the true root: the closing bracket width, or the last Muller step.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -121,8 +122,8 @@ def _refine_brackets(F, s, f, tol):
         cs, cf = (np.column_stack(v) for v in ((ends[i], new), (fends[i], fn)))
         cs, cf = cs[rows, (o := np.argsort(cs, axis=1))], cf[rows, o]
         # shortest sign change or zero; the last point (b or nan) is no zero
-        zero = cf[:, :-1] == 0
-        k = np.where(zero, 0, np.where(cf[:, :-1] * cf[:, 1:] < 0, np.diff(
+        zero, sg = cf[:, :-1] == 0, np.sign(cf)     # no inf * 0: see scan
+        k = np.where(zero, 0, np.where(sg[:, :-1] * sg[:, 1:] < 0, np.diff(
             cs, axis=1), np.inf)).argmin(axis=1)[:, None]
         j = np.column_stack([k, k + ~zero[rows, k]])
         ends[i], fends[i] = cs[rows, j], cf[rows, j]
@@ -154,7 +155,7 @@ def scan_real_roots(F, cfg: ScanConfig, source: str = "series") -> list:
     """
     F = _as_batch(F)
     grid = np.arange(cfg.s_min, cfg.s_max + 0.5 * cfg.step, cfg.step)
-    vals = np.real(F(grid))
+    vals, side = np.real(F(grid)), []
     if not vals.all():
         # a root on a grid node hides a second one in a cell beside it; F at
         # tol off each such node, in one more call, gives them their signs
@@ -164,9 +165,13 @@ def scan_real_roots(F, cfg: ScanConfig, source: str = "series") -> list:
         grid, vals = grid[order], np.append(vals, np.real(F(side)))[order]
     sign = np.sign(vals)
     idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+    if not idx.size and vals.all():
+        return []
     near = np.full((idx.size, 8), -1)   # -1: the nan appended to the grid
     near[:, :4] = idx[:, None] + [0, 1, -1, 2]  # the ends, their neighbours
     s, f = (np.append(v, np.nan)[near] for v in (grid, vals))
+    # a point beside a zero node is a sign, kept out of the interpolation
+    f = np.where(np.isin(s, side), np.copysign(np.inf, f), f)
     refined, fabs, width = _refine_brackets(F, s, f, cfg.tol)
     resid = fabs / np.maximum(abs(vals[idx]), abs(vals[idx + 1]))  # grid ends
     roots = [Root(canonicalize_s(r), float(res), "real", source, float(err))
@@ -275,8 +280,8 @@ def _extrapolate(samples, p):
     """The polynomial through the last three (or fewer) complex samples of
     a pair, at p: its predicted root, never extrapolated across the merge."""
     last = [(q, r.s) for q, r in samples if r.kind == "complex-pair"][-3:]
-    return complex(sum(s * np.prod([(p - u) / (q - u) for u, _ in last
-                                    if u != q]) for q, s in last))
+    return complex(sum(s * math.prod((p - u) / (q - u) for u, _ in last
+                                     if u != q) for q, s in last))
 
 
 def _match(members, found, dp, cfg):

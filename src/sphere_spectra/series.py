@@ -12,11 +12,11 @@ and on k through k**2, which is the source of the F(s) = F(-1-s) and
 F_k = F_{-k} symmetries checked in the tests.  Only the vorticity pair
 (a, b) depends on s; the batch kernels run it over a batch of s values.
 
-The kernels take the first PLAIN steps one at a time and compose the rest
-BLOCK at a time into matrix polynomials in S, one matrix product on
-[S^j state], j = 0..BLOCK, per block.  Early steps have large S terms
+The coefficients take one step at a time; the boundary rows take the first
+PLAIN so and the rest BLOCK at a time, as matrix polynomials in S with the
+row weights folded in (fold_blocks).  Early steps have large S terms
 (1/(2t)^2 each), whose monomial expansion cancels at large real S: blocks
-from t = 1 put the boundary rows 100 times further from long double.
+from t = 1 put the rows 100 times further from long double.
 """
 
 from __future__ import annotations
@@ -93,44 +93,64 @@ def _blocks(k2: float, eps: float, M: int) -> np.ndarray:
     return Q[:, 4:].transpose(0, 2, 1).astype(float, order="C")
 
 
-def _vorticity(k2: float, eps: float, s, a0, b0, M: int):
-    """The fused steps from (a0, b0), one column per s; Z[0] is index -1."""
+def fold_blocks(k2: float, eps: float, M: int, g: np.ndarray):
+    """The weights g (rows, 2, M + 1) folded in: table @ head = [y, rows]
+    after the PLAIN steps, [S^j y, y, rows] @ F = [y', rows] after a block."""
+    C, n = np.roll(_blocks(k2, eps, M), -4, axis=1), len(g)
+    W = np.pad(g.transpose(2, 1, 0), ((1, PLAIN + BLOCK * len(C) - M), (0, 0),
+                                      (0, 0))).reshape(-1, n)  # zero past M
+    F = np.zeros((len(C), 4 * BLOCK + 4 + n, 4 + n))
+    F[:, :-n, :4] = C[:, :, -4:]
+    F[:, :-n, 4:] = C @ W[2 * PLAIN + 4:].reshape(len(C), 2 * BLOCK, n)
+    F[:, -n:, 4:] = np.eye(n)
+    return np.hstack([np.eye(2 * PLAIN + 4)[:, -4:], W[:2 * PLAIN + 4]]), F
+
+
+def _vorticity(k2: float, eps: float, s, a0, b0, M: int, fold=None):
+    """The fused steps from (a0, b0), one column per s: the sequences (a, b)
+    or, with a fold, the rows g @ (a, b) it carries."""
     s = np.asarray(s, np.result_type(*map(np.asarray, (s, a0, b0)), float))
     S = s * (s + 1)
-    # BLOCK - 1 spare rows take the zero-padded tail of the last block
-    Z = np.zeros((M + 1 + BLOCK, 2, s.size), s.dtype)
+    if fold is None:
+        Z = np.zeros((M + 2, 2, s.size), s.dtype)
+    else:   # two [S^j y (j = 1..BLOCK), y, r]; the second holds the table
+        (head, blocks), Sj = fold, S ** np.arange(1, BLOCK + 1)[:, None, None]
+        X = np.zeros((2, blocks.shape[1], s.size), s.dtype)
+        Z = X[1, :2 * PLAIN + 4].reshape(PLAIN + 2, 2, -1)
     Z[1, 0], Z[1, 1] = a0, b0
-    Zc = Z.reshape(-1, s.size)         # rows 2i, 2i + 1: index i - 1
-    Zr = Zc.view(float)                # the real P acts on Z as floats
+    Zr = Z.reshape(-1, s.size).view(float)   # rows 2i, 2i + 1: index i - 1
     r = np.empty((4, Zr.shape[-1]))
     rz = r.view(Z.dtype)
-    for t, P in enumerate(_steps(k2, eps, M)[:PLAIN], start=1):
+    for t, P in enumerate(_steps(k2, eps, M)[:len(Z) - 2], start=1):
         np.matmul(P, Zr[2 * t - 2:2 * t + 2], out=r)
         np.multiply(S, rz[2:], out=Z[t + 1])
         Z[t + 1] += rz[:2]
-    Sj = S ** np.arange(BLOCK + 1)[:, None, None]
-    X = np.empty((BLOCK + 1, 4, s.size), Z.dtype)
-    Xr = X.reshape(-1, s.size).view(float).T
-    for t, C in zip(range(PLAIN + 1, M + 1, BLOCK), _blocks(k2, eps, M)):
-        np.multiply(Sj, Zc[2 * t - 2:2 * t + 2], out=X)
-        # the batch as the rows: a column's values do not depend on it
-        np.matmul(Xr, C, out=Zr[2 * t + 2:2 * t + 2 + 2 * BLOCK].T)
-    return Z[1:M + 2, 0], Z[1:M + 2, 1]
+    if fold is None:
+        return Z[1:, 0], Z[1:, 1]
+    k = 4 * BLOCK     # the batch as the rows: no value depends on the batch
+    cur, nxt = ((x.view(float).T, x[:k].reshape(BLOCK, 4, -1), x[k:k + 4],
+                 x[k:].view(float).T) for x in X)
+    np.matmul(Zr.T, head, out=cur[3])      # y: the last four values
+    for F in blocks:      # r is last: added once, after the block's terms
+        np.multiply(Sj, cur[2], out=cur[1])
+        np.matmul(cur[0], F, out=nxt[3])
+        cur, nxt = nxt, cur
+    return X[len(blocks) % 2, k + 4:]
 
 
-def coeffs_k_batch(k2: float, eps: float, s: np.ndarray, seeds, M: int):
+def coeffs_k_batch(k2: float, eps: float, s, seeds, M: int, fold=None):
     """Vorticity sequences (a, b) for the k != 0 system, one column per s
-    value, from seeds = (a0, b0)."""
-    return _vorticity(k2, eps, s, *seeds, M)
+    value, from seeds = (a0, b0); with a fold, the rows g @ (a, b)."""
+    return _vorticity(k2, eps, s, *seeds, M, fold)
 
 
-def coeffs_k0_batch(eps: float, s: np.ndarray, seeds, M: int):
+def coeffs_k0_batch(eps: float, s: np.ndarray, seeds, M: int, fold=None):
     """Vorticity sequences (a, b) for the k = 0 system, one column per s
     value, from the free seeds (a0, d0): the compatibility condition fixes
-    b0 = -eps*a0 - s*(s+1)*d0."""
+    b0 = -eps*a0 - s*(s+1)*d0.  With a fold, the rows g @ (a, b)."""
     s = np.asarray(s)
     a0, d0 = seeds
-    return _vorticity(0, eps, s, a0, -eps * a0 - s * (s + 1) * d0, M)
+    return _vorticity(0, eps, s, a0, -eps * a0 - s * (s + 1) * d0, M, fold)
 
 
 def stream_coeffs(k2: float, a, b, c0, d0):

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction as Fr
 
 import numpy as np
@@ -320,12 +321,31 @@ def test_det_functional_values_do_not_depend_on_the_batch(k, eps):
     grid = 0.05 * np.arange(1, 162)          # a scan grid's 161 points
     alone = np.concatenate([F(grid[i:i + 1]) for i in range(grid.size)])
     assert F(grid).tobytes() == alone.tobytes()
-    # a real grid at M = 1000, whose 1001-term row products depend on the
-    # batch under threaded BLAS unless the batch is their rows
+    # a real grid at M = 1000, and the same grid shifted off the axis: a
+    # product over 1001 coefficients depended on the batch under threaded
+    # BLAS unless the batch was its rows
     F = det_functional(SpectralParams(k=k, eps=eps, x0=0.99, M=1000))
     grid = np.linspace(0.1, 9.9, 67)
-    alone = np.concatenate([F(grid[i:i + 1]) for i in range(grid.size)])
-    assert F(grid).tobytes() == alone.tobytes()
+    for grid in (grid, grid + 0.3j):         # float64, then complex
+        alone = np.concatenate([F(grid[i:i + 1]) for i in range(grid.size)])
+        assert F(grid).tobytes() == alone.tobytes()
+
+
+def test_det_functional_memory_does_not_grow_with_the_truncation():
+    """A call keeps no table of the M + 1 coefficients per column: 2048
+    complex points on an ellipse in mu, as a contour count would take
+    them, trace at most 8 MB (24.4 MB with the table)."""
+    F = det_functional(SpectralParams(k=1, eps=4.0, x0=0.9, M=150))
+    theta = 2 * np.pi * (np.arange(2048) + 0.5) / 2048
+    mu = -55 + 60 * np.cos(theta) + 30j * np.sin(theta)
+    s = -0.5 + np.sqrt(0.25 - mu)            # -s(s + 1) = mu
+    tracemalloc.start()
+    try:
+        F(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6, peak
 
 
 @pytest.mark.parametrize("k", [0, 1, 3])

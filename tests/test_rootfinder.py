@@ -113,6 +113,19 @@ class TestScan:
             assert len(scan_real_roots(G, cfg)) == 2
         assert len(points[0]) == 41 and all(len(p) >= 3 for p in points[1:])
 
+    def test_bracket_beside_an_exact_zero_closes_like_any_other(self):
+        # the bracket [1 + tol, 1.05] has its end of least |F| beside the
+        # zero at 1.0: interpolation through it modelled that zero and took
+        # 15 rounds (17 calls), against 8 calls for (s - 0.999)(s - 1.03);
+        # that end now gives only its sign
+        cfg = ScanConfig(0.0, 2.0, 0.05)
+        G, points = recording(poly(1.0, 1.03))
+        with pytest.warns(GridTooCoarseWarning):
+            found = scan_real_roots(G, cfg)
+        assert [r.s.real for r in found] == pytest.approx([1.0, 1.03],
+                                                          abs=cfg.tol)
+        assert len(points) <= 9
+
     @pytest.mark.parametrize("F, roots", [
         (lambda s: np.sign(np.asarray(s) - 1.2345678), [1.2345678]),
         (lambda s: np.cbrt(np.asarray(s) - 1.2345678), [1.2345678]),

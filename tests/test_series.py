@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from sphere_spectra import (SpectralParams, coeffs_full_k, coeffs_k0,
                             eval_series, verify)
-from sphere_spectra.boundary import _stream_rows
+from sphere_spectra.boundary import _matrices, _stream_rows
 from sphere_spectra.series import (BLOCK, PLAIN, coeffs_k0_batch,
-                                   coeffs_k_batch, stream_coeffs)
+                                   coeffs_k_batch, fold_blocks, stream_coeffs)
 
 
 def params_k(k=1, eps=0.0, M=40, x0=0.9):
@@ -280,18 +280,20 @@ def long_double_vorticity(k2, eps, s, a0, b0, M):
 @pytest.mark.parametrize("k", [0, 1, 3])
 @pytest.mark.parametrize("eps", [0.0, 4.0, 12.0])
 def test_boundary_rows_match_long_double_recurrence(x0, M, bound, k, eps):
-    """The boundary rows of each unit seed, from the float64 kernel and
-    from the long-double recurrence, agree to the bound in units of the
-    rows' term magnitudes |g| @ |a| + |g| @ |b| (the rounding scale of the
-    rows themselves), at real s up to 10 and at complex s."""
+    """The boundary rows of each unit seed, from the float64 coefficients
+    and as the boundary matrix carries them through the folded blocks,
+    and from the long-double recurrence, agree to the bound in units of
+    the rows' term magnitudes |g| @ |a| + |g| @ |b| (the rounding scale of
+    the rows themselves), at real s up to 10 and at complex s."""
     s = np.concatenate([np.linspace(0.05, 10, 34),
                         [0.5 + 0.5j, 1.1 + 0.6j, 3.6 + 1j, 5.3 - 1.7j,
                          7.7 + 2.2j, 9 + 3j, 2 + 4j, -0.5 + 3j]])
     k2 = float(k * k)
-    g, _ = _stream_rows(k2, M, x0)
+    g, h = _stream_rows(k2, M, x0)
     gl = g.astype(np.longdouble)
     one, zero = np.ones(s.size), np.zeros(s.size)
-    for seeds in ((one, zero), (zero, one)):
+    A = _matrices(SpectralParams(k=k, eps=eps, x0=x0, M=M), s)
+    for j, seeds in enumerate(((one, zero), (zero, one))):
         if k:
             a, b = coeffs_k_batch(k2, eps, s, seeds, M)
             ra, rb = long_double_vorticity(k2, eps, s, *seeds, M)
@@ -300,9 +302,36 @@ def test_boundary_rows_match_long_double_recurrence(x0, M, bound, k, eps):
             sl = s.astype(np.clongdouble)
             b0 = -eps * seeds[0] - sl * (sl + 1) * seeds[1]
             ra, rb = long_double_vorticity(0, eps, s, seeds[0], b0, M)
-        err = np.abs(g[:, 0] @ a + g[:, 1] @ b - gl[:, 0] @ ra - gl[:, 1] @ rb)
+        ref = gl[:, 0] @ ra + gl[:, 1] @ rb
         scale = np.abs(gl[:, 0]) @ np.abs(ra) + np.abs(gl[:, 1]) @ np.abs(rb)
-        assert np.all(err <= bound * scale)
+        assert np.all(np.abs(g[:, 0] @ a + g[:, 1] @ b - ref) <= bound * scale)
+        if not k and j:          # the d0 column holds the stream seed's rows
+            ref, scale = ref + h[:, 1:], scale + np.abs(h[:, 1:])
+        assert np.all(np.abs(A[:, :, j].T - ref) <= bound * scale)
+
+
+@pytest.mark.parametrize(
+    "M", [2, 5, PLAIN, *range(PLAIN + 1, PLAIN + BLOCK + 1), 150])
+@pytest.mark.parametrize("k2", [0.0, 1.0, 9.0])
+@pytest.mark.parametrize("eps", [0.0, 4.0, 12.0])
+def test_folded_rows_match_the_coefficients(M, k2, eps):
+    """With the boundary weights g folded into its blocks, the kernel gives
+    the rows g @ (a, b) of the coefficients it returns without them, to
+    1e-14 of each column's largest row: with no block, and with every
+    length of the last one (M = PLAIN + 1 to PLAIN + BLOCK)."""
+    seeds = (np.array([1.0, 0.0, 1.0, 0.3, -2.0]),
+             np.array([0.0, 1.0, 1.0, 0.7, 0.5]))
+    g, _ = _stream_rows(k2, M, 0.9)
+    fold = fold_blocks(k2, eps, M, g)
+    for s in (np.array([0.35, 2.9, 7.7, 1.1 + 0.6j, 5.3 - 1.7j]),
+              np.array([0.35, 2.9, 7.7, 1.1, 5.3])):
+        kernel = ((lambda *f: coeffs_k_batch(k2, eps, s, seeds, M, *f)) if k2
+                  else (lambda *f: coeffs_k0_batch(eps, s, seeds, M, *f)))
+        a, b = kernel()
+        want = g[:, 0] @ a + g[:, 1] @ b
+        got = kernel(fold)
+        assert got.dtype == want.dtype
+        assert np.all(abs(got - want) <= 1e-14 * abs(want).max(0))
 
 
 @pytest.mark.parametrize("M", [*range(PLAIN + 1, PLAIN + BLOCK + 1), 25, 150,
@@ -311,9 +340,7 @@ def test_boundary_rows_match_long_double_recurrence(x0, M, bound, k, eps):
 @pytest.mark.parametrize("eps", [0.0, 4.0, 12.0])
 def test_coefficients_are_a_prefix_of_the_longer_run(M, k2, eps):
     """The coefficients to M are bit-identical to the first M + 1 of those
-    to 3M/2 and to M = 150, so one run to the larger M serves both.  M = 17
-    to 24 covers every length of the last block, which writes all BLOCK of
-    its values, those past index M into spare rows."""
+    to 3M/2 and to M = 150, so one run to the larger M serves both."""
     seeds = (np.array([1.0, 0.0, 1.0, 0.3, -2.0]),
              np.array([0.0, 1.0, 1.0, 0.7, 0.5]))
     for s in (np.array([0.35, 2.9, 7.7, 1.1 + 0.6j, 5.3 - 1.7j]),

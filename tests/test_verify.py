@@ -27,10 +27,19 @@ REGISTRY = [
 _vorticity, _rows = series._vorticity, boundary._stream_rows
 
 
+def _edited(edit, out, s):
+    """edit(a, b, s) applied to the sequences (a, b), or, on the
+    determinant's folded path, to the rows of A with the first row as a
+    and the others as b."""
+    if isinstance(out, tuple):
+        return edit(*out, s)
+    return np.vstack(edit(out[:1], out[1:], s))
+
+
 def _kernel(edit):
     """series._vorticity with edit(a, b, s) applied to its output."""
-    return lambda k2, eps, s, *rest: edit(*_vorticity(k2, eps, s, *rest),
-                                          np.asarray(s))
+    return lambda k2, eps, s, *rest: _edited(
+        edit, _vorticity(k2, eps, s, *rest), np.asarray(s))
 
 
 def _cross_row(k2, M, x0):
