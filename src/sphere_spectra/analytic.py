@@ -80,26 +80,19 @@ def sigma_of(k: int, eps: float) -> float:
     return float(np.sqrt(k * k + eps * eps / 4.0))
 
 
-def spectrum_full_sphere_k(k: int, eps: float, n_max: int) -> AnalyticSpectrum:
-    """Full-sphere spectrum for k != 0: s_n = sigma + n, n = 0..n_max."""
-    if k == 0:
-        raise ValueError("spectrum_full_sphere_k requires k != 0")
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    sigma = sigma_of(k, eps)
-    s = sigma + np.arange(n_max + 1)
-    return AnalyticSpectrum(s, -s * (s + 1), "k-nonzero-full-sphere")
+def spectrum_full_sphere(k: int, eps: float, n_max: int) -> AnalyticSpectrum:
+    """Full-sphere spectrum, n = 0..n_max.
 
-
-def spectrum_full_sphere_k0(eps: float, n_max: int) -> AnalyticSpectrum:
-    """Full-sphere spectrum for k = 0.
-
-    For eps < 2: mu_n = -n(n+1), n = 0..n_max, where n = 0 is the trivial
-    constant mode.  For eps >= 2 no nontrivial eigenvalue exists; only the
-    trivial mu = 0 is reported and the spectrum is flagged.
+    For k != 0: s_n = sigma + n.  For k = 0 and eps < 2: mu_n = -n(n+1),
+    where n = 0 is the trivial constant mode; for k = 0 and eps >= 2 no
+    nontrivial eigenvalue exists, so only the trivial mu = 0 is reported
+    and the spectrum is flagged.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
+    if k:
+        s = sigma_of(k, eps) + np.arange(n_max + 1)
+        return AnalyticSpectrum(s, -s * (s + 1), "k-nonzero-full-sphere")
     if eps >= 2:
         return AnalyticSpectrum(np.array([0.0]), np.array([0.0]),
                                 "k0-full-sphere", empty_nontrivial=True)

@@ -21,9 +21,8 @@ import functools
 import numpy as np
 
 from .core import NonFiniteError, SpectralParams
-from .series import (SeriesCoefficients, coeffs_full_k, coeffs_k0,
-                     coeffs_k0_batch, coeffs_k_batch, fold_blocks,
-                     stream_functional)
+from .series import (SeriesCoefficients, coeffs, coeffs_k0_batch,
+                     coeffs_k_batch, fold_blocks, stream_functional)
 
 
 def _check_series_domain(params: SpectralParams):
@@ -122,7 +121,4 @@ def null_seeds(A: np.ndarray) -> np.ndarray:
 def eigenfunction_coeffs(params: SpectralParams, s: complex) -> SeriesCoefficients:
     """Series coefficients of the eigenfunction at a determinant root s,
     built from the null vector of the boundary matrix."""
-    seeds = null_seeds(assemble(params, s))
-    if params.k == 0:
-        return coeffs_k0(params, s, seeds[0], seeds[1])
-    return coeffs_full_k(params, s, seeds)
+    return coeffs(params, s, null_seeds(assemble(params, s)))

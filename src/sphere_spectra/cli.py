@@ -12,8 +12,9 @@ Commands:
 Output is CSV (default) or JSON with the fixed row schema
 param,branch,re_s,im_s,re_mu,im_mu,residual,stable,source at 15
 significant digits; identical configs produce byte-identical files.
-Exit codes: 0 ok, 1 verification failure, 2 bad configuration,
-3 non-finite solver state.
+Exit codes: 0 ok, 1 verification failure, 2 bad configuration (among
+them non-finite values, an unknown verify filter and an unwritable
+output), 3 non-finite solver state.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 
@@ -35,6 +37,7 @@ SCHEMA = ("param", "branch", "re_s", "im_s", "re_mu", "im_mu",
           "residual", "stable", "source")
 
 SWEEP_PARAMS = ("x0", "eps", "M")
+MAX_SWEEP = 10_000      # values in one sweep; the canned figures take <= 121
 
 
 @dataclass(frozen=True)
@@ -59,8 +62,13 @@ class RunConfig:
             if name not in SWEEP_PARAMS:
                 raise ValueError(f"sweep parameter must be one of "
                                  f"{SWEEP_PARAMS}, got {name!r}")
+            if not all(map(math.isfinite, (start, stop, step))):
+                raise ValueError("sweep start, stop and step must be finite")
             if step <= 0 or stop <= start:
                 raise ValueError("sweep needs stop > start and step > 0")
+            # _sweep_values takes floor((stop - start) / step + 0.5) + 1
+            if not (stop - start) / step + 0.5 < MAX_SWEEP:
+                raise ValueError(f"a sweep takes at most {MAX_SWEEP} values")
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.fmt!r}")
 
@@ -126,10 +134,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     if p.x0 == 1.0:
         # s_n >= n, so modes n <= s_max + 1 cover the window
         n_max = int(cfg.scan.s_max) + 1
-        if p.k == 0:
-            spec = analytic.spectrum_full_sphere_k0(p.eps, n_max)
-        else:
-            spec = analytic.spectrum_full_sphere_k(p.k, p.eps, n_max)
+        spec = analytic.spectrum_full_sphere(p.k, p.eps, n_max)
         window = [(s, mu) for s, mu in zip(spec.s_values, spec.mu_values)
                   if cfg.scan.s_min <= s <= cfg.scan.s_max]
         rows = [_row(p.x0, i, complex(s), complex(mu), 0.0, "analytic")
@@ -413,9 +418,9 @@ def _parse_sweep(text: str):
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "verify":
-        return cmd_verify(args.only, args.output)
     try:
+        if args.command == "verify":
+            return cmd_verify(args.only, args.output)
         opts = _merge_config(args)
         default_M = 100 if opts["k"] == 0 else 150
         params = SpectralParams(k=int(opts["k"]), eps=float(opts["eps"]),
@@ -444,10 +449,6 @@ def main(argv=None) -> int:
                   "(at x0 = 0.99, M = 150 moves roots by ~1e-2 and M = 1000 "
                   "matches M = 2000 to 1e-7); use M >= 1000",
                   file=sys.stderr)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    try:
         if args.command == "spectrum":
             return cmd_spectrum(cfg)
         if args.command == "oracle":
@@ -460,7 +461,7 @@ def main(argv=None) -> int:
     except NonFiniteError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:    # JSONDecodeError is a ValueError
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

@@ -35,8 +35,9 @@ class SpectralParams:
     M: int = 150
 
     def __post_init__(self):
-        if self.eps < 0:
-            raise ValueError(f"eps must be nonnegative, got {self.eps}")
+        if not 0 <= self.eps < math.inf:
+            raise ValueError(f"eps must be finite and nonnegative, got "
+                             f"{self.eps}")
         if not 0 < self.x0 <= 1:
             raise ValueError(f"x0 must lie in (0, 1], got {self.x0}")
         if self.M < 2:

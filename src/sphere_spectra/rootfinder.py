@@ -48,6 +48,9 @@ class ScanConfig:
     tol: float = 1e-10
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.s_min, self.s_max, self.step,
+                                       self.tol))):
+            raise ValueError("s_min, s_max, step and tol must be finite")
         if self.s_min < -0.5:
             raise ValueError("s_min must be >= -0.5 (canonical half-plane)")
         if self.step <= 0 or self.tol <= 0:

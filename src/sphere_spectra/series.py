@@ -32,7 +32,7 @@ from .core import SpectralParams
 @dataclass(frozen=True)
 class SeriesCoefficients:
     """The four coefficient sequences, each of length M+1; they are linear
-    in the seeds (a0, b0, c0, d0) that generated them."""
+    in the seeds that generated them (see coeffs)."""
 
     a: np.ndarray
     b: np.ndarray
@@ -193,31 +193,18 @@ def stream_functional(k2: float, weight, odd: int):
 # public operations (single s)
 # ---------------------------------------------------------------------------
 
-def coeffs_full_k(params: SpectralParams, s: complex, seeds) -> SeriesCoefficients:
-    """All four sequences for k != 0 from the full seed vector
-    (a0, b0, c0, d0)."""
-    if params.k == 0:
-        raise ValueError("coeffs_full_k requires k != 0")
+def coeffs(params: SpectralParams, s: complex, seeds) -> SeriesCoefficients:
+    """All four sequences at s from the seeds (a0, b0, c0, d0), or for
+    k = 0 from the free seeds (a0, d0)."""
     k2 = params.abs_k ** 2
-    a, b = coeffs_k_batch(k2, params.eps, np.array([s]), seeds[:2], params.M)
-    c, d = stream_coeffs(k2, a[:, 0], b[:, 0], seeds[2], seeds[3])
-    return SeriesCoefficients(a[:, 0], b[:, 0], c, d)
-
-
-def coeffs_k0(params: SpectralParams, s: complex,
-              a0: complex, d0: complex) -> SeriesCoefficients:
-    """All four sequences for k = 0 from the free seeds (a0, d0).
-
-    The trivial eigenvalue mu = 0 (s = 0 or s = -1) is rejected; it is
-    handled analytically as the constant mode.
-    """
-    if params.k != 0:
-        raise ValueError("coeffs_k0 requires k = 0")
-    if s * (s + 1) == 0:
-        raise ValueError("mu = 0 is the trivial eigenvalue; series solver "
-                         "requires s*(s+1) != 0")
-    a, b = coeffs_k0_batch(params.eps, np.array([s]), (a0, d0), params.M)
-    c, d = stream_coeffs(0, a[:, 0], b[:, 0], 0, d0)
+    if k2:
+        a, b = coeffs_k_batch(k2, params.eps, np.array([s]), seeds[:2],
+                              params.M)
+        c0, d0 = seeds[2:]
+    else:
+        a, b = coeffs_k0_batch(params.eps, np.array([s]), seeds, params.M)
+        c0, d0 = 0, seeds[1]
+    c, d = stream_coeffs(k2, a[:, 0], b[:, 0], c0, d0)
     return SeriesCoefficients(a[:, 0], b[:, 0], c, d)
 
 

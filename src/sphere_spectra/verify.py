@@ -17,8 +17,7 @@ import numpy as np
 from . import analytic, boundary, oracle
 from .core import SpectralParams
 from .rootfinder import ScanConfig, scan_real_roots
-from .series import (coeffs_full_k, coeffs_k0_batch, coeffs_k_batch,
-                     eval_series, stream_coeffs)
+from .series import coeffs, coeffs_k_batch, eval_series
 
 _RNG_SEED = 20260810
 
@@ -58,21 +57,12 @@ def _coef_deviation(poly, ref):
 # series invariants
 # ---------------------------------------------------------------------------
 
-def _sequences(params, s, seeds):
-    """The sequences (a, b, c, d) at s from the seeds (a0, b0, c0, d0), or
-    for k = 0 from the free seeds (a0, d0)."""
-    if params.k:
-        return astuple(coeffs_full_k(params, s, seeds))
-    a, b = coeffs_k0_batch(params.eps, np.array([s]), seeds, params.M)
-    return (a, b) + stream_coeffs(0, a, b, 0.0, seeds[1])
-
-
 @_invariant(1e-13, "max relative deviation")
 def series_linearity(params, s, seeds, alpha):
     """Seeds scaled by alpha scale every sequence by alpha."""
-    scaled = _sequences(params, s, alpha * np.asarray(seeds))
-    return np.max([_deviation(alpha * u, v)
-                   for u, v in zip(_sequences(params, s, seeds), scaled)])
+    base = astuple(coeffs(params, s, seeds))
+    scaled = astuple(coeffs(params, s, alpha * np.asarray(seeds)))
+    return np.max([_deviation(alpha * u, v) for u, v in zip(base, scaled)])
 
 
 @_invariant(1e-14, "max relative deviation")
@@ -81,8 +71,8 @@ def series_s_reflection(params, s, seeds):
     pair is taken as (-1 - t, t), t = -1 - s, whose products s(s+1) agree
     in floating point where -1 - s rounds them apart (s near 0 or -1)."""
     t = -1 - s
-    return np.max([_deviation(u, v) for u, v in zip(
-        _sequences(params, -1 - t, seeds), _sequences(params, t, seeds))])
+    one, two = (astuple(coeffs(params, x, seeds)) for x in (-1 - t, t))
+    return np.max([_deviation(u, v) for u, v in zip(one, two)])
 
 
 @_invariant(0.0, "max leak")
@@ -99,10 +89,10 @@ def series_parity_decoupling(params, s):
 def series_ode_residual(params, s, seeds, x):
     """The truncated series substituted into the governing equations leaves
     a residual at interior points x controlled by the truncation tail."""
-    coeffs, x = coeffs_full_k(params, s, seeds), np.asarray(x)
+    seq, x = coeffs(params, s, seeds), np.asarray(x)
     k2 = params.abs_k ** 2
-    psi, dpsi, ddpsi = eval_series(coeffs, "psi", x)
-    phi, dphi, ddphi = eval_series(coeffs, "phi", x)
+    psi, dpsi, ddpsi = eval_series(seq, "psi", x)
+    phi, dphi, ddphi = eval_series(seq, "phi", x)
     om = 1 - x * x
     r1 = om * ddpsi - 2 * x * dpsi - k2 * psi / om - phi
     r2 = (om * ddphi - 2 * x * dphi - k2 * phi / om + params.eps * dphi
@@ -205,14 +195,14 @@ def check_spectra_values():
     deviations = []
     for k in range(1, 6):
         for eps in (0.0, 3.0):
-            spec = analytic.spectrum_full_sphere_k(k, eps, 6)
+            spec = analytic.spectrum_full_sphere(k, eps, 6)
             sigma = np.sqrt(k * k + eps * eps / 4)
             n = np.arange(7)
             deviations.append(spec.mu_values + (sigma + n) * (sigma + n + 1))
-    k0 = analytic.spectrum_full_sphere_k0(1.0, 5)
+    k0 = analytic.spectrum_full_sphere(0, 1.0, 5)
     n = np.arange(6)
     deviations.append(k0.mu_values + n * (n + 1))
-    flagged = analytic.spectrum_full_sphere_k0(2.0, 5).empty_nontrivial
+    flagged = analytic.spectrum_full_sphere(0, 2.0, 5).empty_nontrivial
     chi = analytic.spectrum_chi_limit(4.0, 3)
     deviations.append(chi.s_values - (2 + np.arange(4)))
     # np.max, unlike a fold with max(), propagates a NaN and fails on it

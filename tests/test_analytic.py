@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from sphere_spectra import (PowerWeightedPoly, SpectralParams, chi_mode,
-                            coeffs_full_k, darboux_residual, gauss_composite,
+                            coeffs, darboux_residual, gauss_composite,
                             green_identity_residual, hypergeom_truncated,
                             k0_truncated, sigma_of, spectrum_chi_limit,
-                            spectrum_full_sphere_k, spectrum_full_sphere_k0,
-                            verify)
+                            spectrum_full_sphere, verify)
 from sphere_spectra.analytic import (AnalyticSpectrum, Polynomial,
                                      eigenfunction_phi_k_mode)
 
@@ -20,35 +19,31 @@ class TestSigma:
 
 class TestFullSphereK:
     def test_viscous_limit_k1(self):
-        spec = spectrum_full_sphere_k(1, 0.0, 2)
+        spec = spectrum_full_sphere(1, 0.0, 2)
         np.testing.assert_array_equal(spec.mu_values, [-2, -6, -12])
 
     def test_k2_eps3(self):
-        spec = spectrum_full_sphere_k(2, 3.0, 1)
+        spec = spectrum_full_sphere(2, 3.0, 1)
         np.testing.assert_array_equal(spec.s_values, [2.5, 3.5])
         np.testing.assert_array_equal(spec.mu_values, [-8.75, -15.75])
 
     def test_k5_ground_mode(self):
-        assert spectrum_full_sphere_k(5, 0.0, 0).mu_values[0] == -30
-
-    def test_rejects_k0(self):
-        with pytest.raises(ValueError):
-            spectrum_full_sphere_k(0, 1.0, 3)
+        assert spectrum_full_sphere(5, 0.0, 0).mu_values[0] == -30
 
 
 class TestFullSphereK0:
     def test_below_threshold(self):
-        spec = spectrum_full_sphere_k0(1.0, 3)
+        spec = spectrum_full_sphere(0, 1.0, 3)
         np.testing.assert_array_equal(spec.mu_values, [0, -2, -6, -12])
         assert not spec.empty_nontrivial
 
     def test_at_threshold_empty(self):
-        spec = spectrum_full_sphere_k0(2.0, 3)
+        spec = spectrum_full_sphere(0, 2.0, 3)
         assert spec.empty_nontrivial
         np.testing.assert_array_equal(spec.mu_values, [0.0])
 
     def test_fully_viscous(self):
-        spec = spectrum_full_sphere_k0(0.0, 2)
+        spec = spectrum_full_sphere(0, 0.0, 2)
         np.testing.assert_array_equal(spec.mu_values, [0, -2, -6])
 
 
@@ -67,8 +62,8 @@ class TestChiLimit:
 
 
 def test_spectrum_monotonicity_enforced():
-    for spec in (spectrum_full_sphere_k(3, 2.0, 6),
-                 spectrum_full_sphere_k0(1.5, 6),
+    for spec in (spectrum_full_sphere(3, 2.0, 6),
+                 spectrum_full_sphere(0, 1.5, 6),
                  spectrum_chi_limit(3.0, 6)):
         assert np.all(np.diff(spec.s_values) > 0)
         assert np.all(np.diff(spec.mu_values) < 0)
@@ -198,14 +193,14 @@ class TestDarboux:
 class TestGreenIdentity:
     def test_zero_eigenfunction_guarded(self):
         params = SpectralParams(k=1, eps=0.0, x0=0.9, M=40)
-        coeffs = coeffs_full_k(params, 1.5, (0.0, 0.0, 0.0, 0.0))
-        assert green_identity_residual(coeffs, -2.0, params) == 0.0
+        sol = coeffs(params, 1.5, (0.0, 0.0, 0.0, 0.0))
+        assert green_identity_residual(sol, -2.0, params) == 0.0
 
     def test_preconditions(self):
         params = SpectralParams(k=1, eps=1.0, x0=0.9, M=40)
-        coeffs = coeffs_full_k(params, 1.5, (1.0, 0.0, 0.0, 0.0))
+        sol = coeffs(params, 1.5, (1.0, 0.0, 0.0, 0.0))
         with pytest.raises(ValueError):
-            green_identity_residual(coeffs, -2.0, params)
+            green_identity_residual(sol, -2.0, params)
 
 
 def test_gauss_composite_polynomial_exact():

@@ -161,6 +161,36 @@ class TestConfigHandling:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("argv", [
+        # nan tolerances kept unrefined grid points as roots, an inf one
+        # merged every root into one row; both exited 0
+        ["spectrum", "--tol", "nan"],
+        ["spectrum", "--tol", "inf"],
+        ["spectrum", "--eps", "nan"],
+        ["spectrum", "--eps", "inf"],
+        ["spectrum", "--step", "nan"],
+        ["spectrum", "--smin", "nan"],
+        ["spectrum", "--smax", "inf"],
+        ["trace", "--sweep", "eps:0:inf:1"],
+        ["trace", "--sweep", "eps:nan:1:0.5"],
+        ["trace", "--sweep", "x0:0.5:0.9:nan"],
+    ])
+    def test_non_finite_values_exit_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "never.csv"
+        assert run(argv + ["--k", "1", "--output", str(out)]) == 2
+        assert "configuration error: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["spectrum", "--k", "1", "--smax", "3"],
+        ["verify", "--only", "analytic"]])
+    def test_output_in_missing_directory_exits_2(self, tmp_path, capsys,
+                                                 command):
+        out = tmp_path / "missing" / "out.csv"
+        assert run(command + ["--output", str(out)]) == 2
+        assert "configuration error: " in capsys.readouterr().err
+
+
 class TestTraceCommand:
     def test_rows_and_events_sidecar(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -202,8 +232,9 @@ class TestVerifyCommand:
         assert "PASS analytic/" in capsys.readouterr().out
 
     def test_unknown_filter_errors(self, capsys):
-        with pytest.raises(ValueError):
-            run(["verify", "--only", "nonsense"])
+        assert run(["verify", "--only", "nonsense"]) == 2
+        assert "configuration error: no checks match" in \
+            capsys.readouterr().err
 
 
 class TestFiguresCommand:
@@ -352,6 +383,29 @@ class TestSweepValidation:
                     "--output", str(tmp_path / "t.csv")]) == 0
         assert seen == [[0.85, 0.9, 0.95]]
         assert "use M >= 1000" not in capsys.readouterr().err
+
+    def test_sweep_value_count_is_bounded(self, monkeypatch, tmp_path,
+                                          capsys):
+        # eps:0:1:1e-9 built 1e9 values before the sweep began; the refusal
+        # now comes before any value is built
+        from sphere_spectra import cli as cli_mod
+        build = cli_mod._sweep_values
+
+        def fail(sweep):
+            raise AssertionError("the sweep values were built")
+        monkeypatch.setattr(cli_mod, "_sweep_values", fail)
+        for step in ("1e-9", "1e-4"):       # 10^9 + 1 and 10^4 + 1 values
+            assert run(["trace", "--k", "1",
+                        "--sweep", f"eps:0:1:{step}"]) == 2
+            assert "at most 10000 values" in capsys.readouterr().err
+        monkeypatch.setattr(cli_mod, "_sweep_values", build)
+        seen = []
+        monkeypatch.setattr(cli_mod, "trace_parameter",
+                            lambda family, name, values, cfg: seen.append(
+                                len(values)) or [])
+        assert run(["trace", "--k", "1", "--sweep", "eps:0:9.999:0.001",
+                    "--output", str(tmp_path / "t.csv")]) == 0
+        assert seen == [cli_mod.MAX_SWEEP]
 
 
 class TestConfigKeys:

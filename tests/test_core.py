@@ -97,6 +97,9 @@ class TestParams:
 
     @pytest.mark.parametrize("kwargs", [
         dict(k=1, eps=-0.1, x0=0.9, M=100),
+        dict(k=1, eps=float("nan"), x0=0.9, M=100),
+        dict(k=1, eps=float("inf"), x0=0.9, M=100),
+        dict(k=1, eps=0.0, x0=float("nan"), M=100),
         dict(k=1, eps=0.0, x0=0.0, M=100),
         dict(k=1, eps=0.0, x0=1.2, M=100),
         dict(k=1, eps=0.0, x0=0.9, M=1),

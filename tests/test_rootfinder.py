@@ -176,6 +176,10 @@ class TestScan:
             ScanConfig(s_min=1.0, s_max=1.0)
         with pytest.raises(ValueError):
             ScanConfig(s_min=0.0, s_max=1.0, step=2.0)
+        for field in ("s_min", "s_max", "step", "tol"):
+            for bad in (float("nan"), float("inf")):
+                with pytest.raises(ValueError, match="finite"):
+                    ScanConfig(**{field: bad})
 
 
 def counting(F):

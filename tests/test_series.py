@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphere_spectra import (SpectralParams, coeffs_full_k, coeffs_k0,
+from sphere_spectra import (SpectralParams, coeffs, eigenfunction_coeffs,
                             eval_series, verify)
 from sphere_spectra.boundary import _matrices, _stream_rows
 from sphere_spectra.series import (BLOCK, PLAIN, coeffs_k0_batch,
@@ -18,8 +18,8 @@ def params_k(k=1, eps=0.0, M=40, x0=0.9):
 
 def vorticity(p, s, a0, b0):
     """(a, b) from the vorticity seeds alone."""
-    coeffs = coeffs_full_k(p, s, (a0, b0, 0.0, 0.0))
-    return coeffs.a, coeffs.b
+    sol = coeffs(p, s, (a0, b0, 0.0, 0.0))
+    return sol.a, sol.b
 
 
 def stream(p, a0=0.0, b0=0.0, c0=0.0, d0=0.0, s=1.0):
@@ -65,11 +65,6 @@ class TestVorticityInitialTerms:
         a, b = vorticity(params_k(k=3, eps=5.0), s=2.2 + 1j, a0=0.0, b0=0.0)
         assert np.all(a == 0) and np.all(b == 0)
 
-    def test_requires_nonzero_k(self):
-        with pytest.raises(ValueError):
-            coeffs_full_k(SpectralParams(k=0, eps=0, x0=0.9, M=10),
-                          1.0, (1.0, 0.0, 0.0, 0.0))
-
 
 class TestStreamInitialTerms:
     def test_c1_from_c0(self):
@@ -90,77 +85,86 @@ class TestStreamInitialTerms:
         # c1 = 1/2, a1 = -1, c2 = ((4+8)*c1 + a1 - a0)/12 = 1/3
         # (value frozen from an exact symbolic evaluation)
         p = params_k(k=2, eps=0.0)
-        coeffs = coeffs_full_k(p, 2.0, (1.0, 0.0, 0.0, 0.0))
-        assert coeffs.c[1] == pytest.approx(0.5)
-        assert coeffs.a[1] == pytest.approx(-1.0)
-        assert coeffs.c[2] == pytest.approx(1.0 / 3.0, abs=1e-15)
+        sol = coeffs(p, 2.0, (1.0, 0.0, 0.0, 0.0))
+        assert sol.c[1] == pytest.approx(0.5)
+        assert sol.a[1] == pytest.approx(-1.0)
+        assert sol.c[2] == pytest.approx(1.0 / 3.0, abs=1e-15)
 
 
 class TestK0:
     def test_b0_and_a1(self):
         p = SpectralParams(k=0, eps=1.0, x0=0.9, M=40)
-        coeffs = coeffs_k0(p, 1.0, a0=1.0, d0=0.0)
-        assert coeffs.b[0] == pytest.approx(-1.0)
-        assert coeffs.a[1] == pytest.approx(-0.5)
+        sol = coeffs(p, 1.0, (1.0, 0.0))
+        assert sol.b[0] == pytest.approx(-1.0)
+        assert sol.a[1] == pytest.approx(-0.5)
 
     def test_b1_viscous_free(self):
         p = SpectralParams(k=0, eps=0.0, x0=0.9, M=40)
-        coeffs = coeffs_k0(p, 2.0, a0=0.0, d0=1.0)
-        assert coeffs.b[0] == pytest.approx(-6.0)
-        assert coeffs.b[1] == pytest.approx(4.0)
+        sol = coeffs(p, 2.0, (0.0, 1.0))
+        assert sol.b[0] == pytest.approx(-6.0)
+        assert sol.b[1] == pytest.approx(4.0)
 
     def test_zero_seeds(self):
         p = SpectralParams(k=0, eps=2.0, x0=0.9, M=40)
-        coeffs = coeffs_k0(p, 1.5, 0.0, 0.0)
-        for seq in (coeffs.a, coeffs.b, coeffs.c, coeffs.d):
+        sol = coeffs(p, 1.5, (0.0, 0.0))
+        for seq in (sol.a, sol.b, sol.c, sol.d):
             assert np.all(seq == 0)
 
+    def test_defined_at_trivial_eigenvalue(self):
+        # S = s(s+1) = 0 drops out of b0 = -eps*a0 - S*d0 and of every step
+        p = SpectralParams(k=0, eps=1.0, x0=0.9, M=40)
+        for s in (0.0, -1.0):
+            sol = coeffs(p, s, (1.0, 2.0))
+            assert sol.b[0] == -1.0 and sol.d[0] == 2.0
+            np.testing.assert_array_equal(sol.a, coeffs(p, 0.0, (1.0, 2.0)).a)
+
     def test_trivial_eigenvalue_rejected(self):
+        # mu = 0 is the constant mode, not a root of A_0(s)
         p = SpectralParams(k=0, eps=1.0, x0=0.9, M=40)
         with pytest.raises(ValueError):
-            coeffs_k0(p, 0.0, 1.0, 0.0)
+            eigenfunction_coeffs(p, 0.0)
         with pytest.raises(ValueError):
-            coeffs_k0(p, -1.0, 1.0, 0.0)
+            eigenfunction_coeffs(p, -1.0)
 
     def test_c1_consistency_with_compatibility_condition(self):
         # c1 = a0/2 must hold however the recurrences are driven
         p = SpectralParams(k=0, eps=3.0, x0=0.9, M=40)
-        coeffs = coeffs_k0(p, 2.5, a0=2.0, d0=-1.0)
-        assert coeffs.c[1] == pytest.approx(1.0)
-        assert coeffs.c[0] == 0
+        sol = coeffs(p, 2.5, (2.0, -1.0))
+        assert sol.c[1] == pytest.approx(1.0)
+        assert sol.c[0] == 0
 
 
 class TestEvalSeries:
     def test_constant(self):
         p = params_k(M=5)
-        coeffs = coeffs_full_k(p, 1.0, (0.0, 0.0, 0.0, 0.0))
-        c = coeffs.c.copy()
+        sol = coeffs(p, 1.0, (0.0, 0.0, 0.0, 0.0))
+        c = sol.c.copy()
         c[0] = 1.0
-        coeffs = replace(coeffs, c=c)
+        sol = replace(sol, c=c)
         for x in (-0.7, 0.0, 0.5):
-            val, der, der2 = eval_series(coeffs, "psi", x)
+            val, der, der2 = eval_series(sol, "psi", x)
             assert val == 1.0 and der == 0.0 and der2 == 0.0
 
     def test_monomial_x_squared(self):
         p = params_k(M=5)
-        base = coeffs_full_k(p, 1.0, (0.0, 0.0, 0.0, 0.0))
+        base = coeffs(p, 1.0, (0.0, 0.0, 0.0, 0.0))
         c = base.c.copy()
         c[1] = 1.0
-        coeffs = replace(base, c=c)
-        val, der, der2 = eval_series(coeffs, "psi", 0.5)
+        sol = replace(base, c=c)
+        val, der, der2 = eval_series(sol, "psi", 0.5)
         assert val == pytest.approx(0.25)
         assert der == pytest.approx(1.0)
         assert der2 == pytest.approx(2.0)
 
     def test_monomial_x(self):
         p = params_k(M=5)
-        base = coeffs_full_k(p, 1.0, (0.0, 0.0, 0.0, 0.0))
+        base = coeffs(p, 1.0, (0.0, 0.0, 0.0, 0.0))
         d = base.d.copy()
         d[0] = 1.0
-        coeffs = replace(base, d=d)
-        val, der, der2 = eval_series(coeffs, "phi", 0.9)
+        sol = replace(base, d=d)
+        val, der, der2 = eval_series(sol, "phi", 0.9)
         assert val == 0.0  # phi reads the a, b sequences
-        val, der, der2 = eval_series(coeffs, "psi", 0.9)
+        val, der, der2 = eval_series(sol, "psi", 0.9)
         assert val == pytest.approx(0.9)
         assert der == pytest.approx(1.0)
         assert der2 == 0.0
@@ -168,25 +172,25 @@ class TestEvalSeries:
     def test_odd_and_even_terms_on_an_array(self):
         # psi = 2 + x^3 - x^4: value, first and second derivative
         p = params_k(M=5)
-        base = coeffs_full_k(p, 1.0, (0.0, 0.0, 0.0, 0.0))
+        base = coeffs(p, 1.0, (0.0, 0.0, 0.0, 0.0))
         c, d = base.c.copy(), base.d.copy()
         c[0], c[2], d[1] = 2.0, -1.0, 1.0
-        coeffs = replace(base, c=c, d=d)
+        sol = replace(base, c=c, d=d)
         x = np.array([-0.6, 0.0, 0.3, 0.8])
-        val, der, der2 = eval_series(coeffs, "psi", x)
+        val, der, der2 = eval_series(sol, "psi", x)
         np.testing.assert_allclose(val, 2 + x ** 3 - x ** 4, atol=1e-15)
         np.testing.assert_allclose(der, 3 * x ** 2 - 4 * x ** 3, atol=1e-15)
         np.testing.assert_allclose(der2, 6 * x - 12 * x ** 2, atol=1e-15)
 
     def test_domain_check(self):
         p = params_k(M=5)
-        coeffs = coeffs_full_k(p, 1.0, (1.0, 0.0, 0.0, 0.0))
+        sol = coeffs(p, 1.0, (1.0, 0.0, 0.0, 0.0))
         with pytest.raises(ValueError):
-            eval_series(coeffs, "psi", 1.0)
+            eval_series(sol, "psi", 1.0)
         with pytest.raises(ValueError):
-            eval_series(coeffs, "psi", np.array([0.5, -1.0]))
+            eval_series(sol, "psi", np.array([0.5, -1.0]))
         with pytest.raises(ValueError):
-            eval_series(coeffs, "nope", 0.5)
+            eval_series(sol, "nope", 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +233,8 @@ def test_k0_s_reflection_symmetry(s, eps):
 def test_k_sign_symmetry():
     p_plus = params_k(k=3, eps=2.0)
     p_minus = params_k(k=-3, eps=2.0)
-    one = coeffs_full_k(p_plus, 1.3 + 0.4j, (1.0, 0.5, -0.2, 0.8))
-    two = coeffs_full_k(p_minus, 1.3 + 0.4j, (1.0, 0.5, -0.2, 0.8))
+    one = coeffs(p_plus, 1.3 + 0.4j, (1.0, 0.5, -0.2, 0.8))
+    two = coeffs(p_minus, 1.3 + 0.4j, (1.0, 0.5, -0.2, 0.8))
     for u, v in zip((one.a, one.b, one.c, one.d),
                     (two.a, two.b, two.c, two.d)):
         np.testing.assert_array_equal(u, v)

@@ -111,19 +111,6 @@ def test_registry_groups_cover_all_modules(tmp_path, capsys):
     assert capsys.readouterr().out.count("PASS ") == len(REGISTRY)
 
 
-def test_fast_groups_pass():
-    for group in ("analytic", "series", "boundary"):
-        results = verify.run_checks(group)
-        assert results and all(r["passed"] for r in results)
-
-
-def test_oracle_group_passes():
-    results = verify.run_checks("oracle")
-    assert [r["name"] for r in results] == [
-        "equivalence-k1", "equivalence-k0", "green-identity", "k0-negativity"]
-    assert all(r["passed"] for r in results), results
-
-
 def test_unknown_filter_raises():
     with pytest.raises(ValueError):
         verify.run_checks("no-such-group")
