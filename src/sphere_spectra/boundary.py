@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import NonFiniteError, SpectralParams
 from .series import (SeriesCoefficients, coeffs, coeffs_k0_batch,
-                     coeffs_k_batch, fold_blocks, stream_functional)
+                     coeffs_k_batch, fold_blocks, fold_rows, stream_functional)
 
 
 def _check_series_domain(params: SpectralParams):
@@ -33,7 +33,8 @@ def _check_series_domain(params: SpectralParams):
 
 @functools.lru_cache(maxsize=8)
 def _stream_rows(k2: float, M: int, x0: float):
-    """Row i of A as g[i, 0] @ a + g[i, 1] @ b + h[i] @ (c0, d0)."""
+    """Row i of A as g[i, 0] @ a + g[i, 1] @ b + h[i] @ (c0, d0), and the
+    eps-free half of g's fold (series.fold_rows)."""
     m = np.arange(M + 1)
     w = x0 ** (2 * m)
     rows = ([(w, 0), (w, 1), (2 * m * w, 0), ((2 * m + 1) * w, 1)] if k2
@@ -41,35 +42,30 @@ def _stream_rows(k2: float, M: int, x0: float):
     g, h = np.zeros((len(rows), 2, M + 1)), np.zeros((len(rows), 2))
     for i, (weight, odd) in enumerate(rows):
         g[i, odd], h[i, odd] = stream_functional(k2, weight, odd)
-    return g, h
+    return g, h, fold_rows(g, M)
 
 
 def _matrices(params: SpectralParams, s, fold=None):
     """Stack of boundary matrices over a batch of s values, shape
-    (len(s), dim, dim); fold (series.fold_blocks) is made here if None.
-
-    The vorticity recurrence runs on the two free seeds, (a0, b0) for
-    k != 0 and (a0, d0) for k = 0, as one batch of 2*len(s) columns that
-    carry their rows of A; the c0 and d0 columns of A_k are constants.
-    The stack is float64 for real s and complex otherwise.
-    """
+    (len(s), dim, dim), float64 for real s and complex otherwise; fold
+    (series.fold_blocks) is made here if None.  The recurrence runs on the
+    two free seeds, (a0, b0) for k != 0 and (a0, d0) for k = 0, as one batch
+    of 2*len(s) columns that carry their rows of A."""
     s = np.asarray(s)
-    n = s.size
+    n, k2 = s.size, params.abs_k ** 2
     if params.k == 0 and np.any(s * (s + 1) == 0):
         raise ValueError("mu = 0 is the trivial k = 0 eigenvalue; "
                          "A_0(s) requires s*(s+1) != 0")
-    k2, sb = params.abs_k ** 2, np.tile(s, 2)
-    g, h = _stream_rows(k2, params.M, params.x0)
-    fold = fold_blocks(k2, params.eps, params.M, g) if fold is None else fold
-    seeds = (np.repeat([1.0, 0.0], n), np.repeat([0.0, 1.0], n))
-    if params.k != 0:
-        rows = coeffs_k_batch(k2, params.eps, sb, seeds, params.M, fold)
-    else:
-        rows = coeffs_k0_batch(params.eps, sb, seeds, params.M, fold)
-    rows = (np.hstack([rows, np.repeat(h, n, 1)]) if params.k != 0
-            else rows + h[:, 1:] * seeds[1])
-    stack = rows.reshape(len(h), len(h), n).transpose(2, 0, 1)
-    if not np.all(np.isfinite(stack)):
+    _, h, half = _stream_rows(k2, params.M, params.x0)
+    fold = fold or fold_blocks(k2, params.eps, params.M, half)
+    sb, seeds = np.concatenate([s, s]), np.eye(2).repeat(n, 1)  # unit seeds
+    rows = (coeffs_k_batch(k2, params.eps, sb, seeds, params.M, fold)
+            if params.k else
+            coeffs_k0_batch(params.eps, sb, seeds, params.M, fold))
+    rows = rows.reshape(len(h), 2, n)   # then c0, d0; for k = 0 d0's term
+    stack = (np.concatenate([rows, h[:, :, None].repeat(n, 2)], 1) if params.k
+             else rows + h[:, 1:, None] * seeds[:, -1:]).transpose(2, 0, 1)
+    if not np.isfinite(stack).all():
         raise NonFiniteError(
             f"boundary matrix overflowed (M={params.M}, x0={params.x0})")
     return stack
@@ -97,11 +93,10 @@ def det_functional(params: SpectralParams):
     _check_series_domain(params)
     k2 = params.abs_k ** 2
     fold = fold_blocks(k2, params.eps, params.M,
-                       _stream_rows(k2, params.M, params.x0)[0])
+                       _stream_rows(k2, params.M, params.x0)[2])
 
     def F(s):
-        s = np.atleast_1d(np.asarray(s))
-        return _normalized_det(_matrices(params, s, fold))
+        return _normalized_det(_matrices(params, np.atleast_1d(s), fold))
 
     return F
 

@@ -26,6 +26,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -419,9 +420,11 @@ def _parse_sweep(text: str):
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        opts = vars(args) if args.command == "verify" else _merge_config(args)
+        if (out := opts.get("output")) and not Path(out).parent.is_dir():
+            raise ValueError(f"no directory for the output {out!r}")
         if args.command == "verify":
-            return cmd_verify(args.only, args.output)
-        opts = _merge_config(args)
+            return cmd_verify(args.only, out)
         default_M = 100 if opts["k"] == 0 else 150
         params = SpectralParams(k=int(opts["k"]), eps=float(opts["eps"]),
                                 x0=float(opts["x0"]),
@@ -431,17 +434,16 @@ def main(argv=None) -> int:
                           step=float(opts["step"]), tol=float(opts["tol"]))
         sweep = _parse_sweep(opts["sweep"]) if opts.get("sweep") else None
         cfg = RunConfig(command=args.command, params=params, scan=scan,
-                        sweep=sweep, output=opts.get("output"),
+                        sweep=sweep, output=out,
                         fmt=opts["fmt"], n_steps=int(opts["steps"]),
                         chi=bool(opts["chi"]))
-        # a swept value is checked like the flag it replaces, before any
-        # computation
+        # a swept value is checked like the flag it replaces, before computing
         ends = _run_ends(cfg)
         for p in ends:
             if p.M > 2000:
                 raise ValueError("M is capped at 2000")
             if cfg.command == "trace":
-                boundary.det_functional(p)      # the series needs x0 < 1
+                boundary._check_series_domain(p)
         if (cfg.command in ("spectrum", "trace")
                 and 0.95 < max(p.x0 for p in ends) < 1
                 and min(p.M for p in ends) < 1000):

@@ -96,43 +96,47 @@ def _refine_brackets(F, s, f, tol):
     >= tol / 4) and the midpoint if its last round did not halve it; if x is
     not inside, the midpoint and quarter points.  Returns per bracket the end
     with the smaller |F|, that |F| and the final width (the error bound)."""
-    s, f = s.copy(), f.copy()      # the pool: four nearest, then the new
-    ends, fends = s[:, :2].copy(), f[:, :2].copy()
-    halved = np.ones(len(s), dtype=bool)
+    s, f = s.tolist(), f.tolist()   # the pool: four nearest, then the new
+    ends = [[p[0], p[1], q[0], q[1], True] for p, q in zip(s, f)]  # halved
     for _ in range(MAX_ITER):
-        a, b = ends.T
-        i = np.nonzero((b - a > tol) & (np.nextafter(a, b) < b))[0]
-        if not i.size:
+        live = [i for i, (a, b, *_) in enumerate(ends)
+                if b - a > tol and math.nextafter(a, b) < b]
+        if not live:
             break
-        (a, b), rows, w = ends[i].T, np.arange(i.size)[:, None], b[i] - a[i]
-        near = np.argsort(np.where(f[i] == 0, np.inf, abs(f[i])), 1)[:, :4]
-        p, fp = s[i][rows, near], f[i][rows, near]
-        # s(F) at F = 0 in Lagrange form, as a correction to the nearest point
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lw = fp[:, None, :] / (fp[:, None, :] - fp[:, :, None])
-            lw[:, range(4), range(4)] = 1.0
-            ds, mid = p - p[:, :1], a + w / 2
-            x = p[:, 0] + (ds * lw.prod(2)).sum(1)
-            d = abs(x - p[:, 0] - (ds[:, :3] * lw[:, :3, :3].prod(2)).sum(1))
-        inside = (a < x) & (x < b)
-        x, d = np.where(inside, (x, np.maximum(d, tol / 4)), (mid, w / 4))
-        new = np.clip(np.stack([x, x - d, x + d, np.where(
-            halved[i] | ~inside, np.nan, mid)], axis=1),
-            np.nextafter(a, b)[:, None], np.nextafter(b, a)[:, None])
-        fn = np.full(new.shape, np.nan)
-        fn[~np.isnan(new)] = np.real(F(new[~np.isnan(new)]))
-        s[i], f[i] = np.column_stack([p, new]), np.column_stack([fp, fn])
-        cs, cf = (np.column_stack(v) for v in ((ends[i], new), (fends[i], fn)))
-        cs, cf = cs[rows, (o := np.argsort(cs, axis=1))], cf[rows, o]
-        # shortest sign change or zero; the last point (b or nan) is no zero
-        zero, sg = cf[:, :-1] == 0, np.sign(cf)     # no inf * 0: see scan
-        k = np.where(zero, 0, np.where(sg[:, :-1] * sg[:, 1:] < 0, np.diff(
-            cs, axis=1), np.inf)).argmin(axis=1)[:, None]
-        j = np.column_stack([k, k + ~zero[rows, k]])
-        ends[i], fends[i] = cs[rows, j], cf[rows, j]
-        halved[i] = ends[i, 1] - ends[i, 0] <= w / 2
-    low = np.abs(fends[:, 0]) <= np.abs(fends[:, 1])
-    return np.where(low, *ends.T), np.abs(fends).min(1), np.diff(ends)[:, 0]
+        near = np.argsort([[math.inf if v == 0 else abs(v) for v in f[i]]
+                           for i in live], 1)[:, :4].tolist()   # numpy's ties
+        for i, o in zip(live, near):
+            (a, b, _, _, halved), w = ends[i], ends[i][1] - ends[i][0]
+            p, fp = [s[i][m] for m in o], [f[i][m] for m in o]
+            # s(F) at F = 0 in Lagrange form, as a correction to the nearest
+            # point, summed left to right; a zero divisor makes x not finite
+            lw = [[1.0 if m == j else v / q if (q := v - fp[j]) else math.inf
+                   for m, v in enumerate(fp)] for j in range(4)]
+            t3 = [(p[j] - p[0]) * math.prod(lw[j][:3]) for j in range(3)]
+            t4 = [(p[j] - p[0]) * math.prod(lw[j]) for j in range(4)]
+            x = p[0] + (t4[0] + t4[1] + t4[2] + t4[3])
+            d = abs(x - p[0] - (t3[0] + t3[1] + t3[2]))
+            inside, mid = a < x < b, a + w / 2
+            x, d = (x, max(d, tol / 4)) if inside else (mid, w / 4)
+            lo, hi = math.nextafter(a, b), math.nextafter(b, a)
+            s[i], f[i] = p + [min(max(v, lo), hi) for v in (x, x - d, x + d, (
+                math.nan if halved or not inside else mid))], fp
+        fn = iter(np.real(F(np.array([v for i in live for v in s[i][4:]
+                                      if v == v]))).tolist())
+        for i, o in zip(live, np.argsort([ends[i][:2] + s[i][4:]
+                                          for i in live], 1).tolist()):
+            f[i] += [next(fn) if v == v else math.nan for v in s[i][4:]]
+            cs, cf = ([(e[:2] + v[4:])[m] for m in o]
+                      for e, v in ((ends[i], s[i]), (ends[i][2:], f[i])))
+            # shortest sign change or zero (the last point, b or nan, is none)
+            k = min(range(5), key=lambda m: 0 if cf[m] == 0 else cs[m + 1]
+                    - cs[m] if cf[m] < 0 < cf[m + 1] or cf[m] > 0 > cf[m + 1]
+                    else math.inf)
+            j, w = k + (cf[k] != 0), ends[i][1] - ends[i][0]
+            ends[i] = [cs[k], cs[j], cf[k], cf[j], cs[j] - cs[k] <= w / 2]
+    e = np.array(ends).reshape(-1, 5)
+    return (np.where(abs(e[:, 2]) <= abs(e[:, 3]), e[:, 0], e[:, 1]),
+            abs(e[:, 2:4]).min(1), e[:, 1] - e[:, 0])
 
 
 def _dedupe(roots, spacing):
@@ -213,6 +217,7 @@ def refine_complex(F, seeds, tol: float = 1e-10, probe: float = 0.05) -> list:
     fs = F(np.array(xs).ravel()).reshape(-1, 3).tolist()
     w = np.exp(2j * np.pi * np.arange(RING) / RING).tolist()
     near = [0, *(r * z for z in w), probe, -probe, 1j * probe]
+    ring = [[z ** m for z in w] for m in (1, 2)]      # made once, not per seed
     step, roots = [0.0] * len(seeds), [None] * len(seeds)
     live = list(range(len(seeds)))
     for _ in range(MAX_ITER):
@@ -244,7 +249,7 @@ def refine_complex(F, seeds, tol: float = 1e-10, probe: float = 0.05) -> list:
                 live.append(i)
                 continue
             mean = (fn + sum(fr[:RING])) / (RING + 1)
-            c1, c2 = (sum(f / z ** m for f, z in zip(fr, w)) for m in (1, 2))
+            c1, c2 = (sum(f / z for f, z in zip(fr, zm)) for zm in ring)
             dx = -mean * RING * r / c1 if abs(c2) < abs(c1) else 0
             s = canonicalize_s(xn + dx)
             kind = "complex-pair" if abs(s.imag) > max(r, 1e-9) else "real"
@@ -257,11 +262,9 @@ class _LiveBranch:
     __slots__ = ("branch", "status", "s", "ds", "dp")
 
     def __init__(self, branch, s):
-        self.branch = branch
+        self.branch, self.s = branch, s
         self.status = "real"          # real | pair | dead
-        self.s = s
-        self.ds = 0.0                 # movement of the last committed step
-        self.dp = 0.0                 # parameter delta of that step
+        self.ds = self.dp = 0.0       # movement, parameter delta: last commit
 
     def predicted(self, dp):
         """Position after a parameter step dp: the last committed movement
@@ -275,8 +278,7 @@ class _LiveBranch:
         self.branch.samples.append((p, root))
 
     def end(self, note):
-        self.status = "dead"
-        self.branch.note = note
+        self.status, self.branch.note = "dead", note
 
 
 def _extrapolate(samples, p):
@@ -310,9 +312,8 @@ def _failure_clusters(failed, cfg):
     """Group failing branches into clusters of mutually approachable
     members; adjacent members belong together when their gap is under two
     scan steps plus a slope allowance of four recent movements each."""
-    members = sorted(failed, key=lambda lb: lb.s)
     clusters = []
-    for lb in members:
+    for lb in sorted(failed, key=lambda lb: lb.s):
         radius = cfg.step + 4 * abs(lb.ds)
         if clusters:
             prev = clusters[-1][-1]
@@ -381,9 +382,8 @@ def trace_parameter(family, parameter: str, values, cfg: ScanConfig) -> list:
                           key=lambda t: t[0])
             taken = set()
             for dist, lb, r in cand:
-                if lb not in lbs or id(r) in taken:
-                    continue
-                if dist > 2 * cfg.step + 4 * abs(lb.ds):
+                if (lb not in lbs or id(r) in taken
+                        or dist > 2 * cfg.step + 4 * abs(lb.ds)):
                     continue
                 lbs.remove(lb)
                 taken.add(id(r))

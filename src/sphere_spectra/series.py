@@ -49,6 +49,24 @@ PLAIN, BLOCK = 16, 8
 
 
 @functools.lru_cache(maxsize=8)
+def _step_terms(k2: float, M: int):
+    """The eps-free terms of _steps: per step the numerators of its rows
+    a0, b0, a1, b1 (eps's factor where e is set), divisors and n + 1."""
+    n, e = 2 * np.arange(1.0, M + 1)[:, None], np.zeros((4, 4), bool)
+    z = 0 * n                                     # n = 2t
+    if k2:
+        a0 = [-(n - 4) * (n - 3), n - 3, k2 + 2 * (n - 2) ** 2, -(n - 1)]
+        b0 = [z, -(n - 2) * (n - 3), n - 2, k2 + 2 * (n - 1) ** 2]
+        a1, b1, e[0, 1::2], e[1, 2] = [1, 0, -1, 0], [0, 1, 0, -1], 1, 1
+    else:
+        a0 = [z, z, (n - 2) * (n - 1), -(n - 1)]
+        b0 = [z, z, z, (n - 1) * n]
+        a1, b1, e[0, 3] = [0, 0, -1, 0], [0, 0, 0, -1], 1
+    return (np.stack([np.hstack(a0), np.hstack(b0), a1 + z, b1 + z], 1), e,
+            np.stack([n * (n - 1), (n + 1) * n] * 2, 1), (n + 1)[:, :, None])
+
+
+@functools.lru_cache(maxsize=8)
 def _steps(k2: float, eps: float, M: int) -> np.ndarray:
     """Fused vorticity steps, one 4x4 matrix P[t-1] per index t = 1..M.
 
@@ -57,21 +75,10 @@ def _steps(k2: float, eps: float, M: int) -> np.ndarray:
     with P0 in rows 0-1 and P1 in rows 2-3, and index -1 terms zero.
     k2 = 0 selects the first-order k = 0 recurrence (no t-2 columns).
     """
-    n = 2 * np.arange(1.0, M + 1)[:, None]        # 2t
-    if k2:
-        a0 = [-(n - 4) * (n - 3), eps * (n - 3), k2 + 2 * (n - 2) ** 2,
-              -eps * (n - 1)]
-        b0 = [0 * n, -(n - 2) * (n - 3), eps * (n - 2), k2 + 2 * (n - 1) ** 2]
-        a1, b1 = [1, 0, -1, 0], [0, 1, 0, -1]
-    else:
-        a0 = [0 * n, 0 * n, (n - 2) * (n - 1), -eps * (n - 1)]
-        b0 = [0 * n, 0 * n, 0 * n, (n - 1) * n]
-        a1, b1 = [0, 0, -1, 0], [0, 0, 0, -1]
-    da, db = n * (n - 1), (n + 1) * n
-    a0, a1, b0, b1 = (np.hstack(a0) / da, np.array(a1) / da,
-                      np.hstack(b0) / db, np.array(b1) / db)
-    f = eps / (n + 1)
-    return np.stack([a0, b0 - f * a0, a1, b1 - f * a1], 1)
+    num, e, den, n1 = _step_terms(k2, M)
+    P = np.where(e, eps * num, num) / den
+    P[:, 1::2] -= eps / n1 * P[:, ::2]
+    return P
 
 
 @functools.lru_cache(maxsize=2)          # one (k, eps, M) in use at a time
@@ -93,17 +100,23 @@ def _blocks(k2: float, eps: float, M: int) -> np.ndarray:
     return Q[:, 4:].transpose(0, 2, 1).astype(float, order="C")
 
 
-def fold_blocks(k2: float, eps: float, M: int, g: np.ndarray):
-    """The weights g (rows, 2, M + 1) folded in: table @ head = [y, rows]
+def fold_rows(g: np.ndarray, M: int):
+    """The eps-free half of a fold of the weights g (rows, 2, M + 1): the
+    head, each block's weights (zero past M) and F's identity rows."""
+    nb, n = -(-max(M - PLAIN, 0) // BLOCK), len(g)
+    W = np.pad(g.transpose(2, 1, 0), ((1, PLAIN + BLOCK * nb - M), (0, 0),
+                                      (0, 0))).reshape(-1, n)
+    return (np.hstack([np.eye(2 * PLAIN + 4)[:, -4:], W[:2 * PLAIN + 4]]),
+            W[2 * PLAIN + 4:].reshape(nb, 2 * BLOCK, n),
+            np.broadcast_to(np.eye(n, 4 + n, 4), (nb, n, 4 + n)))
+
+
+def fold_blocks(k2: float, eps: float, M: int, rows):
+    """The rows (fold_rows) folded into the blocks: table @ head = [y, rows]
     after the PLAIN steps, [S^j y, y, rows] @ F = [y', rows] after a block."""
-    C, n = np.roll(_blocks(k2, eps, M), -4, axis=1), len(g)
-    W = np.pad(g.transpose(2, 1, 0), ((1, PLAIN + BLOCK * len(C) - M), (0, 0),
-                                      (0, 0))).reshape(-1, n)  # zero past M
-    F = np.zeros((len(C), 4 * BLOCK + 4 + n, 4 + n))
-    F[:, :-n, :4] = C[:, :, -4:]
-    F[:, :-n, 4:] = C @ W[2 * PLAIN + 4:].reshape(len(C), 2 * BLOCK, n)
-    F[:, -n:, 4:] = np.eye(n)
-    return np.hstack([np.eye(2 * PLAIN + 4)[:, -4:], W[:2 * PLAIN + 4]]), F
+    (head, W, eye), C = rows, np.roll(_blocks(k2, eps, M), -4, axis=1)
+    return head, np.concatenate([np.concatenate([C[:, :, -4:], C @ W], 2),
+                                 eye], 1)
 
 
 def _vorticity(k2: float, eps: float, s, a0, b0, M: int, fold=None):
@@ -120,20 +133,20 @@ def _vorticity(k2: float, eps: float, s, a0, b0, M: int, fold=None):
     Z[1, 0], Z[1, 1] = a0, b0
     Zr = Z.reshape(-1, s.size).view(float)   # rows 2i, 2i + 1: index i - 1
     r = np.empty((4, Zr.shape[-1]))
-    rz = r.view(Z.dtype)
+    r0, r2 = r.view(Z.dtype)[:2], r.view(Z.dtype)[2:]
     for t, P in enumerate(_steps(k2, eps, M)[:len(Z) - 2], start=1):
-        np.matmul(P, Zr[2 * t - 2:2 * t + 2], out=r)
-        np.multiply(S, rz[2:], out=Z[t + 1])
-        Z[t + 1] += rz[:2]
+        np.matmul(P, Zr[2 * t - 2:2 * t + 2], r)
+        np.multiply(S, r2, o := Z[t + 1])
+        np.add(o, r0, o)
     if fold is None:
         return Z[1:, 0], Z[1:, 1]
     k = 4 * BLOCK     # the batch as the rows: no value depends on the batch
     cur, nxt = ((x.view(float).T, x[:k].reshape(BLOCK, 4, -1), x[k:k + 4],
                  x[k:].view(float).T) for x in X)
-    np.matmul(Zr.T, head, out=cur[3])      # y: the last four values
+    np.matmul(Zr.T, head, cur[3])      # y: the last four values
     for F in blocks:      # r is last: added once, after the block's terms
-        np.multiply(Sj, cur[2], out=cur[1])
-        np.matmul(cur[0], F, out=nxt[3])
+        np.multiply(Sj, cur[2], cur[1])
+        np.matmul(cur[0], F, nxt[3])
         cur, nxt = nxt, cur
     return X[len(blocks) % 2, k + 4:]
 

@@ -183,12 +183,36 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("command", [
         ["spectrum", "--k", "1", "--smax", "3"],
+        ["trace", "--k", "1", "--sweep", "eps:0:1:0.5", "--smax", "3"],
+        ["figures", "--figure", "3"],
         ["verify", "--only", "analytic"]])
     def test_output_in_missing_directory_exits_2(self, tmp_path, capsys,
-                                                 command):
+                                                 monkeypatch, command):
+        # refused with the other configuration checks, before any
+        # computation (patched to fail here) could run
+        from sphere_spectra import cli as cli_mod
+        from sphere_spectra import verify
+
+        def fail(*args, **kwargs):
+            raise AssertionError("the computation ran")
+        for module, name in [(cli_mod, "scan_real_roots"),
+                             (cli_mod, "trace_parameter"),
+                             (verify, "run_checks"),
+                             (cli_mod.boundary, "det_functional")]:
+            monkeypatch.setattr(module, name, fail)
         out = tmp_path / "missing" / "out.csv"
         assert run(command + ["--output", str(out)]) == 2
-        assert "configuration error: " in capsys.readouterr().err
+        assert "configuration error: no directory for the output" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
+
+    def test_output_directory_from_config_file_is_checked(self, tmp_path,
+                                                         capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(
+            {"output": str(tmp_path / "missing" / "out.csv")}))
+        assert run(["spectrum", "--config", str(cfgfile)]) == 2
+        assert "no directory for the output" in capsys.readouterr().err
 
 
 class TestTraceCommand:
@@ -406,6 +430,31 @@ class TestSweepValidation:
         assert run(["trace", "--k", "1", "--sweep", "eps:0:9.999:0.001",
                     "--output", str(tmp_path / "t.csv")]) == 0
         assert seen == [cli_mod.MAX_SWEEP]
+
+    def test_sweep_ends_build_no_functional(self, monkeypatch, tmp_path):
+        # the ends of a sweep are checked without a determinant functional,
+        # so main builds none before the trace starts
+        from sphere_spectra import boundary
+        from sphere_spectra import cli as cli_mod
+        built, build = [], boundary.det_functional
+        monkeypatch.setattr(boundary, "det_functional",
+                            lambda p: built.append(p.eps) or build(p))
+        monkeypatch.setattr(cli_mod, "cmd_trace",
+                            lambda cfg: built.append("trace") or 0)
+        assert run(["trace", "--k", "1", "--x0", "0.9",
+                    "--sweep", "eps:0:12:0.25", "--smax", "8",
+                    "--output", str(tmp_path / "t.csv")]) == 0
+        assert built == ["trace"]
+
+    def test_eps_trace_composes_one_block_set_per_value(self, tmp_path):
+        # the 49 sweep values of the eps-trace benchmark each compose their
+        # long-double blocks once; the sweep-end check composes none
+        from sphere_spectra import series
+        series._blocks.cache_clear()
+        assert run(["trace", "--k", "1", "--x0", "0.9",
+                    "--sweep", "eps:0:12:0.25", "--smax", "8",
+                    "--output", str(tmp_path / "t.csv")]) == 0
+        assert series._blocks.cache_info().misses == 49
 
 
 class TestConfigKeys:

@@ -1,3 +1,5 @@
+import hashlib
+import warnings
 import zlib
 
 import numpy as np
@@ -180,6 +182,48 @@ class TestScan:
             for bad in (float("nan"), float("inf")):
                 with pytest.raises(ValueError, match="finite"):
                     ScanConfig(**{field: bad})
+
+
+    # Every F argument array of a scan (a digest of their bytes, with the
+    # batch sizes) and the roots, residuals and errors it returns, recorded
+    # on the refiner as it was when its rounds ran on numpy arrays: the
+    # bookkeeping may change, the points and their order may not.  The
+    # tied |F| of the plateaus and of the jump, and the infinite keys beside
+    # a zero node, give the same points in either order of the tied entries
+    @pytest.mark.parametrize("F, cfg, sizes, digest, roots", [
+        (poly(0.713, 1.9271, 3.3333, 4.4567, 6.1234),
+         ScanConfig(0.0, 8.0, 0.05), [161, 15, 15], "54797f56d5607779",
+         [(0.7130000000002561, 7.364905477487043e-12,
+           2.5000002068509275e-11),
+          (1.9270999999999994, 2.4248356967083933e-14,
+           2.5000002068509275e-11),
+          (3.3333, 0.0, 0.0), (4.4567, 0.0, 0.0),
+          (6.123400000000101, 3.669880366551296e-12,
+           2.4999557979299425e-11)]),
+        (poly(0.0213, 7.9787), ScanConfig(0.0, 8.0, 0.05), [161, 6, 6, 6],
+         "4f8f7a6c35f8c545", [(0.0213, 0.0, 0.0), (7.9787, 0.0, 0.0)]),
+        (poly(1.0, 1.03), ScanConfig(0.0, 2.0, 0.05), [41, 2, 3, 3, 4, 3, 3],
+         "9407edcb2edb050a", [(1.0, 0.0, 0.0), (1.03, 0.0, 0.0)]),
+        (lambda s: np.sign(np.asarray(s) - 1.2345678) * np.minimum(
+            abs(np.asarray(s) - 1.2345678), 0.05),
+         ScanConfig(0.0, 2.0, 0.05), [41, 3, 3], "609bde0c16c162e6",
+         [(1.2345678, 0.0, 0.0)]),
+        (lambda s: np.sign(np.asarray(s) - 1.2345678),
+         ScanConfig(0.0, 2.0, 0.05), [41] + [3] * 15, "e8dd0aac64499078",
+         [(1.2345677999779583, 1.0, 4.656608432185294e-11)]),
+    ], ids=["five-roots", "window-ends", "zero-node", "tied-plateaus",
+            "tied-jump"])
+    def test_refiner_evaluation_sequence_is_pinned(self, F, cfg, sizes,
+                                                   digest, roots):
+        G, points = recording(F)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GridTooCoarseWarning)
+            found = scan_real_roots(G, cfg)
+        assert [len(p) for p in points] == sizes
+        assert hashlib.sha256(b"".join(
+            p.astype(float).tobytes() for p in points)).hexdigest()[:16] \
+            == digest
+        assert [(r.s.real, r.residual, r.error) for r in found] == roots
 
 
 def counting(F):

@@ -293,7 +293,7 @@ def test_boundary_rows_match_long_double_recurrence(x0, M, bound, k, eps):
                         [0.5 + 0.5j, 1.1 + 0.6j, 3.6 + 1j, 5.3 - 1.7j,
                          7.7 + 2.2j, 9 + 3j, 2 + 4j, -0.5 + 3j]])
     k2 = float(k * k)
-    g, h = _stream_rows(k2, M, x0)
+    g, h, _ = _stream_rows(k2, M, x0)
     gl = g.astype(np.longdouble)
     one, zero = np.ones(s.size), np.zeros(s.size)
     A = _matrices(SpectralParams(k=k, eps=eps, x0=x0, M=M), s)
@@ -325,8 +325,8 @@ def test_folded_rows_match_the_coefficients(M, k2, eps):
     length of the last one (M = PLAIN + 1 to PLAIN + BLOCK)."""
     seeds = (np.array([1.0, 0.0, 1.0, 0.3, -2.0]),
              np.array([0.0, 1.0, 1.0, 0.7, 0.5]))
-    g, _ = _stream_rows(k2, M, 0.9)
-    fold = fold_blocks(k2, eps, M, g)
+    g, _, half = _stream_rows(k2, M, 0.9)
+    fold = fold_blocks(k2, eps, M, half)
     for s in (np.array([0.35, 2.9, 7.7, 1.1 + 0.6j, 5.3 - 1.7j]),
               np.array([0.35, 2.9, 7.7, 1.1, 5.3])):
         kernel = ((lambda *f: coeffs_k_batch(k2, eps, s, seeds, M, *f)) if k2

@@ -50,3 +50,27 @@ def test_tracer_finds_every_target():
         assert tracer.absent == []
     finally:
         tracer.uninstall()
+
+
+def test_traced_cli_runs_report_the_layers_they_cross(tmp_path):
+    """One small spectrum and one small trace through cli.main: the layers
+    a determinant speedup is measured on (the F calls, the boundary and
+    root-finder self time, the series kernel) all read non-zero."""
+    from sphere_spectra import cli
+
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["spectrum", "--k", "1", "--x0", "0.9", "--smax",
+                         "4", "--output", str(tmp_path / "s.csv")]) == 0
+        assert cli.main(["trace", "--k", "1", "--x0", "0.9", "--smax", "4",
+                         "--sweep", "eps:2:3:0.25",
+                         "--output", str(tmp_path / "t.csv")]) == 0
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert metrics["cli.ops"] == 2
+    for name in ("boundary.F_ms.p50", "boundary.self_s", "series.kernel_s",
+                 "rootfinder.self_s"):
+        assert metrics[name] > 0, name
+    assert metrics["rootfinder.functionals"] == 5     # one per sweep value

@@ -43,10 +43,10 @@ def _kernel(edit):
 
 
 def _cross_row(k2, M, x0):
-    g, h = _rows(k2, M, x0)
+    g, h, _ = _rows(k2, M, x0)
     g = g.copy()                             # not the cached rows
     g[0, 1] += 1e-12 * g[0, 0]               # an even row reads b
-    return g, h
+    return g, h, series.fold_rows(g, M)
 
 
 _P, _SEEDS = SpectralParams(2, 1.0, 0.8, 60), (1.0, 0.5, -0.2, 0.8)
