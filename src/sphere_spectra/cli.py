@@ -25,6 +25,7 @@ import functools
 import json
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -49,11 +50,11 @@ class RunConfig:
     command: str
     params: SpectralParams
     scan: ScanConfig
-    sweep: tuple | None = None        # (name, start, stop, step)
-    output: str | None = None
-    fmt: str = "csv"
-    n_steps: int = 2000
-    chi: bool = False
+    sweep: tuple | None         # (name, start, stop, step)
+    output: str | None
+    fmt: str
+    n_steps: int
+    chi: bool
 
     def __post_init__(self):
         if self.command == "trace" and self.sweep is None:
@@ -79,32 +80,24 @@ def _fmt(x: float) -> str:
 
 
 def _row(param, branch, s, mu, residual, source):
-    return {
-        "param": _fmt(param), "branch": str(branch),
-        "re_s": _fmt(s.real), "im_s": _fmt(s.imag),
-        "re_mu": _fmt(mu.real), "im_mu": _fmt(mu.imag),
-        "residual": _fmt(residual),
-        "stable": "true" if in_stability_domain(s) else "false",
-        "source": source,
-    }
+    stable = "true" if in_stability_domain(s) else "false"
+    return dict(zip(SCHEMA, (_fmt(param), str(branch), *map(_fmt, (
+        s.real, s.imag, mu.real, mu.imag, residual)), stable, source)))
 
 
 def _emit(rows, cfg: RunConfig, meta: dict):
-    text = _render(rows, cfg.fmt, meta)
+    if cfg.fmt == "csv":
+        lines = [",".join(SCHEMA)]
+        lines += [",".join(r[c] for c in SCHEMA) for r in rows]
+        text = "\n".join(lines) + "\n"
+    else:
+        doc = {"meta": meta, "rows": rows}
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if cfg.output:
         with open(cfg.output, "w", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _render(rows, fmt: str, meta: dict) -> str:
-    if fmt == "csv":
-        lines = [",".join(SCHEMA)]
-        lines += [",".join(r[c] for c in SCHEMA) for r in rows]
-        return "\n".join(lines) + "\n"
-    doc = {"meta": meta, "rows": rows}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _meta(cfg: RunConfig) -> dict:
@@ -329,6 +322,34 @@ def cmd_verify(only: str | None, output: str | None) -> int:
     return 0 if doc["passed"] else 1
 
 
+# A computing command's option by its --config key, its flag --key (--format
+# for fmt): its config value's JSON type (a float takes an int), default,
+# --help text ({} stands for the default) and the commands that have it.
+_Option = namedtuple("_Option", "type default help commands", defaults=(
+    None, None, ("spectrum", "oracle", "trace", "figures")))
+
+_OPTIONS = {
+    "config": _Option(str, help="JSON file with default options"),
+    "k": _Option(int, 1),
+    "eps": _Option(float, 0.0),
+    "x0": _Option(float, 0.9),
+    "M": _Option(int),          # None: 100 for k = 0, else 150
+    "smin": _Option(float, 0.0),
+    "smax": _Option(float, 8.0),
+    "step": _Option(float, 0.05),
+    "tol": _Option(float, 1e-10),
+    "output": _Option(str),
+    "fmt": _Option(str, "csv"),
+    "steps": _Option(int, 2000, "RK4 step count (default {})", ("oracle",)),
+    "chi": _Option(bool, False, "transformed self-adjoint problem instead "
+                   "of the k-indexed system", ("oracle",)),
+    "sweep": _Option(str, None, "name:start:stop:step with name one of x0, "
+                     "eps, M", ("trace",)),
+    "figure": _Option(str, "1", "figure number (1-7) or 'all' (default {})",
+                      ("figures",)),
+}
+
+
 @functools.cache         # one per process, built by main(), not at import
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -336,77 +357,51 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Eigenvalue spectra of viscous flow perturbations on a "
                     "full or truncated sphere")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="JSON file with default options")
-        p.add_argument("--k", type=int, default=None)
-        p.add_argument("--eps", type=float, default=None)
-        p.add_argument("--x0", type=float, default=None)
-        p.add_argument("--M", type=int, default=None)
-        p.add_argument("--smin", type=float, default=None)
-        p.add_argument("--smax", type=float, default=None)
-        p.add_argument("--step", type=float, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--output", default=None)
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                       default=None)
-
-    sp = sub.add_parser("spectrum", help="series-determinant root table")
-    common(sp)
-    so = sub.add_parser("oracle", help="shooting-oracle root table")
-    common(so)
-    so.add_argument("--steps", type=int, default=None,
-                    help="RK4 step count (default 2000)")
-    so.add_argument("--chi", action="store_true", default=None,
-                    help="transformed self-adjoint problem instead of the "
-                         "k-indexed system")
-    st = sub.add_parser("trace", help="parameter sweep with branch tracking")
-    common(st)
-    st.add_argument("--sweep", default=None,
-                    help="name:start:stop:step with name one of x0, eps, M")
-    sf = sub.add_parser("figures", help="emit canned figure datasets")
-    common(sf)
-    sf.add_argument("--figure", default=None,
-                    help="figure number (1-7) or 'all' (default 1)")
+    for command, text in (("spectrum", "series-determinant root table"),
+                          ("oracle", "shooting-oracle root table"),
+                          ("trace", "parameter sweep with branch tracking"),
+                          ("figures", "emit canned figure datasets")):
+        sp = sub.add_parser(command, help=text)
+        for name, opt in _OPTIONS.items():
+            if command not in opt.commands:
+                continue
+            kind = ({"action": "store_true"} if opt.type is bool
+                    else {"choices": ("csv", "json")} if name == "fmt"
+                    else {"type": opt.type})
+            sp.add_argument("--format" if name == "fmt" else "--" + name,
+                            dest=name, default=None, **kind,
+                            help=opt.help and opt.help.format(opt.default))
     sv = sub.add_parser("verify", help="run the self-verification suite")
-    sv.add_argument("--only", default=None,
-                    help="restrict to one group or check name")
-    sv.add_argument("--output", default=None, help="JSON report path")
+    sv.add_argument("--only", help="restrict to one group or check name")
+    sv.add_argument("--output", help="JSON report path")
     return ap
 
 
-_DEFAULTS = {"k": 1, "eps": 0.0, "x0": 0.9, "smin": 0.0, "smax": 8.0,
-             "step": 0.05, "tol": 1e-10, "fmt": "csv", "steps": 2000,
-             "chi": False, "figure": "1"}
-
-# the JSON type of each config key's value, that of its flag (str if absent)
-_CONFIG_TYPES = {"k": int, "M": int, "steps": int, "chi": bool} | {
-    key: (int, float) for key in ("eps", "x0", "smin", "smax", "step", "tol")}
-
-
 def _merge_config(args) -> dict:
-    """File values fill unset flags; flags win.  The file's keys must be
-    options of the command (by their argparse names, e.g. fmt)."""
-    merged = dict(_DEFAULTS)
+    """Every option of _OPTIONS, typed: a flag given wins over its --config
+    value, which wins over the default.  The file's keys must be names in
+    the command's namespace, of their option's JSON type (str for the
+    command's own name, which is ignored)."""
+    given = vars(args)      # the command and its options, None where unset
+    merged = {key: opt.default for key, opt in _OPTIONS.items()}
     if args.config:
         with open(args.config) as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError("a config file must hold a JSON object")
-        unknown = sorted(set(data) - set(vars(args)) - {"command", "config"})
+        unknown = sorted(set(data) - set(given))
         if unknown:
             raise ValueError(f"unknown config keys for {args.command}: "
                              f"{', '.join(unknown)}")
-        wrong = sorted(key for key, val in data.items()
-                       if not isinstance(val, _CONFIG_TYPES.get(key, str))
-                       or isinstance(val, bool) != (key == "chi"))
+        kinds = {key: _OPTIONS.get(key, _Option(str)).type for key in data}
+        wrong = sorted(key for key, val in data.items() if not isinstance(
+            val, (int, float) if kinds[key] is float else kinds[key])
+            or isinstance(val, bool) != (kinds[key] is bool))
         if wrong:
             raise ValueError(f"config values of the wrong type: "
                              f"{', '.join(wrong)}")
-        merged.update(data)
-    for key, val in vars(args).items():
-        if val is not None and key not in ("command", "config"):
-            merged[key] = val
+        merged.update((key, kinds[key](val)) for key, val in data.items())
+    merged.update((key, val) for key, val in given.items() if val is not None)
     return merged
 
 
@@ -426,17 +421,15 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(args.only, out)
         default_M = 100 if opts["k"] == 0 else 150
-        params = SpectralParams(k=int(opts["k"]), eps=float(opts["eps"]),
-                                x0=float(opts["x0"]),
-                                M=int(default_M if opts.get("M") is None
-                                      else opts["M"]))
-        scan = ScanConfig(s_min=float(opts["smin"]), s_max=float(opts["smax"]),
-                          step=float(opts["step"]), tol=float(opts["tol"]))
-        sweep = _parse_sweep(opts["sweep"]) if opts.get("sweep") else None
+        params = SpectralParams(k=opts["k"], eps=opts["eps"], x0=opts["x0"],
+                                M=default_M if opts["M"] is None
+                                else opts["M"])
+        scan = ScanConfig(s_min=opts["smin"], s_max=opts["smax"],
+                          step=opts["step"], tol=opts["tol"])
+        sweep = _parse_sweep(opts["sweep"]) if opts["sweep"] else None
         cfg = RunConfig(command=args.command, params=params, scan=scan,
-                        sweep=sweep, output=out,
-                        fmt=opts["fmt"], n_steps=int(opts["steps"]),
-                        chi=bool(opts["chi"]))
+                        sweep=sweep, output=out, fmt=opts["fmt"],
+                        n_steps=opts["steps"], chi=opts["chi"])
         # a swept value is checked like the flag it replaces, before computing
         ends = _run_ends(cfg)
         for p in ends:
@@ -451,15 +444,10 @@ def main(argv=None) -> int:
                   "(at x0 = 0.99, M = 150 moves roots by ~1e-2 and M = 1000 "
                   "matches M = 2000 to 1e-7); use M >= 1000",
                   file=sys.stderr)
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg)
-        if args.command == "oracle":
-            return cmd_oracle(cfg)
-        if args.command == "trace":
-            return cmd_trace(cfg)
-        if args.command == "figures":
-            return cmd_figures(cfg, str(opts["figure"]))
-        raise AssertionError(args.command)
+        if cfg.command == "figures":
+            return cmd_figures(cfg, opts["figure"])
+        return {"spectrum": cmd_spectrum, "oracle": cmd_oracle,
+                "trace": cmd_trace}[cfg.command](cfg)
     except NonFiniteError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3

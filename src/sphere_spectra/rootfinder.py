@@ -72,19 +72,33 @@ class CoalescenceEvent:
 
 @dataclass
 class Branch:
-    """A root traced along a parameter sweep."""
+    """A root traced along a parameter sweep.  Left out of repr and ==, the
+    tracer's live state: position s, status (real, pair or dead) and the
+    movement ds over the parameter step dp of the last commit."""
 
     parameter: str
     index: int
     samples: list = field(default_factory=list)   # (param value, Root)
     events: list = field(default_factory=list)
     note: str = ""
+    s: complex = field(default=0.0, repr=False, compare=False)
+    status: str = field(default="real", repr=False, compare=False)
+    ds: float = field(default=0.0, repr=False, compare=False)
+    dp: float = field(default=0.0, repr=False, compare=False)
 
+    def predicted(self, dp):
+        """Position after a parameter step dp: the last committed movement
+        scaled to dp, or no movement before the first commit."""
+        return self.s + (self.ds * dp / self.dp if self.dp else 0.0)
 
-def _as_batch(F):
-    def call(s):
-        return np.asarray(F(np.atleast_1d(np.asarray(s))))
-    return call
+    def commit(self, p, dp, root):
+        self.ds = root.s.real - self.s
+        self.dp = dp
+        self.s = root.s.real
+        self.samples.append((p, root))
+
+    def end(self, note):
+        self.status, self.note = "dead", note
 
 
 def _refine_brackets(F, s, f, tol):
@@ -104,7 +118,7 @@ def _refine_brackets(F, s, f, tol):
         if not live:
             break
         near = np.argsort([[math.inf if v == 0 else abs(v) for v in f[i]]
-                           for i in live], 1)[:, :4].tolist()   # numpy's ties
+                           for i in live], 1, kind="stable")[:, :4].tolist()
         for i, o in zip(live, near):
             (a, b, _, _, halved), w = ends[i], ends[i][1] - ends[i][0]
             p, fp = [s[i][m] for m in o], [f[i][m] for m in o]
@@ -123,8 +137,8 @@ def _refine_brackets(F, s, f, tol):
                 math.nan if halved or not inside else mid))], fp
         fn = iter(np.real(F(np.array([v for i in live for v in s[i][4:]
                                       if v == v]))).tolist())
-        for i, o in zip(live, np.argsort([ends[i][:2] + s[i][4:]
-                                          for i in live], 1).tolist()):
+        pts = [ends[i][:2] + s[i][4:] for i in live]
+        for i, o in zip(live, np.argsort(pts, 1, kind="stable").tolist()):
             f[i] += [next(fn) if v == v else math.nan for v in s[i][4:]]
             cs, cf = ([(e[:2] + v[4:])[m] for m in o]
                       for e, v in ((ends[i], s[i]), (ends[i][2:], f[i])))
@@ -160,7 +174,6 @@ def scan_real_roots(F, cfg: ScanConfig, source: str = "series") -> list:
     are canonicalized, deduplicated, and carry a scaled residual and the
     closing bracket width as their error.
     """
-    F = _as_batch(F)
     grid = np.arange(cfg.s_min, cfg.s_max + 0.5 * cfg.step, cfg.step)
     vals, side = np.real(F(grid)), []
     if not vals.all():
@@ -212,7 +225,7 @@ def refine_complex(F, seeds, tol: float = 1e-10, probe: float = 0.05) -> list:
     """
     if not (seeds := list(seeds)):
         return []
-    F, h, r = _as_batch(F), max(1e-3, 10 * tol), 100 * tol
+    h, r = max(1e-3, 10 * tol), 100 * tol
     xs = [[seed - h, seed + h, complex(seed)] for seed in seeds]
     fs = F(np.array(xs).ravel()).reshape(-1, 3).tolist()
     w = np.exp(2j * np.pi * np.arange(RING) / RING).tolist()
@@ -256,29 +269,6 @@ def refine_complex(F, seeds, tol: float = 1e-10, probe: float = 0.05) -> list:
             roots[i] = Root(s, abs(fn) / (max(map(abs, fr[RING:])) or 1.0),
                             kind, error=step[i])
     return roots
-
-
-class _LiveBranch:
-    __slots__ = ("branch", "status", "s", "ds", "dp")
-
-    def __init__(self, branch, s):
-        self.branch, self.s = branch, s
-        self.status = "real"          # real | pair | dead
-        self.ds = self.dp = 0.0       # movement, parameter delta: last commit
-
-    def predicted(self, dp):
-        """Position after a parameter step dp: the last committed movement
-        scaled to dp, or no movement before the first commit."""
-        return self.s + (self.ds * dp / self.dp if self.dp else 0.0)
-
-    def commit(self, p, dp, root):
-        self.ds = root.s.real - self.s
-        self.dp = dp
-        self.s = root.s.real
-        self.branch.samples.append((p, root))
-
-    def end(self, note):
-        self.status, self.branch.note = "dead", note
 
 
 def _extrapolate(samples, p):
@@ -349,11 +339,8 @@ def trace_parameter(family, parameter: str, values, cfg: ScanConfig) -> list:
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size < 2:
         raise ValueError("parameter sweep needs at least two values")
-    branches, live = [], []
-    for r in scan_real_roots(family(values[0]), cfg):
-        br = Branch(parameter, len(branches), [(float(values[0]), r)])
-        branches.append(br)
-        live.append(_LiveBranch(br, r.s.real))
+    branches = [Branch(parameter, i, [(float(values[0]), r)], s=r.s.real)
+                for i, r in enumerate(scan_real_roots(family(values[0]), cfg))]
 
     pairs = []      # (lower-index member, other member, failure params)
 
@@ -363,7 +350,7 @@ def trace_parameter(family, parameter: str, values, cfg: ScanConfig) -> list:
         surviving real roots back to the nearest branches, and merge the
         leftover adjacent pairs (refined by refine_pairs).  A leftover
         without a partner ends its branch."""
-        occupied = [lb.s for lb in live
+        occupied = [lb.s for lb in branches
                     if lb.status == "real" and lb not in failed]
         for cluster in _failure_clusters(failed, cfg):
             lo = max(cfg.s_min, min(lb.s for lb in cluster) - 2 * cfg.step)
@@ -390,7 +377,7 @@ def trace_parameter(family, parameter: str, values, cfg: ScanConfig) -> list:
                 lb.commit(p, dp, r)
             lbs.sort(key=lambda lb: lb.s)
             while len(lbs) >= 2:
-                la, lc = sorted(lbs[:2], key=lambda lb: lb.branch.index)
+                la, lc = sorted(lbs[:2], key=lambda lb: lb.index)
                 del lbs[:2]
                 la.status = lc.status = "pair"
                 pairs.append((la, lc, []))
@@ -412,12 +399,12 @@ def trace_parameter(family, parameter: str, values, cfg: ScanConfig) -> list:
         s_max] ends both."""
         work = [(m, failures) for la, lc, failures in pairs
                 if (m := [lb for lb in (la, lc) if lb.status == "pair"])]
-        seeds = [_extrapolate(m[0].branch.samples, p) if m[0].branch.events
+        seeds = [_extrapolate(m[0].samples, p) if m[0].events
                  else 0.5 * (m[0].s + m[1].s) + 1j * cfg.step
                  for m, _ in work]
         roots = work and refine_complex(F, seeds, cfg.tol, probe=cfg.step)
         for (members, failures), seed, root in zip(work, seeds, roots):
-            merging = not members[0].branch.events
+            merging = not members[0].events
             if root is None or root.kind != "complex-pair":
                 if not merging:
                     members[0].end("complex continuation lost" if root is None
@@ -429,15 +416,15 @@ def trace_parameter(family, parameter: str, values, cfg: ScanConfig) -> list:
                             lb.end("coalescence seed rejected")
                 continue
             if merging:
-                ids = tuple(lb.branch.index
+                ids = tuple(lb.index
                             for lb in sorted(members, key=lambda lb: lb.s))
                 event = CoalescenceEvent(p, seed.real, ids, seed)
                 for lb in members:
-                    lb.branch.events.append(event)
+                    lb.events.append(event)
             for lb in members:
                 if cfg.s_min <= root.s.real <= cfg.s_max:
                     lb.s = root.s
-                    lb.branch.samples.append((p, root))
+                    lb.samples.append((p, root))
                 else:
                     lb.end("left the scan window")
 
@@ -445,7 +432,7 @@ def trace_parameter(family, parameter: str, values, cfg: ScanConfig) -> list:
         dp = p - p_prev
         F = family(p)
         found = scan_real_roots(F, cfg)
-        reals = [lb for lb in live if lb.status == "real"]
+        reals = [lb for lb in branches if lb.status == "real"]
         matched = _match(reals, found, dp, cfg)
         for lb, r in matched:
             lb.commit(p, dp, r)
@@ -453,12 +440,11 @@ def trace_parameter(family, parameter: str, values, cfg: ScanConfig) -> list:
         handle_failures([lb for lb in reals if id(lb) not in held], F, p, dp)
         refine_pairs(F, p)
         # scanned roots that no live real branch holds start new branches
-        known = [lb.s for lb in live if lb.status == "real"]
+        known = [lb.s for lb in branches if lb.status == "real"]
         for r in found:
             if any(abs(r.s.real - s) < 2 * cfg.step for s in known):
                 continue
-            br = Branch(parameter, len(branches), [(p, r)])
-            branches.append(br)
-            live.append(_LiveBranch(br, r.s.real))
+            branches.append(Branch(parameter, len(branches), [(p, r)],
+                                   s=r.s.real))
             known.append(r.s.real)
     return branches

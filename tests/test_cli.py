@@ -1,11 +1,12 @@
 import json
+import types
 import warnings
 
 import numpy as np
 import pytest
 
 from sphere_spectra import GridTooCoarseWarning, oracle
-from sphere_spectra.cli import SCHEMA, _build_parser, main
+from sphere_spectra.cli import _OPTIONS, SCHEMA, _build_parser, main
 
 
 def run(argv):
@@ -516,6 +517,90 @@ class TestConfigKeys:
         cfgfile.write_text(json.dumps(data))
         assert run(argv + ["--config", str(cfgfile)]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    # per option: its value as a flag argument (None for a switch) and as
+    # a config value, the commands that have it where not all four, and
+    # config values of the other JSON types
+    VALUES = {
+        "config": ("cfg.json", None), "k": ("3", 3), "eps": ("2", 2),
+        "x0": ("0.8", 0.8), "M": ("60", 60), "smin": ("1", 1),
+        "smax": ("5", 5), "step": ("0.1", 0.1), "tol": ("1e-9", 1e-9),
+        "output": ("out.txt", "out.txt"), "fmt": ("json", "json"),
+        "steps": ("400", 400), "chi": (None, True),
+        "sweep": ("eps:0:1:0.5", "eps:0:1:0.5"), "figure": ("3", "3")}
+    OWNERS = {"steps": ("oracle",), "chi": ("oracle",), "sweep": ("trace",),
+              "figure": ("figures",)}
+    WRONG = {str: [3, 0.5, True, None, [1]],
+             int: ["3", 0.5, True, None, [1]],
+             float: ["0.5", True, None, [1]],
+             bool: ["true", 1, 0, None, [1]]}
+
+    @pytest.mark.parametrize("name", list(_OPTIONS))
+    def test_each_option_by_flag_and_config(self, tmp_path, capsys,
+                                            monkeypatch, name):
+        from sphere_spectra import cli as cli_mod
+        opt = _OPTIONS[name]
+        flag = "--format" if name == "fmt" else "--" + name
+        text, value = self.VALUES[name]
+        argv = [flag] if text is None else [flag, text]
+        # the flag exists on exactly the commands the table names
+        commands = ("spectrum", "oracle", "trace", "figures")
+        assert opt.commands == self.OWNERS.get(name, commands)
+        parser = _build_parser()
+        for command in commands:
+            if command in opt.commands:
+                parsed = vars(parser.parse_args([command] + argv))[name]
+                assert parsed == (True if text is None else opt.type(text))
+            else:
+                with pytest.raises(SystemExit):
+                    parser.parse_args([command] + argv)
+        capsys.readouterr()
+        # the computation patched out: the outputs show the options alone
+        spec = {"params": dict(k=1, eps=0.0, x0=0.9, M=60), "s_max": 3.0,
+                "param": 1}
+        monkeypatch.setattr(cli_mod, "FIGURE_TASKS",
+                            {"1": [("a", spec)], "3": [("b", spec)]})
+        monkeypatch.setattr(cli_mod, "scan_real_roots", lambda *a, **k: [])
+        monkeypatch.setattr(cli_mod, "trace_parameter", lambda *a, **k: [])
+        monkeypatch.setattr(cli_mod.boundary, "det_functional",
+                            lambda *a, **k: None)
+        monkeypatch.setattr(oracle, "shoot_functional",
+                            lambda *a, **k: types.SimpleNamespace(meta={}))
+
+        def outputs(command, config=None):
+            """Exit code, captured streams and written files of a run given
+            the option by its flag, or else by a config file."""
+            d = tmp_path / f"run{len(list(tmp_path.iterdir()))}"
+            d.mkdir()
+            monkeypatch.chdir(d)
+            args = [command] + (["--format", "json"] if name != "fmt" else [])
+            if command == "trace" and name != "sweep":
+                args += ["--sweep", "x0:0.85:0.9:0.05"]
+            if config is None:
+                args += argv
+            else:
+                (d / "cfg.json").write_text(json.dumps(config))
+                args += ["--config", "cfg.json"]
+            code = run(args)
+            return code, capsys.readouterr(), {
+                p.name: p.read_bytes() for p in d.iterdir()
+                if p.name != "cfg.json"}
+
+        for command in commands:
+            if command not in opt.commands:
+                code, out, _ = outputs(command, {name: value})
+                assert code == 2
+                assert f"unknown config keys for {command}: {name}" in out.err
+                continue
+            if name != "config":    # a config file names no other
+                by_flag = outputs(command)
+                assert by_flag[0] == 0 and by_flag[1].err == ""
+                assert outputs(command, {name: value}) == by_flag
+            for wrong in self.WRONG[opt.type]:
+                code, out, _ = outputs(command, {name: wrong})
+                assert code == 2
+                assert "configuration error: config values of the wrong " \
+                    f"type: {name}" in out.err
 
 
 class TestOracleCommand:

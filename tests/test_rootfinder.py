@@ -225,6 +225,40 @@ class TestScan:
             == digest
         assert [(r.s.real, r.residual, r.error) for r in found] == roots
 
+    # np.argsort's default kind orders tied entries differently on hosts
+    # with and without its vectorized sorts; here it reverses them.  The
+    # tie cases above, and tied |F| = 0.125 at both ends of one bracket
+    # [1, 1.25], must evaluate the same points whatever the host
+    @pytest.mark.parametrize("F, cfg", [
+        (poly(1.0, 1.03), ScanConfig(0.0, 2.0, 0.05)),
+        (lambda s: np.sign(np.asarray(s) - 1.2345678) * np.minimum(
+            abs(np.asarray(s) - 1.2345678), 0.05),
+         ScanConfig(0.0, 2.0, 0.05)),
+        (lambda s: np.sign(np.asarray(s) - 1.2345678),
+         ScanConfig(0.0, 2.0, 0.05)),
+        (lambda s: s - 1.125 + (s - 1) * (s - 1.25) * (s - 2),
+         ScanConfig(0.5, 2.0, 0.25)),
+    ], ids=["zero-node", "tied-plateaus", "tied-jump", "tied-ends"])
+    def test_refiner_points_do_not_depend_on_tie_order(self, monkeypatch, F,
+                                                        cfg):
+        def points():
+            G, points = recording(F)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", GridTooCoarseWarning)
+                scan_real_roots(G, cfg)
+            return [p.tolist() for p in points]
+        argsort = np.argsort
+
+        def reversed_ties(a, axis=-1, kind=None, **kwargs):
+            if kind == "stable":
+                return argsort(a, axis, kind=kind, **kwargs)
+            a = np.asarray(a)
+            flipped = argsort(np.flip(a, axis), axis, kind="stable", **kwargs)
+            return a.shape[axis] - 1 - flipped
+        expected = points()
+        monkeypatch.setattr(rootfinder.np, "argsort", reversed_ties)
+        assert points() == expected
+
 
 def counting(F):
     """F and the list of batch sizes it was called with."""
