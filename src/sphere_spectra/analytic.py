@@ -23,6 +23,10 @@ from numpy.polynomial import Polynomial
 
 from .series import eval_series
 
+RESIDUAL_GRID = np.linspace(-0.95, 0.95, 39)  # clear of the ends x = -+1
+GAUSS_SUBINTERVALS = 8      # gauss_composite: equal parts of [a, b]
+GAUSS_POINTS = 32           # and Gauss-Legendre nodes on each
+
 
 @dataclass(frozen=True)
 class PowerWeightedPoly:
@@ -177,21 +181,18 @@ def chi_mode(eps: float, n: int):
     return chi, float(-s * (s + 1))
 
 
-def darboux_residual(chi: PowerWeightedPoly, eps: float, mu: float,
-                     xs=None) -> float:
+def darboux_residual(chi: PowerWeightedPoly, eps: float, mu: float) -> float:
     """Consistency of the first-order transform pair on a candidate mode.
 
     Applies phi = sqrt(1-x^2) chi' - (eps+2x)/(2 sqrt(1-x^2)) chi followed
     by mu*chi_hat = sqrt(1-x^2) phi' + eps/(2 sqrt(1-x^2)) phi and returns
-    max |mu*chi_hat - mu*chi| / max |mu*chi| over the sample grid.  All
+    max |mu*chi_hat - mu*chi| / max |mu*chi| over RESIDUAL_GRID.  All
     derivatives are exact, so the residual vanishes iff chi solves the
     self-adjoint equation at mu.  The identically zero candidate returns 0.
     """
     if mu == 0:
         raise ValueError("the transform pair requires mu != 0")
-    if xs is None:
-        xs = np.linspace(-0.95, 0.95, 39)
-    xs = np.asarray(xs, dtype=float)
+    xs = RESIDUAL_GRID
     dchi = chi.derivative()
     ddchi = dchi.derivative()
     w = 1 - xs * xs
@@ -215,9 +216,7 @@ def vorticity_ode_residual(phi: PowerWeightedPoly, k: float, eps: float,
     d/dx[(1-x^2) phi'] - k^2 phi/(1-x^2) + eps phi' - mu phi,
     scaled by max |phi|, with exact derivatives.  With k = sigma and
     eps = 0 it is the Sturm-Liouville equation of the sigma-modes."""
-    if xs is None:
-        xs = np.linspace(-0.95, 0.95, 39)
-    xs = np.asarray(xs, dtype=float)
+    xs = np.asarray(RESIDUAL_GRID if xs is None else xs, dtype=float)
     dphi = phi.derivative()
     ddphi = dphi.derivative()
     w = 1 - xs * xs
@@ -229,11 +228,11 @@ def vorticity_ode_residual(phi: PowerWeightedPoly, k: float, eps: float,
     return float(np.abs(res).max() / scale)
 
 
-def gauss_composite(fn, a: float, b: float, n_sub: int = 8,
-                    n_pts: int = 32) -> float:
-    """Composite Gauss-Legendre quadrature of fn over [a, b]."""
-    nodes, weights = np.polynomial.legendre.leggauss(n_pts)
-    edges = np.linspace(a, b, n_sub + 1)
+def gauss_composite(fn, a: float, b: float) -> float:
+    """Composite Gauss-Legendre quadrature of fn over [a, b]: GAUSS_POINTS
+    nodes on each of GAUSS_SUBINTERVALS equal subintervals."""
+    nodes, weights = np.polynomial.legendre.leggauss(GAUSS_POINTS)
+    edges = np.linspace(a, b, GAUSS_SUBINTERVALS + 1)
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)

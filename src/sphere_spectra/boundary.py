@@ -113,7 +113,8 @@ def null_seeds(A: np.ndarray) -> np.ndarray:
     return vh[-1].conj() / norms
 
 
-def eigenfunction_coeffs(params: SpectralParams, s: complex) -> SeriesCoefficients:
+def eigenfunction_coeffs(params: SpectralParams,
+                         s: complex) -> SeriesCoefficients:
     """Series coefficients of the eigenfunction at a determinant root s,
     built from the null vector of the boundary matrix."""
     return coeffs(params, s, null_seeds(assemble(params, s)))

@@ -39,6 +39,7 @@ SCHEMA = ("param", "branch", "re_s", "im_s", "re_mu", "im_mu",
           "residual", "stable", "source")
 
 SWEEP_PARAMS = ("x0", "eps", "M")
+FORMATS = ("csv", "json")
 MAX_SWEEP = 10_000      # values in one sweep; the canned figures take <= 121
 
 
@@ -71,8 +72,9 @@ class RunConfig:
             # _sweep_values takes floor((stop - start) / step + 0.5) + 1
             if not (stop - start) / step + 0.5 < MAX_SWEEP:
                 raise ValueError(f"a sweep takes at most {MAX_SWEEP} values")
-        if self.fmt not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {self.fmt!r}")
+        if self.fmt not in FORMATS:
+            raise ValueError(f"format must be {' or '.join(FORMATS)}, got "
+                             f"{self.fmt!r}")
 
 
 def _fmt(x: float) -> str:
@@ -208,7 +210,7 @@ def _events_doc(branches):
     unique = {(ev.param, ev.branch_ids): ev
               for br in branches for ev in br.events}
     return sorted(({"param": float(_fmt(ev.param)),
-                    "s_merged": float(_fmt(ev.s_merged)),
+                    "s_merged": float(_fmt(ev.seed.real)),
                     "branches": list(ev.branch_ids),
                     "seed": [ev.seed.real, ev.seed.imag]}
                    for ev in unique.values()), key=lambda e: e["param"])
@@ -230,7 +232,7 @@ def _traced(cfg: RunConfig, meta: dict, traces: dict,
     name, scan = cfg.sweep[0], _scan_for(cfg)
     key = (cfg.params, cfg.sweep, scan)
     if key not in traces:
-        traces[key] = trace_parameter(_family(cfg.params, name), name,
+        traces[key] = trace_parameter(_family(cfg.params, name),
                                       _sweep_values(cfg.sweep), scan)
     branches = traces[key]
     rows = _trace_rows(branches)
@@ -334,10 +336,10 @@ _OPTIONS = {
     "eps": _Option(float, 0.0),
     "x0": _Option(float, 0.9),
     "M": _Option(int),          # None: 100 for k = 0, else 150
-    "smin": _Option(float, 0.0),
-    "smax": _Option(float, 8.0),
-    "step": _Option(float, 0.05),
-    "tol": _Option(float, 1e-10),
+    "smin": _Option(float, ScanConfig.s_min),
+    "smax": _Option(float, ScanConfig.s_max),
+    "step": _Option(float, ScanConfig.step),
+    "tol": _Option(float, ScanConfig.tol),
     "output": _Option(str),
     "fmt": _Option(str, "csv"),
     "steps": _Option(int, 2000, "RK4 step count (default {})", ("oracle",)),
@@ -366,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
             if command not in opt.commands:
                 continue
             kind = ({"action": "store_true"} if opt.type is bool
-                    else {"choices": ("csv", "json")} if name == "fmt"
+                    else {"choices": FORMATS} if name == "fmt"
                     else {"type": opt.type})
             sp.add_argument("--format" if name == "fmt" else "--" + name,
                             dest=name, default=None, **kind,
@@ -379,9 +381,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _merge_config(args) -> dict:
     """Every option of _OPTIONS, typed: a flag given wins over its --config
-    value, which wins over the default.  The file's keys must be names in
-    the command's namespace, of their option's JSON type (str for the
-    command's own name, which is ignored)."""
+    value, which wins over the default.  The file's keys must be options
+    of the command other than config, of their option's JSON type."""
     given = vars(args)      # the command and its options, None where unset
     merged = {key: opt.default for key, opt in _OPTIONS.items()}
     if args.config:
@@ -389,11 +390,11 @@ def _merge_config(args) -> dict:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError("a config file must hold a JSON object")
-        unknown = sorted(set(data) - set(given))
+        unknown = sorted(set(data) - (set(given) - {"command", "config"}))
         if unknown:
             raise ValueError(f"unknown config keys for {args.command}: "
                              f"{', '.join(unknown)}")
-        kinds = {key: _OPTIONS.get(key, _Option(str)).type for key in data}
+        kinds = {key: _OPTIONS[key].type for key in data}
         wrong = sorted(key for key, val in data.items() if not isinstance(
             val, (int, float) if kinds[key] is float else kinds[key])
             or isinstance(val, bool) != (kinds[key] is bool))

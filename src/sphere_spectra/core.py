@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 
 class NonFiniteError(FloatingPointError):
-    """A boundary-matrix entry overflowed (truncation order too large for x0)."""
+    """A boundary-matrix entry overflowed (series order M too large for x0)."""
 
 
 class GridTooCoarseWarning(UserWarning):

@@ -7,13 +7,14 @@ complex roots by Muller iteration (three-point quadratic interpolation,
 derivative-free: the determinant is a black box and numerical derivatives
 are noisy near coalescence), one batched loop whose seeds share each F
 call and end with a Newton step averaged over a small circle.
-Parameter continuation scans every sweep value once and matches the
-scanned roots to the branches by their predicted positions; a branch left
-unmatched is resolved by a fine local rescan, and two nearby unmatched real
-branches merge into a pair.  Then every merged pair at the value, new,
-parked or already complex, is refined in one Muller pass, a complex one
-from the root its path predicts.  Samples lie only on the sweep values and
-inside the scan window.  Scans call F on float arrays, Muller on complex.
+Parameter continuation is one flat loop over the sweep values: it scans
+each value once and matches the scanned roots to the branches by their
+predicted positions; _rescan resolves a branch left unmatched by a fine
+local rescan, and two nearby unmatched real branches merge into a pair.
+Then _refine_pairs refines every merged pair at the value, new, parked or
+already complex, in one Muller pass, a complex one from the root its path
+predicts.  Samples lie only on the sweep values and inside the scan
+window.  Scans call F on float arrays, Muller on complex.
 
 A root's residual is the normalized determinant magnitude at the root
 (Muller: at its last iterate) scaled by its magnitude at the grid
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -48,8 +49,7 @@ class ScanConfig:
     tol: float = 1e-10
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.s_min, self.s_max, self.step,
-                                       self.tol))):
+        if not all(map(math.isfinite, astuple(self))):
             raise ValueError("s_min, s_max, step and tol must be finite")
         if self.s_min < -0.5:
             raise ValueError("s_min must be >= -0.5 (canonical half-plane)")
@@ -65,7 +65,6 @@ class CoalescenceEvent:
     """Two real branches merged at param and continued as a complex pair."""
 
     param: float
-    s_merged: float
     branch_ids: tuple
     seed: complex
 
@@ -76,7 +75,6 @@ class Branch:
     tracer's live state: position s, status (real, pair or dead) and the
     movement ds over the parameter step dp of the last commit."""
 
-    parameter: str
     index: int
     samples: list = field(default_factory=list)   # (param value, Root)
     events: list = field(default_factory=list)
@@ -298,38 +296,109 @@ def _match(members, found, dp, cfg):
     return [c[0] for c in claims.values() if len(c) == 1]
 
 
-def _failure_clusters(failed, cfg):
-    """Group failing branches into clusters of mutually approachable
-    members; adjacent members belong together when their gap is under two
-    scan steps plus a slope allowance of four recent movements each."""
+def _rescan(failed, occupied, F, p, dp, cfg):
+    """Resolve the branches failed (unmatched) at p, in clusters of mutually
+    approachable members: adjacent ones belong together when their gap is
+    under two scan steps plus a slope allowance of four recent movements
+    each.  Re-scan each cluster's neighbourhood, clipped to the scan window,
+    at a tenth of the grid step, hand surviving real roots more than a
+    quarter step from every occupied position back to the nearest branches,
+    and merge the leftover adjacent pairs.  A leftover without a partner
+    ends its branch.  Returns the new pairs: [lower-index member, other
+    member, failed conversions]."""
     clusters = []
     for lb in sorted(failed, key=lambda lb: lb.s):
         radius = cfg.step + 4 * abs(lb.ds)
-        if clusters:
-            prev = clusters[-1][-1]
-            if lb.s - prev.s < radius + cfg.step + 4 * abs(prev.ds):
-                clusters[-1].append(lb)
-                continue
-        clusters.append([lb])
-    return clusters
+        if clusters and lb.s - (prev := clusters[-1][-1]).s < (
+                radius + cfg.step + 4 * abs(prev.ds)):
+            clusters[-1].append(lb)
+        else:
+            clusters.append([lb])
+    pairs = []
+    for cluster in clusters:
+        lo = max(cfg.s_min, min(lb.s for lb in cluster) - 2 * cfg.step)
+        hi = min(cfg.s_max, max(lb.s for lb in cluster) + 2 * cfg.step)
+        fine = ScanConfig(lo, hi, cfg.step / 10, cfg.tol)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GridTooCoarseWarning)
+            found = scan_real_roots(F, fine)
+        avail = [r for r in found
+                 if all(abs(r.s.real - c) > cfg.step / 4 for c in occupied)]
+        # nearest-first matching of surviving roots to branches
+        cand = sorted(((abs(r.s.real - lb.s), lb, r)
+                       for lb in cluster for r in avail), key=lambda t: t[0])
+        taken = set()
+        for dist, lb, r in cand:
+            if (lb.samples[-1][0] != p and id(r) not in taken
+                    and dist <= 2 * cfg.step + 4 * abs(lb.ds)):
+                taken.add(id(r))
+                lb.commit(p, dp, r)
+        lbs = sorted((lb for lb in cluster if lb.samples[-1][0] != p),
+                     key=lambda lb: lb.s)
+        while len(lbs) >= 2:
+            la, lc = sorted(lbs[:2], key=lambda lb: lb.index)
+            del lbs[:2]
+            la.status = lc.status = "pair"
+            pairs.append([la, lc, 0])
+        for lb in lbs:
+            inside = cfg.s_min <= lb.predicted(dp) <= cfg.s_max
+            lb.end("no convergence" if inside else "left the scan window")
+    return pairs
 
 
-def trace_parameter(family, parameter: str, values, cfg: ScanConfig) -> list:
+def _refine_pairs(pairs, F, p, cfg):
+    """Refine every merged pair at p in one refine_complex call.  A pair
+    with its event continues from the root its complex samples predict
+    (_extrapolate); a new or parked pair is converted from the midpoint
+    of its members' last real roots, one scan step into the upper
+    half-plane, and on success records the event on both members.  A
+    failed conversion (no convergence, or the seed falls back onto the
+    real axis just before the true merge parameter) parks the pair: it
+    is retried once at each of the next three sweep values, then ends.
+    A lost complex root ends the lower-index member; the other continues
+    from the same root.  A complex root whose Re s is outside [s_min,
+    s_max] ends both; otherwise the new root is appended to both."""
+    work = [(m, pair) for pair in pairs
+            if (m := [lb for lb in pair[:2] if lb.status == "pair"])]
+    seeds = [_extrapolate(m[0].samples, p) if m[0].events
+             else 0.5 * (m[0].s + m[1].s) + 1j * cfg.step for m, _ in work]
+    roots = work and refine_complex(F, seeds, cfg.tol, probe=cfg.step)
+    for (members, pair), seed, root in zip(work, seeds, roots):
+        merging = not members[0].events
+        if root is None or root.kind != "complex-pair":
+            if not merging:
+                members[0].end("complex continuation lost" if root is None
+                               else "complex pair returned to real axis")
+            else:
+                pair[2] += 1
+                if pair[2] > 3:
+                    for lb in members:
+                        lb.end("coalescence seed rejected")
+            continue
+        if merging:
+            ids = tuple(m.index for m in sorted(members, key=lambda m: m.s))
+            event = CoalescenceEvent(p, ids, seed)
+            for lb in members:
+                lb.events.append(event)
+        for lb in members:
+            if cfg.s_min <= root.s.real <= cfg.s_max:
+                lb.s = root.s
+                lb.samples.append((p, root))
+            else:
+                lb.end("left the scan window")
+
+
+def trace_parameter(family, values, cfg: ScanConfig) -> list:
     """Trace determinant roots along a parameter sweep.
 
     family(p) must return the vectorized determinant functional at
-    parameter value p; values is the monotone sample sequence, and every
-    sample lies on one of its values.  At each value one real scan of
-    [s_min, s_max] is matched to the live real branches (see _match).
-    Branches left unmatched are resolved by a fine rescan of their
-    neighbourhood: surviving roots go back to the nearest branches,
-    adjacent leftover pairs merge, and a lone leftover ends its branch.
-    Then one refine_complex call refines every merged pair at the value:
-    a pair formed there or parked by a failed conversion is seeded from
-    its members' midpoint, and a converted one (its coalescence event
-    recorded on both branches) from the quadratic through its last three
-    complex roots; the new root is appended to both.  Scanned roots that
-    no real branch holds start new branches.
+    parameter value p; values is the strictly monotone sample sequence,
+    and every sample lies on one of its values.  The loop takes one value
+    per pass.  One real scan of [s_min, s_max] is matched to the live real
+    branches (see _match).  A real branch whose last sample is not at the
+    value is unmatched, and _rescan resolves it.  Then one refine_complex
+    call refines every merged pair at the value (see _refine_pairs).
+    Scanned roots that no real branch holds start new branches.
 
     A branch that ends carries its reason in Branch.note: "left the scan
     window" (its predicted position, or its complex pair's Re s, is outside
@@ -339,112 +408,26 @@ def trace_parameter(family, parameter: str, values, cfg: ScanConfig) -> list:
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size < 2:
         raise ValueError("parameter sweep needs at least two values")
-    branches = [Branch(parameter, i, [(float(values[0]), r)], s=r.s.real)
+    if not (all(np.diff(values) > 0) or all(np.diff(values) < 0)):
+        raise ValueError("parameter sweep values must be strictly monotone")
+    branches = [Branch(i, [(float(values[0]), r)], s=r.s.real)
                 for i, r in enumerate(scan_real_roots(family(values[0]), cfg))]
-
-    pairs = []      # (lower-index member, other member, failure params)
-
-    def handle_failures(failed, F, p, dp):
-        """Resolve unmatched real branches: re-scan their neighbourhood,
-        clipped to the scan window, at a tenth of the grid step, hand
-        surviving real roots back to the nearest branches, and merge the
-        leftover adjacent pairs (refined by refine_pairs).  A leftover
-        without a partner ends its branch."""
-        occupied = [lb.s for lb in branches
-                    if lb.status == "real" and lb not in failed]
-        for cluster in _failure_clusters(failed, cfg):
-            lo = max(cfg.s_min, min(lb.s for lb in cluster) - 2 * cfg.step)
-            hi = min(cfg.s_max, max(lb.s for lb in cluster) + 2 * cfg.step)
-            fine = ScanConfig(lo, hi, cfg.step / 10, cfg.tol)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", GridTooCoarseWarning)
-                found = scan_real_roots(F, fine)
-            avail = [r for r in found
-                     if all(abs(r.s.real - c) > cfg.step / 4
-                            for c in occupied)]
-            # nearest-first matching of surviving roots to branches
-            lbs = list(cluster)
-            cand = sorted(((abs(r.s.real - lb.s), lb, r)
-                           for lb in lbs for r in avail),
-                          key=lambda t: t[0])
-            taken = set()
-            for dist, lb, r in cand:
-                if (lb not in lbs or id(r) in taken
-                        or dist > 2 * cfg.step + 4 * abs(lb.ds)):
-                    continue
-                lbs.remove(lb)
-                taken.add(id(r))
-                lb.commit(p, dp, r)
-            lbs.sort(key=lambda lb: lb.s)
-            while len(lbs) >= 2:
-                la, lc = sorted(lbs[:2], key=lambda lb: lb.index)
-                del lbs[:2]
-                la.status = lc.status = "pair"
-                pairs.append((la, lc, []))
-            for lb in lbs:
-                inside = cfg.s_min <= lb.predicted(dp) <= cfg.s_max
-                lb.end("no convergence" if inside else "left the scan window")
-
-    def refine_pairs(F, p):
-        """Refine every merged pair at p in one refine_complex call.  A pair
-        with its event continues from the root its complex samples predict
-        (_extrapolate); a new or parked pair is converted from the midpoint
-        of its members' last real roots, one scan step into the upper
-        half-plane, and on success records the event on both members.  A
-        failed conversion (no convergence, or the seed falls back onto the
-        real axis just before the true merge parameter) parks the pair: it
-        is retried once at each of the next three sweep values, then ends.
-        A lost complex root ends the lower-index member; the other continues
-        from the same root.  A complex root whose Re s is outside [s_min,
-        s_max] ends both."""
-        work = [(m, failures) for la, lc, failures in pairs
-                if (m := [lb for lb in (la, lc) if lb.status == "pair"])]
-        seeds = [_extrapolate(m[0].samples, p) if m[0].events
-                 else 0.5 * (m[0].s + m[1].s) + 1j * cfg.step
-                 for m, _ in work]
-        roots = work and refine_complex(F, seeds, cfg.tol, probe=cfg.step)
-        for (members, failures), seed, root in zip(work, seeds, roots):
-            merging = not members[0].events
-            if root is None or root.kind != "complex-pair":
-                if not merging:
-                    members[0].end("complex continuation lost" if root is None
-                                   else "complex pair returned to real axis")
-                else:
-                    failures.append(p)
-                    if len(failures) > 3:
-                        for lb in members:
-                            lb.end("coalescence seed rejected")
-                continue
-            if merging:
-                ids = tuple(lb.index
-                            for lb in sorted(members, key=lambda lb: lb.s))
-                event = CoalescenceEvent(p, seed.real, ids, seed)
-                for lb in members:
-                    lb.events.append(event)
-            for lb in members:
-                if cfg.s_min <= root.s.real <= cfg.s_max:
-                    lb.s = root.s
-                    lb.samples.append((p, root))
-                else:
-                    lb.end("left the scan window")
-
+    pairs = []
     for p_prev, p in zip(values[:-1].tolist(), values[1:].tolist()):
         dp = p - p_prev
         F = family(p)
         found = scan_real_roots(F, cfg)
         reals = [lb for lb in branches if lb.status == "real"]
-        matched = _match(reals, found, dp, cfg)
-        for lb, r in matched:
+        for lb, r in _match(reals, found, dp, cfg):
             lb.commit(p, dp, r)
-        held = {id(lb) for lb, _ in matched}
-        handle_failures([lb for lb in reals if id(lb) not in held], F, p, dp)
-        refine_pairs(F, p)
+        failed = [lb for lb in reals if lb.samples[-1][0] != p]
+        occupied = [lb.s for lb in reals if lb.samples[-1][0] == p]
+        pairs += _rescan(failed, occupied, F, p, dp, cfg)
+        _refine_pairs(pairs, F, p, cfg)
         # scanned roots that no live real branch holds start new branches
         known = [lb.s for lb in branches if lb.status == "real"]
         for r in found:
-            if any(abs(r.s.real - s) < 2 * cfg.step for s in known):
-                continue
-            branches.append(Branch(parameter, len(branches), [(p, r)],
-                                   s=r.s.real))
-            known.append(r.s.real)
+            if not any(abs(r.s.real - s) < 2 * cfg.step for s in known):
+                branches.append(Branch(len(branches), [(p, r)], s=r.s.real))
+                known.append(r.s.real)
     return branches

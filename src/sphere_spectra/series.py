@@ -83,10 +83,10 @@ def _steps(k2: float, eps: float, M: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=2)          # one (k, eps, M) in use at a time
 def _blocks(k2: float, eps: float, M: int) -> np.ndarray:
-    """The steps after PLAIN, BLOCK at a time: [S^j y] @ C[i] (j = 0..BLOCK,
-    y the four values before block i) gives its 2*BLOCK values (a, b).
-    Composed in long double and rounded once; zero steps pad the last
-    block, so C[i] does not depend on M."""
+    """The steps after PLAIN, BLOCK at a time: [S^j y] @ C[i] (j = 1..BLOCK,
+    then 0, as fold_blocks reads it; y the four values before block i) gives
+    its 2*BLOCK values (a, b).  Composed in long double and rounded once;
+    zero steps pad the last block, so C[i] does not depend on M."""
     P = _steps(k2, eps, M)[PLAIN:].astype(np.longdouble)
     P = np.concatenate([P, np.zeros((-len(P) % BLOCK, 4, 4))])
     # Q[i, v, 4j + c]: value v (y, then each step's a, b) in S^j y[c]
@@ -97,7 +97,7 @@ def _blocks(k2: float, eps: float, M: int) -> np.ndarray:
         r = P[t::BLOCK] @ Q[:, 2 * t:2 * t + 4, :w]
         Q[:, 2 * t + 4:2 * t + 6, :w] = r[:, :2]
         Q[:, 2 * t + 4:2 * t + 6, 4:w + 4] += r[:, 2:]
-    return Q[:, 4:].transpose(0, 2, 1).astype(float, order="C")
+    return np.roll(Q[:, 4:].transpose(0, 2, 1).astype(float, order="C"), -4, 1)
 
 
 def fold_rows(g: np.ndarray, M: int):
@@ -114,7 +114,7 @@ def fold_rows(g: np.ndarray, M: int):
 def fold_blocks(k2: float, eps: float, M: int, rows):
     """The rows (fold_rows) folded into the blocks: table @ head = [y, rows]
     after the PLAIN steps, [S^j y, y, rows] @ F = [y', rows] after a block."""
-    (head, W, eye), C = rows, np.roll(_blocks(k2, eps, M), -4, axis=1)
+    (head, W, eye), C = rows, _blocks(k2, eps, M)
     return head, np.concatenate([np.concatenate([C[:, :, -4:], C @ W], 2),
                                  eye], 1)
 

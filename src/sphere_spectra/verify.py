@@ -174,7 +174,7 @@ def legendre_reduction(n):
 def eigenfunction_ode(k, eps, n, x=None):
     """At s = sigma + n the sigma-mode (1 - x^2)^(sigma/2) F_n solves the
     eps = 0 vorticity equation with k = sigma, and the dressed mode the
-    equation at (k, eps); x defaults to vorticity_ode_residual's grid."""
+    equation at (k, eps); x defaults to analytic.RESIDUAL_GRID."""
     sigma = analytic.sigma_of(k, eps)
     mu = -(sigma + n) * (sigma + n + 1)
     varphi = analytic.PowerWeightedPoly(

@@ -135,7 +135,7 @@ def test_criterion_5_coalescence_and_stability_domain():
     for k in (1, 3):
         fam = lambda e: ss.det_functional(
             ss.SpectralParams(k=k, eps=float(e), x0=0.9, M=150))
-        branches = ss.trace_parameter(fam, "eps", np.arange(0, 12.001, 0.25),
+        branches = ss.trace_parameter(fam, np.arange(0, 12.001, 0.25),
                                       ss.ScanConfig(0.0, 8.0))
         events = {(e.param, e.branch_ids)
                   for br in branches for e in br.events}
@@ -181,7 +181,7 @@ def test_criterion_5_sweeps_determinant_calls():
                 calls.append(np.size(s))
                 return F(s)
             return counted
-        ss.trace_parameter(fam, "eps", np.arange(0, 12.001, 0.25),
+        ss.trace_parameter(fam, np.arange(0, 12.001, 0.25),
                            ss.ScanConfig(0.0, 8.0))
     assert len(calls) <= 467, len(calls)
 

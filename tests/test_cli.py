@@ -402,12 +402,22 @@ class TestSweepValidation:
         from sphere_spectra import cli as cli_mod
         seen = []
         monkeypatch.setattr(cli_mod, "trace_parameter",
-                            lambda family, name, values, cfg: seen.append(
+                            lambda family, values, cfg: seen.append(
                                 list(values)) or [])
         assert run(["trace", "--k", "1", "--sweep", "x0:0.85:0.95:0.05",
                     "--output", str(tmp_path / "t.csv")]) == 0
         assert seen == [[0.85, 0.9, 0.95]]
         assert "use M >= 1000" not in capsys.readouterr().err
+
+    def test_sweep_values_rounded_together_exit_2(self, tmp_path, capsys):
+        # 0.9 + i * 3e-16 at the rows' 15 digits repeats values: rows were
+        # written twice for one value
+        out = tmp_path / "t.csv"
+        assert run(["trace", "--k", "1", "--smax", "3", "--sweep",
+                    "x0:0.9:0.900000000000003:0.0000000000000003",
+                    "--output", str(out)]) == 2
+        assert "strictly monotone" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sweep_value_count_is_bounded(self, monkeypatch, tmp_path,
                                           capsys):
@@ -426,7 +436,7 @@ class TestSweepValidation:
         monkeypatch.setattr(cli_mod, "_sweep_values", build)
         seen = []
         monkeypatch.setattr(cli_mod, "trace_parameter",
-                            lambda family, name, values, cfg: seen.append(
+                            lambda family, values, cfg: seen.append(
                                 len(values)) or [])
         assert run(["trace", "--k", "1", "--sweep", "eps:0:9.999:0.001",
                     "--output", str(tmp_path / "t.csv")]) == 0
@@ -518,6 +528,17 @@ class TestConfigKeys:
         assert run(argv + ["--config", str(cfgfile)]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("config", "x.json"),
+                                            ("command", "csv")])
+    def test_namespace_names_are_no_config_keys(self, tmp_path, capsys, key,
+                                                value):
+        # both were accepted and ignored
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({key: value}))
+        assert run(["spectrum", "--config", str(cfgfile)]) == 2
+        assert f"unknown config keys for spectrum: {key}" in \
+            capsys.readouterr().err
+
     # per option: its value as a flag argument (None for a switch) and as
     # a config value, the commands that have it where not all four, and
     # config values of the other JSON types
@@ -599,8 +620,10 @@ class TestConfigKeys:
             for wrong in self.WRONG[opt.type]:
                 code, out, _ = outputs(command, {name: wrong})
                 assert code == 2
-                assert "configuration error: config values of the wrong " \
-                    f"type: {name}" in out.err
+                # config is no config key, whatever its value
+                assert (f"unknown config keys for {command}: config"
+                        if name == "config" else "configuration error: "
+                        f"config values of the wrong type: {name}") in out.err
 
 
 class TestOracleCommand:
@@ -758,6 +781,8 @@ def test_event_sidecar_uses_row_digits(tmp_path):
         assert ev["param"] in params
         for x in (ev["param"], ev["s_merged"]):
             assert float(f"{x:.15g}") == x
+        # the merge position is the seed's real part
+        assert ev["s_merged"] == float(f"{ev['seed'][0]:.15g}")
 
 
 def test_sidecar_lists_every_branch_termination(tmp_path):

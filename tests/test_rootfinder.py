@@ -448,7 +448,7 @@ class TestTrace:
         # roots +-sqrt(1-t) merge at t = 1 and continue as +-i sqrt(t-1)
         fam = lambda t: (lambda s: np.asarray(s, complex) ** 2 - (1 - t))
         cfg = ScanConfig(-0.45, 2.0, 0.05, 1e-12)
-        branches = trace_parameter(fam, "t", np.arange(0.5, 1.5001, 0.05), cfg)
+        branches = trace_parameter(fam, np.arange(0.5, 1.5001, 0.05), cfg)
         events = {(round(e.param, 6), e.branch_ids)
                   for br in branches for e in br.events}
         assert len(events) == 1
@@ -462,7 +462,7 @@ class TestTrace:
         # root s = t - 1 enters the scan window during the sweep
         fam = lambda t: (lambda s: np.asarray(s, complex) - (t - 1))
         cfg = ScanConfig(0.0, 2.0, 0.05, 1e-12)
-        branches = trace_parameter(fam, "t", np.arange(0.5, 2.5001, 0.25), cfg)
+        branches = trace_parameter(fam, np.arange(0.5, 2.5001, 0.25), cfg)
         assert len(branches) == 1
         first_param = branches[0].samples[0][0]
         assert first_param >= 1.0
@@ -470,7 +470,7 @@ class TestTrace:
     def test_samples_ordered_by_parameter(self):
         fam = lambda t: (lambda s: np.asarray(s, complex) ** 2 - (1 - t))
         cfg = ScanConfig(-0.45, 2.0, 0.05, 1e-12)
-        branches = trace_parameter(fam, "t", np.arange(0.5, 1.5001, 0.05), cfg)
+        branches = trace_parameter(fam, np.arange(0.5, 1.5001, 0.05), cfg)
         for br in branches:
             ps = [p for p, _ in br.samples]
             assert ps == sorted(ps)
@@ -478,7 +478,17 @@ class TestTrace:
     def test_requires_two_values(self):
         fam = lambda t: poly(1.0)
         with pytest.raises(ValueError):
-            trace_parameter(fam, "t", [1.0], ScanConfig())
+            trace_parameter(fam, [1.0], ScanConfig())
+
+    def test_requires_strictly_monotone_values(self):
+        # a branch is unmatched at a value when its last sample is not
+        # there, which needs every value to differ from the one before
+        fam = lambda t: poly(1.0)
+        for values in ([1.0, 1.0, 1.1], [1.0, 1.1, 1.05]):
+            with pytest.raises(ValueError, match="strictly monotone"):
+                trace_parameter(fam, values, ScanConfig())
+        branch, = trace_parameter(fam, [1.1, 1.0, 0.9], ScanConfig())
+        assert [p for p, _ in branch.samples] == [1.1, 1.0, 0.9]
 
     def test_truncation_sweep_descends_to_full_sphere_limit(self):
         # roots decrease monotonically as the layer widens and head toward
@@ -486,7 +496,7 @@ class TestTrace:
         from sphere_spectra import SpectralParams, det_functional
         fam = lambda x0: det_functional(
             SpectralParams(k=3, eps=0.0, x0=float(x0), M=150))
-        branches = trace_parameter(fam, "x0", np.arange(0.9, 0.9801, 0.02),
+        branches = trace_parameter(fam, np.arange(0.9, 0.9801, 0.02),
                                    ScanConfig(0.0, 9.0))
         first = branches[0]
         track = [r.s.real for _, r in first.samples]
@@ -498,7 +508,7 @@ class TestTrace:
         # branch is closed with a note and the sweep carries on
         fam = lambda t: (lambda s: np.asarray(s, complex) - (0.5 if t < 1 else 3.0))
         cfg = ScanConfig(0.0, 4.0, 0.05, 1e-12)
-        branches = trace_parameter(fam, "t", np.arange(0.5, 1.4001, 0.1), cfg)
+        branches = trace_parameter(fam, np.arange(0.5, 1.4001, 0.1), cfg)
         assert branches[0].note == "no convergence"
         assert branches[0].samples[-1][1].s.real == pytest.approx(0.5)
 
@@ -512,7 +522,7 @@ class TestTrace:
             return lambda s: np.asarray(s, complex) - (1 + 13.7 * (t - 0.95))
 
         values = [0.95, 0.96, 0.97, 0.98, 0.99]
-        branches = trace_parameter(fam, "t", values,
+        branches = trace_parameter(fam, values,
                                    ScanConfig(0.0, 4.5, 0.05, 1e-12))
         assert built == values
         assert len(branches) == 1
@@ -524,7 +534,7 @@ class TestTrace:
         # s = 1.5 t climbs through s_max = 2 between t = 1.3 and 1.4
         fam = lambda t: (lambda s: np.asarray(s, complex) - 1.5 * t)
         cfg = ScanConfig(0.0, 2.0, 0.05, 1e-12)
-        branches = trace_parameter(fam, "t", np.arange(1.0, 1.6001, 0.1), cfg)
+        branches = trace_parameter(fam, np.arange(1.0, 1.6001, 0.1), cfg)
         assert len(branches) == 1
         assert branches[0].note == "left the scan window"
         assert branches[0].samples[-1][0] == pytest.approx(1.3)
@@ -539,7 +549,7 @@ class TestTrace:
 
         cfg = ScanConfig(0.0, 2.5, 0.05, 1e-12)
         values = np.round(np.arange(0.5, 2.0001, 0.05), 12)
-        branches = trace_parameter(fam, "t", values, cfg)
+        branches = trace_parameter(fam, values, cfg)
         pair = [br for br in branches if br.events]
         assert len(pair) == 2
         for br in pair:
@@ -561,7 +571,7 @@ class TestTrace:
         fam, calls = recording_refine(monkeypatch, fam)
         cfg = ScanConfig(0.0, 2.0, 0.05, 1e-12)
         values = [0.9, 0.95, 1.0, 1.05, 1.1, 1.15, 1.2]
-        branches = trace_parameter(fam, "t", values, cfg)
+        branches = trace_parameter(fam, values, cfg)
         # parked at 1.0, then one retry at each of the next three values
         attempts = [t for t, seeds, _ in calls for _ in seeds]
         assert attempts == [1.0, 1.05, 1.1, 1.15]
@@ -580,7 +590,7 @@ class TestTrace:
                          + 0.04 * (t - 1))
         fam, calls = recording_refine(monkeypatch, fam)
         cfg = ScanConfig(0.0, 2.0, 0.05, 1e-12)
-        branches = trace_parameter(fam, "t", [0.9, 0.95, 1.05], cfg)
+        branches = trace_parameter(fam, [0.9, 0.95, 1.05], cfg)
         assert len(branches) == 2
         below = [br.samples[1][1].s.real for br in branches]
         assert [p for p, _ in branches[0].samples] == [0.9, 0.95, 1.05]
@@ -588,7 +598,7 @@ class TestTrace:
         # the seed is the midpoint of the last real roots plus one step
         assert event.seed == 0.5 * sum(below) + 0.05j
         assert event.seed == pytest.approx(1.0 + 0.05j, abs=1e-12)
-        assert event.s_merged == event.seed.real and event.param == 1.05
+        assert event.param == 1.05
         assert [(t, seeds) for t, seeds, _ in calls] == [(1.05, [event.seed])]
         for br in branches:
             assert br.events == [event]
@@ -613,7 +623,7 @@ class TestTrace:
         fam, calls = recording_refine(monkeypatch, fam)
         cfg = ScanConfig(0.0, 3.0, 0.05, 1e-12)
         values = [0.9, 0.95, 1.05, 1.1, 1.15, 1.2, 1.25, 1.3]
-        branches = trace_parameter(fam, "t", values, cfg)
+        branches = trace_parameter(fam, values, cfg)
         assert [t for t, _, _ in calls] == values[2:]
         (seed0,), (seed1,), (seed2,), *later = [seeds for _, seeds, _ in calls]
         roots = [r.s for _, _, (r,) in calls]
@@ -650,7 +660,7 @@ class TestTrace:
 
         monkeypatch.setattr(rootfinder, "refine_complex", in_muller)
         cfg = ScanConfig(0.0, 2.0, 0.05, 1e-12)
-        trace_parameter(fam, "t", [0.9, 0.95, 1.05, 1.1], cfg)
+        trace_parameter(fam, [0.9, 0.95, 1.05, 1.1], cfg)
         assert dtypes == {(False, np.dtype(float)),
                           (True, np.dtype(complex))}
         dtypes.clear()
@@ -673,7 +683,7 @@ class TestTrace:
 
         fam, calls = recording_refine(monkeypatch, fam)
         cfg = ScanConfig(0.0, 2.0, 0.05, 1e-12)
-        branches = trace_parameter(fam, "t", [0.9, 0.95, 1.0, 1.05], cfg)
+        branches = trace_parameter(fam, [0.9, 0.95, 1.0, 1.05], cfg)
         pair = branches[:2]
         seed = 0.5 * sum(br.samples[1][1].s.real for br in pair) + 0.05j
         assert [(t, seeds) for t, seeds, _ in calls] == [
@@ -685,6 +695,43 @@ class TestTrace:
             assert [p for p, _ in br.samples] == [0.9, 0.95, 1.05]
             assert br.samples[-1][1].kind == "complex-pair"
             assert [(e.param, e.seed) for e in br.events] == [(1.05, seed)]
+
+    @pytest.mark.parametrize("after, note", [
+        (lambda s: np.ones_like(np.asarray(s, complex)),
+         "complex continuation lost"),
+        (poly(0.9, 1.1), "complex pair returned to real axis"),
+    ], ids=["lost", "real-axis"])
+    def test_complex_pair_endings(self, monkeypatch, after, note):
+        # the pair 1 +- 0.2 sqrt(1 - t) merges at t = 1; from t = 1.15 the
+        # family has no complex root: none at all, or the real 0.9 and 1.1
+        def fam(t):
+            if t >= 1.15:
+                return after
+            return lambda s: (np.asarray(s, complex) - 1) ** 2 \
+                + 0.04 * (t - 1)
+
+        fam, calls = recording_refine(monkeypatch, fam)
+        ended, end = [], rootfinder.Branch.end
+        monkeypatch.setattr(rootfinder.Branch, "end", lambda br, why: (
+            ended.append((br.index, calls[-1][0])), end(br, why)))
+        cfg = ScanConfig(0.0, 2.0, 0.05, 1e-12)
+        values = [0.9, 0.95, 1.05, 1.1, 1.15, 1.2, 1.25]
+        branches = trace_parameter(fam, values, cfg)
+        assert [t for t, _, _ in calls] == [1.05, 1.1, 1.15, 1.2]
+        assert all(len(seeds) == 1 for _, seeds, _ in calls)
+        # the lower-index member ends first, the other one value later
+        assert ended == [(0, 1.15), (1, 1.2)]
+        for br in branches[:2]:
+            assert br.note == note
+            assert br.samples[-1][0] == 1.1
+            assert br.samples[-1][1].kind == "complex-pair"
+        real = note.endswith("real axis")
+        assert [getattr(r, "kind", None) for _, _, (r,) in calls[2:]] == (
+            ["real", "real"] if real else [None, None])
+        # the real roots that replace the pair start new branches
+        assert [(br.index, br.samples[0][0], round(br.samples[0][1].s.real, 9))
+                for br in branches[2:]] == (
+            [(2, 1.15, 0.9), (3, 1.15, 1.1)] if real else [])
 
     def test_new_pair_root_outside_window_ends_pair(self):
         # the pair 2.4 +- 0.2 sqrt(1 - t) merges at t = 1 and moves off as
@@ -700,7 +747,7 @@ class TestTrace:
 
         cfg = ScanConfig(0.0, 2.5, 0.05, 1e-12)
         values = [0.9, 0.95, 1.0, 1.05, 1.1, 1.15]
-        branches = trace_parameter(fam, "t", values, cfg)
+        branches = trace_parameter(fam, values, cfg)
         assert len(branches) == 2
         for br in branches:
             assert br.note == "left the scan window"
@@ -725,7 +772,7 @@ class TestTrace:
         fam, calls = recording_refine(monkeypatch, fam)
         cfg = ScanConfig(0.0, 4.0, 0.05, 1e-12)
         values = np.round(np.arange(0.9, 1.2001, 0.05), 12).tolist()
-        branches = trace_parameter(fam, "t", values, cfg)
+        branches = trace_parameter(fam, values, cfg)
         events = {e.param for br in branches for e in br.events}
         first = [min(v for v in values if v > m) for m in merges]
         assert events == set(first)
@@ -749,7 +796,7 @@ class TestTrace:
             return poly(1.23, 5.0)
 
         cfg = ScanConfig(0.0, 3.0, 0.1, 1e-12)
-        branches = trace_parameter(fam, "t", [0.0, 1.0, 2.0, 3.0], cfg)
+        branches = trace_parameter(fam, [0.0, 1.0, 2.0, 3.0], cfg)
         assert len(branches) == 2
         at = {}
         for br in branches:
