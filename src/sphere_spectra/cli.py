@@ -4,7 +4,7 @@ Commands:
   spectrum   roots of the series determinant for one (k, eps, x0, M);
              x0 = 1 is answered from the closed-form spectra
   oracle     roots of the shooting integrator (independent of the series);
-             --chi selects the transformed self-adjoint problem
+             k = 0 runs the self-adjoint chi problem, and --chi is --k 0
   trace      roots swept along x0 or eps with coalescence tracking
   figures    canned sweeps reproducing the published root diagrams
   verify     run the self-verification suite
@@ -55,7 +55,6 @@ class RunConfig:
     output: str | None
     fmt: str
     n_steps: int
-    chi: bool
 
     def __post_init__(self):
         if self.command == "trace" and self.sweep is None:
@@ -153,11 +152,10 @@ def _series_spectrum(cfg: RunConfig, meta: dict, param):
 
 def cmd_oracle(cfg: RunConfig) -> int:
     p = cfg.params
-    shoot = oracle.shoot_functional(p, n_steps=cfg.n_steps,
-                                    which="chi" if cfg.chi else "auto")
+    shoot = oracle.shoot_functional(p, n_steps=cfg.n_steps)
     roots = scan_real_roots(shoot, _scan_for(cfg), source="oracle")
     _emit(_filter_rows(roots, p.x0, cfg.scan.tol),
-          cfg, _meta(cfg) | {"n_steps": cfg.n_steps, "chi": cfg.chi}
+          cfg, _meta(cfg) | {"n_steps": cfg.n_steps, "chi": p.k == 0}
           | shoot.meta)
     return 0
 
@@ -166,7 +164,7 @@ def _scan_for(cfg: RunConfig) -> ScanConfig:
     """k = 0 problems exclude the trivial mu = 0, so the scan starts just
     above s = 0 there."""
     scan = cfg.scan
-    if (cfg.params.k == 0 or cfg.chi) and scan.s_min <= 0.0:
+    if cfg.params.k == 0 and scan.s_min <= 0.0:
         scan = replace(scan, s_min=scan.step)
     return scan
 
@@ -332,7 +330,7 @@ _Option = namedtuple("_Option", "type default help commands", defaults=(
 
 _OPTIONS = {
     "config": _Option(str, help="JSON file with default options"),
-    "k": _Option(int, 1),
+    "k": _Option(int),          # None: 0 with chi, else 1
     "eps": _Option(float, 0.0),
     "x0": _Option(float, 0.9),
     "M": _Option(int),          # None: 100 for k = 0, else 150
@@ -343,8 +341,8 @@ _OPTIONS = {
     "output": _Option(str),
     "fmt": _Option(str, "csv"),
     "steps": _Option(int, 2000, "RK4 step count (default {})", ("oracle",)),
-    "chi": _Option(bool, False, "transformed self-adjoint problem instead "
-                   "of the k-indexed system", ("oracle",)),
+    "chi": _Option(bool, False, "the k = 0 problem, run as the transformed "
+                   "self-adjoint chi problem like any --k 0", ("oracle",)),
     "sweep": _Option(str, None, "name:start:stop:step with name one of x0, "
                      "eps, M", ("trace",)),
     "figure": _Option(str, "1", "figure number (1-7) or 'all' (default {})",
@@ -421,8 +419,11 @@ def main(argv=None) -> int:
             raise ValueError(f"no directory for the output {out!r}")
         if args.command == "verify":
             return cmd_verify(args.only, out)
-        default_M = 100 if opts["k"] == 0 else 150
-        params = SpectralParams(k=opts["k"], eps=opts["eps"], x0=opts["x0"],
+        if opts["chi"] and opts["k"] not in (None, 0):
+            raise ValueError(f"--chi is k = 0, not k = {opts['k']}")
+        k = opts["k"] if opts["k"] is not None else 0 if opts["chi"] else 1
+        default_M = 100 if k == 0 else 150
+        params = SpectralParams(k=k, eps=opts["eps"], x0=opts["x0"],
                                 M=default_M if opts["M"] is None
                                 else opts["M"])
         scan = ScanConfig(s_min=opts["smin"], s_max=opts["smax"],
@@ -430,7 +431,7 @@ def main(argv=None) -> int:
         sweep = _parse_sweep(opts["sweep"]) if opts["sweep"] else None
         cfg = RunConfig(command=args.command, params=params, scan=scan,
                         sweep=sweep, output=out, fmt=opts["fmt"],
-                        n_steps=opts["steps"], chi=opts["chi"])
+                        n_steps=opts["steps"])
         # a swept value is checked like the flag it replaces, before computing
         ends = _run_ends(cfg)
         for p in ends:

@@ -12,9 +12,15 @@ call's largest |mu| past those checked; that stiffness sets the blocks too.
 
 For k != 0, trajectories from (Psi, Psi', Phi, Phi') = (0, 0, 1, 0) and
 (0, 0, 0, 1) span the solutions obeying the left boundary conditions; the
-residual is the 2x2 determinant of their (Psi, Psi') at +x0.  For k = 0 one
-trajectory from (Psi, Psi', Phi) = (0, 0, 1) gives the residual Psi'(x0);
-chi uses (chi, chi') = (0, 1) and chi(x0).
+residual is the 2x2 determinant of their (Psi, Psi') at +x0.  k = 0 runs
+the self-adjoint chi problem: one trajectory from (chi, chi') = (0, 1),
+residual chi(x0).  There Psi enters through Psi' alone, (1-x^2) Psi'' =
+Phi + 2x Psi' and Phi' = mu Psi' - eps Phi / (1-x^2), with Psi'(+-x0) = 0
+(a constant Psi is the trivial mu = 0).  With g = ((1+x)/(1-x))^(eps/4),
+chi = g sqrt(1-x^2) Psi' and phi = g Phi obey the transform pair that
+analytic.darboux_residual checks, whose composition is chi's equation.
+g sqrt(1-x^2) > 0 on [-x0, x0], so chi vanishes at +-x0 just where Psi'
+does: chi's Dirichlet spectrum is the nontrivial k = 0 spectrum.
 """
 
 from __future__ import annotations
@@ -40,16 +46,6 @@ def _system_k(p: SpectralParams, x, om):
     return a
 
 
-def _system_k0(p: SpectralParams, x, om):
-    """(A0, A1) of (1-x^2) Psi'' = Phi + 2x Psi' and
-    Phi' = mu Psi' - eps Phi / (1-x^2)."""
-    a = np.zeros((2, *x.shape, 3, 3))
-    a[0, ..., 0, 1] = a[1, ..., 2, 1] = 1.0
-    a[0, ..., 1, 1], a[0, ..., 1, 2] = 2 * x / om, 1 / om
-    a[0, ..., 2, 2] = -p.eps / om
-    return a
-
-
 def _system_chi(p: SpectralParams, x, om):
     """(A0, A1) of (1-x^2) chi'' = mu chi + 2x chi'
     + (eps^2 + 4 + 4 eps x) chi / (4 (1-x^2))."""
@@ -65,27 +61,24 @@ def _system_chi(p: SpectralParams, x, om):
 _PROBLEMS = {
     "k": (4, [2, 3], _system_k,
           lambda r: r[0, 0] * r[1, 1] - r[1, 0] * r[0, 1]),
-    "k0": (3, [2], _system_k0, lambda r: r[1, 0]),
     "chi": (2, [1], _system_chi, lambda r: r[0, 0]),
 }
 
 
-def _problem(params: SpectralParams, which: str, n_steps: int) -> str:
-    """Problem name: "chi" on request, else "k" or "k0"."""
+def _problem(params: SpectralParams, n_steps: int) -> str:
+    """Problem name: "chi" for k = 0, else "k"."""
     if not 0 < params.x0 < 1:
         raise ValueError(f"shooting requires 0 < x0 < 1, got {params.x0}")
     if n_steps < 2:
         raise ValueError(f"shooting needs at least 2 steps, got {n_steps}")
-    if which not in ("auto", "chi"):
-        raise ValueError(f"which must be 'auto' or 'chi', got {which!r}")
-    return "chi" if which == "chi" else "k0" if params.k == 0 else "k"
+    return "chi" if params.k == 0 else "k"
 
 
 def _check_steps(params: SpectralParams, problem: str, n_steps: int, mu):
     """h * max |eig(A0(x) + mu A1(x))| on the step grid, refused above
     RK4_STABLE with the least step count that passes.  A0 + mu A1 is block-
     triangular: its 2x2 diagonal blocks b have eig t +- sqrt(t^2 - det b),
-    t = trace b / 2 (k = 0 adds the eigenvalue 0 of its first column)."""
+    t = trace b / 2."""
     dim, _, system, _ = _PROBLEMS[problem]
 
     def stiffness(n):
@@ -93,7 +86,7 @@ def _check_steps(params: SpectralParams, problem: str, n_steps: int, mu):
         x = -params.x0 + np.arange(n + 1) * h
         a0, a1 = system(params, x, 1.0 - x * x)
         a = a0 + mu * a1
-        b = np.stack([a[:, i:i + 2, i:i + 2] for i in range(dim % 2, dim, 2)])
+        b = np.stack([a[:, i:i + 2, i:i + 2] for i in range(0, dim, 2)])
         t = (b[..., 0, 0] + b[..., 1, 1]) / 2
         r = np.sqrt(t * t - b[..., 0, 0] * b[..., 1, 1]
                     + b[..., 0, 1] * b[..., 1, 0] + 0j)
@@ -190,13 +183,12 @@ def _values(problem: str, s, blocks):
     return value, scale
 
 
-def shoot_functional(params: SpectralParams, n_steps: int = 2000,
-                     which: str = "auto"):
+def shoot_functional(params: SpectralParams, n_steps: int = 2000):
     """Vectorized boundary residual for the root finder: the raw boundary
     determinant over 10**L, L = meta["log_scale_ref"] the largest log10 factor
-    of the first call (meta also has block, degree and h_max_eig).  which:
-    "auto" picks the k != 0 or k = 0 system, "chi" the chi(+-x0) = 0 one."""
-    problem = _problem(params, which, n_steps)
+    of the first call (meta also has block, degree and h_max_eig).  The
+    problem is the k != 0 system, or chi for k = 0."""
+    problem = _problem(params, n_steps)
     meta = dict(h_max_eig=_check_steps(params, problem, n_steps, 0.0))
     top, blocks = 0.0, None
 

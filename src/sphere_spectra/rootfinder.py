@@ -84,11 +84,6 @@ class Branch:
     ds: float = field(default=0.0, repr=False, compare=False)
     dp: float = field(default=0.0, repr=False, compare=False)
 
-    def predicted(self, dp):
-        """Position after a parameter step dp: the last committed movement
-        scaled to dp, or no movement before the first commit."""
-        return self.s + (self.ds * dp / self.dp if self.dp else 0.0)
-
     def commit(self, p, dp, root):
         self.ds = root.s.real - self.s
         self.dp = dp
@@ -280,15 +275,16 @@ def _extrapolate(samples, p):
 def _match(members, found, dp, cfg):
     """Hand scanned real roots to real branches.
 
-    Each member claims the scanned root nearest its predicted position,
-    within max(8 predicted movements, one scan step) of it, or at any
-    distance before its first committed step.  Returns the (member, root)
-    claims that no other member shares: two members claiming one root is
-    the signature of an imminent coalescence, resolved by the caller.
+    Each member claims the scanned root nearest its predicted position (its
+    last committed movement scaled to dp), within max(8 predicted movements,
+    one scan step) of it, or at any distance before its first commit.
+    Returns the (member, root) claims that no other member shares: two
+    members claiming one root is the signature of an imminent coalescence,
+    resolved by the caller.
     """
     claims = {}
     for lb in members:
-        pred = lb.predicted(dp)
+        pred = lb.s + (lb.ds * dp / lb.dp if lb.dp else 0.0)
         reach = max(8 * abs(pred - lb.s), cfg.step) if lb.dp else np.inf
         near = min(found, key=lambda r: abs(r.s.real - pred), default=None)
         if near is not None and abs(near.s.real - pred) <= reach:
@@ -303,8 +299,9 @@ def _rescan(failed, occupied, F, p, dp, cfg):
     each.  Re-scan each cluster's neighbourhood, clipped to the scan window,
     at a tenth of the grid step, hand surviving real roots more than a
     quarter step from every occupied position back to the nearest branches,
-    and merge the leftover adjacent pairs.  A leftover without a partner
-    ends its branch.  Returns the new pairs: [lower-index member, other
+    and merge the leftover adjacent pairs.  A lone leftover has left the
+    window if its re-scan was clipped at the edge it moved toward, else it
+    did not converge.  Returns the new pairs: [lower-index member, other
     member, failed conversions]."""
     clusters = []
     for lb in sorted(failed, key=lambda lb: lb.s):
@@ -341,8 +338,9 @@ def _rescan(failed, occupied, F, p, dp, cfg):
             la.status = lc.status = "pair"
             pairs.append([la, lc, 0])
         for lb in lbs:
-            inside = cfg.s_min <= lb.predicted(dp) <= cfg.s_max
-            lb.end("no convergence" if inside else "left the scan window")
+            gone = (lb.ds > 0 and hi == cfg.s_max
+                    or lb.ds < 0 and lo == cfg.s_min)
+            lb.end("left the scan window" if gone else "no convergence")
     return pairs
 
 
@@ -401,9 +399,9 @@ def trace_parameter(family, values, cfg: ScanConfig) -> list:
     Scanned roots that no real branch holds start new branches.
 
     A branch that ends carries its reason in Branch.note: "left the scan
-    window" (its predicted position, or its complex pair's Re s, is outside
-    [s_min, s_max]), "no convergence", "coalescence seed rejected",
-    "complex continuation lost" or "complex pair returned to real axis".
+    window" (see _rescan; a complex pair's Re s outside [s_min, s_max]),
+    "no convergence", "coalescence seed rejected", "complex continuation
+    lost" or "complex pair returned to real axis".
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size < 2:

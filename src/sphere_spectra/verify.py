@@ -235,12 +235,16 @@ def green_identity(params, cfg):
     return analytic.green_identity_residual(coeffs, root.mu.real, params)
 
 
-def check_k0_negativity():
-    params = SpectralParams(k=0, eps=4.0, x0=0.9, M=100)
-    mus = [r.mu.real for r in scan_real_roots(
-        boundary.det_functional(params), ScanConfig(0.05, 8.0))]
-    ok = bool(mus) and all(mu < 0 for mu in mus)
-    return ok, f"{len(mus)} roots, max mu {max(mus) if mus else 'n/a'}"
+def chi_limit_bound(params, cfg):
+    """The k = 0 series roots in cfg, at least one, at or above their chi
+    limits max(1, eps/2) + n: chi is a Dirichlet Sturm-Liouville problem
+    with a potential >= 0, so by min-max its roots fall to them as x0 -> 1
+    (analytic.spectrum_chi_limit).  So mu = -s(s+1) <= -2 < 0."""
+    s = np.array([r.s.real for r in scan_real_roots(
+        boundary.det_functional(params), cfg)])
+    limit = analytic.spectrum_chi_limit(params.eps, s.size).s_values
+    gap = np.min(s - limit[:s.size], initial=np.inf)
+    return bool(s.size and gap >= 0), f"{s.size} roots, min margin {gap:.3g}"
 
 
 def _random_series_cases(seed, k0, draw):
@@ -306,7 +310,8 @@ CHECKS = [
     ("oracle", "green-identity", lambda: green_identity.over(
         (SpectralParams(k, 0.0, 0.9, 150), ScanConfig(0.0, k + 3.0))
         for k in (1, 3))),
-    ("oracle", "k0-negativity", check_k0_negativity),
+    ("oracle", "chi-limit-bound", lambda: chi_limit_bound(
+        SpectralParams(k=0, eps=4.0, x0=0.9, M=100), ScanConfig(0.05, 8.0))),
 ]
 
 

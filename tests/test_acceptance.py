@@ -207,7 +207,7 @@ def test_criterion_7_chi_regime_split():
     results = {}
     for eps, target in ((1.0, 1.0), (4.0, 2.0)):
         params = ss.SpectralParams(k=0, eps=eps, x0=0.99, M=10)
-        shoot = ss.shoot_functional(params, n_steps=2000, which="chi")
+        shoot = ss.shoot_functional(params, n_steps=2000)
         roots = ss.scan_real_roots(shoot, ss.ScanConfig(0.05, target + 0.6),
                                    source="oracle")
         results[eps] = roots[0].s.real if roots else float("nan")

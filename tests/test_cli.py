@@ -480,6 +480,37 @@ class TestConfigKeys:
                    + common) == 0
         assert via_file.read_bytes() == via_flag.read_bytes()
 
+    def test_chi_is_k0(self, tmp_path, capsys):
+        # --chi wrote params.k = 1 and M = 150, the defaults, in the meta of
+        # the k = 0 spectrum it ran; a k != 0 beside it, by flag or by
+        # config file, is refused
+        common = ["oracle", "--eps", "4", "--x0", "0.9", "--steps", "400",
+                  "--smax", "3"]
+        out = tmp_path / "chi.json"
+        assert run(common + ["--chi", "--format", "json",
+                             "--output", str(out)]) == 0
+        meta = json.loads(out.read_text())["meta"]
+        assert (meta["params"]["k"], meta["params"]["M"], meta["chi"]) == (
+            0, 100, True)
+        csv = []
+        for argv in (["--chi"], ["--k", "0"], ["--chi", "--k", "0"]):
+            out = tmp_path / f"{len(csv)}.csv"
+            assert run(common + argv + ["--output", str(out)]) == 0
+            csv.append(out.read_bytes())
+        assert len(csv[0].splitlines()) > 1 and csv[0] == csv[1] == csv[2]
+        cfg_k, cfg_chi = tmp_path / "k.json", tmp_path / "chi.json"
+        cfg_k.write_text(json.dumps({"k": 2}))
+        cfg_chi.write_text(json.dumps({"chi": True, "k": 1}))
+        capsys.readouterr()
+        out = tmp_path / "refused.csv"
+        for argv, k in ((["--chi", "--k", "3"], 3),
+                        (["--chi", "--config", str(cfg_k)], 2),
+                        (["--config", str(cfg_chi)], 1)):
+            assert run(common + argv + ["--output", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                f"configuration error: --chi is k = 0, not k = {k}\n")
+        assert not out.exists()
+
     def test_sweep_from_config_file(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"sweep": "eps:0:1:0.5"}))
@@ -657,9 +688,10 @@ class TestOracleCommand:
 
     @pytest.mark.parametrize("argv, least", [
         (["--k", "1", "--eps", "1000"], 3414),
-        (["--k", "0", "--eps", "1000", "--smax", "4"], 3408)])
+        (["--k", "0", "--eps", "2000", "--smax", "4"], 3414)])
     def test_unstable_step_exits_2(self, tmp_path, capsys, argv, least):
-        # h * eps / (1 - x0^2) is about 4.7 at the default 2000 steps: k = 1
+        # h * eps / (1 - x0^2) at k = 1, and h * eps / (2 (1 - x0^2)) for
+        # chi at k = 0, is about 4.7 at the default 2000 steps: k = 1
         # overflowed with numpy warnings before exiting 3, and k = 0 ran the
         # unstable step to exit 0
         out = tmp_path / "oracle.csv"

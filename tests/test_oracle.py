@@ -13,8 +13,7 @@ def _values(params, problem, s, n_steps, block=None, degree=None):
     kept to mu**degree (by default the whole polynomial, 4 block), or with
     the block and degree a fresh functional picks for s."""
     if block is None:
-        f = shoot_functional(params, n_steps,
-                             "chi" if problem == "chi" else "auto")
+        f = shoot_functional(params, n_steps)
         f(s)
         block, degree = f.meta["block"], f.meta["degree"]
     return oracle_mod._values(problem, s, oracle_mod._blocks(
@@ -30,14 +29,12 @@ def _rescaled(value, scale, ref):
     return value * 10.0 ** np.clip(scale - ref, low, 300)
 
 
-@pytest.mark.parametrize("k, eps, which", [(1, 0.0, "auto"),
-                                           (1, 4.0, "auto"),
-                                           (0, 1.0, "auto"), (0, 4.0, "chi")])
-def test_real_s_runs_in_float(k, eps, which):
+@pytest.mark.parametrize("k, eps", [(1, 0.0), (1, 4.0), (0, 1.0), (0, 4.0)])
+def test_real_s_runs_in_float(k, eps):
     """Real s runs in float64, within 1e-13 of the same points passed as
     complex: the residual of orthonormal trajectories is of size 1 at
     most, so this is relative to its scale."""
-    F = shoot_functional(SpectralParams(k=k, eps=eps, x0=0.9), which=which)
+    F = shoot_functional(SpectralParams(k=k, eps=eps, x0=0.9))
     s = np.linspace(0.05, 9.95, 67)
     real, cplx = F(s), F(s.astype(complex))
     assert real.dtype == np.float64 and cplx.dtype == np.complex128
@@ -69,19 +66,18 @@ class TestShootK:
         assert roots and abs(roots[0].s.real - 3.0) < 0.05
         assert roots[0].source == "oracle"
 
-    def test_requires_interior_x0_and_known_problem(self):
-        for which in ("auto", "chi"):
-            with pytest.raises(ValueError):
-                shoot_functional(SpectralParams(k=1, eps=0.0, x0=1.0, M=10),
-                                 which=which)
-        with pytest.raises(ValueError):
-            shoot_functional(SpectralParams(k=1, eps=0.0, x0=0.9, M=10),
-                             which="psi")
+    def test_requires_interior_x0_and_two_steps(self):
+        for k in (1, 0):
+            with pytest.raises(ValueError, match="0 < x0 < 1"):
+                shoot_functional(SpectralParams(k=k, eps=0.0, x0=1.0, M=10))
+            with pytest.raises(ValueError, match="at least 2 steps"):
+                shoot_functional(SpectralParams(k=k, eps=0.0, x0=0.9, M=10),
+                                 n_steps=1)
 
     def test_problem_follows_k(self):
-        # k = 0 selects the three-component system, whose residual is
-        # Psi'(x0); the functional runs the problem that k selects
-        for k, problem in ((0, "k0"), (1, "k")):
+        # k = 0 selects the two-component chi system, whose residual is
+        # chi(x0); the functional runs the problem that k selects
+        for k, problem in ((0, "chi"), (1, "k")):
             params = SpectralParams(k=k, eps=1.0, x0=0.9, M=10)
             value = shoot_functional(params, n_steps=400)(np.array([1.7]))[0]
             ref = _values(params, problem, 1.7, 400)[0][0]
@@ -105,7 +101,7 @@ class TestShootK0:
 class TestShootChi:
     def test_high_reynolds_limits(self):
         params = SpectralParams(k=0, eps=4.0, x0=0.99, M=10)
-        functional = shoot_functional(params, n_steps=1500, which="chi")
+        functional = shoot_functional(params, n_steps=1500)
         roots = scan_real_roots(functional, ScanConfig(1.5, 2.5),
                                 source="oracle")
         assert len(roots) == 1
@@ -116,8 +112,8 @@ class TestShootChi:
             abs(functional(np.array([2.0 + 0j]))[0]), rel=1e-12)
 
     def test_viscous_limits(self):
-        functional = shoot_functional(SpectralParams(k=0, eps=0.0, x0=0.99, M=10),
-                                 n_steps=1500, which="chi")
+        functional = shoot_functional(
+            SpectralParams(k=0, eps=0.0, x0=0.99, M=10), n_steps=1500)
         roots = scan_real_roots(functional, ScanConfig(0.5, 1.5),
                                 source="oracle")
         assert len(roots) == 1
@@ -162,17 +158,6 @@ def _rhs_k(k2, eps, mu):
     return rhs
 
 
-def _rhs_k0(eps, mu):
-    def rhs(x, y):
-        om = 1 - x * x
-        out = np.empty_like(y)
-        out[0] = y[1]
-        out[1] = (y[2] + 2 * x * y[1]) / om
-        out[2] = mu * y[1] - eps * y[2] / om
-        return out
-    return rhs
-
-
 def _rhs_chi(eps, mu):
     def rhs(x, y):
         om = 1 - x * x
@@ -189,9 +174,16 @@ def _rhs_chi(eps, mu):
 _REFERENCE = {
     "k": (4, (2, 3), lambda p, mu: _rhs_k(p.abs_k ** 2, p.eps, mu),
           lambda e: e[0][0] * e[1][1] - e[0][1] * e[1][0]),
-    "k0": (3, (2,), lambda p, mu: _rhs_k0(p.eps, mu), lambda e: e[0][1]),
     "chi": (2, (1,), lambda p, mu: _rhs_chi(p.eps, mu), lambda e: e[0][0]),
 }
+
+
+def test_every_problem_has_its_long_double_reference():
+    """The staged RK4 reference covers the oracle's problems, no more and
+    no fewer, with the same state dimension and start components."""
+    assert _REFERENCE.keys() == oracle_mod._PROBLEMS.keys()
+    for name, (dim, starts, *_) in oracle_mod._PROBLEMS.items():
+        assert (dim, tuple(starts)) == _REFERENCE[name][:2], name
 
 
 def _staged_run(params, problem, s, n_steps, real=np.float64,
@@ -252,18 +244,18 @@ def test_renormalization_preserves_roots():
 
 @pytest.mark.parametrize("threshold", [1e100, 0.1])
 @pytest.mark.parametrize("n", [1, 5])
-@pytest.mark.parametrize("k, which, problem", [
-    (1, "auto", "k"), (0, "auto", "k0"), (0, "chi", "chi")])
-def test_batched_trajectories_match_separate_runs(k, which, problem, n,
+@pytest.mark.parametrize("k, eps, problem", [
+    (1, 1.0, "k"), (0, 1.0, "chi"), (0, 4.0, "chi")])
+def test_batched_trajectories_match_separate_runs(k, eps, problem, n,
                                                   threshold):
     """All start trajectories advanced in one orthonormalized state give,
     with their log10 factor put back, the residual of one staged RK4 run
     per trajectory, whether that run is never rescaled (threshold 1e100)
     or rescaled at every checkpoint (0.1), at 300 and 2000 steps."""
-    params = SpectralParams(k=k, eps=1.0, x0=0.9, M=10)
+    params = SpectralParams(k=k, eps=eps, x0=0.9, M=10)
     s = np.array([0.5, 1.7, 2.3 + 0.4j, 3.1, 5.0])[:n]
     for n_steps in (300, 2000):
-        assert oracle_mod._problem(params, which, n_steps) == problem
+        assert oracle_mod._problem(params, n_steps) == problem
         value, scale = _values(params, problem, s, n_steps)
         ref, ref_scale = _staged_run(params, problem, s, n_steps,
                                      threshold=threshold)
@@ -314,14 +306,13 @@ def test_overflow_reported_without_numpy_warnings():
                 _values(params, "k", np.array([1e4]), 2000, block, degree)
 
 
-@pytest.mark.parametrize("k, which", [(1, "auto"), (3, "auto"), (0, "auto"),
-                                      (0, "chi")])
-def test_step_check_is_the_spectral_radius(k, which):
+@pytest.mark.parametrize("k", [1, 3, 0])
+def test_step_check_is_the_spectral_radius(k):
     """The closed-form stiffness of the step check is h times the largest
     |eig(A0(x) + mu A1(x))| that numpy's eigvals find on the step grid, at
     real mu of either sign and at complex mu."""
     params = SpectralParams(k=k, eps=4.0, x0=0.9, M=10)
-    problem = oracle_mod._problem(params, which, 2000)
+    problem = oracle_mod._problem(params, 2000)
     h = 2 * 0.9 / 2000
     x = -0.9 + np.arange(2001) * h
     a0, a1 = oracle_mod._PROBLEMS[problem][2](params, x, 1 - x * x)
@@ -392,17 +383,17 @@ def test_later_call_raises_degree(monkeypatch):
         v, scale, f.meta["log_scale_ref"]).tobytes()
 
 
-@pytest.mark.parametrize("k, eps, which, problem", [
-    (1, 0.0, "auto", "k"), (3, 4.0, "auto", "k"), (1, 12.0, "auto", "k"),
-    (0, 1.0, "auto", "k0"), (0, 4.0, "chi", "chi")])
-def test_truncated_blocks_match_full_composition(k, eps, which, problem):
+@pytest.mark.parametrize("k, eps, problem", [
+    (1, 0.0, "k"), (3, 4.0, "k"), (1, 12.0, "k"), (0, 1.0, "chi"),
+    (0, 4.0, "chi")])
+def test_truncated_blocks_match_full_composition(k, eps, problem):
     """The blocks a functional keeps to its degree D hold the coefficients
     of the whole composition (degree 4 block) up to mu^D, to rounding, and
     at the largest |mu| checked, real or complex, they evaluate within
     1e-15 of the whole polynomial's summed term magnitudes (Horner sums,
     which stay finite where |mu|^(4 block) overflows)."""
     params = SpectralParams(k=k, eps=eps, x0=0.9)
-    f = shoot_functional(params, which=which)
+    f = shoot_functional(params)
     s = np.linspace(0.05, 8.05, 161)
     f(s)
     block, degree = f.meta["block"], f.meta["degree"]
@@ -445,11 +436,9 @@ def test_rescaled_value_stays_finite_and_nonzero(monkeypatch):
                     reason="np.longdouble is float64 on this platform, so "
                            "it cannot resolve the RK4 map beyond float64")
 @pytest.mark.parametrize("n_steps", [2000, 2003, 4458])
-@pytest.mark.parametrize("k, eps, which, problem", [
-    (1, 0.0, "auto", "k"), (3, 4.0, "auto", "k"), (0, 1.0, "auto", "k0"),
-    (0, 4.0, "chi", "chi")])
-def test_blocked_values_match_long_double_rk4(k, eps, which, problem,
-                                              n_steps):
+@pytest.mark.parametrize("k, eps, problem", [
+    (1, 0.0, "k"), (3, 4.0, "k"), (0, 1.0, "chi"), (0, 4.0, "chi")])
+def test_blocked_values_match_long_double_rk4(k, eps, problem, n_steps):
     """Near s = 10, 100, 300 and 1000, a fresh functional's values, with
     their log10 factor put back, are within 10 times the distance of the
     stepwise map (one product per RK4 step) from the same RK4 run in long
@@ -470,7 +459,7 @@ def test_blocked_values_match_long_double_rk4(k, eps, which, problem,
                 / np.abs(ref[i]).max())
     blocks = []
     for i, group in enumerate(s):
-        f = shoot_functional(params, n_steps, which)
+        f = shoot_functional(params, n_steps)
         value = f(group)
         blocks.append((f.meta["block"], f.meta["degree"]))
         v, scale = _values(params, problem, group, n_steps, *blocks[-1])
@@ -509,7 +498,7 @@ def test_blocks_keep_powers_of_mu_finite():
                                rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("k, problem", [(1, "k"), (0, "k0"), (0, "chi")])
+@pytest.mark.parametrize("k, problem", [(1, "k"), (0, "chi")])
 def test_flat_blocks_are_products_of_step_maps(k, problem):
     """Block b of a checkpoint chunk, read from flat[chunk, a, (b, i, j)] at
     mu and kept to degree 16, is the product of its RK4 step maps, each
@@ -539,16 +528,15 @@ def test_flat_blocks_are_products_of_step_maps(k, problem):
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("k, eps, which", [(1, 0.0, "auto"), (3, 4.0, "auto"),
-                                           (0, 1.0, "auto"), (0, 4.0, "chi")])
-def test_batch_mates_change_values_by_rounding_only(k, eps, which):
+@pytest.mark.parametrize("k, eps", [(1, 0.0), (3, 4.0), (0, 1.0), (0, 4.0)])
+def test_batch_mates_change_values_by_rounding_only(k, eps):
     """Each point's value alone equals its entry in one batched call of 161
     points, within 1e-14 of the batch's largest |value|, at real and complex
     s.  The batch is the rows of each chunk's product; an index slip that
     mixes points fails this."""
     grid = np.linspace(0.05, 8.05, 161)
     for s in (grid, grid + 0.3j):
-        f = shoot_functional(SpectralParams(k=k, eps=eps, x0=0.9), which=which)
+        f = shoot_functional(SpectralParams(k=k, eps=eps, x0=0.9))
         batch = f(s)
         single = np.array([f(np.array([p]))[0] for p in s])
         assert np.abs(single - batch).max() <= 1e-14 * np.abs(batch).max()

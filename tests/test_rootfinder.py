@@ -1,6 +1,7 @@
 import hashlib
 import warnings
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -538,6 +539,30 @@ class TestTrace:
         assert len(branches) == 1
         assert branches[0].note == "left the scan window"
         assert branches[0].samples[-1][0] == pytest.approx(1.3)
+
+    def test_lone_branch_clipped_at_its_edge_left_the_window(self):
+        # the root steps 1.93, 1.96, then 2.2, past s_max = 2: the re-scan
+        # of [1.86, 2] finds nothing there; its predicted position, 1.99,
+        # was inside, and the branch was reported as "no convergence"
+        fam = lambda t: (lambda s: np.asarray(s, complex)
+                         - (1.93, 1.96, 2.2)[int(t)])
+        cfg = ScanConfig(0.0, 2.0, 0.05, 1e-12)
+        branches = trace_parameter(fam, [0, 1, 2], cfg)
+        assert len(branches) == 1
+        assert branches[0].note == "left the scan window"
+        assert branches[0].samples[-1][0] == 1
+
+    def test_eps_trace_branch_leaves_through_the_top_edge(self):
+        # x0 = 0.901, k = 1: branch 4 at s = 7.964 (eps = 1.25) moves up
+        # 0.035 a step, and at eps = 1.5 its root is 8.0115, past s_max = 8.
+        # Its predicted 7.9994 was inside, so it ended in "no convergence",
+        # unlike at x0 = 0.9, 0.9002 and 0.9005
+        params = SpectralParams(k=1, eps=0.0, x0=0.901, M=150)
+        branches = trace_parameter(
+            lambda e: det_functional(replace(params, eps=e)),
+            np.arange(0.0, 2.001, 0.25), ScanConfig(0.0, 8.0))
+        assert [(b.index, b.samples[-1][0], b.note) for b in branches
+                if b.note] == [(4, 1.25, "left the scan window")]
 
     def test_complex_pair_leaving_window_ends_both_members(self):
         # roots c +- sqrt(1 - t) merge at t = 1 and continue as

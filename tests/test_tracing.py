@@ -22,7 +22,7 @@ TARGETS = {
     ("rootfinder", "refine_complex"): (),
     ("series", "coeffs_k_batch"): ("s", "M"),
     ("series", "coeffs_k0_batch"): ("s", "M"),
-    ("oracle", "shoot_functional"): ("params", "n_steps", "which"),
+    ("oracle", "shoot_functional"): ("params", "n_steps"),
 }
 
 

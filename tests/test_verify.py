@@ -8,6 +8,7 @@ import pytest
 from sphere_spectra import boundary, oracle, series, verify
 from sphere_spectra.cli import main
 from sphere_spectra.core import SpectralParams
+from sphere_spectra.rootfinder import ScanConfig, scan_real_roots
 from sphere_spectra.series import coeffs_k_batch
 
 REGISTRY = [
@@ -20,7 +21,7 @@ REGISTRY = [
     ("analytic", "legendre-reduction"), ("analytic", "eigenfunction-ode"),
     ("analytic", "darboux-pair"), ("analytic", "spectra-values"),
     ("oracle", "equivalence-k1"), ("oracle", "equivalence-k0"),
-    ("oracle", "green-identity"), ("oracle", "k0-negativity"),
+    ("oracle", "green-identity"), ("oracle", "chi-limit-bound"),
 ]
 
 
@@ -196,3 +197,29 @@ def test_corrupted_step_map_caught_by_oracle_equivalence(monkeypatch):
     assert abs(value - clean) > 1e-5 * abs(clean)
     passed, detail = verify.check_oracle_equivalence_k1()
     assert not passed, detail
+
+
+def test_root_below_its_chi_limit_fails_the_bound(monkeypatch):
+    """The sign flip of the corrupted-recurrence test, in the k = 0 steps,
+    moves the first root at eps = 4, x0 = 0.9 from 2.162 to 1.594, below
+    its chi limit 2: the bound fails, where the check it replaced, every
+    mu < 0, passed."""
+    params, cfg = SpectralParams(0, 4.0, 0.9, 100), ScanConfig(0.05, 8.0)
+    passed, detail = verify.chi_limit_bound(params, cfg)
+    assert passed is True and detail.startswith("5 roots"), detail
+    steps = series._steps
+    blocks = functools.lru_cache(maxsize=2)(series._blocks.__wrapped__)
+    monkeypatch.setattr(series, "_blocks", blocks)
+
+    def corrupted(k2, eps, M):
+        P = steps(k2, eps, M).copy()
+        P[0, 2:, 2] *= -1
+        return P
+
+    monkeypatch.setattr(series, "_steps", corrupted)
+    s = np.array([r.s.real for r in scan_real_roots(
+        boundary.det_functional(params), cfg)])
+    assert s[0] == pytest.approx(1.594, abs=1e-3)
+    assert np.all(-s * (s + 1) < 0)
+    passed, detail = verify.chi_limit_bound(params, cfg)
+    assert passed is False, detail
