@@ -2,12 +2,14 @@
 
 Commands:
   spectrum   roots of the series determinant for one (k, eps, x0, M);
-             x0 = 1 is answered from the closed-form spectra
+             x0 = 1 is answered from the closed-form spectra, whose
+             module (`analytic`, with numpy.polynomial) loads only then
   oracle     roots of the shooting integrator (independent of the series);
              k = 0 runs the self-adjoint chi problem, and --chi is --k 0
   trace      roots swept along x0 or eps with coalescence tracking
   figures    canned sweeps reproducing the published root diagrams
-  verify     run the self-verification suite
+  verify     run the self-verification suite (loads `verify` and `analytic`
+             when it starts; no other command imports either)
 
 Output is CSV (default) or JSON with the fixed row schema
 param,branch,re_s,im_s,re_mu,im_mu,residual,stable,source at 15
@@ -31,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analytic, boundary, oracle, verify
+from . import __version__, boundary, oracle
 from .core import NonFiniteError, SpectralParams, in_stability_domain
 from .rootfinder import ScanConfig, scan_real_roots, trace_parameter
 
@@ -129,6 +131,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     if p.x0 == 1.0:
         # s_n >= n, so modes n <= s_max + 1 cover the window
         n_max = int(cfg.scan.s_max) + 1
+        from . import analytic  # only x0 = 1 needs the closed forms
         spec = analytic.spectrum_full_sphere(p.k, p.eps, n_max)
         window = [(s, mu) for s, mu in zip(spec.s_values, spec.mu_values)
                   if cfg.scan.s_min <= s <= cfg.scan.s_max]
@@ -309,6 +312,7 @@ def cmd_figures(cfg: RunConfig, figure: str) -> int:
 
 
 def cmd_verify(only: str | None, output: str | None) -> int:
+    from . import verify    # only this command runs the suite
     results = verify.run_checks(only)
     for r in results:
         status = "PASS" if r["passed"] else "FAIL"

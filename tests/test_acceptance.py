@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import sphere_spectra as ss
-from sphere_spectra import verify
+from sphere_spectra import analytic, verify
 
 warnings.simplefilter("ignore", ss.GridTooCoarseWarning)
 
@@ -41,7 +41,7 @@ def test_criterion_1_analytic_spectra_exact():
     for k in range(1, 6):
         for eps in (0.0, 3.0):
             sigma = np.sqrt(k * k + eps * eps / 4)
-            spec = ss.spectrum_full_sphere(k, eps, 8)
+            spec = analytic.spectrum_full_sphere(k, eps, 8)
             n = np.arange(9)
             expect = -(sigma + n) * (sigma + n + 1)
             worst = max(worst, np.abs(spec.mu_values - expect).max())

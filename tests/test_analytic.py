@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from sphere_spectra import (PowerWeightedPoly, SpectralParams, chi_mode,
-                            coeffs, darboux_residual, gauss_composite,
-                            green_identity_residual, hypergeom_truncated,
-                            k0_truncated, sigma_of, spectrum_chi_limit,
-                            spectrum_full_sphere, verify)
+from sphere_spectra import SpectralParams, coeffs, verify
 from sphere_spectra.analytic import (AnalyticSpectrum, Polynomial,
-                                     eigenfunction_phi_k_mode)
+                                     PowerWeightedPoly, chi_mode,
+                                     darboux_residual,
+                                     eigenfunction_phi_k_mode,
+                                     gauss_composite,
+                                     green_identity_residual,
+                                     hypergeom_truncated, k0_truncated,
+                                     sigma_of, spectrum_chi_limit,
+                                     spectrum_full_sphere)
 
 
 class TestSigma:

@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +12,54 @@ import pytest
 from sphere_spectra import GridTooCoarseWarning, oracle
 from sphere_spectra.cli import _OPTIONS, SCHEMA, _build_parser, main
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 
 def run(argv):
     return main(argv)
+
+
+class TestImportFootprint:
+    """A CLI process holds only the code its command runs: the closed forms
+    (`analytic`, with numpy.polynomial) and the verify suite load when
+    `spectrum --x0 1` or `verify` starts, never with the CLI itself.  Each
+    check runs in a fresh interpreter, since this one has loaded them all."""
+
+    MODULES = ("sphere_spectra.analytic", "sphere_spectra.verify",
+               "numpy.polynomial", "sphere_spectra.oracle")
+
+    def loaded(self, argv=None):
+        """The exit code of `main(argv)` (None without argv) and which of
+        MODULES are in sys.modules after it, in a fresh interpreter."""
+        code = ("import json, sys\n"
+                "from sphere_spectra.cli import main\n"
+                "argv = json.loads(sys.argv[1])\n"
+                "rc = None if argv is None else main(argv)\n"
+                "print(json.dumps([rc, [m for m in sys.argv[2:]\n"
+                "                       if m in sys.modules]]))\n")
+        path = os.pathsep.join(filter(None, [str(SRC),
+                                             os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(argv), *self.MODULES],
+            check=True, capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=path))
+        rc, loaded = json.loads(done.stdout.splitlines()[-1])
+        return rc, set(loaded)
+
+    def test_cli_import_leaves_closed_forms_and_suite_out(self):
+        assert self.loaded() == (None, {"sphere_spectra.oracle"})
+
+    def test_full_sphere_spectrum_loads_closed_forms(self):
+        rc, loaded = self.loaded(["spectrum", "--k", "1", "--x0", "1.0",
+                                  "--smax", "5"])
+        assert rc == 0
+        assert "sphere_spectra.analytic" in loaded
+        assert "sphere_spectra.verify" not in loaded
+
+    def test_verify_loads_the_suite(self):
+        rc, loaded = self.loaded(["verify", "--only", "analytic"])
+        assert rc == 0
+        assert {"sphere_spectra.verify", "sphere_spectra.analytic"} <= loaded
 
 
 class TestSpectrumCommand:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-import sphere_spectra  # noqa: F401  (loads every module the tracer wraps)
+import sphere_spectra.cli  # noqa: F401  (loads every module the tracer wraps)
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
 
