@@ -228,45 +228,42 @@ def vorticity_ode_residual(phi: PowerWeightedPoly, k: float, eps: float,
     return float(np.abs(res).max() / scale)
 
 
-def gauss_composite(fn, a: float, b: float) -> float:
-    """Composite Gauss-Legendre quadrature of fn over [a, b]: GAUSS_POINTS
-    nodes on each of GAUSS_SUBINTERVALS equal subintervals."""
+def gauss_composite(fn, a: float, b: float):
+    """Composite Gauss-Legendre quadrature over [a, b] of fn, real or
+    complex, along its last axis: GAUSS_POINTS nodes on each of
+    GAUSS_SUBINTERVALS equal subintervals."""
     nodes, weights = np.polynomial.legendre.leggauss(GAUSS_POINTS)
     edges = np.linspace(a, b, GAUSS_SUBINTERVALS + 1)
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        total += half * np.sum(weights * fn(mid + half * nodes))
-    return float(total)
+        total += half * np.sum(weights * fn(mid + half * nodes), axis=-1)
+    return total
 
 
-def green_identity_residual(coeffs, mu: float, params) -> float:
-    """Check mu = -(phi, phi) / ||Psi||^2 on a series eigenpair at eps = 0.
+def green_identity_residual(coeffs, mu: complex, params) -> float:
+    """Check the energy identity mu E + ||Phi||^2 = eps (Psi', Phi) on a
+    series eigenpair, E = ||Psi||^2 the energy norm: the vorticity
+    equation times conj(Psi), integrated by parts with Psi = Psi' = 0 at
+    +-x0.  At eps = 0 it is mu = -(phi, phi) / ||Psi||^2.
 
-    (phi, phi) and the energy norm are integrated by composite 32-point
-    Gauss-Legendre on 8 subintervals of [-x0, x0].  Returns
-    |mu + (phi,phi)/||Psi||^2| / |mu|; an identically zero eigenfunction
-    returns 0.
+    The integrals are composite 32-point Gauss-Legendre on 8 subintervals
+    of [-x0, x0].  Returns |mu E + ||Phi||^2 - eps (Psi', Phi)| / |mu E|;
+    an identically zero eigenfunction returns 0.
     """
-    if params.eps != 0:
-        raise ValueError("the Green identity check applies at eps = 0")
     if params.k == 0:
         raise ValueError("the Green identity check applies for k != 0")
     if mu == 0:
         raise ValueError("mu must be nonzero")
     k2 = params.abs_k ** 2
-    x0 = params.x0
 
-    def phi_sq(xs):
-        return np.abs(eval_series(coeffs, "phi", xs)[0]) ** 2
-
-    def energy(xs):
+    def integrands(xs):             # rows: E's, and the defect's
         psi, dpsi, _ = eval_series(coeffs, "psi", xs)
-        return ((1 - xs * xs) * np.abs(dpsi) ** 2
-                + k2 * np.abs(psi) ** 2 / (1 - xs * xs))
+        phi = eval_series(coeffs, "phi", xs)[0]
+        e = ((1 - xs * xs) * np.abs(dpsi) ** 2
+             + k2 * np.abs(psi) ** 2 / (1 - xs * xs))
+        return np.array([e, mu * e + np.abs(phi) ** 2
+                         - params.eps * np.conj(dpsi) * phi])
 
-    phi2 = gauss_composite(phi_sq, -x0, x0)
-    norm2 = gauss_composite(energy, -x0, x0)
-    if norm2 == 0 or phi2 == 0:
-        return 0.0
-    return float(abs(mu + phi2 / norm2) / abs(mu))
+    norm2, defect = gauss_composite(integrands, -params.x0, params.x0)
+    return 0.0 if norm2 == 0 else float(abs(defect / (mu * norm2)))

@@ -10,8 +10,8 @@ Eigenvalues are the roots of F(s) = det(A(s)).
 The derivative functionals follow the series sums verbatim, i.e. without
 the common x0**-1 factor of the literal derivative; root locations are
 unaffected.  The recurrence carries the rows of A (series.fold_blocks).
-Columns are normalized by their max magnitude before the determinant,
-which postpones overflow near x0 -> 1 without moving roots.
+F is the determinant itself, analytic in s; where it leaves float64 it
+has no digits, and it raises NonFiniteError.
 """
 
 from __future__ import annotations
@@ -79,16 +79,9 @@ def assemble(params: SpectralParams, s: complex) -> np.ndarray:
     return _matrices(params, np.array([s]))[0]
 
 
-def _normalized_det(stack: np.ndarray):
-    """Determinants of a stack of matrices with each column divided by its
-    largest magnitude; roots are those of the raw determinant."""
-    norms = np.abs(stack).max(axis=1, keepdims=True)
-    return np.linalg.det(stack / np.where(norms == 0, 1.0, norms))
-
-
 def det_functional(params: SpectralParams):
-    """Vectorized F(s): maps an array of s values to normalized determinant
-    values, float64 for real s.  This is the functional handed to the root
+    """Vectorized F(s): maps an array of s values to determinant values,
+    float64 for real s.  This is the functional handed to the root
     finder; it folds the rows into the current blocks once, when made."""
     _check_series_domain(params)
     k2 = params.abs_k ** 2
@@ -96,7 +89,12 @@ def det_functional(params: SpectralParams):
                        _stream_rows(k2, params.M, params.x0)[2])
 
     def F(s):
-        return _normalized_det(_matrices(params, np.atleast_1d(s), fold))
+        with np.errstate(all="ignore"):     # reported by a NonFiniteError
+            det = np.linalg.det(_matrices(params, np.atleast_1d(s), fold))
+        if not np.isfinite(det).all():
+            raise NonFiniteError(f"boundary determinant overflowed "
+                                 f"(M={params.M}, x0={params.x0})")
+        return det
 
     return F
 

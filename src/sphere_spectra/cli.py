@@ -186,13 +186,22 @@ def _at(params: SpectralParams, name: str, value) -> SpectralParams:
     return replace(params, **{name: float(value)})
 
 
-def _run_ends(cfg: RunConfig) -> list:
-    """Parameter sets at the two ends of the run's sweep (cfg.params alone
-    without one); a sweep is monotone, so they bound every value."""
-    if cfg.sweep is None:
-        return [cfg.params]
-    values = _sweep_values(cfg.sweep)
-    return [_at(cfg.params, cfg.sweep[0], v) for v in (values[0], values[-1])]
+def _check_ends(cfg: RunConfig) -> bool:
+    """Check the parameter sets at the two ends of a task's sweep (its
+    params alone without one), which bound a monotone sweep, like the
+    flags they replace; True if the series converges slowly in M there."""
+    ends = [cfg.params]
+    if cfg.sweep:
+        values = _sweep_values(cfg.sweep)
+        ends = [_at(cfg.params, cfg.sweep[0], v)
+                for v in (values[0], values[-1])]
+    for p in ends:
+        if p.M > 2000:
+            raise ValueError("M is capped at 2000")
+        if cfg.sweep:
+            boundary._check_series_domain(p)
+    return (cfg.command != "oracle" and 0.95 < max(p.x0 for p in ends) < 1
+            and min(p.M for p in ends) < 1000)
 
 
 def _family(params: SpectralParams, name: str):
@@ -277,37 +286,40 @@ FIGURE_TASKS = {
 }
 
 
-def _figure_task(cfg: RunConfig, fig: str, base: str, suffix: str,
-                 spec: dict, traces: dict) -> str:
-    """Write one figure dataset to base_suffix: a sweep (reusing traces,
-    see _traced), or a spectrum when the preset has none."""
-    task = replace(cfg, params=SpectralParams(**spec["params"]),
-                   scan=replace(cfg.scan, s_max=spec["s_max"]),
-                   sweep=spec.get("sweep"),
-                   output=f"{base}_{suffix}.{cfg.fmt}")
-    meta = _meta(task) | {"figure": fig, "series": suffix}
-    if task.sweep is None:
-        _series_spectrum(task, meta, spec["param"])
-    else:
-        _traced(task, meta, traces, spec.get("complex_only", False))
-    return task.output
-
-
-def cmd_figures(cfg: RunConfig, figure: str) -> int:
+def _figure_tasks(cfg: RunConfig, figure: str) -> list:
+    """(task, meta, preset) per dataset of the figure, or of every figure
+    for 'all': cfg with the preset's params, window and sweep, written to
+    base_suffix, where a multi-figure run's base carries the figure number
+    (figures share suffixes)."""
     if figure != "all" and figure not in FIGURE_TASKS:
         raise ValueError(f"unknown figure {figure!r}; choose from "
                          f"{sorted(FIGURE_TASKS)} or 'all'")
     keys = list(FIGURE_TASKS) if figure == "all" else [figure]
-    traces = {}     # figure 5 shows the complex rows of figure 4's sweeps
+    tasks = []
     for key in keys:
-        # figures share suffixes, so each name of a multi-figure run
-        # carries its figure number
         base = cfg.output or f"figure{key}"
         if cfg.output and len(keys) > 1:
             base += f"_figure{key}"
         for suffix, spec in FIGURE_TASKS[key]:
-            out = _figure_task(cfg, key, base, suffix, spec, traces)
-            print(f"wrote {out}")
+            task = replace(cfg, params=SpectralParams(**spec["params"]),
+                           scan=replace(cfg.scan, s_max=spec["s_max"]),
+                           sweep=spec.get("sweep"),
+                           output=f"{base}_{suffix}.{cfg.fmt}")
+            meta = _meta(task) | {"figure": key, "series": suffix}
+            tasks.append((task, meta, spec))
+    return tasks
+
+
+def cmd_figures(tasks: list) -> int:
+    """Write each figure task's dataset: a sweep (reusing traces, see
+    _traced), or a spectrum when the preset has none."""
+    traces = {}     # figure 5 shows the complex rows of figure 4's sweeps
+    for task, meta, spec in tasks:
+        if task.sweep is None:
+            _series_spectrum(task, meta, spec["param"])
+        else:
+            _traced(task, meta, traces, spec.get("complex_only", False))
+        print(f"wrote {task.output}")
     return 0
 
 
@@ -436,22 +448,16 @@ def main(argv=None) -> int:
         cfg = RunConfig(command=args.command, params=params, scan=scan,
                         sweep=sweep, output=out, fmt=opts["fmt"],
                         n_steps=opts["steps"])
-        # a swept value is checked like the flag it replaces, before computing
-        ends = _run_ends(cfg)
-        for p in ends:
-            if p.M > 2000:
-                raise ValueError("M is capped at 2000")
-            if cfg.command == "trace":
-                boundary._check_series_domain(p)
-        if (cfg.command in ("spectrum", "trace")
-                and 0.95 < max(p.x0 for p in ends) < 1
-                and min(p.M for p in ends) < 1000):
+        tasks = (_figure_tasks(cfg, opts["figure"])
+                 if cfg.command == "figures" else [(cfg, None, None)])
+        # every task is checked before any computes
+        if any([_check_ends(task) for task, _, _ in tasks]):
             print("warning: the series converges slowly in M for x0 > 0.95 "
                   "(at x0 = 0.99, M = 150 moves roots by ~1e-2 and M = 1000 "
                   "matches M = 2000 to 1e-7); use M >= 1000",
                   file=sys.stderr)
         if cfg.command == "figures":
-            return cmd_figures(cfg, opts["figure"])
+            return cmd_figures(tasks)
         return {"spectrum": cmd_spectrum, "oracle": cmd_oracle,
                 "trace": cmd_trace}[cfg.command](cfg)
     except NonFiniteError as exc:

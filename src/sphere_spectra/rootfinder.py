@@ -16,7 +16,7 @@ already complex, in one Muller pass, a complex one from the root its path
 predicts.  Samples lie only on the sweep values and inside the scan
 window.  Scans call F on float arrays, Muller on complex.
 
-A root's residual is the normalized determinant magnitude at the root
+A root's residual is the determinant magnitude at the root
 (Muller: at its last iterate) scaled by its magnitude at the grid
 neighbours (Muller: probe points), so it does not depend on the
 determinant's overall size.  A root's error bounds its distance in s

@@ -131,14 +131,13 @@ def block_factorization(params, s):
 
 
 @_invariant(1e-12, "max deviation")
-def normalization_invariance(params, s, scale):
-    """Seed columns scaled by the factors scale move the normalized
-    determinant by the unit factor prod(scale / |scale|) only, relative to
-    the smaller of the two."""
+def seed_scaling(params, s, scale):
+    """Seed columns scaled by the factors scale multiply F by prod(scale),
+    relative to the smaller of the two."""
     s, scale = np.asarray(s), np.asarray(scale)
-    rescaled = boundary._normalized_det(boundary._matrices(params, s) * scale)
-    return _min_rel(rescaled, np.prod(scale / np.abs(scale))
-                    * boundary.det_functional(params)(s))
+    rescaled = np.linalg.det(boundary._matrices(params, s) * scale)
+    return _min_rel(rescaled,
+                    np.prod(scale) * boundary.det_functional(params)(s))
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +228,10 @@ def oracle_equivalence(params, cfg, n_steps):
 
 @_invariant(1e-4, "max Green-identity residual")
 def green_identity(params, cfg):
-    """mu = -(phi, phi) / ||Psi||^2 on the first root in cfg (eps = 0)."""
+    """The energy identity on the first real root in cfg."""
     root = scan_real_roots(boundary.det_functional(params), cfg)[0]
     coeffs = boundary.eigenfunction_coeffs(params, root.s)
-    return analytic.green_identity_residual(coeffs, root.mu.real, params)
+    return analytic.green_identity_residual(coeffs, root.mu, params)
 
 
 def chi_limit_bound(params, cfg):
@@ -291,7 +290,7 @@ CHECKS = [
         for k in (1, 2, 3))),
     ("boundary", "block-factorization", lambda: block_factorization(
         SpectralParams(2, 0.0, 0.8, 80), [1.3, 2.6 + 0.4j, 4.1])),
-    ("boundary", "normalization-invariance", lambda: normalization_invariance(
+    ("boundary", "seed-scaling", lambda: seed_scaling(
         SpectralParams(1, 2.0, 0.85, 100), [0.8, 1.9 + 0.6j, 3.4],
         [2.0, 0.5j, -3.0, 1.0])),
     ("analytic", "polynomial-closed-forms", lambda: polynomial_closed_forms

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sphere_spectra import SpectralParams, coeffs, verify
+from sphere_spectra import (SpectralParams, coeffs, det_functional,
+                            eigenfunction_coeffs, refine_complex, verify)
 from sphere_spectra.analytic import (AnalyticSpectrum, Polynomial,
                                      PowerWeightedPoly, chi_mode,
                                      darboux_residual,
@@ -200,10 +201,27 @@ class TestGreenIdentity:
         assert green_identity_residual(sol, -2.0, params) == 0.0
 
     def test_preconditions(self):
+        """The identity is refused for k = 0 and for mu = 0."""
         params = SpectralParams(k=1, eps=1.0, x0=0.9, M=40)
         sol = coeffs(params, 1.5, (1.0, 0.0, 0.0, 0.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="mu"):
+            green_identity_residual(sol, 0.0, params)
+        params = SpectralParams(k=0, eps=1.0, x0=0.9, M=40)
+        sol = coeffs(params, 1.5, (1.0, 0.0))
+        with pytest.raises(ValueError, match="k != 0"):
             green_identity_residual(sol, -2.0, params)
+
+    def test_complex_pairs_at_eps_4(self):
+        """The three stable k = 1, eps = 4 pairs at x0 = 0.9 satisfy
+        mu E + ||Phi||^2 = eps (Psi', Phi) to 1e-10 (each reads 2e-13 to
+        1.5e-12)."""
+        params = SpectralParams(k=1, eps=4.0, x0=0.9, M=150)
+        seeds = [3.5958 + 0.9863j, 6.2740 + 1.0940j, 8.9799 + 1.0886j]
+        roots = refine_complex(det_functional(params), seeds)
+        assert all(r.kind == "complex-pair" for r in roots)
+        for r in roots:
+            sol = eigenfunction_coeffs(params, r.s)
+            assert green_identity_residual(sol, r.mu, params) < 1e-10
 
 
 def test_gauss_composite_polynomial_exact():

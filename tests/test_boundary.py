@@ -6,76 +6,11 @@ import pytest
 
 from sphere_spectra import (NonFiniteError, ScanConfig, SpectralParams,
                             assemble, det_functional, null_seeds,
-                            scan_real_roots, verify)
-from sphere_spectra.boundary import _matrices, _normalized_det
+                            refine_complex, scan_real_roots, verify)
+from sphere_spectra import boundary
+from sphere_spectra.boundary import _matrices
 
-
-def exact_columns_k(k2, eps, x0, s, M):
-    """Independent reference for A_k: direct summation of the recurrences
-    in exact rational arithmetic, one unit seed per column."""
-    S = s * (s + 1)
-    cols = []
-    for j in range(4):
-        a = [Fr(0)] * (M + 1)
-        b = [Fr(0)] * (M + 1)
-        c = [Fr(0)] * (M + 1)
-        d = [Fr(0)] * (M + 1)
-        (a[0], b[0], c[0], d[0]) = (Fr(int(i == j)) for i in range(4))
-        a[1] = ((k2 - S) * a[0] - eps * b[0]) / 2
-        b[1] = ((k2 + 2 - S) * b[0] - 2 * eps * a[1]) / 6
-        c[1] = (k2 * c[0] + a[0]) / 2
-        d[1] = ((k2 + 2) * d[0] + b[0]) / 6
-        for m in range(M - 1):
-            p, q = 2 * m + 2, 2 * m + 3
-            a[m + 2] = ((k2 - S + 2 * p * p) * a[m + 1]
-                        + (S - 2 * m * (2 * m + 1)) * a[m]
-                        - eps * q * b[m + 1]
-                        + eps * (2 * m + 1) * b[m]) / ((2 * m + 4) * (2 * m + 3))
-            b[m + 2] = ((k2 - S + 2 * q * q) * b[m + 1]
-                        + (S - (2 * m + 2) * (2 * m + 1)) * b[m]
-                        - eps * (2 * m + 4) * a[m + 2]
-                        + eps * p * a[m + 1]) / ((2 * m + 5) * (2 * m + 4))
-            c[m + 2] = ((k2 + 2 * p * p) * c[m + 1]
-                        - 2 * m * (2 * m + 1) * c[m]
-                        + a[m + 1] - a[m]) / ((2 * m + 4) * (2 * m + 3))
-            d[m + 2] = ((k2 + 2 * q * q) * d[m + 1]
-                        - (2 * m + 2) * (2 * m + 1) * d[m]
-                        + b[m + 1] - b[m]) / ((2 * m + 5) * (2 * m + 4))
-        w = [x0 ** (2 * m) for m in range(M + 1)]
-        cols.append([
-            sum(c[m] * w[m] for m in range(M + 1)),
-            sum(d[m] * w[m] for m in range(M + 1)),
-            sum(2 * m * c[m] * w[m] for m in range(M + 1)),
-            sum((2 * m + 1) * d[m] * w[m] for m in range(M + 1)),
-        ])
-    return cols
-
-
-def exact_columns_k0(eps, x0, s, M):
-    """Independent exact reference for A_0 over the free seeds (a0, d0)."""
-    S = s * (s + 1)
-    cols = []
-    for j in range(2):
-        a = [Fr(0)] * (M + 1)
-        b = [Fr(0)] * (M + 1)
-        c = [Fr(0)] * (M + 1)
-        d = [Fr(0)] * (M + 1)
-        a0, d0 = (Fr(1), Fr(0)) if j == 0 else (Fr(0), Fr(1))
-        a[0], d[0] = a0, d0
-        b[0] = -eps * a0 - S * d0
-        for m in range(M):
-            a[m + 1] = ((2 * m * (2 * m + 1) - S) * a[m]
-                        - eps * (2 * m + 1) * b[m]) / ((2 * m + 2) * (2 * m + 1))
-            b[m + 1] = (((2 * m + 1) * (2 * m + 2) - S) * b[m]
-                        - eps * (2 * m + 2) * a[m + 1]) / ((2 * m + 3) * (2 * m + 2))
-            c[m + 1] = (2 * m * (2 * m + 1) * c[m] + a[m]) / ((2 * m + 2) * (2 * m + 1))
-            d[m + 1] = ((2 * m + 1) * (2 * m + 2) * d[m] + b[m]) / ((2 * m + 3) * (2 * m + 2))
-        w = [x0 ** (2 * m) for m in range(M + 1)]
-        cols.append([
-            sum(2 * m * c[m] * w[m] for m in range(M + 1)),
-            sum((2 * m + 1) * d[m] * w[m] for m in range(M + 1)),
-        ])
-    return cols
+from exact_columns import exact_columns_k, exact_columns_k0, exact_root
 
 
 class TestAssembleAk:
@@ -165,21 +100,36 @@ class TestAssembleA0:
 
 class TestDetF:
     def test_identity(self):
-        vals = _normalized_det(np.eye(4, dtype=complex)[None])
-        assert vals[0] == pytest.approx(1.0)
+        """F is the determinant of the boundary matrix itself, bit for bit,
+        at real and complex s: no column is rescaled."""
+        for k in (0, 1, 3):
+            params = SpectralParams(k=k, eps=4.0, x0=0.9, M=150)
+            s = np.array([0.35, 2.9, 1.1 + 0.6j, 5.3 - 1.7j])
+            F = det_functional(params)
+            for z in s:
+                z = z.real if z.imag == 0 else z
+                want = np.linalg.det(assemble(params, z))
+                assert F(np.array([z]))[0] == want
 
-    def test_zero_column(self):
-        entries = np.eye(4, dtype=complex)
-        entries[:, 2] = 0
-        vals = _normalized_det(entries[None])
-        assert vals[0] == 0
+    def test_zero_column(self, monkeypatch):
+        """A stack with a zero column has F = 0, and one with columns of
+        sizes 2, 3, 5, 7 has F = 210, not 1."""
+        entries = np.diag([2.0, 3.0, 5.0, 7.0])[None].repeat(2, 0)
+        entries[1, :, 2] = 0
+        monkeypatch.setattr(boundary, "_matrices",
+                            lambda params, s, fold=None: entries)
+        F = det_functional(SpectralParams(k=1, eps=0.0, x0=0.9, M=150))
+        assert F(np.array([1.0, 2.0])).tolist() == [pytest.approx(210), 0]
 
     def test_nonfinite_rejected(self):
-        # the M = 150 recurrence overflows at s = 1284 for x0 = 0.899
+        # the M = 150 recurrence overflows at s = 1284 for x0 = 0.899, and
+        # its determinant (1e390) at s = 600, where the entries reach 1e196
         params = SpectralParams(k=1, eps=4.25, x0=0.899, M=150)
+        F = det_functional(params)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NonFiniteError):
-                det_functional(params)(np.array([1284.37]))
+            for s in (1284.37, 600.0, 600.0 + 1j):
+                with pytest.raises(NonFiniteError):
+                    F(np.array([s]))
             with pytest.raises(NonFiniteError):
                 assemble(params, 1284.37)
 
@@ -203,17 +153,24 @@ class TestDetSymmetries:
         assert passed, detail
 
     def test_roots_invariant_under_seed_rescaling(self):
-        """Rescaled seed columns leave F unchanged at every point of the
-        scan grid and at the roots, so a scan finds the same roots."""
+        """Rescaled seed columns multiply F by the product of the factors
+        at every point of the scan grid, so a scan finds the same roots.
+        At the roots F is rounding noise (one reads 0.0), so there the
+        product is held to rounding of the columns' sizes instead."""
         params = SpectralParams(k=1, eps=2.0, x0=0.85, M=100)
         cfg = ScanConfig(0.0, 5.0)
         roots = [r.s.real for r in scan_real_roots(det_functional(params),
                                                    cfg)]
         grid = np.arange(cfg.s_min, cfg.s_max + 0.5 * cfg.step, cfg.step)
         assert roots
-        passed, detail = verify.normalization_invariance(
-            params, np.concatenate([grid, roots]), [2.0, 0.5, 3.0, 1.0])
+        scale = np.array([2.0, 0.5, 3.0, 1.0])
+        passed, detail = verify.seed_scaling(params, grid, scale)
         assert passed, detail
+        A = _matrices(params, np.array(roots))
+        rescaled = np.linalg.det(A * scale)
+        size = np.prod(np.abs(scale)) * np.prod(np.abs(A).max(axis=1), 1)
+        gap = np.abs(rescaled - np.prod(scale) * det_functional(params)(roots))
+        assert np.all(gap <= 1e-12 * size), gap / size
 
 
 def test_roots_stable_under_truncation_refinement():
@@ -298,8 +255,8 @@ def test_fused_matrices_match_four_sequence_recurrence(k, eps, x0, M):
     s = np.array([0.35, 1.3, 2.9, 4.45, 6.2, 7.7,
                   1.1 + 0.6j, 3.6 + 1.0j, 5.3 - 1.7j, 7.4 + 2.2j])
     params = SpectralParams(k=k, eps=eps, x0=x0, M=M)
-    got = _normalized_det(_matrices(params, s))
-    want = _normalized_det(four_sequence_matrices(k, eps, x0, s, M))
+    got = np.linalg.det(_matrices(params, s))
+    want = np.linalg.det(four_sequence_matrices(k, eps, x0, s, M))
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
 
 
@@ -353,8 +310,8 @@ def test_det_functional_memory_does_not_grow_with_the_truncation():
 def test_det_functional_is_float_at_real_s(k, eps):
     """Real s runs in float64.  Its matrices are within 1e-13 of the same
     points passed as complex, relative to each column's largest entry, and
-    so are its values, the determinants of matrices with unit columns (a
-    value's own relative error grows as cancellation makes it small)."""
+    so are its values, relative to the product of those entries (a value's
+    own relative error grows as cancellation makes it small)."""
     params = SpectralParams(k=k, eps=eps, x0=0.9)
     s = np.linspace(0.05, 9.95, 67)
     real, cplx = _matrices(params, s), _matrices(params, s.astype(complex))
@@ -364,4 +321,71 @@ def test_det_functional_is_float_at_real_s(k, eps):
     F = det_functional(params)
     real, cplx = F(s), F(s.astype(complex))
     assert real.dtype == np.float64 and cplx.dtype == np.complex128
-    np.testing.assert_allclose(real, cplx, rtol=0, atol=1e-13)
+    assert np.all(np.abs(real - cplx) <= 1e-13 * np.prod(scale, (1, 2)))
+
+
+# stable complex pairs of k = 1, eps = 4, x0 = 0.9, M = 150 in [0, 10]
+PAIRS = np.array([3.59581632060489 + 0.986270221317855j,
+                  6.27396204201547 + 1.09395330130495j,
+                  8.97989989110395 + 1.08864466600982j])
+
+
+def contour_zeros(F, c, a, b, n):
+    """Zeros of G(mu) = F(s), -s(s + 1) = mu, inside the mu-ellipse
+    c + a cos t + i b sin t, from F at n trapezoid points: the count is
+    the winding of log G; its periodic part, differentiated by FFT, gives
+    G'/G, whose power sums in u = (mu - c) / a give the zeros by Newton's
+    identities (Delves & Lyness, Math. Comp. 21, 1967).  Returns the
+    count, the zeros as s with Im s >= 0, and the FFT tail: the largest
+    coefficient in the middle quarter over the largest."""
+    t = 2 * np.pi * np.arange(n) / n
+    u = np.cos(t) + 1j * (b / a) * np.sin(t)
+    log_g = np.log(F(-0.5 + np.sqrt(0.25 - (c + a * u))))
+    phase = np.unwrap(np.append(log_g.imag, log_g.imag[0]))
+    count = round((phase[-1] - phase[0]) / (2 * np.pi))
+    coef = np.fft.fft(log_g.real + 1j * (phase[:-1] - count * t))
+    tail = np.abs(coef[3 * n // 8:5 * n // 8]).max() / np.abs(coef).max()
+    wave = np.fft.fftfreq(n, 1 / n)
+    dlog = np.fft.ifft(1j * wave * coef) + 1j * count    # d log G / dt
+    p = [np.mean(u ** q * dlog) / 1j for q in range(1, count + 1)]
+    e = [1.0]                                            # Newton's identities
+    for q in range(1, count + 1):
+        e.append(sum((-1) ** (i - 1) * e[q - i] * p[i - 1]
+                     for i in range(1, q + 1)) / q)
+    mu = c + a * np.roots([(-1) ** q * e[q] for q in range(count + 1)])
+    s = -0.5 + np.sqrt(0.25 - mu)
+    return count, s.real + 1j * np.abs(s.imag), tail
+
+
+def test_determinant_is_analytic_for_contour_counts():
+    """F is the determinant itself, analytic in s, so Delves-Lyness on it
+    finds the three k = 1, eps = 4 pairs from 1024 points on the
+    mu-ellipse (-55, 60, 30): 6 zeros, an FFT tail below 1e-12 and every
+    zero within 1e-10 of a pair.  With its columns normalized, F gives
+    the same count, but a tail of 4.4e-7 and zeros 2.8 off.  (512 points
+    give the same zeros, but a tail of 5e-10: the pair at mu = -88 - 21i
+    lies near the ellipse.)"""
+    F = det_functional(SpectralParams(k=1, eps=4.0, x0=0.9, M=150))
+    count, s, tail = contour_zeros(F, -55.0, 60.0, 30.0, 1024)
+    assert count == 6
+    assert tail < 1e-12, tail
+    gaps = np.abs(s[:, None] - PAIRS).min(axis=1)
+    assert np.all(gaps < 1e-10), gaps
+
+
+def test_series_roots_match_40_digit_roots():
+    """The float64 roots are within 1e-10 of the 40-digit roots of the
+    same truncated determinant: the real roots of k = 1, eps = 0 and of
+    k = 3, eps = 4 in [0, 8], and the three k = 1, eps = 4 pairs that
+    refine_complex polishes from PAIRS, all at x0 = 0.9, M = 150."""
+    cases = []
+    for k, eps in ((1, 0.0), (3, 4.0)):
+        roots = scan_real_roots(det_functional(
+            SpectralParams(k=k, eps=eps, x0=0.9, M=150)), ScanConfig())
+        assert roots
+        cases += [(k, eps, r.s.real) for r in roots]
+    F = det_functional(SpectralParams(k=1, eps=4.0, x0=0.9, M=150))
+    cases += [(1, 4.0, r.s) for r in refine_complex(F, PAIRS)]
+    gaps = [abs(s - complex(exact_root(k, eps, 0.9, 150, s)))
+            for k, eps, s in cases]
+    assert max(gaps) < 1e-10, gaps

@@ -444,6 +444,15 @@ class TestSweepValidation:
                     str(tmp_path / "t.csv")] + argv) == 0
         assert ("use M >= 1000" in capsys.readouterr().err) == warned
 
+    @pytest.mark.parametrize("figure, warned", [("1", True), ("4", False)])
+    def test_m_warning_covers_figure_tasks(self, empty_trace, tmp_path,
+                                           capsys, figure, warned):
+        """Figure 1 sweeps x0 to 0.99 at M = 150 and warns, once; figure 4
+        stays at x0 = 0.9 and does not."""
+        assert run(["figures", "--figure", figure,
+                    "--output", str(tmp_path / "fig")]) == 0
+        assert capsys.readouterr().err.count("use M >= 1000") == warned
+
     def test_sweep_values_end_on_the_stop_value(self, monkeypatch, tmp_path,
                                                 capsys):
         # start + i*step, not an accumulated arange: the sweep stops at

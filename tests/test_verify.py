@@ -16,7 +16,7 @@ REGISTRY = [
     ("series", "k0-s-reflection"), ("series", "parity-decoupling"),
     ("series", "ode-residual"), ("boundary", "det-reflection"),
     ("boundary", "det-k-sign"), ("boundary", "block-factorization"),
-    ("boundary", "normalization-invariance"),
+    ("boundary", "seed-scaling"),
     ("analytic", "polynomial-closed-forms"),
     ("analytic", "legendre-reduction"), ("analytic", "eigenfunction-ode"),
     ("analytic", "darboux-pair"), ("analytic", "spectra-values"),
@@ -50,6 +50,14 @@ def _cross_row(k2, M, x0):
     return g, h, series.fold_rows(g, M)
 
 
+def _normalized(params):
+    """det_functional with each column divided by its largest entry."""
+    def F(s):
+        A = boundary._matrices(params, np.atleast_1d(s))
+        return np.linalg.det(A / np.abs(A).max(axis=1, keepdims=True))
+    return F
+
+
 _P, _SEEDS = SpectralParams(2, 1.0, 0.8, 60), (1.0, 0.5, -0.2, 0.8)
 _READS_S = _kernel(lambda a, b, s: (a * (1 + 1e-9 * s), b))  # not s(s+1)
 
@@ -71,15 +79,13 @@ _READS_S = _kernel(lambda a, b, s: (a * (1 + 1e-9 * s), b))  # not s(s+1)
      property(lambda p: abs(p.k) + 1e-9 * (p.k < 0))),
     (verify.block_factorization, (replace(_P, eps=0.0), [1.3, 2.6]),
      (boundary, "_stream_rows"), _cross_row),
-    (verify.normalization_invariance,
-     (_P, [0.8, 1.9 + 0.6j], [2.0, 0.5j, -3.0, 1.0]),
-     (boundary, "_normalized_det"),
-     lambda A: np.linalg.det(A / np.abs(A).max(axis=2, keepdims=True))),
+    (verify.seed_scaling, (_P, [0.8, 1.9 + 0.6j], [2.0, 0.5j, -3.0, 1.0]),
+     (boundary, "det_functional"), _normalized),
 ])
 def test_planted_fault_fails_the_shared_check(monkeypatch, check, inputs,
                                               target, fault):
     """Each series and boundary invariant passes on clean code and fails
-    with one planted fault in the kernel, the rows or the normalization."""
+    with one planted fault in the kernel, the rows or the determinant."""
     passed, detail = check(*inputs)
     assert passed, detail
     monkeypatch.setattr(*target, fault)
