@@ -1,8 +1,12 @@
 """Command-line front end.
 
 Commands:
-  spectrum   roots of the series determinant for one (k, eps, x0, M);
-             x0 = 1 is answered from the closed-form spectra, whose
+  spectrum   roots of the series determinant for one (k, eps, x0, M): the
+             scanned real roots, then for k != 0 and eps != 0 the complex
+             pairs of the count (`contour`, in meta) in the mu-ellipse over
+             [mu(smax), mu(smin)] with b = 2a; k = 0 (chi is self-adjoint)
+             and eps = 0 (energy identity) have real spectra and say so in
+             meta; x0 = 1 is answered from the closed-form spectra, whose
              module (`analytic`, with numpy.polynomial) loads only then
   oracle     roots of the shooting integrator (independent of the series);
              k = 0 runs the self-adjoint chi problem, and --chi is --k 0
@@ -15,8 +19,9 @@ Output is CSV (default) or JSON with the fixed row schema
 param,branch,re_s,im_s,re_mu,im_mu,residual,stable,source at 15
 significant digits; identical configs produce byte-identical files.
 Exit codes: 0 ok, 1 verification failure, 2 bad configuration (among
-them non-finite values, an unknown verify filter and an unwritable
-output), 3 non-finite solver state.
+them non-finite values, a tol below 4 ulps of the window, an unknown
+verify filter and an unwritable output), 3 non-finite solver state, or a
+count that does not resolve or differs from the roots found.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, boundary, oracle
+from . import __version__, boundary, contour, oracle
 from .core import NonFiniteError, SpectralParams, in_stability_domain
 from .rootfinder import ScanConfig, scan_real_roots, trace_parameter
 
@@ -147,10 +152,19 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 def _series_spectrum(cfg: RunConfig, meta: dict, param):
     """Write the series-determinant roots of cfg.params, one row each
-    with the given param column."""
-    roots = scan_real_roots(boundary.det_functional(cfg.params),
-                            _scan_for(cfg))
-    _emit(_filter_rows(roots, param, cfg.scan.tol), cfg, meta)
+    with the given param column: the scanned real roots, then the complex
+    pairs of the window's count (contour.certify) unless it is real."""
+    p, scan = cfg.params, _scan_for(cfg)
+    F = boundary.det_functional(p)
+    roots = scan_real_roots(F, scan)
+    if p.k and p.eps:
+        meta["contour"], pairs = contour.certify(F, scan, roots)
+        roots += pairs
+    else:
+        meta["contour"] = {"skipped": "a real spectrum: " + (
+            "k = 0, chi is self-adjoint" if p.k == 0
+            else "eps = 0, the energy identity mu E = -||Phi||^2")}
+    _emit(_filter_rows(roots, param, scan.tol), cfg, meta)
 
 
 def cmd_oracle(cfg: RunConfig) -> int:
@@ -338,20 +352,21 @@ def cmd_verify(only: str | None, output: str | None) -> int:
     return 0 if doc["passed"] else 1
 
 
-# A computing command's option by its --config key, its flag --key (--format
-# for fmt): its config value's JSON type (a float takes an int), default,
-# --help text ({} stands for the default) and the commands that have it.
+# A computing command's option by its --config key and flag --key (--format
+# for fmt): JSON type (a float takes an int), default, --help ({}: the
+# default) and the commands that have it; figures presets k, eps, x0, M, smax.
+_RUNS = ("spectrum", "oracle", "trace")
 _Option = namedtuple("_Option", "type default help commands", defaults=(
-    None, None, ("spectrum", "oracle", "trace", "figures")))
+    None, None, _RUNS + ("figures",)))
 
 _OPTIONS = {
     "config": _Option(str, help="JSON file with default options"),
-    "k": _Option(int),          # None: 0 with chi, else 1
-    "eps": _Option(float, 0.0),
-    "x0": _Option(float, 0.9),
-    "M": _Option(int),          # None: 100 for k = 0, else 150
+    "k": _Option(int, commands=_RUNS),      # None: 0 with chi, else 1
+    "eps": _Option(float, 0.0, commands=_RUNS),
+    "x0": _Option(float, 0.9, commands=_RUNS),
+    "M": _Option(int, commands=_RUNS),      # None: 100 for k = 0, else 150
     "smin": _Option(float, ScanConfig.s_min),
-    "smax": _Option(float, ScanConfig.s_max),
+    "smax": _Option(float, ScanConfig.s_max, commands=_RUNS),
     "step": _Option(float, ScanConfig.step),
     "tol": _Option(float, ScanConfig.tol),
     "output": _Option(str),
@@ -460,7 +475,7 @@ def main(argv=None) -> int:
             return cmd_figures(tasks)
         return {"spectrum": cmd_spectrum, "oracle": cmd_oracle,
                 "trace": cmd_trace}[cfg.command](cfg)
-    except NonFiniteError as exc:
+    except (NonFiniteError, contour.CountError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:    # JSONDecodeError is a ValueError

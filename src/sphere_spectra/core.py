@@ -15,6 +15,10 @@ class NonFiniteError(FloatingPointError):
     """A boundary-matrix entry overflowed (series order M too large for x0)."""
 
 
+class CountError(ArithmeticError):
+    """A contour count did not resolve, or differs from the roots found."""
+
+
 class GridTooCoarseWarning(UserWarning):
     """Two sign changes landed inside one scan step; roots may be missed."""
 

@@ -58,6 +58,9 @@ class ScanConfig:
         if self.step > self.s_max - self.s_min:
             raise ValueError("the scan window [s_min, s_max] must be at "
                              "least one step wide")
+        if self.tol < 4 * math.ulp(max(abs(self.s_min), abs(self.s_max))):
+            raise ValueError("tol must be at least 4 ulps of the window's "
+                             "largest |s|: no bracket closes below that")
 
 
 @dataclass

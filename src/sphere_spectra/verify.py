@@ -1,5 +1,6 @@
-"""Self-verification suite: structural invariants, analytic limits and a
-reduced oracle-equivalence matrix, runnable from the CLI (verify command).
+"""Self-verification suite: structural invariants, analytic limits, a
+reduced oracle-equivalence matrix and a contour count, runnable from the
+CLI (verify command).
 
 Each invariant is written once, as a function of its inputs returning
 (passed, detail) against one fixed bound; the tests call it on their own
@@ -14,8 +15,8 @@ from dataclasses import astuple, replace
 
 import numpy as np
 
-from . import analytic, boundary, oracle
-from .core import SpectralParams
+from . import analytic, boundary, contour, oracle
+from .core import CountError, SpectralParams
 from .rootfinder import ScanConfig, scan_real_roots
 from .series import coeffs, coeffs_k_batch, eval_series
 
@@ -246,6 +247,23 @@ def chi_limit_bound(params, cfg):
     return bool(s.size and gap >= 0), f"{s.size} roots, min margin {gap:.3g}"
 
 
+# ---------------------------------------------------------------------------
+# contour count
+# ---------------------------------------------------------------------------
+
+def contour_count(params, cfg, count):
+    """The window's count is the given one, and as many roots are found:
+    the scanned real ones and two per complex pair (contour.certify)."""
+    F = boundary.det_functional(params)
+    try:
+        cert, _ = contour.certify(F, cfg, scan_real_roots(F, cfg))
+    except CountError as exc:
+        return False, str(exc)
+    return cert["count"] == count, (f"{cert['found']} of {cert['count']} "
+                                    f"zeros found, tail {cert['tail']:.1e} "
+                                    f"at N = {cert['n']}")
+
+
 def _random_series_cases(seed, k0, draw):
     """Five (params, s, *draw(rng)) of random k, eps and s."""
     rng = np.random.default_rng(seed)
@@ -311,6 +329,9 @@ CHECKS = [
         for k in (1, 3))),
     ("oracle", "chi-limit-bound", lambda: chi_limit_bound(
         SpectralParams(k=0, eps=4.0, x0=0.9, M=100), ScanConfig(0.05, 8.0))),
+    ("contour", "count", lambda: contour_count(
+        SpectralParams(k=1, eps=4.0, x0=0.9, M=150), ScanConfig(0.0, 10.0),
+        6)),
 ]
 
 

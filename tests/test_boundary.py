@@ -9,6 +9,7 @@ from sphere_spectra import (NonFiniteError, ScanConfig, SpectralParams,
                             refine_complex, scan_real_roots, verify)
 from sphere_spectra import boundary
 from sphere_spectra.boundary import _matrices
+from sphere_spectra.contour import contour_zeros
 
 from exact_columns import exact_columns_k, exact_columns_k0, exact_root
 
@@ -330,33 +331,6 @@ PAIRS = np.array([3.59581632060489 + 0.986270221317855j,
                   8.97989989110395 + 1.08864466600982j])
 
 
-def contour_zeros(F, c, a, b, n):
-    """Zeros of G(mu) = F(s), -s(s + 1) = mu, inside the mu-ellipse
-    c + a cos t + i b sin t, from F at n trapezoid points: the count is
-    the winding of log G; its periodic part, differentiated by FFT, gives
-    G'/G, whose power sums in u = (mu - c) / a give the zeros by Newton's
-    identities (Delves & Lyness, Math. Comp. 21, 1967).  Returns the
-    count, the zeros as s with Im s >= 0, and the FFT tail: the largest
-    coefficient in the middle quarter over the largest."""
-    t = 2 * np.pi * np.arange(n) / n
-    u = np.cos(t) + 1j * (b / a) * np.sin(t)
-    log_g = np.log(F(-0.5 + np.sqrt(0.25 - (c + a * u))))
-    phase = np.unwrap(np.append(log_g.imag, log_g.imag[0]))
-    count = round((phase[-1] - phase[0]) / (2 * np.pi))
-    coef = np.fft.fft(log_g.real + 1j * (phase[:-1] - count * t))
-    tail = np.abs(coef[3 * n // 8:5 * n // 8]).max() / np.abs(coef).max()
-    wave = np.fft.fftfreq(n, 1 / n)
-    dlog = np.fft.ifft(1j * wave * coef) + 1j * count    # d log G / dt
-    p = [np.mean(u ** q * dlog) / 1j for q in range(1, count + 1)]
-    e = [1.0]                                            # Newton's identities
-    for q in range(1, count + 1):
-        e.append(sum((-1) ** (i - 1) * e[q - i] * p[i - 1]
-                     for i in range(1, q + 1)) / q)
-    mu = c + a * np.roots([(-1) ** q * e[q] for q in range(count + 1)])
-    s = -0.5 + np.sqrt(0.25 - mu)
-    return count, s.real + 1j * np.abs(s.imag), tail
-
-
 def test_determinant_is_analytic_for_contour_counts():
     """F is the determinant itself, analytic in s, so Delves-Lyness on it
     finds the three k = 1, eps = 4 pairs from 1024 points on the
@@ -367,7 +341,7 @@ def test_determinant_is_analytic_for_contour_counts():
     lies near the ellipse.)"""
     F = det_functional(SpectralParams(k=1, eps=4.0, x0=0.9, M=150))
     count, s, tail = contour_zeros(F, -55.0, 60.0, 30.0, 1024)
-    assert count == 6
+    assert count == 6 and s.size == 3       # one zero per conjugate pair
     assert tail < 1e-12, tail
     gaps = np.abs(s[:, None] - PAIRS).min(axis=1)
     assert np.all(gaps < 1e-10), gaps

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -12,6 +13,8 @@ import pytest
 from sphere_spectra import GridTooCoarseWarning, oracle
 from sphere_spectra.cli import _OPTIONS, SCHEMA, _build_parser, main
 
+from test_boundary import PAIRS
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -22,11 +25,13 @@ def run(argv):
 class TestImportFootprint:
     """A CLI process holds only the code its command runs: the closed forms
     (`analytic`, with numpy.polynomial) and the verify suite load when
-    `spectrum --x0 1` or `verify` starts, never with the CLI itself.  Each
-    check runs in a fresh interpreter, since this one has loaded them all."""
+    `spectrum --x0 1` or `verify` starts, never with the CLI itself, and
+    numpy.fft (numpy 2 loads it on first use) only with a contour count.
+    Each check runs in a fresh interpreter, since this one has loaded them
+    all."""
 
     MODULES = ("sphere_spectra.analytic", "sphere_spectra.verify",
-               "numpy.polynomial", "sphere_spectra.oracle")
+               "numpy.polynomial", "sphere_spectra.oracle", "numpy.fft")
 
     def loaded(self, argv=None):
         """The exit code of `main(argv)` (None without argv) and which of
@@ -55,6 +60,19 @@ class TestImportFootprint:
         assert rc == 0
         assert "sphere_spectra.analytic" in loaded
         assert "sphere_spectra.verify" not in loaded
+
+    def test_only_a_contour_count_loads_the_fft(self, tmp_path):
+        """A trace never counts, and a spectrum counts for k != 0 and
+        eps != 0 alone."""
+        out = ["--output", str(tmp_path / "out.csv"), "--smax", "4"]
+        for argv, counts in (
+                (["trace", "--k", "1", "--sweep", "eps:0:1:0.5"], False),
+                (["spectrum", "--k", "1", "--eps", "0"], False),
+                (["spectrum", "--k", "0", "--eps", "4"], False),
+                (["spectrum", "--k", "1", "--eps", "4"], True)):
+            rc, loaded = self.loaded(argv + out)
+            assert rc == 0
+            assert ("numpy.fft" in loaded) == counts, argv
 
     def test_verify_loads_the_suite(self):
         rc, loaded = self.loaded(["verify", "--only", "analytic"])
@@ -138,15 +156,99 @@ class TestSpectrumCommand:
         assert doc["meta"]["version"]
         assert set(doc["rows"][0]) == set(SCHEMA)
 
-    def test_residual_gate_drops_rows_loudly(self, tmp_path, capsys):
+    def test_complex_pairs_are_listed_and_certified(self, tmp_path):
+        """The window holds three stable complex pairs and no real root: the
+        table lists each pair once, within 1e-10 of PAIRS, and its meta
+        certifies the count of the mu-ellipse over [mu(10), mu(0)] with
+        b = 2a.  The table held only its header."""
+        out = tmp_path / "pairs.json"
+        assert run(["spectrum", "--k", "1", "--eps", "4", "--x0", "0.9",
+                    "--smax", "10", "--format", "json",
+                    "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        s = np.array([complex(float(r["re_s"]), float(r["im_s"]))
+                      for r in doc["rows"]])
+        assert np.abs(s - PAIRS).max() < 1e-10
+        assert all(r["stable"] == "true" for r in doc["rows"])
+        cert = doc["meta"]["contour"]
+        assert (cert["count"], cert["found"], cert["n"]) == (6, 6, 256)
+        assert cert["region"] == [-55.0, 55.0, 110.0]
+        assert cert["tail"] < 1e-6
+
+    def test_real_rows_keep_their_bytes(self, tmp_path, monkeypatch):
+        """k = 1, eps = 2.5 holds two real roots and two pairs in [0, 10]:
+        the real rows come first, as the scan alone writes them, and the
+        pairs follow."""
+        from sphere_spectra import cli as cli_mod
+        argv = ["spectrum", "--k", "1", "--eps", "2.5", "--x0", "0.9",
+                "--smax", "10", "--output"]
+        both, real = tmp_path / "both.csv", tmp_path / "real.csv"
+        assert run(argv + [str(both)]) == 0
+        monkeypatch.setattr(cli_mod.contour, "certify",
+                            lambda *a, **k: ({}, []))
+        assert run(argv + [str(real)]) == 0
+        lines = both.read_text().splitlines()
+        assert lines[:3] == real.read_text().splitlines()
+        assert [line.split(",")[3] != "0" for line in lines[1:]] == [
+            False, False, True, True]
+
+    @pytest.mark.parametrize("plant, code, count", [
+        # a lone zero at mu = -30 - 5i, times i: the real part on the real
+        # axis, which the scan reads, keeps F's sign changes
+        (lambda mu: 1j * (mu + 30 + 5j), 3, 7),
+        # a double real zero at mu = -30 (s = 5), with no sign change
+        (lambda mu: (mu + 30) ** 2, 3, 8),
+        # a pair at mu = -30 -+ 5i: eight zeros, all found
+        (lambda mu: (mu + 30) ** 2 + 25, 0, 8)])
+    def test_planted_zero_without_its_root_exits_3(self, tmp_path, capsys,
+                                                   monkeypatch, plant, code,
+                                                   count):
+        """F times a factor with zeros inside the window's mu-ellipse: a
+        count that differs from the roots found exits 3 with no table."""
+        from sphere_spectra import boundary
+        build = boundary.det_functional
+        monkeypatch.setattr(boundary, "det_functional", lambda p: (
+            lambda s, F=build(p): F(s) * plant(-s * (s + 1))))
+        out = tmp_path / "planted.json"
+        assert run(["spectrum", "--k", "1", "--eps", "4", "--x0", "0.9",
+                    "--smax", "10", "--format", "json",
+                    "--output", str(out)]) == code
+        if code:
+            err = capsys.readouterr().err
+            assert "solver error: the roots found are not the count" in err
+            assert f"'count': {count}," in err
+            assert not out.exists()
+        else:
+            cert = json.loads(out.read_text())["meta"]["contour"]
+            assert cert["count"] == cert["found"] == count
+
+    @pytest.mark.parametrize("k, eps, why", [
+        ("1", "0", "eps = 0, the energy identity"),
+        ("0", "4", "k = 0, chi is self-adjoint")])
+    def test_real_spectra_skip_the_count(self, tmp_path, k, eps, why):
+        out = tmp_path / "real.json"
+        assert run(["spectrum", "--k", k, "--eps", eps, "--x0", "0.9",
+                    "--smax", "6", "--format", "json",
+                    "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert why in doc["meta"]["contour"]["skipped"]
+        assert doc["rows"] and all(r["im_s"] == "0" for r in doc["rows"])
+
+    @pytest.mark.parametrize("smax, tol, code", [
+        ("4", "1e-300", 2), ("5", "1e-16", 2), ("8", "7e-15", 2),
+        ("8", "7.2e-15", 0)])
+    def test_tolerance_below_the_window_ulp_exits_2(self, tmp_path, capsys,
+                                                     smax, tol, code):
+        # no bracket closes below one ulp of the window's largest |s|: a
+        # tol under 4 ulps (7.1e-15 at 8) dropped rows ("dropping root")
+        # and exited 0 with a short table
         out = tmp_path / "gate.csv"
-        run(["spectrum", "--k", "1", "--eps", "0", "--x0", "0.9",
-             "--smax", "4", "--tol", "1e-300", "--output", str(out)])
-        # only roots with residual exactly zero can survive that tolerance
-        rows = out.read_text().splitlines()[1:]
-        assert all(float(r.split(",")[6]) == 0.0 for r in rows)
-        assert len(rows) < 2
-        assert "dropping root" in capsys.readouterr().err
+        assert run(["spectrum", "--k", "1", "--eps", "0", "--x0", "0.9",
+                    "--smax", smax, "--tol", tol,
+                    "--output", str(out)]) == code
+        err = capsys.readouterr().err
+        assert ("tol must be at least 4 ulps" in err) == bool(code)
+        assert out.exists() != bool(code) and "dropping root" not in err
 
 
 class TestConfigHandling:
@@ -364,6 +466,28 @@ class TestFiguresCommand:
         for name in ("k1.csv", "k1.csv.events.json"):
             assert (tmp_path / f"all_figure5_{name}").read_bytes() == \
                 (tmp_path / f"five_{name}").read_bytes()
+
+    def test_preset_options_are_refused(self, tmp_path, capsys):
+        """figures takes k, eps, x0, M and smax from each preset, so their
+        flags and config keys exit 2 and --help lists only the options
+        that act: `figures --figure 3 --x0 0.5 --smax 3` exited 0 and
+        wrote the files of `figures --figure 3`."""
+        out = tmp_path / "fig"
+        with pytest.raises(SystemExit) as exc:
+            run(["figures", "--figure", "3", "--x0", "0.5", "--smax", "3",
+                 "--output", str(out)])
+        assert exc.value.code == 2
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"x0": 0.5}))
+        assert run(["figures", "--figure", "3", "--config", str(cfgfile),
+                    "--output", str(out)]) == 2
+        assert "unknown config keys for figures: x0" in capsys.readouterr().err
+        assert not list(tmp_path.glob("fig_*"))
+        with pytest.raises(SystemExit):
+            run(["figures", "--help"])
+        assert set(re.findall(r"--(\w+)", capsys.readouterr().out)) == {
+            "help", "config", "smin", "step", "tol", "output", "format",
+            "figure"}
 
     def test_unknown_figure_exits_2(self):
         assert run(["figures", "--figure", "9"]) == 2
@@ -639,7 +763,9 @@ class TestConfigKeys:
         "steps": ("400", 400), "chi": (None, True),
         "sweep": ("eps:0:1:0.5", "eps:0:1:0.5"), "figure": ("3", "3")}
     OWNERS = {"steps": ("oracle",), "chi": ("oracle",), "sweep": ("trace",),
-              "figure": ("figures",)}
+              "figure": ("figures",)} | dict.fromkeys(
+                  ("k", "eps", "x0", "M", "smax"), ("spectrum", "oracle",
+                                                    "trace"))
     WRONG = {str: [3, 0.5, True, None, [1]],
              int: ["3", 0.5, True, None, [1]],
              float: ["0.5", True, None, [1]],
@@ -674,6 +800,8 @@ class TestConfigKeys:
         monkeypatch.setattr(cli_mod, "trace_parameter", lambda *a, **k: [])
         monkeypatch.setattr(cli_mod.boundary, "det_functional",
                             lambda *a, **k: None)
+        monkeypatch.setattr(cli_mod.contour, "certify",
+                            lambda *a, **k: ({}, []))
         monkeypatch.setattr(oracle, "shoot_functional",
                             lambda *a, **k: types.SimpleNamespace(meta={}))
 

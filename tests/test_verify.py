@@ -22,10 +22,12 @@ REGISTRY = [
     ("analytic", "darboux-pair"), ("analytic", "spectra-values"),
     ("oracle", "equivalence-k1"), ("oracle", "equivalence-k0"),
     ("oracle", "green-identity"), ("oracle", "chi-limit-bound"),
+    ("contour", "count"),
 ]
 
 
 _vorticity, _rows = series._vorticity, boundary._stream_rows
+_det = boundary.det_functional
 
 
 def _edited(edit, out, s):
@@ -58,6 +60,13 @@ def _normalized(params):
     return F
 
 
+def _double_zero(params):
+    """det_functional times (mu + 30)^2: a double zero at s = 5 with no
+    sign change for the scan."""
+    F = _det(params)
+    return lambda s: F(s) * (30 - s * (s + 1)) ** 2
+
+
 _P, _SEEDS = SpectralParams(2, 1.0, 0.8, 60), (1.0, 0.5, -0.2, 0.8)
 _READS_S = _kernel(lambda a, b, s: (a * (1 + 1e-9 * s), b))  # not s(s+1)
 
@@ -81,11 +90,15 @@ _READS_S = _kernel(lambda a, b, s: (a * (1 + 1e-9 * s), b))  # not s(s+1)
      (boundary, "_stream_rows"), _cross_row),
     (verify.seed_scaling, (_P, [0.8, 1.9 + 0.6j], [2.0, 0.5j, -3.0, 1.0]),
      (boundary, "det_functional"), _normalized),
+    (verify.contour_count, (SpectralParams(1, 4.0, 0.9, 150),
+                            ScanConfig(0.0, 10.0), 6),
+     (boundary, "det_functional"), _double_zero),
 ])
 def test_planted_fault_fails_the_shared_check(monkeypatch, check, inputs,
                                               target, fault):
-    """Each series and boundary invariant passes on clean code and fails
-    with one planted fault in the kernel, the rows or the determinant."""
+    """Each series and boundary invariant, and the contour count, passes on
+    clean code and fails with one planted fault in the kernel, the rows or
+    the determinant."""
     passed, detail = check(*inputs)
     assert passed, detail
     monkeypatch.setattr(*target, fault)
@@ -107,7 +120,7 @@ def test_nan_spectrum_fails_spectra_values(monkeypatch):
 
 
 def test_registry_groups_cover_all_modules(tmp_path, capsys):
-    """The registry holds these 18 checks of the four groups in this order,
+    """The registry holds these 19 checks of the five groups in this order,
     and the verify command runs and reports each of them."""
     assert [(g, n) for g, n, _ in verify.CHECKS] == REGISTRY
     out = tmp_path / "verify.json"

@@ -6,10 +6,11 @@
 `run` executes a fixed list of CLI operations through
 sphere_spectra.cli.main in one process with one BLAS thread, importing the
 package from PATH (default: this checkout's src).  It writes into DIR each
-operation's CSV output and .events.json sidecars, its stderr as
-NAME.stderr, and index.json: per operation its argv and exit code, per
-CSV file how to read its rows' eps (the param column of an eps sweep, or
-one fixed value).
+operation's output (CSV, JSON for `--format json` and `verify`, whose
+report is kept without its timings, and the standard output of `--help`
+as NAME.txt) and .events.json sidecars, its stderr as NAME.stderr, and
+index.json: per operation its argv and exit code, per CSV file how to
+read its rows' eps (the param column of an eps sweep, or one fixed value).
 
 `diff` reads two such directories and prints one JSON object: how many
 files are byte-identical out of the total, the files that differ, exit
@@ -19,8 +20,10 @@ same key, per kind: real, complex at eps < 10 and complex at eps >= 10.
 
 The operations: the criterion-5 eps traces (k = 1, 3) at x0 = 0.9,
 0.9001, 0.9002, 0.9005, 0.901 and 0.97; x0 traces for k = 0 and 1;
-`figures --figure all`; and the benchmark's cross-check spectra and
-oracle tables at its four x0 offsets.
+`figures --figure all`; the benchmark's cross-check spectra and oracle
+tables at its four x0 offsets, with JSON copies of the two that count
+their window (k = 3, eps = 4 at x0 = 0.9, and k = 1, eps = 4 up to
+s = 10); `--help` of each command; and `verify`.
 """
 
 import argparse
@@ -57,6 +60,11 @@ def operations() -> dict:
                                            "--x0", x0]
     ops["spectrum-k1-eps4-smax10"] = ["spectrum", "--k", "1", "--eps", "4",
                                       "--x0", "0.9", "--smax", "10"]
+    for name in ("spectrum-k3-eps4-x0-0.9", "spectrum-k1-eps4-smax10"):
+        ops[f"{name}-json"] = ops[name] + ["--format", "json"]
+    for cmd in ("spectrum", "oracle", "trace", "figures", "verify"):
+        ops[f"help-{cmd}"] = [cmd, "--help"]
+    ops["verify"] = ["verify"]
     return ops
 
 
@@ -71,23 +79,36 @@ def _eps_of(argv) -> dict:
 def run(outdir: Path, src: Path) -> int:
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
+    os.environ["COLUMNS"] = "80"        # the width argparse wraps --help to
     sys.path.insert(0, str(src))
     from sphere_spectra import cli
 
     outdir.mkdir(parents=True, exist_ok=True)
     index = {"ops": {}, "files": {}}
     for name, argv in operations().items():
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), \
-                contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(argv + ["--output", str(outdir / name)
-                                    + ("" if argv[0] == "figures"
-                                       else ".csv")])
+        err, out = io.StringIO(), io.StringIO()
+        path = outdir / (name + ("" if argv[0] == "figures" else ".json"
+                                 if argv[0] == "verify" or "json" in argv
+                                 else ".csv"))
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+            try:
+                code = cli.main(argv + ([] if "--help" in argv
+                                        else ["--output", str(path)]))
+            except SystemExit as exc:       # argparse, after --help
+                code = exc.code
         (outdir / f"{name}.stderr").write_text(
             err.getvalue().replace(str(outdir), "DIR"))
         index["ops"][name] = {"argv": argv, "exit": code}
-        if argv[0] != "figures":
-            index["files"][f"{name}.csv"] = _eps_of(argv)
+        if "--help" in argv:
+            (outdir / f"{name}.txt").write_text(out.getvalue())
+        elif argv[0] == "verify":
+            report = json.loads(path.read_text())
+            for check in report["checks"]:
+                del check["seconds"]
+            path.write_text(json.dumps(report, indent=2, sort_keys=True)
+                            + "\n")
+        elif path.suffix == ".csv":
+            index["files"][path.name] = _eps_of(argv)
     for fig, tasks in cli.FIGURE_TASKS.items():
         for suffix, spec in tasks:
             sweep = spec.get("sweep")
