@@ -2,15 +2,18 @@
 
 Commands:
   spectrum   roots of the series determinant for one (k, eps, x0, M): the
-             scanned real roots, then for k != 0 and eps != 0 the complex
-             pairs of the count (`contour`, in meta) in the mu-ellipse over
-             [mu(smax), mu(smin)] with b = 2a; k = 0 (chi is self-adjoint)
+             scanned real roots, then for k != 0 and eps != 0 the other
+             roots of the count (`contour`, in meta) in the mu-ellipse over
+             [mu(smax), mu(smin)] with b = 2a: real ones the scan missed
+             and complex pairs; k = 0 (chi is self-adjoint)
              and eps = 0 (energy identity) have real spectra and say so in
              meta; x0 = 1 is answered from the closed-form spectra, whose
              module (`analytic`, with numpy.polynomial) loads only then
   oracle     roots of the shooting integrator (independent of the series);
              k = 0 runs the self-adjoint chi problem, and --chi is --k 0
-  trace      roots swept along x0 or eps with coalescence tracking
+  trace      roots swept along x0 or eps with coalescence tracking; for
+             k != 0, a sweep value where a real branch is lost counts the
+             window (its certificate in meta and the sidecar)
   figures    canned sweeps reproducing the published root diagrams
   verify     run the self-verification suite (loads `verify` and `analytic`
              when it starts; no other command imports either)
@@ -20,8 +23,9 @@ param,branch,re_s,im_s,re_mu,im_mu,residual,stable,source at 15
 significant digits; identical configs produce byte-identical files.
 Exit codes: 0 ok, 1 verification failure, 2 bad configuration (among
 them non-finite values, a tol below 4 ulps of the window, an unknown
-verify filter and an unwritable output), 3 non-finite solver state, or a
-count that does not resolve or differs from the roots found.
+verify filter and an unwritable output), 3 non-finite solver state, a
+count that does not resolve or (in spectrum) differs from the roots
+found, or a root whose error bound exceeds tol; 3 writes no table.
 """
 
 from __future__ import annotations
@@ -38,9 +42,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, boundary, contour, oracle
-from .core import NonFiniteError, SpectralParams, in_stability_domain
-from .rootfinder import ScanConfig, scan_real_roots, trace_parameter
+from . import __version__, boundary, oracle
+from .core import (CountError, NonFiniteError, SpectralParams,
+                   in_stability_domain)
+from .rootfinder import ScanConfig, certify, scan_real_roots, trace_parameter
 
 SCHEMA = ("param", "branch", "re_s", "im_s", "re_mu", "im_mu",
           "residual", "stable", "source")
@@ -118,17 +123,20 @@ def _meta(cfg: RunConfig) -> dict:
     }
 
 
+class ToleranceError(ArithmeticError):
+    """A root's error bound in s exceeds the configured tolerance."""
+
+
 def _filter_rows(roots, param, tol):
-    """Render roots as rows, skipping (loudly) any whose error bound in s
-    exceeds the configured tolerance."""
-    rows = []
-    for i, r in enumerate(roots):
+    """Render roots as rows, refusing the table (ToleranceError, exit 3)
+    if any root's error bound in s exceeds the configured tolerance: a row
+    is never dropped."""
+    for r in roots:
         if r.error > tol:
-            print(f"warning: dropping root s={r.s:.12g} with error "
-                  f"{r.error:.2e} > tol {tol:.2e}", file=sys.stderr)
-            continue
-        rows.append(_row(param, i, r.s, r.mu, r.residual, r.source))
-    return rows
+            raise ToleranceError(f"root s={r.s:.12g} has error "
+                                 f"{r.error:.2e} > tol {tol:.2e}")
+    return [_row(param, i, r.s, r.mu, r.residual, r.source)
+            for i, r in enumerate(roots)]
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
@@ -152,14 +160,14 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 def _series_spectrum(cfg: RunConfig, meta: dict, param):
     """Write the series-determinant roots of cfg.params, one row each
-    with the given param column: the scanned real roots, then the complex
-    pairs of the window's count (contour.certify) unless it is real."""
+    with the given param column: the scanned real roots, then those the
+    window's count finds besides (certify) unless the spectrum is real."""
     p, scan = cfg.params, _scan_for(cfg)
     F = boundary.det_functional(p)
     roots = scan_real_roots(F, scan)
     if p.k and p.eps:
-        meta["contour"], pairs = contour.certify(F, scan, roots)
-        roots += pairs
+        meta["contour"], others = certify(F, scan, roots)
+        roots += others
     else:
         meta["contour"] = {"skipped": "a real spectrum: " + (
             "k = 0, chi is self-adjoint" if p.k == 0
@@ -247,17 +255,19 @@ def cmd_trace(cfg: RunConfig) -> int:
 
 def _traced(cfg: RunConfig, meta: dict, traces: dict,
             complex_only: bool = False):
-    """Trace the sweep of cfg and write its rows, and its coalescence events
-    and branch terminations (last param and reason) to the .events.json
+    """Trace the sweep of cfg and write its rows, and its coalescence events,
+    branch terminations (last param and reason) and window counts (param
+    and certificate, see trace_parameter; only if any) to the .events.json
     sidecar (to stderr without an output); JSON output carries the
-    terminations in meta too.  traces maps each (params, sweep, scan
-    window) the calling command has traced to its branches; a repeat
+    terminations and counts in meta too.  traces maps each (params, sweep,
+    scan window) the calling command has traced to its branches; a repeat
     reuses them."""
     name, scan = cfg.sweep[0], _scan_for(cfg)
     key = (cfg.params, cfg.sweep, scan)
     if key not in traces:
         traces[key] = trace_parameter(_family(cfg.params, name),
-                                      _sweep_values(cfg.sweep), scan)
+                                      _sweep_values(cfg.sweep), scan,
+                                      count=cfg.params.k != 0)
     branches = traces[key]
     rows = _trace_rows(branches)
     if complex_only:
@@ -266,7 +276,12 @@ def _traced(cfg: RunConfig, meta: dict, traces: dict,
               "terminations": [{"branch": br.index, "reason": br.note,
                                 "param": float(_fmt(br.samples[-1][0]))}
                                for br in branches if br.note]}
-    _emit(rows, cfg, meta | {"terminations": events["terminations"]})
+    # the same certificate is on every branch unmatched at its value; a
+    # sweep that never counted keeps its sidecar's bytes
+    if counts := {c["param"]: c for br in branches for c in br.counts}:
+        events["counts"] = [counts[p] for p in sorted(counts)]
+    _emit(rows, cfg, meta | {part: v for part, v in events.items()
+                             if part != "events"})
     if cfg.output:
         with open(cfg.output + ".events.json", "w") as fh:
             json.dump(events, fh, indent=2, sort_keys=True)
@@ -475,7 +490,7 @@ def main(argv=None) -> int:
             return cmd_figures(tasks)
         return {"spectrum": cmd_spectrum, "oracle": cmd_oracle,
                 "trace": cmd_trace}[cfg.command](cfg)
-    except (NonFiniteError, contour.CountError) as exc:
+    except (NonFiniteError, CountError, ToleranceError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:    # JSONDecodeError is a ValueError

@@ -1,13 +1,17 @@
 """Eigenvalues counted in a region by the argument principle and found from
-the same samples (Delves & Lyness, Math. Comp. 21, 1967)."""
+the same samples (Delves & Lyness, Math. Comp. 21, 1967).  The seeds are
+polished on F by the root finder (rootfinder.count_window)."""
 
 import numpy as np
 
 from .core import CountError
-from .rootfinder import _dedupe, refine_complex
 
 NS, TAIL = (256, 512, 1024, 2048, 4096), 1e-6    # points tried; tail bound
 DEGREE, DEPTH = 6, 8    # most zeros one polynomial takes; deepest split
+# |Im u| below which a zero may be real: a simple real zero's seed leaves
+# the axis by about the count's error (the tail), a double one's by about
+# its square root
+SPLIT = TAIL ** 0.5
 
 
 def contour_zeros(F, c, a, b, n, known=()):
@@ -15,9 +19,10 @@ def contour_zeros(F, c, a, b, n, known=()):
     i b sin t from n points: the count is the winding of log G, and the power
     sums of G'/G (its periodic part differentiated by FFT) in u = (mu - c)/a,
     less the known zeros', give the others by Newton's identities.  Returns
-    the count, the others with Im mu <= 0 as s (one per conjugate pair: G is
-    real on the real axis), and the FFT tail (middle quarter over largest;
-    inf where the even points wind otherwise); no zeros unless tail < TAIL."""
+    the count; the others as s with Im s >= 0, each zero with |Im u| <
+    SPLIT (it may be real) and one per other conjugate pair (G is real on
+    the real axis); and the FFT tail (middle quarter over largest; inf where
+    the even points wind otherwise).  No zeros unless tail < TAIL."""
     t = 2 * np.pi * np.arange(n) / n
     u = np.cos(t) + 1j * (b / a) * np.sin(t)
     log_g = np.log(F(-0.5 + np.sqrt(0.25 - (c + a * u))))
@@ -25,7 +30,8 @@ def contour_zeros(F, c, a, b, n, known=()):
                    for v in (log_g.imag, log_g.imag[::2]))
     count, half = (round((p[-1] - p[0]) / (2 * np.pi)) for p in (phase, half))
     coef = np.fft.fft(log_g.real + 1j * (phase[:-1] - count * t))
-    tail = (float(np.abs(coef[3 * n // 8:5 * n // 8]).max() / abs(coef).max())
+    top = abs(coef).max() or 1.0        # 0 where G = 1 on the contour
+    tail = (float(np.abs(coef[3 * n // 8:5 * n // 8]).max() / top)
             if count == half else np.inf)
     if not tail < TAIL:
         return count, np.empty(0, complex), tail
@@ -37,14 +43,18 @@ def contour_zeros(F, c, a, b, n, known=()):
     for q in range(1, len(p) + 1):
         e.append(sum((-1) ** (i - 1) * e[q - i] * p[i - 1]
                      for i in range(1, q + 1)) / q)
-    mu = c + a * np.roots([(-1) ** q * e[q] for q in range(len(e))])
-    return count, -0.5 + np.sqrt(0.25 - mu[mu.imag <= 0]), tail
+    z = np.roots([(-1) ** q * e[q] for q in range(len(e))])
+    s = -0.5 + np.sqrt(0.25 - (c + a * z[(abs(z.imag) < SPLIT)
+                                         | (z.imag < 0)]))
+    return count, s.real + 1j * abs(s.imag), tail
 
 
-def _seeds(F, lo, hi, known, depth=0):
+def count_zeros(F, lo, hi, known, depth=0):
     """The count of the mu-ellipse over [lo, hi], b = 2a, at the first n of NS
     with tail < TAIL, and seeds for its zeros not in known: over DEGREE, from
-    the halves of [lo, hi], each widened by a quarter and keeping its own."""
+    the halves of [lo, hi], each widened by a quarter and keeping its own.
+    Returns the certificate (region, n, count, tail) and the seeds as s;
+    CountError where the count does not resolve."""
     c, a = (lo + hi) / 2, (hi - lo) / 2
     own = [m for m in known if lo <= m <= hi]
     for n in NS:
@@ -56,25 +66,6 @@ def _seeds(F, lo, hi, known, depth=0):
         raise CountError(f"no count in the mu-ellipse {cert}")
     if count - len(own) > DEGREE:
         seeds = [z for l, h, right in ((lo, c + a / 2, 0), (c - a / 2, hi, 1))
-                 for z in _seeds(F, l, h, known, depth + 1)[1]
+                 for z in count_zeros(F, l, h, known, depth + 1)[1]
                  if right == ((-z * (z + 1)).real >= c)]
     return cert, seeds
-
-
-def certify(F, scan, reals):
-    """Count the zeros in the region R of the scan window: the mu-ellipse
-    over [mu(s_max), mu(s_min)] with b = 2a, whose real zeros are the
-    scanned roots reals.  Returns R's count (region, n, count, tail, found)
-    and its distinct complex pairs, polished by refine_complex; CountError
-    unless the real roots and two per pair make up the count."""
-    mu = [-s * (s + 1) for s in (scan.s_max, scan.s_min)]
-    cert, seeds = _seeds(F, *mu, [r.mu.real for r in reals])
-    c, a, b = cert["region"]
-    polished = refine_complex(F, seeds, scan.tol, probe=scan.step)
-    pairs = _dedupe([r for r in polished if r and r.kind == "complex-pair"
-                     and abs((r.mu.real - c) / a + 1j * r.mu.imag / b) < 1],
-                    1e-6)
-    cert["found"] = len(reals) + 2 * len(pairs)
-    if cert["found"] != cert["count"]:
-        raise CountError(f"the roots found are not the count: {cert}")
-    return cert, pairs

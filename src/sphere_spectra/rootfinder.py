@@ -6,15 +6,12 @@ the sign-change brackets, one F call per round for all of them (Brent
 complex roots by Muller iteration (three-point quadratic interpolation,
 derivative-free: the determinant is a black box and numerical derivatives
 are noisy near coalescence), one batched loop whose seeds share each F
-call and end with a Newton step averaged over a small circle.
-Parameter continuation is one flat loop over the sweep values: it scans
-each value once and matches the scanned roots to the branches by their
-predicted positions; _rescan resolves a branch left unmatched by a fine
-local rescan, and two nearby unmatched real branches merge into a pair.
-Then _refine_pairs refines every merged pair at the value, new, parked or
-already complex, in one Muller pass, a complex one from the root its path
-predicts.  Samples lie only on the sweep values and inside the scan
-window.  Scans call F on float arrays, Muller on complex.
+call and end with a Newton step averaged over a small circle.  The roots
+a scan cannot see, close real ones and complex pairs, come from the count
+of the window's region (contour), polished by Muller: in spectrum tables
+(certify) and wherever a traced real branch is lost (trace_parameter).
+Trace samples lie only on the sweep values and inside the scan window.
+Scans call F on float arrays, Muller and the count on complex.
 
 A root's residual is the determinant magnitude at the root
 (Muller: at its last iterate) scaled by its magnitude at the grid
@@ -27,11 +24,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
-from .core import GridTooCoarseWarning, Root, canonicalize_s
+from . import contour
+from .core import CountError, GridTooCoarseWarning, Root, canonicalize_s
 
 # rounds of the bracket refiner and the Muller loop, read at call time
 MAX_ITER = 80
@@ -81,6 +79,7 @@ class Branch:
     index: int
     samples: list = field(default_factory=list)   # (param value, Root)
     events: list = field(default_factory=list)
+    counts: list = field(default_factory=list)  # certificates, see trace
     note: str = ""
     s: complex = field(default=0.0, repr=False, compare=False)
     status: str = field(default="real", repr=False, compare=False)
@@ -215,7 +214,8 @@ def refine_complex(F, seeds, tol: float = 1e-10, probe: float = 0.05) -> list:
     Fourier coefficient over r, exact for polynomials of degree below RING
     and averaging out the rounding noise that near F's floor moves every
     iterate.  Where the second coefficient outweighs the first, as near a
-    double root, the step would be noise and the root stays at x.  The
+    double root, the step would be noise and the root stays at x.  A root
+    within max(r, 1e-9) of the real axis is real, and put on it.  The
     residual is |F(x)| over its largest magnitude at the probes; the error
     is the last Muller step.
     """
@@ -262,6 +262,7 @@ def refine_complex(F, seeds, tol: float = 1e-10, probe: float = 0.05) -> list:
             dx = -mean * RING * r / c1 if abs(c2) < abs(c1) else 0
             s = canonicalize_s(xn + dx)
             kind = "complex-pair" if abs(s.imag) > max(r, 1e-9) else "real"
+            s = s if kind == "complex-pair" else complex(s.real)
             roots[i] = Root(s, abs(fn) / (max(map(abs, fr[RING:])) or 1.0),
                             kind, error=step[i])
     return roots
@@ -275,15 +276,13 @@ def _extrapolate(samples, p):
                                      if u != q) for q, s in last))
 
 
-def _match(members, found, dp, cfg):
-    """Hand scanned real roots to real branches.
+def _match(members, found, p, dp, cfg):
+    """Hand scanned real roots to real branches at p.
 
     Each member claims the scanned root nearest its predicted position (its
     last committed movement scaled to dp), within max(8 predicted movements,
-    one scan step) of it, or at any distance before its first commit.
-    Returns the (member, root) claims that no other member shares: two
-    members claiming one root is the signature of an imminent coalescence,
-    resolved by the caller.
+    one scan step) of it, or at any distance before its first commit.  A
+    claim no other member shares is committed.  Returns the other roots.
     """
     claims = {}
     for lb in members:
@@ -291,120 +290,103 @@ def _match(members, found, dp, cfg):
         reach = max(8 * abs(pred - lb.s), cfg.step) if lb.dp else np.inf
         near = min(found, key=lambda r: abs(r.s.real - pred), default=None)
         if near is not None and abs(near.s.real - pred) <= reach:
-            claims.setdefault(id(near), []).append((lb, near))
-    return [c[0] for c in claims.values() if len(c) == 1]
+            claims.setdefault(id(near), []).append(lb)
+    for r in found:
+        if len(claims.get(id(r), ())) == 1:
+            claims[id(r)][0].commit(p, dp, r)
+    return [r for r in found if len(claims.get(id(r), ())) != 1]
 
 
-def _rescan(failed, occupied, F, p, dp, cfg):
-    """Resolve the branches failed (unmatched) at p, in clusters of mutually
-    approachable members: adjacent ones belong together when their gap is
-    under two scan steps plus a slope allowance of four recent movements
-    each.  Re-scan each cluster's neighbourhood, clipped to the scan window,
-    at a tenth of the grid step, hand surviving real roots more than a
-    quarter step from every occupied position back to the nearest branches,
-    and merge the leftover adjacent pairs.  A lone leftover has left the
-    window if its re-scan was clipped at the edge it moved toward, else it
-    did not converge.  Returns the new pairs: [lower-index member, other
-    member, failed conversions]."""
-    clusters = []
-    for lb in sorted(failed, key=lambda lb: lb.s):
-        radius = cfg.step + 4 * abs(lb.ds)
-        if clusters and lb.s - (prev := clusters[-1][-1]).s < (
-                radius + cfg.step + 4 * abs(prev.ds)):
-            clusters[-1].append(lb)
-        else:
-            clusters.append([lb])
+def _hand_out(members, roots, p, dp, cfg):
+    """Hand roots to the members without a sample at p (unmatched), nearest
+    first: a root goes to one within two scan steps plus four recent
+    movements of it.  Returns the members still unmatched."""
+    cand = sorted(((abs(r.s.real - lb.s), lb, r)
+                   for lb in members for r in roots), key=lambda t: t[0])
+    taken = set()
+    for dist, lb, r in cand:
+        if (lb.samples[-1][0] != p and id(r) not in taken
+                and dist <= 2 * cfg.step + 4 * abs(lb.ds)):
+            taken.add(id(r))
+            lb.commit(p, dp, r)
+    return [lb for lb in members if lb.samples[-1][0] != p]
+
+
+def _merge(failed, new, held, p, cfg):
+    """Merge the members failed (unmatched) at p: each complex root of new,
+    (seed, root) from the window's count, not within 1e-6 of a root in held
+    takes the two members nearest it, if both lie within two scan steps
+    plus four recent movements of either of its Re s, and records their
+    event with its seed.  Returns (members, root) of the new pairs."""
     pairs = []
-    for cluster in clusters:
-        lo = max(cfg.s_min, min(lb.s for lb in cluster) - 2 * cfg.step)
-        hi = min(cfg.s_max, max(lb.s for lb in cluster) + 2 * cfg.step)
-        fine = ScanConfig(lo, hi, cfg.step / 10, cfg.tol)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", GridTooCoarseWarning)
-            found = scan_real_roots(F, fine)
-        avail = [r for r in found
-                 if all(abs(r.s.real - c) > cfg.step / 4 for c in occupied)]
-        # nearest-first matching of surviving roots to branches
-        cand = sorted(((abs(r.s.real - lb.s), lb, r)
-                       for lb in cluster for r in avail), key=lambda t: t[0])
-        taken = set()
-        for dist, lb, r in cand:
-            if (lb.samples[-1][0] != p and id(r) not in taken
-                    and dist <= 2 * cfg.step + 4 * abs(lb.ds)):
-                taken.add(id(r))
-                lb.commit(p, dp, r)
-        lbs = sorted((lb for lb in cluster if lb.samples[-1][0] != p),
-                     key=lambda lb: lb.s)
-        while len(lbs) >= 2:
-            la, lc = sorted(lbs[:2], key=lambda lb: lb.index)
-            del lbs[:2]
-            la.status = lc.status = "pair"
-            pairs.append([la, lc, 0])
-        for lb in lbs:
-            gone = (lb.ds > 0 and hi == cfg.s_max
-                    or lb.ds < 0 and lo == cfg.s_min)
-            lb.end("left the scan window" if gone else "no convergence")
+    for seed, root in new:
+        near = sorted((lb for lb in failed if lb.status == "real"),
+                      key=lambda lb: abs(lb.s - root.s.real))[:2]
+        reach = 2 * cfg.step + 4 * sum(abs(lb.ds) for lb in near)
+        if (root.kind == "complex-pair" and len(near) == 2
+                and abs(near[1].s - root.s.real) <= reach
+                and all(abs(root.s - h.s) >= 1e-6 for h in held)):
+            ids = tuple(lb.index for lb in sorted(near, key=lambda lb: lb.s))
+            event = CoalescenceEvent(p, ids, seed)
+            for lb in near:
+                lb.status = "pair"
+                lb.events.append(event)
+            held.append(root)
+            pairs.append((sorted(near, key=lambda lb: lb.index), root))
     return pairs
 
 
-def _refine_pairs(pairs, F, p, cfg):
-    """Refine every merged pair at p in one refine_complex call.  A pair
-    with its event continues from the root its complex samples predict
-    (_extrapolate); a new or parked pair is converted from the midpoint
-    of its members' last real roots, one scan step into the upper
-    half-plane, and on success records the event on both members.  A
-    failed conversion (no convergence, or the seed falls back onto the
-    real axis just before the true merge parameter) parks the pair: it
-    is retried once at each of the next three sweep values, then ends.
-    A lost complex root ends the lower-index member; the other continues
-    from the same root.  A complex root whose Re s is outside [s_min,
-    s_max] ends both; otherwise the new root is appended to both."""
-    work = [(m, pair) for pair in pairs
-            if (m := [lb for lb in pair[:2] if lb.status == "pair"])]
-    seeds = [_extrapolate(m[0].samples, p) if m[0].events
-             else 0.5 * (m[0].s + m[1].s) + 1j * cfg.step for m, _ in work]
-    roots = work and refine_complex(F, seeds, cfg.tol, probe=cfg.step)
-    for (members, pair), seed, root in zip(work, seeds, roots):
-        merging = not members[0].events
-        if root is None or root.kind != "complex-pair":
-            if not merging:
-                members[0].end("complex continuation lost" if root is None
-                               else "complex pair returned to real axis")
-            else:
-                pair[2] += 1
-                if pair[2] > 3:
-                    for lb in members:
-                        lb.end("coalescence seed rejected")
-            continue
-        if merging:
-            ids = tuple(m.index for m in sorted(members, key=lambda m: m.s))
-            event = CoalescenceEvent(p, ids, seed)
-            for lb in members:
-                lb.events.append(event)
-        for lb in members:
-            if cfg.s_min <= root.s.real <= cfg.s_max:
-                lb.s = root.s
-                lb.samples.append((p, root))
-            else:
-                lb.end("left the scan window")
+def count_window(F, cfg, reals, seeds=()):
+    """Count the zeros in the region R of the scan window, the mu-ellipse
+    over [mu(s_max), mu(s_min)] with b = 2a, less the real roots reals
+    (contour.count_zeros); one refine_complex call polishes the seeds given
+    and the count's.  Returns R's certificate, found (reals and the
+    distinct roots in R of the count's seeds, two per pair) added; the
+    given seeds' roots; and (seed, root) for the count's roots in R."""
+    mu = [-s * (s + 1) for s in (cfg.s_max, cfg.s_min)]
+    reals = [r for r in reals if cfg.s_min <= r.s.real <= cfg.s_max]
+    cert, new = contour.count_zeros(F, *mu, [r.mu.real for r in reals])
+    c, a, b = cert["region"]
+    roots = refine_complex(F, [*seeds, *new], cfg.tol, probe=cfg.step)
+    new = [(z, r) for z, r in zip(new, roots[len(seeds):]) if r is not None
+           and abs((r.mu.real - c) / a + 1j * r.mu.imag / b) < 1]
+    cert["found"] = sum(1 + (r.kind == "complex-pair") for r in _dedupe(
+        [*reals, *(r for _, r in new)], 1e-6))
+    return cert, roots[:len(seeds)], new
 
 
-def trace_parameter(family, values, cfg: ScanConfig) -> list:
+def certify(F, scan, reals):
+    """The window's count (count_window) and the distinct roots in R that
+    its seeds find, real or one per complex pair, with the scanned real
+    roots reals; CountError unless they make up the count."""
+    cert, _, new = count_window(F, scan, reals)
+    if cert["found"] != cert["count"]:
+        raise CountError(f"the roots found are not the count: {cert}")
+    return cert, _dedupe([r for _, r in new], 1e-6)
+
+
+def trace_parameter(family, values, cfg: ScanConfig, count=True) -> list:
     """Trace determinant roots along a parameter sweep.
 
-    family(p) must return the vectorized determinant functional at
-    parameter value p; values is the strictly monotone sample sequence,
-    and every sample lies on one of its values.  The loop takes one value
-    per pass.  One real scan of [s_min, s_max] is matched to the live real
-    branches (see _match).  A real branch whose last sample is not at the
-    value is unmatched, and _rescan resolves it.  Then one refine_complex
-    call refines every merged pair at the value (see _refine_pairs).
-    Scanned roots that no real branch holds start new branches.
+    family(p) must return the vectorized determinant functional at p, and
+    values is the strictly monotone sequence the samples lie on.  At each
+    value one real scan is matched to the real branches (_match), and its
+    unclaimed roots are handed to the unmatched ones (_hand_out).  A lone
+    unmatched branch within two steps of the edge it moves toward has left
+    the window.  If branches are still unmatched, the window is counted
+    (count_window; not where count is false, as for k = 0, whose zero at
+    mu = 0 ends the region; short of the window's top two steps where a
+    zero on R's end keeps the count from resolving) in the value's one
+    refine_complex call, which also takes each merged pair's predicted
+    root (_extrapolate); the count's real roots are handed out, its new
+    pairs merge the unmatched branches (_merge), and these record the
+    certificate and param in Branch.counts.  Scanned roots no real branch
+    holds start new branches.
 
-    A branch that ends carries its reason in Branch.note: "left the scan
-    window" (see _rescan; a complex pair's Re s outside [s_min, s_max]),
-    "no convergence", "coalescence seed rejected", "complex continuation
-    lost" or "complex pair returned to real axis".
+    A branch that ends says why in Branch.note: "left the scan window",
+    "no convergence" (a real branch still unmatched), "complex
+    continuation lost" (the lower-index member of a pair Muller lost; the
+    other continues) or "complex pair returned to real axis".
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size < 2:
@@ -413,18 +395,56 @@ def trace_parameter(family, values, cfg: ScanConfig) -> list:
         raise ValueError("parameter sweep values must be strictly monotone")
     branches = [Branch(i, [(float(values[0]), r)], s=r.s.real)
                 for i, r in enumerate(scan_real_roots(family(values[0]), cfg))]
-    pairs = []
+    pairs = []      # the members of each merged pair, lower index first
     for p_prev, p in zip(values[:-1].tolist(), values[1:].tolist()):
         dp = p - p_prev
         F = family(p)
         found = scan_real_roots(F, cfg)
         reals = [lb for lb in branches if lb.status == "real"]
-        for lb, r in _match(reals, found, dp, cfg):
-            lb.commit(p, dp, r)
-        failed = [lb for lb in reals if lb.samples[-1][0] != p]
-        occupied = [lb.s for lb in reals if lb.samples[-1][0] == p]
-        pairs += _rescan(failed, occupied, F, p, dp, cfg)
-        _refine_pairs(pairs, F, p, cfg)
+        failed = _hand_out(reals, _match(reals, found, p, dp, cfg), p, dp,
+                           cfg)
+        for lb in failed:
+            edge = cfg.s_max - lb.s if lb.ds > 0 else lb.s - cfg.s_min
+            reach = 2 * cfg.step + 4 * abs(lb.ds)
+            if lb.ds and edge <= 2 * cfg.step and all(
+                    abs(o.s - lb.s) >= reach + 4 * abs(o.ds)
+                    for o in failed if o is not lb):
+                lb.end("left the scan window")
+        failed = [lb for lb in failed if lb.status == "real"]
+        live = [m for pair in pairs
+                if (m := [lb for lb in pair if lb.status == "pair"])]
+        seeds = [_extrapolate(m[0].samples, p) for m in live]
+        new = []
+        if failed and count:
+            try:
+                cert, held, new = count_window(F, cfg, found, seeds)
+            except CountError:  # a zero on R's real end: count short of it
+                top = max(cfg.s_max - 2 * cfg.step, cfg.s_min + cfg.step)
+                cert, held, new = count_window(F, replace(cfg, s_max=top),
+                                               found, seeds)
+            for lb in failed:
+                lb.counts.append({"param": p} | cert)
+            failed = _hand_out(failed, [r for _, r in new
+                                        if r.kind == "real"], p, dp, cfg)
+        else:
+            held = seeds and refine_complex(F, seeds, cfg.tol,
+                                            probe=cfg.step)
+        merged = _merge(failed, new, [r for r in held if r], p, cfg)
+        pairs += [members for members, _ in merged]
+        for members, root in [*zip(live, held), *merged]:
+            if root is None or root.kind != "complex-pair":
+                members[0].end("complex continuation lost" if root is None
+                               else "complex pair returned to real axis")
+                continue
+            for lb in members:
+                if cfg.s_min <= root.s.real <= cfg.s_max:
+                    lb.s = root.s
+                    lb.samples.append((p, root))
+                else:
+                    lb.end("left the scan window")
+        for lb in failed:
+            if lb.status == "real":
+                lb.end("no convergence")
         # scanned roots that no live real branch holds start new branches
         known = [lb.s for lb in branches if lb.status == "real"]
         for r in found:

@@ -15,9 +15,9 @@ from dataclasses import astuple, replace
 
 import numpy as np
 
-from . import analytic, boundary, contour, oracle
+from . import analytic, boundary, oracle
 from .core import CountError, SpectralParams
-from .rootfinder import ScanConfig, scan_real_roots
+from .rootfinder import ScanConfig, certify, scan_real_roots
 from .series import coeffs, coeffs_k_batch, eval_series
 
 _RNG_SEED = 20260810
@@ -253,10 +253,10 @@ def chi_limit_bound(params, cfg):
 
 def contour_count(params, cfg, count):
     """The window's count is the given one, and as many roots are found:
-    the scanned real ones and two per complex pair (contour.certify)."""
+    the real ones and two per complex pair (rootfinder.certify)."""
     F = boundary.det_functional(params)
     try:
-        cert, _ = contour.certify(F, cfg, scan_real_roots(F, cfg))
+        cert, _ = certify(F, cfg, scan_real_roots(F, cfg))
     except CountError as exc:
         return False, str(exc)
     return cert["count"] == count, (f"{cert['found']} of {cert['count']} "

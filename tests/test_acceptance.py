@@ -170,7 +170,9 @@ def test_criterion_5_sweeps_determinant_calls():
     each pair's last root, 815 with seeds predicted from its path, 626
     with each seed stopping one evaluation after its step falls below tol,
     its circle and probes in that call, 467 with real brackets refined by
-    guarded inverse interpolation instead of Illinois."""
+    guarded inverse interpolation instead of Illinois (457 measured), 432
+    with the window's count, one call of 256 points where a branch is lost,
+    in place of the fine re-scan and the parked coalescence seeds."""
     calls = []
     for k in (1, 3):
         def fam(e, k=k):

@@ -62,7 +62,8 @@ class TestImportFootprint:
         assert "sphere_spectra.verify" not in loaded
 
     def test_only_a_contour_count_loads_the_fft(self, tmp_path):
-        """A trace never counts, and a spectrum counts for k != 0 and
+        """A trace counts only where a real branch is lost (nowhere in
+        eps 0 to 1 up to s = 4), and a spectrum counts for k != 0 and
         eps != 0 alone."""
         out = ["--output", str(tmp_path / "out.csv"), "--smax", "4"]
         for argv, counts in (
@@ -124,6 +125,7 @@ class TestSpectrumCommand:
         from sphere_spectra import boundary
         from sphere_spectra.core import SpectralParams
         out = tmp_path / "long.csv"
+        # exit 0: a root whose error exceeds tol would exit 3
         assert run(["spectrum", "--k", "1", "--eps", "0", "--x0", "0.9",
                     "--smax", "30", "--step", "0.01",
                     "--output", str(out)]) == 0
@@ -133,7 +135,6 @@ class TestSpectrumCommand:
         changes = int(np.sum(signs[:-1] * signs[1:] < 0))
         assert changes == 20
         assert len(_re_s(out)) == changes
-        assert "dropping root" not in capsys.readouterr().err
 
     def test_k0_near_integer_roots(self, tmp_path):
         out = tmp_path / "k0.csv"
@@ -184,7 +185,7 @@ class TestSpectrumCommand:
                 "--smax", "10", "--output"]
         both, real = tmp_path / "both.csv", tmp_path / "real.csv"
         assert run(argv + [str(both)]) == 0
-        monkeypatch.setattr(cli_mod.contour, "certify",
+        monkeypatch.setattr(cli_mod, "certify",
                             lambda *a, **k: ({}, []))
         assert run(argv + [str(real)]) == 0
         lines = both.read_text().splitlines()
@@ -234,6 +235,44 @@ class TestSpectrumCommand:
         assert why in doc["meta"]["contour"]["skipped"]
         assert doc["rows"] and all(r["im_s"] == "0" for r in doc["rows"])
 
+    def test_real_roots_in_one_scan_cell_are_found(self, tmp_path):
+        """At step 0.8 the real roots 4.8817 and 5.3221 share the cell
+        [4.8, 5.6]: the count (4: the two and a pair) finds them, and their
+        rows, on the axis, are the step-0.05 table's within 1e-10.  The
+        count's real zeros were dropped, and the table exited 3 (count 4,
+        found 2)."""
+        tables = {}
+        for step in ("0.8", "0.05"):
+            out = tmp_path / f"step{step}.json"
+            assert run(["spectrum", "--k", "3", "--eps", "6.5", "--x0", "0.9",
+                        "--step", step, "--format", "json",
+                        "--output", str(out)]) == 0
+            tables[step] = json.loads(out.read_text())
+        coarse, fine = (tables[k] for k in ("0.8", "0.05"))
+        assert coarse["meta"]["contour"]["count"] == 4
+        assert coarse["meta"]["contour"]["found"] == 4
+        s = [complex(float(r["re_s"]), float(r["im_s"]))
+             for r in coarse["rows"]]
+        assert [r["im_s"] for r in coarse["rows"]][:2] == ["0", "0"]
+        assert s == pytest.approx(
+            [complex(float(r["re_s"]), float(r["im_s"]))
+             for r in fine["rows"]], abs=1e-10)
+
+    def test_root_over_tol_exits_3(self, tmp_path, capsys, monkeypatch):
+        """A root whose error bound exceeds tol refuses the table: exit 3,
+        naming s and its error, and no file.  It was dropped with a
+        warning, and the shorter table exited 0."""
+        from sphere_spectra import cli as cli_mod
+        from sphere_spectra.core import Root
+        monkeypatch.setattr(cli_mod, "scan_real_roots", lambda *a, **k: [
+            Root(2.5 + 0j, 0.0), Root(3.25 + 0j, 0.0, error=1e-3)])
+        out = tmp_path / "gate.csv"
+        assert run(["spectrum", "--k", "1", "--eps", "0", "--x0", "0.9",
+                    "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "solver error: root s=3.25+0j has error 1.00e-03" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("smax, tol, code", [
         ("4", "1e-300", 2), ("5", "1e-16", 2), ("8", "7e-15", 2),
         ("8", "7.2e-15", 0)])
@@ -241,14 +280,14 @@ class TestSpectrumCommand:
                                                      smax, tol, code):
         # no bracket closes below one ulp of the window's largest |s|: a
         # tol under 4 ulps (7.1e-15 at 8) dropped rows ("dropping root")
-        # and exited 0 with a short table
+        # and exited 0 with a short table; a root over tol now exits 3
         out = tmp_path / "gate.csv"
         assert run(["spectrum", "--k", "1", "--eps", "0", "--x0", "0.9",
                     "--smax", smax, "--tol", tol,
                     "--output", str(out)]) == code
         err = capsys.readouterr().err
         assert ("tol must be at least 4 ulps" in err) == bool(code)
-        assert out.exists() != bool(code) and "dropping root" not in err
+        assert out.exists() != bool(code)
 
 
 class TestConfigHandling:
@@ -395,6 +434,61 @@ class TestTraceCommand:
         # complex continuation rows present after the merge
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert any(float(r[3]) > 0 for r in rows)
+        # the branches unmatched at 2.5 counted the window there: its
+        # certificate is in the sidecar and in JSON meta
+        cert, = events["counts"]
+        assert cert == {"param": 2.5, "region": [-15.0, 15.0, 30.0],
+                        "n": 256, "count": 2, "found": 2,
+                        "tail": cert["tail"]}
+        assert cert["tail"] < 1e-6
+        doc = tmp_path / "merge.json"
+        assert run(["trace", "--k", "1", "--eps", "0", "--x0", "0.9",
+                    "--smax", "5", "--sweep", "eps:2.0:3.0:0.25",
+                    "--format", "json", "--output", str(doc)]) == 0
+        assert json.loads(doc.read_text())["meta"]["counts"] == [cert]
+
+    def test_count_steps_short_of_a_zero_on_the_window_end(self, tmp_path):
+        """k = 3 at eps = 7 holds the pair 9.96 + 0.55i just inside the
+        window's region R (s_max = 10), and its count reaches only a tail
+        of 1.006e-6 at N = 4096: the merge there is counted short of the
+        window's top two steps instead, and the trace records the same
+        events and terminations as the fine re-scan did."""
+        out = tmp_path / "edge.csv"
+        assert run(["trace", "--k", "3", "--x0", "0.9", "--smax", "10",
+                    "--sweep", "eps:6:7.5:0.25", "--output", str(out)]) == 0
+        doc = json.loads((tmp_path / "edge.csv.events.json").read_text())
+        assert [(e["param"], e["branches"]) for e in doc["events"]] == [
+            (6.5, [2, 5]), (7.0, [0, 1])]
+        assert [(t["branch"], t["param"], t["reason"])
+                for t in doc["terminations"]] == [
+            (3, 6.0, "no convergence"), (4, 6.0, "no convergence")]
+        counts = {c["param"]: c for c in doc["counts"]}
+        assert counts[6.5]["region"] == [-55.0, 55.0, 110.0]
+        assert counts[7.0]["region"][0] == pytest.approx(-9.9 * 10.9 / 2)
+        assert all(c["count"] == c["found"] for c in counts.values())
+
+    def test_unresolved_count_exits_3(self, tmp_path, capsys, monkeypatch):
+        """Noise on the complex points at eps = 2.5, where the merge leaves
+        two branches unmatched: the count does not resolve, and the trace
+        exits 3 with no table."""
+        from sphere_spectra import boundary
+        build, rng = boundary.det_functional, np.random.default_rng(7)
+
+        def planted(p):
+            F = build(p)
+            if p.eps != 2.5:
+                return F
+            return lambda s: F(s) * (1 + rng.standard_normal(np.shape(s))
+                                     * np.iscomplexobj(s))
+
+        monkeypatch.setattr(boundary, "det_functional", planted)
+        out = tmp_path / "noise.csv"
+        assert run(["trace", "--k", "1", "--eps", "0", "--x0", "0.9",
+                    "--smax", "5", "--sweep", "eps:2.0:3.0:0.25",
+                    "--output", str(out)]) == 3
+        assert "solver error: no count in the mu-ellipse" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestVerifyCommand:
@@ -452,9 +546,9 @@ class TestFiguresCommand:
         calls = []
         traced = cli_mod.trace_parameter
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(args[1:])
-            return traced(*args)
+            return traced(*args, **kwargs)
 
         monkeypatch.setattr(cli_mod, "trace_parameter", counted)
         assert run(["figures", "--figure", "all",
@@ -584,7 +678,7 @@ class TestSweepValidation:
         from sphere_spectra import cli as cli_mod
         seen = []
         monkeypatch.setattr(cli_mod, "trace_parameter",
-                            lambda family, values, cfg: seen.append(
+                            lambda family, values, cfg, count: seen.append(
                                 list(values)) or [])
         assert run(["trace", "--k", "1", "--sweep", "x0:0.85:0.95:0.05",
                     "--output", str(tmp_path / "t.csv")]) == 0
@@ -618,7 +712,7 @@ class TestSweepValidation:
         monkeypatch.setattr(cli_mod, "_sweep_values", build)
         seen = []
         monkeypatch.setattr(cli_mod, "trace_parameter",
-                            lambda family, values, cfg: seen.append(
+                            lambda family, values, cfg, count: seen.append(
                                 len(values)) or [])
         assert run(["trace", "--k", "1", "--sweep", "eps:0:9.999:0.001",
                     "--output", str(tmp_path / "t.csv")]) == 0
@@ -800,7 +894,7 @@ class TestConfigKeys:
         monkeypatch.setattr(cli_mod, "trace_parameter", lambda *a, **k: [])
         monkeypatch.setattr(cli_mod.boundary, "det_functional",
                             lambda *a, **k: None)
-        monkeypatch.setattr(cli_mod.contour, "certify",
+        monkeypatch.setattr(cli_mod, "certify",
                             lambda *a, **k: ({}, []))
         monkeypatch.setattr(oracle, "shoot_functional",
                             lambda *a, **k: types.SimpleNamespace(meta={}))
@@ -849,10 +943,10 @@ class TestOracleCommand:
         # a gate on |F| against neighbours 0.05 away dropped 6.1277 and
         # 7.3296 at x0 = 0.9 although both had converged
         out = tmp_path / "oracle.csv"
+        # exit 0: a root whose error exceeds tol would exit 3
         assert run(["oracle", "--k", "3", "--eps", "4", "--x0", x0,
                     "--output", str(out)]) == 0
         assert len(_re_s(out)) == 4
-        assert "dropping root" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("steps", ["0", "1", "-5"])
     def test_invalid_steps_exit_2(self, tmp_path, capsys, steps):

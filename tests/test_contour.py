@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from sphere_spectra import ScanConfig, SpectralParams, det_functional
-from sphere_spectra.contour import TAIL, certify, contour_zeros
+from sphere_spectra.contour import TAIL, contour_zeros
 from sphere_spectra.core import CountError
+from sphere_spectra.rootfinder import certify
 
 from test_boundary import PAIRS
 
@@ -53,3 +54,18 @@ def test_a_window_of_ten_pairs_is_split():
     s = np.array([r.s for r in pairs])
     assert s.size == 10 and np.all(np.diff(s.real) > 2)
     assert np.abs(s[:3] - PAIRS).max() < 1e-10
+
+
+def test_real_zero_a_rounding_error_above_the_axis_is_kept():
+    """k = 3, eps = 6.5 holds the real zeros 4.8817 and 5.3221 and the pair
+    7.4196 + 0.2892i in the window [0, 8].  With 4.8817 known, the seed of
+    5.3221 comes out with Im mu of about +1e-12, and keeping only Im mu <= 0
+    lost it: the count was 4, but only the pair's seed came back."""
+    F = det_functional(SpectralParams(k=3, eps=6.5, x0=0.9, M=150))
+    s0 = 4.881687376595659
+    count, s, tail = contour_zeros(F, -36.0, 36.0, 72.0, 256,
+                                   [-s0 * (s0 + 1)])
+    assert count == 4 and tail < TAIL, tail
+    assert s.size == 2 and np.all(s.imag >= 0)
+    assert np.sort_complex(s) == pytest.approx(
+        [5.32208174087869, 7.41958307394204 + 0.289232221560465j], abs=1e-8)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from sphere_spectra import (GridTooCoarseWarning, Root, ScanConfig,
-                            SpectralParams, det_functional, refine_complex,
-                            rootfinder, scan_real_roots, trace_parameter)
+                            SpectralParams, contour, det_functional,
+                            refine_complex, rootfinder, scan_real_roots,
+                            trace_parameter)
 from sphere_spectra.rootfinder import RING, _dedupe
 
 
@@ -446,9 +447,13 @@ class TestRefineComplex:
 
 class TestTrace:
     def test_synthetic_pair_merges_into_complex(self):
-        # roots +-sqrt(1-t) merge at t = 1 and continue as +-i sqrt(t-1)
-        fam = lambda t: (lambda s: np.asarray(s, complex) ** 2 - (1 - t))
-        cfg = ScanConfig(-0.45, 2.0, 0.05, 1e-12)
+        # roots 1 +- sqrt(1-t) merge at t = 1 and continue as
+        # 1 +- i sqrt(t-1); the window's count finds the pair.  (Centred
+        # at 0 in [-0.45, 2], the family's G(mu) = F(s) has its branch point
+        # mu = 1/4 just past the window's mu(-0.45): no count resolves.)
+        fam = lambda t: (lambda s: (np.asarray(s, complex) - 1) ** 2
+                         - (1 - t))
+        cfg = ScanConfig(0.55, 3.0, 0.05, 1e-12)
         branches = trace_parameter(fam, np.arange(0.5, 1.5001, 0.05), cfg)
         events = {(round(e.param, 6), e.branch_ids)
                   for br in branches for e in br.events}
@@ -457,7 +462,8 @@ class TestTrace:
         assert param == pytest.approx(1.0, abs=0.05)
         final = [r for br in branches for p, r in br.samples
                  if abs(p - 1.5) < 1e-9 and r.kind == "complex-pair"]
-        assert final and final[0].s == pytest.approx(0.7071068j, abs=1e-6)
+        assert final and final[0].s == pytest.approx(1 + 0.7071068j,
+                                                     abs=1e-6)
 
     def test_branch_enters_window(self):
         # root s = t - 1 enters the scan window during the sweep
@@ -469,8 +475,9 @@ class TestTrace:
         assert first_param >= 1.0
 
     def test_samples_ordered_by_parameter(self):
-        fam = lambda t: (lambda s: np.asarray(s, complex) ** 2 - (1 - t))
-        cfg = ScanConfig(-0.45, 2.0, 0.05, 1e-12)
+        fam = lambda t: (lambda s: (np.asarray(s, complex) - 1) ** 2
+                         - (1 - t))
+        cfg = ScanConfig(0.55, 3.0, 0.05, 1e-12)
         branches = trace_parameter(fam, np.arange(0.5, 1.5001, 0.05), cfg)
         for br in branches:
             ps = [p for p, _ in br.samples]
@@ -585,8 +592,10 @@ class TestTrace:
 
     def test_parked_pair_retried_once_per_value(self, monkeypatch):
         # the pair 1 +- 0.2 sqrt(1 - t) closes at t = 1, where the family
-        # jumps to real roots 0.8 and 1.2 outside the pair's brackets; every
-        # complex seed then refines back onto the real axis
+        # jumps to real roots 0.8 and 1.2.  A merged pair was parked there
+        # and retried at the next three values; now the scanned 0.8 and 1.2
+        # lie within two steps plus four movements of the unmatched members
+        # (0.955 and 1.045, moving 0.018 a step) and are handed to them
         def fam(t):
             if t < 1.0:
                 return lambda s: (np.asarray(s, complex) - 1) ** 2 \
@@ -597,16 +606,12 @@ class TestTrace:
         cfg = ScanConfig(0.0, 2.0, 0.05, 1e-12)
         values = [0.9, 0.95, 1.0, 1.05, 1.1, 1.15, 1.2]
         branches = trace_parameter(fam, values, cfg)
-        # parked at 1.0, then one retry at each of the next three values
-        attempts = [t for t, seeds, _ in calls for _ in seeds]
-        assert attempts == [1.0, 1.05, 1.1, 1.15]
-        assert [br.note for br in branches[:2]] == [
-            "coalescence seed rejected"] * 2
-        assert not any(br.events for br in branches)
+        assert calls == [] and len(branches) == 2
+        assert [br.note for br in branches] == ["", ""]
+        assert not any(br.events or br.counts for br in branches)
         assert all(r.kind == "real" for br in branches for _, r in br.samples)
-        # the roots at 0.8 and 1.2 are picked up by the rescan at t = 1
-        assert sorted(round(br.samples[-1][1].s.real, 9)
-                      for br in branches[2:]) == [0.8, 1.2]
+        assert [[round(r.s.real, 9) for p, r in br.samples if p >= 1.0]
+                for br in branches] == [[0.8] * 5, [1.2] * 5]
 
     def test_coalescence_seed_and_continuation(self, monkeypatch):
         # the pair 1 +- 0.2 sqrt(1 - t) merges at t = 1 and sits at
@@ -620,9 +625,10 @@ class TestTrace:
         below = [br.samples[1][1].s.real for br in branches]
         assert [p for p, _ in branches[0].samples] == [0.9, 0.95, 1.05]
         event = branches[0].events[0]
-        # the seed is the midpoint of the last real roots plus one step
-        assert event.seed == 0.5 * sum(below) + 0.05j
-        assert event.seed == pytest.approx(1.0 + 0.05j, abs=1e-12)
+        # the seed is the window count's, on the merged root
+        assert abs(event.seed - (1 + 0.2j * np.sqrt(0.05))) < 1e-8
+        assert below == pytest.approx([1 - 0.2 * np.sqrt(0.05),
+                                       1 + 0.2 * np.sqrt(0.05)])
         assert event.param == 1.05
         assert [(t, seeds) for t, seeds, _ in calls] == [(1.05, [event.seed])]
         for br in branches:
@@ -652,10 +658,11 @@ class TestTrace:
         assert [t for t, _, _ in calls] == values[2:]
         (seed0,), (seed1,), (seed2,), *later = [seeds for _, seeds, _ in calls]
         roots = [r.s for _, _, (r,) in calls]
-        # the first complex seed is the midpoint rule, unchanged; then
-        # the last root, the line through two, the quadratic through three
-        below = [br.samples[1][1].s.real for br in branches]
-        assert seed0 == branches[0].events[0].seed == 0.5 * sum(below) + 0.05j
+        # the first complex seed is the window count's, on the merged
+        # root; then the last root, the line through two, the quadratic
+        # through three
+        assert seed0 == branches[0].events[0].seed
+        assert abs(seed0 - path(1.05)) < 1e-8
         assert seed1 == roots[0]
         assert seed2 == pytest.approx(2 * roots[1] - roots[0], abs=1e-15)
         assert abs(seed2 - path(1.15)) > 1e-3
@@ -666,16 +673,18 @@ class TestTrace:
             assert all(abs(r.s - path(p)) < 1e-12 for p, r in br.samples[2:])
 
     def test_scans_pass_floats_and_muller_complex(self, monkeypatch):
-        # a trace through the merge of 1 +- 0.2 sqrt(1 - t)
+        # a trace through the merge of 1 +- 0.2 sqrt(1 - t); the window's
+        # count at the merge samples complex points too
         inside, dtypes = [False], set()
-        refine = rootfinder.refine_complex
 
-        def in_muller(*args, **kwargs):
-            inside[0] = True
-            try:
-                return refine(*args, **kwargs)
-            finally:
-                inside[0] = False
+        def marked(solver):
+            def run(*args, **kwargs):
+                inside[0] = True
+                try:
+                    return solver(*args, **kwargs)
+                finally:
+                    inside[0] = False
+            return run
 
         def fam(t):
             def F(s):
@@ -683,9 +692,13 @@ class TestTrace:
                 return (np.asarray(s, complex) - 1) ** 2 + 0.04 * (t - 1)
             return F
 
-        monkeypatch.setattr(rootfinder, "refine_complex", in_muller)
+        monkeypatch.setattr(rootfinder, "refine_complex",
+                            marked(rootfinder.refine_complex))
+        monkeypatch.setattr(contour, "count_zeros",
+                            marked(contour.count_zeros))
         cfg = ScanConfig(0.0, 2.0, 0.05, 1e-12)
-        trace_parameter(fam, [0.9, 0.95, 1.05, 1.1], cfg)
+        branches = trace_parameter(fam, [0.9, 0.95, 1.05, 1.1], cfg)
+        assert [c["param"] for c in branches[0].counts] == [1.05]
         assert dtypes == {(False, np.dtype(float)),
                           (True, np.dtype(complex))}
         dtypes.clear()
@@ -698,8 +711,11 @@ class TestTrace:
     ], ids=["no-convergence", "real-attractor"])
     def test_failed_conversion_parks_pair(self, monkeypatch, at_merge,
                                           outcome):
-        # the pair 1 +- 0.2 sqrt(1 - t) closes at t = 1, where the
-        # conversion fails; the retry at t = 1.05 meets the complex pair
+        # the pair 1 +- 0.2 sqrt(1 - t) closes at t = 1, where the family
+        # has no zero, or the real 0.7 and 1.3 beyond reach of the members.
+        # A merged pair was parked there and converted at 1.05; now the
+        # window's count (0, or the two scanned roots) holds nothing for
+        # the members, and both end at 0.95
         def fam(t):
             if t == 1.0:
                 return at_merge
@@ -709,17 +725,25 @@ class TestTrace:
         fam, calls = recording_refine(monkeypatch, fam)
         cfg = ScanConfig(0.0, 2.0, 0.05, 1e-12)
         branches = trace_parameter(fam, [0.9, 0.95, 1.0, 1.05], cfg)
-        pair = branches[:2]
-        seed = 0.5 * sum(br.samples[1][1].s.real for br in pair) + 0.05j
-        assert [(t, seeds) for t, seeds, _ in calls] == [
-            (1.0, [seed]), (1.05, [seed])]
-        failed, = calls[0][2]
-        assert getattr(failed, "kind", None) == outcome
-        for br in pair:
-            assert br.note == ""
-            assert [p for p, _ in br.samples] == [0.9, 0.95, 1.05]
-            assert br.samples[-1][1].kind == "complex-pair"
-            assert [(e.param, e.seed) for e in br.events] == [(1.05, seed)]
+        real = outcome == "real"
+        assert [(br.index, br.note, br.samples[-1][0]) for br in branches] \
+            == [(0, "no convergence", 0.95), (1, "no convergence", 0.95)] \
+            + ([(2, "no convergence", 1.0), (3, "no convergence", 1.0)]
+               if real else [])
+        assert not any(br.events for br in branches)
+        assert [(c["param"], c["count"]) for c in branches[0].counts] == [
+            (1.0, 2 if real else 0)]
+        # 0.7 and 1.3 start branches that no movement carries 0.3 to the
+        # pair the count at 1.05 finds
+        seeds = [(t, seeds, roots) for t, seeds, roots in calls if seeds]
+        if real:
+            (t, (seed,), (root,)), = seeds
+            assert t == 1.05 and root.kind == "complex-pair"
+            assert abs(seed - (1 + 0.2j * np.sqrt(0.05))) < 1e-8
+            assert [br.samples[0][1].s.real for br in branches[2:]] == \
+                pytest.approx([0.7, 1.3])
+        else:
+            assert seeds == []
 
     @pytest.mark.parametrize("after, note", [
         (lambda s: np.ones_like(np.asarray(s, complex)),
@@ -759,9 +783,12 @@ class TestTrace:
             [(2, 1.15, 0.9), (3, 1.15, 1.1)] if real else [])
 
     def test_new_pair_root_outside_window_ends_pair(self):
-        # the pair 2.4 +- 0.2 sqrt(1 - t) merges at t = 1 and moves off as
+        # the pair 2.4 +- 0.2 sqrt(1 - t) meets at t = 1 and moves off as
         # c +- 0.2i sqrt(t - 1), c = 2.4 + 4 (t - 1): its first complex
-        # root, at t = 1.05, has Re s = 2.6 beyond s_max = 2.5
+        # root, at t = 1.05, has Re s = 2.6 beyond s_max = 2.5.  At t = 1
+        # the count holds the double root 2.4, which the scan cannot see,
+        # for both members; at 1.05 the pair lies outside the window's
+        # region, the count is 0, and both members end there
         def fam(t):
             if t < 1.0:
                 return lambda s: (np.asarray(s, complex) - 2.4) ** 2 \
@@ -775,9 +802,12 @@ class TestTrace:
         branches = trace_parameter(fam, values, cfg)
         assert len(branches) == 2
         for br in branches:
-            assert br.note == "left the scan window"
-            assert [e.param for e in br.events] == [1.05]
-            assert [p for p, _ in br.samples] == [0.9, 0.95]
+            assert br.note == "no convergence" and br.events == []
+            assert [p for p, _ in br.samples] == [0.9, 0.95, 1.0]
+            assert br.samples[-1][1].kind == "real"
+            assert br.samples[-1][1].s == pytest.approx(2.4, abs=1e-6)
+            assert [(c["param"], c["count"]) for c in br.counts] == [
+                (1.0, 2), (1.05, 0)]
         assert all(cfg.s_min <= r.s.real <= cfg.s_max
                    for br in branches for _, r in br.samples)
 
@@ -802,11 +832,14 @@ class TestTrace:
         first = [min(v for v in values if v > m) for m in merges]
         assert events == set(first)
         # one call at each value from the first merge on, holding a seed
-        # for each pair merged by then
+        # for each pair merged before it, and at a merge, where the window
+        # is counted, the count's seed for each pair complex there
         assert [t for t, _, _ in calls] == [v for v in values
                                             if v >= min(first)]
         assert [len(seeds) for t, seeds, _ in calls] == [
-            sum(t >= f for f in first) for t, _, _ in calls]
+            sum(t > f for f in first)
+            + (sum(t >= f for f in first) if t in first else 0)
+            for t, _, _ in calls]
         assert all(r.kind == "complex-pair"
                    for _, _, roots in calls for r in roots)
         assert all(br.note == "" for br in branches)
@@ -833,3 +866,26 @@ class TestTrace:
         assert sorted(br.note for br in branches) == ["", "no convergence"]
         lost = next(br for br in branches if br.note)
         assert lost.samples[-1][0] < 2.0
+
+    def test_two_roots_in_one_scan_cell_stay_real(self, monkeypatch):
+        # at t = 2 the roots 1.021 and 1.024 share the scan cell [1, 1.05],
+        # with no sign change: the window's count finds both, and each goes
+        # to the unmatched branch nearest it.  A fine re-scan at a tenth of
+        # the step saw them in one cell too and merged the branches into a
+        # pair that never turned complex
+        fam = lambda t: poly((0.7, 0.85, 1.021)[int(t)],
+                             (1.4, 1.2, 1.024)[int(t)])
+        fam, calls = recording_refine(monkeypatch, fam)
+        branches = trace_parameter(fam, [0, 1, 2],
+                                   ScanConfig(0.0, 2.0, 0.05, 1e-12))
+        assert len(branches) == 2
+        assert [br.samples[-1][1].s.real for br in branches] == \
+            pytest.approx([1.021, 1.024], abs=1e-10)
+        for br in branches:
+            assert br.note == "" and br.events == []
+            assert [p for p, _ in br.samples] == [0, 1, 2]
+            assert all(r.kind == "real" and r.s.imag == 0
+                       for _, r in br.samples)
+            assert [(c["param"], c["count"], c["found"])
+                    for c in br.counts] == [(2, 2, 2)]
+        assert [t for t, _, _ in calls] == [2]

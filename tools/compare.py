@@ -9,14 +9,21 @@ package from PATH (default: this checkout's src).  It writes into DIR each
 operation's output (CSV, JSON for `--format json` and `verify`, whose
 report is kept without its timings, and the standard output of `--help`
 as NAME.txt) and .events.json sidecars, its stderr as NAME.stderr, and
-index.json: per operation its argv and exit code, per CSV file how to
-read its rows' eps (the param column of an eps sweep, or one fixed value).
+index.json: per operation its argv and exit code, per CSV file its
+parameters (k, eps, x0, M) and the one its param column sweeps, if any.
 
-`diff` reads two such directories and prints one JSON object: how many
-files are byte-identical out of the total, the files that differ, exit
-codes, row sets (rows keyed by param and branch), events and branch
-terminations that differ, and the largest |ds| between rows with the
-same key, per kind: real, complex at eps < 10 and complex at eps >= 10.
+`diff` reads two such directories, made by this version of `run`, and
+prints one JSON object: how many files are byte-identical out of the
+total, the files that differ, exit codes, row sets (rows keyed by param
+and branch), events and branch terminations that differ, and the largest
+|ds| between rows with the same key, per kind: real, complex at eps < 10
+and complex at eps >= 10.  Then it judges every series row (not the
+oracle's) that moved by more than MOVED: `judged` lists, per file,
+[param, branch, kind, |ds|, distance of A's row and of B's row to the
+40-digit root of the same truncated determinant]
+(tests/exact_columns.py::exact_root, about 0.1 s per real and 0.5 s per
+complex root at M = 150), and `moved_away` gives per kind the rows where
+B's distance is the larger, and the rows judged.
 
 The operations: the criterion-5 eps traces (k = 1, 3) at x0 = 0.9,
 0.9001, 0.9002, 0.9005, 0.901 and 0.97; x0 traces for k = 0 and 1;
@@ -35,6 +42,8 @@ import os
 import sys
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parents[1]
+MOVED = 1e-10   # the |ds| a row may move by without being judged
 EPS_SWEEP = ("--sweep", "eps:0:12:0.25", "--smax", "8")
 
 
@@ -68,12 +77,20 @@ def operations() -> dict:
     return ops
 
 
-def _eps_of(argv) -> dict:
-    """How to read the eps of an operation's rows."""
-    if "eps:" in " ".join(argv):
-        return {"eps_param": True}
-    eps = argv[argv.index("--eps") + 1] if "--eps" in argv else "0"
-    return {"eps_param": False, "eps": float(eps)}
+def _params_of(argv) -> dict:
+    """An operation's parameters, the CLI's defaults where argv gives
+    none, the one its rows' param column sweeps (None: x0), and whether
+    its rows are roots of the series determinant (not the oracle's)."""
+    def given(flag, default):
+        return float(argv[argv.index(flag) + 1]) if flag in argv else default
+
+    k = int(given("--k", 0 if "--chi" in argv else 1))
+    sweep = argv[argv.index("--sweep") + 1].split(":")[0] if (
+        "--sweep" in argv) else None
+    return {"params": {"k": k, "eps": given("--eps", 0.0),
+                       "x0": given("--x0", 0.9),
+                       "M": int(given("--M", 100 if k == 0 else 150))},
+            "sweep": sweep, "series": argv[0] != "oracle"}
 
 
 def run(outdir: Path, src: Path) -> int:
@@ -108,13 +125,12 @@ def run(outdir: Path, src: Path) -> int:
             path.write_text(json.dumps(report, indent=2, sort_keys=True)
                             + "\n")
         elif path.suffix == ".csv":
-            index["files"][path.name] = _eps_of(argv)
+            index["files"][path.name] = _params_of(argv)
     for fig, tasks in cli.FIGURE_TASKS.items():
         for suffix, spec in tasks:
-            sweep = spec.get("sweep")
-            index["files"][f"figures_figure{fig}_{suffix}.csv"] = (
-                {"eps_param": True} if sweep and sweep[0] == "eps"
-                else {"eps_param": False, "eps": spec["params"]["eps"]})
+            index["files"][f"figures_figure{fig}_{suffix}.csv"] = {
+                "params": spec["params"], "series": True,
+                "sweep": spec["sweep"][0] if "sweep" in spec else None}
     (outdir / "index.json").write_text(json.dumps(index, indent=1) + "\n")
     return 0
 
@@ -154,25 +170,51 @@ def diff(a: Path, b: Path) -> dict:
         "max_ds": {"real": 0.0, "complex_eps_lt_10": 0.0,
                    "complex_eps_ge_10": 0.0},
     }
+    moved = []      # (file, key, params, kind, s of A, s of B)
     for name, how in ia["files"].items():
         ra, rb = _rows(a / name), _rows(b / name)
         if ra.keys() != rb.keys():
             report["row_sets"][name] = {
                 "only_a": sorted(ra.keys() - rb.keys()),
                 "only_b": sorted(rb.keys() - ra.keys())}
-        for key in ra.keys() & rb.keys():
+        for key in sorted(ra.keys() & rb.keys()):
             sa, sb = ra[key], rb[key]
-            eps = float(key[0]) if how["eps_param"] else how["eps"]
+            params = dict(how["params"])
+            if how["sweep"]:
+                params[how["sweep"]] = float(key[0])
             kind = ("real" if sa.imag == 0 and sb.imag == 0
-                    else "complex_eps_lt_10" if eps < 10
+                    else "complex_eps_lt_10" if params["eps"] < 10
                     else "complex_eps_ge_10")
             report["max_ds"][kind] = max(report["max_ds"][kind],
                                          abs(sa - sb))
+            if abs(sa - sb) > MOVED and how["series"]:
+                moved.append((name, key, params, kind, sa, sb))
         ea, eb = (_sidecar(d / f"{name}.events.json") for d in (a, b))
         for part in ("events", "terminations"):
             if ea.get(part) != eb.get(part):
                 report[part][name] = {"a": ea.get(part), "b": eb.get(part)}
+    report["judged"] = _judge(moved)
+    rows = [r for rows in report["judged"].values() for r in rows]
+    report["moved_away"] = {kind: [sum(r[-2] < r[-1] for r in rows
+                                       if r[2] == kind),
+                                   sum(r[2] == kind for r in rows)]
+                            for kind in report["max_ds"]}
     return report
+
+
+def _judge(moved) -> dict:
+    """file -> [param, branch, kind, |ds|, distance of A's and of B's row
+    to the 40-digit root next to B's]."""
+    sys.path.insert(0, str(ROOT / "tests"))
+    from exact_columns import exact_root
+
+    judged = {}
+    for name, key, p, kind, sa, sb in moved:
+        exact = complex(exact_root(p["k"], p["eps"], p["x0"], int(p["M"]),
+                                   sb.real if sb.imag == 0 else sb))
+        judged.setdefault(name, []).append(
+            [*key, kind, abs(sa - sb), abs(sa - exact), abs(sb - exact)])
+    return judged
 
 
 def main(argv=None) -> int:
@@ -181,7 +223,7 @@ def main(argv=None) -> int:
     r = sub.add_parser("run", help="run the operations into DIR")
     r.add_argument("dir", type=Path)
     r.add_argument("--src", type=Path,
-                   default=Path(__file__).resolve().parents[1] / "src")
+                   default=ROOT / "src")
     d = sub.add_parser("diff", help="compare two run directories")
     d.add_argument("a", type=Path)
     d.add_argument("b", type=Path)
