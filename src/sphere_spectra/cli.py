@@ -24,8 +24,8 @@ significant digits; identical configs produce byte-identical files.
 Exit codes: 0 ok, 1 verification failure, 2 bad configuration (among
 them non-finite values, a tol below 4 ulps of the window, an unknown
 verify filter and an unwritable output), 3 non-finite solver state, a
-count that does not resolve or (in spectrum) differs from the roots
-found, or a root whose error bound exceeds tol; 3 writes no table.
+count that does not resolve or differs from the roots found, or a root
+whose error bound exceeds tol; 3 writes no table.
 """
 
 from __future__ import annotations

@@ -9,7 +9,8 @@ are noisy near coalescence), one batched loop whose seeds share each F
 call and end with a Newton step averaged over a small circle.  The roots
 a scan cannot see, close real ones and complex pairs, come from the count
 of the window's region (contour), polished by Muller: in spectrum tables
-(certify) and wherever a traced real branch is lost (trace_parameter).
+(certify) and wherever a traced real branch is lost (trace_parameter);
+both refuse a count that the roots they hold do not make up.
 Trace samples lie only on the sweep values and inside the scan window.
 Scans call F on float arrays, Muller and the count on complex.
 
@@ -317,52 +318,77 @@ def _merge(failed, new, held, p, cfg):
     (seed, root) from the window's count, not within 1e-6 of a root in held
     takes the two members nearest it, if both lie within two scan steps
     plus four recent movements of either of its Re s, and records their
-    event with its seed.  Returns (members, root) of the new pairs."""
+    event with its seed.  Returns (members, root) of the new pairs, with no
+    members for a root in the window that merges none."""
     pairs = []
     for seed, root in new:
+        if (root.kind != "complex-pair"
+                or any(abs(root.s - h.s) < 1e-6 for h in held)):
+            continue
+        held.append(root)
         near = sorted((lb for lb in failed if lb.status == "real"),
                       key=lambda lb: abs(lb.s - root.s.real))[:2]
         reach = 2 * cfg.step + 4 * sum(abs(lb.ds) for lb in near)
-        if (root.kind == "complex-pair" and len(near) == 2
-                and abs(near[1].s - root.s.real) <= reach
-                and all(abs(root.s - h.s) >= 1e-6 for h in held)):
-            ids = tuple(lb.index for lb in sorted(near, key=lambda lb: lb.s))
-            event = CoalescenceEvent(p, ids, seed)
+        if len(near) == 2 and abs(near[1].s - root.s.real) <= reach:
+            near.sort(key=lambda lb: lb.s)
+            event = CoalescenceEvent(p, tuple(lb.index for lb in near), seed)
             for lb in near:
                 lb.status = "pair"
                 lb.events.append(event)
-            held.append(root)
             pairs.append((sorted(near, key=lambda lb: lb.index), root))
+        elif cfg.s_min <= root.s.real <= cfg.s_max:
+            pairs.append(([], root))
     return pairs
+
+
+def _inside(cert, r):
+    """Whether root r lies in the region of the count's certificate."""
+    c, a, b = cert["region"]
+    return abs((r.mu.real - c) / a + 1j * r.mu.imag / b) < 1
+
+
+def _found(cert, roots):
+    """Set the certificate's found, the zeros in its region among the
+    distinct roots given (two per pair); CountError unless it is the
+    count."""
+    cert["found"] = sum(1 + (r.kind == "complex-pair")
+                        for r in roots if _inside(cert, r))
+    if cert["found"] != cert["count"]:
+        raise CountError(f"the roots found are not the count: {cert}")
 
 
 def count_window(F, cfg, reals, seeds=()):
     """Count the zeros in the region R of the scan window, the mu-ellipse
     over [mu(s_max), mu(s_min)] with b = 2a, less the real roots reals
-    (contour.count_zeros); one refine_complex call polishes the seeds given
-    and the count's.  Returns R's certificate, found (reals and the
-    distinct roots in R of the count's seeds, two per pair) added; the
-    given seeds' roots; and (seed, root) for the count's roots in R."""
-    mu = [-s * (s + 1) for s in (cfg.s_max, cfg.s_min)]
-    reals = [r for r in reals if cfg.s_min <= r.s.real <= cfg.s_max]
-    cert, new = contour.count_zeros(F, *mu, [r.mu.real for r in reals])
-    c, a, b = cert["region"]
+    (contour.count_zeros); where a zero on R's end keeps the count from
+    resolving, R stops short of the window's top two steps.  One
+    refine_complex call polishes the seeds given and the count's.  Returns
+    R's certificate, the given seeds' roots, and (seed, root) for the
+    count's roots in R."""
+    top = max(cfg.s_max - 2 * cfg.step, cfg.s_min + cfg.step)
+    for hi in (cfg.s_max, top):
+        mu = [-s * (s + 1) for s in (hi, cfg.s_min)]
+        try:
+            cert, new = contour.count_zeros(F, *mu,
+                                            [r.mu.real for r in reals])
+            break
+        except CountError:
+            if hi == top:
+                raise
     roots = refine_complex(F, [*seeds, *new], cfg.tol, probe=cfg.step)
-    new = [(z, r) for z, r in zip(new, roots[len(seeds):]) if r is not None
-           and abs((r.mu.real - c) / a + 1j * r.mu.imag / b) < 1]
-    cert["found"] = sum(1 + (r.kind == "complex-pair") for r in _dedupe(
-        [*reals, *(r for _, r in new)], 1e-6))
+    new = [(z, r) for z, r in zip(new, roots[len(seeds):])
+           if r is not None and _inside(cert, r)]
     return cert, roots[:len(seeds)], new
 
 
 def certify(F, scan, reals):
     """The window's count (count_window) and the distinct roots in R that
-    its seeds find, real or one per complex pair, with the scanned real
-    roots reals; CountError unless they make up the count."""
+    its seeds find, real or one per complex pair; CountError unless they
+    and the scanned real roots reals make up the count."""
     cert, _, new = count_window(F, scan, reals)
-    if cert["found"] != cert["count"]:
-        raise CountError(f"the roots found are not the count: {cert}")
-    return cert, _dedupe([r for _, r in new], 1e-6)
+    others = _dedupe([r for _, r in new], 1e-6)
+    _found(cert, _dedupe([*reals, *others], 1e-6))
+    return cert, others
 
 
 def trace_parameter(family, values, cfg: ScanConfig, count=True) -> list:
@@ -373,15 +399,23 @@ def trace_parameter(family, values, cfg: ScanConfig, count=True) -> list:
     value one real scan is matched to the real branches (_match), and its
     unclaimed roots are handed to the unmatched ones (_hand_out).  A lone
     unmatched branch within two steps of the edge it moves toward has left
-    the window.  If branches are still unmatched, the window is counted
-    (count_window; not where count is false, as for k = 0, whose zero at
-    mu = 0 ends the region; short of the window's top two steps where a
-    zero on R's end keeps the count from resolving) in the value's one
-    refine_complex call, which also takes each merged pair's predicted
-    root (_extrapolate); the count's real roots are handed out, its new
-    pairs merge the unmatched branches (_merge), and these record the
-    certificate and param in Branch.counts.  Scanned roots no real branch
-    holds start new branches.
+    the window.  If branches are still unmatched and count is true, the
+    window is counted (count_window), its top end raised to the unmatched
+    branches' reach (two steps plus four movements) where that passes
+    s_max, in the value's one refine_complex call, which also takes each
+    merged pair's predicted root (_extrapolate).  The count's real roots in
+    the window are handed out, and its new pairs merge the unmatched
+    branches or start pairs of their own (_merge).  Scanned roots and the
+    count's real roots that no branch holds start new branches.  The
+    branches unmatched at the count record its certificate and param in
+    Branch.counts, found being the zeros in its region among the distinct
+    roots the branches hold at the value (two per pair) and those the
+    count finds past s_max; CountError unless it is the count.
+
+    The count takes log F around an ellipse in mu = -s(s + 1), so F must be
+    analytic in mu inside it, as the determinant functions are (a function
+    of s(s + 1)); count is false for k = 0, whose zero at mu = 0 ends the
+    region.
 
     A branch that ends says why in Branch.note: "left the scan window",
     "no convergence" (a real branch still unmatched), "complex
@@ -414,23 +448,20 @@ def trace_parameter(family, values, cfg: ScanConfig, count=True) -> list:
         live = [m for pair in pairs
                 if (m := [lb for lb in pair if lb.status == "pair"])]
         seeds = [_extrapolate(m[0].samples, p) for m in live]
-        new = []
-        if failed and count:
-            try:
-                cert, held, new = count_window(F, cfg, found, seeds)
-            except CountError:  # a zero on R's real end: count short of it
-                top = max(cfg.s_max - 2 * cfg.step, cfg.s_min + cfg.step)
-                cert, held, new = count_window(F, replace(cfg, s_max=top),
-                                               found, seeds)
-            for lb in failed:
-                lb.counts.append({"param": p} | cert)
-            failed = _hand_out(failed, [r for _, r in new
-                                        if r.kind == "real"], p, dp, cfg)
+        counted, new, more = failed if count else [], [], []
+        if counted:     # R's top reaches past s_max to the unmatched's reach
+            top = max([cfg.s_max] + [lb.s + 2 * cfg.step + 4 * abs(lb.ds)
+                                     for lb in failed])
+            cert, held, new = count_window(F, replace(cfg, s_max=top),
+                                           found, seeds)
+            more = [r for _, r in new
+                    if r.kind == "real" and r.s.real <= cfg.s_max]
+            failed = _hand_out(failed, more, p, dp, cfg)
         else:
             held = seeds and refine_complex(F, seeds, cfg.tol,
                                             probe=cfg.step)
         merged = _merge(failed, new, [r for r in held if r], p, cfg)
-        pairs += [members for members, _ in merged]
+        pairs += [members for members, _ in merged if members]
         for members, root in [*zip(live, held), *merged]:
             if root is None or root.kind != "complex-pair":
                 members[0].end("complex continuation lost" if root is None
@@ -445,10 +476,22 @@ def trace_parameter(family, values, cfg: ScanConfig, count=True) -> list:
         for lb in failed:
             if lb.status == "real":
                 lb.end("no convergence")
-        # scanned roots that no live real branch holds start new branches
-        known = [lb.s for lb in branches if lb.status == "real"]
-        for r in found:
-            if not any(abs(r.s.real - s) < 2 * cfg.step for s in known):
+        # roots that no branch holds start new branches, a pair two
+        at_p = {id(r): r for lb in branches
+                for q, r in lb.samples[-1:] if q == p}
+        for r in [*found, *more]:
+            if id(r) not in at_p:
+                at_p[id(r)] = r
                 branches.append(Branch(len(branches), [(p, r)], s=r.s.real))
-                known.append(r.s.real)
+        for members, r in merged:
+            if not members:
+                at_p[id(r)] = r
+                pairs.append([Branch(len(branches) + i, [(p, r)], s=r.s,
+                                     status="pair") for i in (0, 1)])
+                branches += pairs[-1]
+        if counted:
+            _found(cert, [*at_p.values(), *_dedupe(
+                [r for _, r in new if r.s.real > cfg.s_max], 1e-6)])
+            for lb in counted:
+                lb.counts.append({"param": p} | cert)
     return branches

@@ -452,7 +452,10 @@ class TestTraceCommand:
         window's region R (s_max = 10), and its count reaches only a tail
         of 1.006e-6 at N = 4096: the merge there is counted short of the
         window's top two steps instead, and the trace records the same
-        events and terminations as the fine re-scan did."""
+        events and terminations as the fine re-scan did, and besides the
+        pair 9.815 + 0.130i, which the count at 6.25 finds in the window
+        with one member past it: it starts a pair of its own, which leaves
+        the window at 7."""
         out = tmp_path / "edge.csv"
         assert run(["trace", "--k", "3", "--x0", "0.9", "--smax", "10",
                     "--sweep", "eps:6:7.5:0.25", "--output", str(out)]) == 0
@@ -461,7 +464,9 @@ class TestTraceCommand:
             (6.5, [2, 5]), (7.0, [0, 1])]
         assert [(t["branch"], t["param"], t["reason"])
                 for t in doc["terminations"]] == [
-            (3, 6.0, "no convergence"), (4, 6.0, "no convergence")]
+            (3, 6.0, "no convergence"), (4, 6.0, "no convergence"),
+            (6, 6.75, "left the scan window"),
+            (7, 6.75, "left the scan window")]
         counts = {c["param"]: c for c in doc["counts"]}
         assert counts[6.5]["region"] == [-55.0, 55.0, 110.0]
         assert counts[7.0]["region"][0] == pytest.approx(-9.9 * 10.9 / 2)

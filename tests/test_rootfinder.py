@@ -10,6 +10,7 @@ from sphere_spectra import (GridTooCoarseWarning, Root, ScanConfig,
                             SpectralParams, contour, det_functional,
                             refine_complex, rootfinder, scan_real_roots,
                             trace_parameter)
+from sphere_spectra.core import CountError
 from sphere_spectra.rootfinder import RING, _dedupe
 
 
@@ -465,6 +466,16 @@ class TestTrace:
         assert final and final[0].s == pytest.approx(1 + 0.7071068j,
                                                      abs=1e-6)
 
+    def test_count_needs_f_analytic_in_mu(self):
+        # s^2 - (1 - t) is not a function of mu = -s(s + 1): its G(mu) has
+        # a branch point at mu = 1/4, next to mu(-0.45), the end of the
+        # window's region, so the count at the merge (the double root 0 at
+        # t = 1) does not resolve, and the trace says so
+        fam = lambda t: (lambda s: np.asarray(s, complex) ** 2 - (1 - t))
+        cfg = ScanConfig(-0.45, 2.0, 0.05, 1e-12)
+        with pytest.raises(CountError, match="no count in the mu-ellipse"):
+            trace_parameter(fam, np.arange(0.5, 1.5001, 0.05), cfg)
+
     def test_branch_enters_window(self):
         # root s = t - 1 enters the scan window during the sweep
         fam = lambda t: (lambda s: np.asarray(s, complex) - (t - 1))
@@ -640,6 +651,22 @@ class TestTrace:
             assert root.s == pytest.approx(1 + 0.2j * np.sqrt(0.05),
                                            abs=1e-9)
 
+    def test_count_the_trace_cannot_hold_raises(self):
+        # at the merge of 1 +- 0.2 sqrt(1 - t), t = 1.05, F gains the lone
+        # zero mu = -3 - 1i without its conjugate: the count is 3, but the
+        # trace holds the pair and the lone zero's root as a second pair,
+        # found 4, and refuses the value
+        def fam(t):
+            def F(s):
+                s = np.asarray(s, complex)
+                lone = 1j * (-s * (s + 1) + 3 + 1j) if t > 1 else 1
+                return ((s - 1) ** 2 + 0.04 * (t - 1)) * lone
+            return F
+
+        cfg = ScanConfig(0.0, 2.0, 0.05, 1e-12)
+        with pytest.raises(CountError, match="'count': 3, .*'found': 4"):
+            trace_parameter(fam, [0.9, 0.95, 1.05], cfg)
+
     def test_complex_seeds_predicted_from_the_path(self, monkeypatch):
         # the pair u +- |v| merges at t = 1 and moves on along the quadratic
         # path u + iv = (0.8 - 1i) + 0.3 t + (0.2 + 1i) t^2, v = t^2 - 1
@@ -728,20 +755,24 @@ class TestTrace:
         real = outcome == "real"
         assert [(br.index, br.note, br.samples[-1][0]) for br in branches] \
             == [(0, "no convergence", 0.95), (1, "no convergence", 0.95)] \
-            + ([(2, "no convergence", 1.0), (3, "no convergence", 1.0)]
-               if real else [])
+            + ([(2, "no convergence", 1.0), (3, "no convergence", 1.0),
+                (4, "", 1.05), (5, "", 1.05)] if real else [])
         assert not any(br.events for br in branches)
         assert [(c["param"], c["count"]) for c in branches[0].counts] == [
             (1.0, 2 if real else 0)]
         # 0.7 and 1.3 start branches that no movement carries 0.3 to the
-        # pair the count at 1.05 finds
+        # pair the count at 1.05 finds: it starts a pair of its own
         seeds = [(t, seeds, roots) for t, seeds, roots in calls if seeds]
         if real:
             (t, (seed,), (root,)), = seeds
             assert t == 1.05 and root.kind == "complex-pair"
             assert abs(seed - (1 + 0.2j * np.sqrt(0.05))) < 1e-8
-            assert [br.samples[0][1].s.real for br in branches[2:]] == \
+            assert [br.samples[0][1].s.real for br in branches[2:4]] == \
                 pytest.approx([0.7, 1.3])
+            assert [br.samples for br in branches[4:]] == [[(1.05, root)]] * 2
+            assert [(c["param"], c["count"], c["found"])
+                    for br in branches[2:4] for c in br.counts] == [
+                (1.05, 2, 2)] * 2
         else:
             assert seeds == []
 
@@ -783,12 +814,12 @@ class TestTrace:
             [(2, 1.15, 0.9), (3, 1.15, 1.1)] if real else [])
 
     def test_new_pair_root_outside_window_ends_pair(self):
-        # the pair 2.4 +- 0.2 sqrt(1 - t) meets at t = 1 and moves off as
+        # the pair 2.4 +- 0.2 sqrt(1 - t) merges at t = 1 and moves off as
         # c +- 0.2i sqrt(t - 1), c = 2.4 + 4 (t - 1): its first complex
         # root, at t = 1.05, has Re s = 2.6 beyond s_max = 2.5.  At t = 1
-        # the count holds the double root 2.4, which the scan cannot see,
-        # for both members; at 1.05 the pair lies outside the window's
-        # region, the count is 0, and both members end there
+        # the count holds the double root 2.4, which has no sign change,
+        # for both members; at 1.05 the count, its top raised to the
+        # members' reach, finds the pair past the window
         def fam(t):
             if t < 1.0:
                 return lambda s: (np.asarray(s, complex) - 2.4) ** 2 \
@@ -802,12 +833,15 @@ class TestTrace:
         branches = trace_parameter(fam, values, cfg)
         assert len(branches) == 2
         for br in branches:
-            assert br.note == "no convergence" and br.events == []
+            assert br.note == "left the scan window"
+            assert [e.param for e in br.events] == [1.05]
+            assert abs(br.events[0].seed - (2.6 + 0.2j * np.sqrt(0.05))) \
+                < 1e-8
             assert [p for p, _ in br.samples] == [0.9, 0.95, 1.0]
             assert br.samples[-1][1].kind == "real"
             assert br.samples[-1][1].s == pytest.approx(2.4, abs=1e-6)
-            assert [(c["param"], c["count"]) for c in br.counts] == [
-                (1.0, 2), (1.05, 0)]
+            assert [(c["param"], c["count"], c["found"])
+                    for c in br.counts] == [(1.0, 2, 2), (1.05, 2, 2)]
         assert all(cfg.s_min <= r.s.real <= cfg.s_max
                    for br in branches for _, r in br.samples)
 

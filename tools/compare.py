@@ -20,10 +20,13 @@ and branch), events and branch terminations that differ, and the largest
 and complex at eps >= 10.  Then it judges every series row (not the
 oracle's) that moved by more than MOVED: `judged` lists, per file,
 [param, branch, kind, |ds|, distance of A's row and of B's row to the
-40-digit root of the same truncated determinant]
+40-digit root of the same truncated determinant next to A's row, and the
+distance from that root to the one next to B's row]
 (tests/exact_columns.py::exact_root, about 0.1 s per real and 0.5 s per
-complex root at M = 150), and `moved_away` gives per kind the rows where
-B's distance is the larger, and the rows judged.
+complex root at M = 150, twice per row); `jumps` lists per file the rows
+whose two roots differ by more than MOVED (B's row moved to another
+root), and `moved_away` gives per kind the rows where B's distance is the
+larger, and the rows judged.
 
 The operations: the criterion-5 eps traces (k = 1, 3) at x0 = 0.9,
 0.9001, 0.9002, 0.9005, 0.901 and 0.97; x0 traces for k = 0 and 1;
@@ -194,8 +197,11 @@ def diff(a: Path, b: Path) -> dict:
             if ea.get(part) != eb.get(part):
                 report[part][name] = {"a": ea.get(part), "b": eb.get(part)}
     report["judged"] = _judge(moved)
+    report["jumps"] = {name: [r[:2] for r in rows if r[6] > MOVED]
+                       for name, rows in report["judged"].items()
+                       if any(r[6] > MOVED for r in rows)}
     rows = [r for rows in report["judged"].values() for r in rows]
-    report["moved_away"] = {kind: [sum(r[-2] < r[-1] for r in rows
+    report["moved_away"] = {kind: [sum(r[4] < r[5] for r in rows
                                        if r[2] == kind),
                                    sum(r[2] == kind for r in rows)]
                             for kind in report["max_ds"]}
@@ -204,16 +210,19 @@ def diff(a: Path, b: Path) -> dict:
 
 def _judge(moved) -> dict:
     """file -> [param, branch, kind, |ds|, distance of A's and of B's row
-    to the 40-digit root next to B's]."""
+    to the 40-digit root next to A's, distance from it to the root next to
+    B's]."""
     sys.path.insert(0, str(ROOT / "tests"))
     from exact_columns import exact_root
 
     judged = {}
     for name, key, p, kind, sa, sb in moved:
-        exact = complex(exact_root(p["k"], p["eps"], p["x0"], int(p["M"]),
-                                   sb.real if sb.imag == 0 else sb))
+        ea, eb = (complex(exact_root(p["k"], p["eps"], p["x0"], int(p["M"]),
+                                     s.real if s.imag == 0 else s))
+                  for s in (sa, sb))
         judged.setdefault(name, []).append(
-            [*key, kind, abs(sa - sb), abs(sa - exact), abs(sb - exact)])
+            [*key, kind, abs(sa - sb), abs(sa - ea), abs(sb - ea),
+             abs(ea - eb)])
     return judged
 
 
